@@ -104,6 +104,11 @@ class Dataset:
         X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
         T = np.asarray(self.T, dtype=np.int64)
         Y = np.asarray(self.Y, dtype=np.float64)
+        CF = None if self.CF is None else np.asarray(self.CF, dtype=np.float64)
+        Q = None if self.Q is None else np.asarray(self.Q, dtype=np.float64)
+        for name, val in (("X", X), ("Y", Y), ("CF", CF), ("Q", Q)):
+            if val is not None and not np.isfinite(val).all():
+                raise DomainError(f"{name} must be finite (no NaN or infinity)")
         if X.ndim != 2:
             raise SchemaError("X must be 2-dimensional")
         n = X.shape[0]
@@ -113,16 +118,12 @@ class Dataset:
             raise DomainError("m must be at least 1")
         if n and (T.min() < 1 or T.max() > self.m):
             raise DomainError(f"treatment labels must lie in 1..{self.m}")
-        CF = self.CF
         if CF is not None:
-            CF = np.asarray(CF, dtype=np.float64)
             if CF.shape != (n, self.m):
                 raise SchemaError("CF must have shape (n, m)")
             if n and not np.array_equal(CF[np.arange(n), T - 1], Y):
                 raise DomainError("Y must equal the counterfactual of the received treatment")
-        Q = self.Q
         if Q is not None:
-            Q = np.asarray(Q, dtype=np.float64)
             if Q.shape != (n,):
                 raise SchemaError("Q must have one entry per row")
             if n and (Q.min() <= 0.0 or Q.max() > 1.0):
@@ -183,9 +184,12 @@ def bootstrap(ds, seed):
 
 def _parse_float(cell, row, column):
     try:
-        return float(cell)
+        v = float(cell)
     except ValueError:
         raise ParseError("not a number", row=row, column=column) from None
+    if not math.isfinite(v):
+        raise ParseError("not a finite number", row=row, column=column)
+    return v
 
 
 def _parse_label(cell, row, column):
@@ -267,6 +271,9 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
         cells = [r[j] for r in rows]
         try:
             col = np.array([float(c) for c in cells], dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                raise ParseError("not a finite number", row=int(bad[0]) + 2, column=name)
             features.append(Feature(name))
             encoded.append(col.reshape(-1, 1))
         except ValueError:

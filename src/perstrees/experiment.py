@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import KnnRegressor, fit_1v1, fit_1va, fit_rc, make_cate
+from .baselines import fit_1v1, fit_1va, fit_rc, make_cate, make_regressor
 from .data import SyntheticSpec, generate_synthetic, split
 from .errors import ConfigError
 from .forest import PfConfig, fit_pf
@@ -57,9 +57,9 @@ PRESETS = {
 }
 
 
-def _pt_config(params, seed):
+def _pt_config(params, seed, n_min_leaf=1):
     return PtConfig(
-        n_min_leaf=params.get("n_min_leaf", 1),
+        n_min_leaf=params.get("n_min_leaf", n_min_leaf),
         delta_max=params.get("delta_max"),
         n_features=params.get("n_features"),
         scarce_mode=params.get("scarce_mode", False),
@@ -72,15 +72,9 @@ def _fit_pt(ds, params, seed):
 
 
 def _fit_pf(ds, params, seed):
-    base = PtConfig(
-        n_min_leaf=params.get("n_min_leaf", 10),
-        delta_max=params.get("delta_max"),
-        n_features=params.get("n_features"),
-        scarce_mode=params.get("scarce_mode", False),
-    )
     cfg = PfConfig(
         trees_count=params.get("trees_count", 100),
-        base=base,
+        base=_pt_config(params, seed, n_min_leaf=10),
         seed=params.get("seed", seed),
     )
     return fit_pf(ds, cfg)
@@ -106,11 +100,7 @@ def _fit_opt(ds, params, seed):
 def _fit_rc_base(base):
     def fit(ds, params, seed):
         del seed
-        if base == "knn":
-            return fit_rc(
-                ds, regressor_factory=lambda: KnnRegressor(k=params.get("k")), base="knn"
-            )
-        return fit_rc(ds, base=base)
+        return fit_rc(ds, regressor_factory=make_regressor(base, params), base=base)
 
     return fit
 

@@ -83,6 +83,12 @@ def best_treatment(t, y, m, scarce_mode=False, n_min_leaf=1):
     if len(t) == 0:
         raise UndefinedImpurityError("empty subsample")
     counts, sums = _counts_and_sums(t, y, m)
+    return _best_of_stats(counts, sums, scarce_mode=scarce_mode, n_min_leaf=n_min_leaf)
+
+
+def _best_of_stats(counts, sums, scarce_mode=False, n_min_leaf=1):
+    """`best_treatment` from per-treatment counts and outcome sums."""
+    m = counts.size
     if scarce_mode:
         eligible = counts >= n_min_leaf
         if not eligible.any():

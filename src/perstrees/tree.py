@@ -7,10 +7,15 @@ feasible cut is taken. Splitting continues while feasible cuts exist and
 the depth bound allows; leaves prescribe the treatment with the smallest
 mean outcome among their eligible treatments.
 
-The sweep walks each feature in sorted order moving one point at a time
-from the right side to the left, maintaining per-treatment counts and
-outcome sums incrementally (realized as per-treatment prefix sums), so a
-node costs one sort plus a linear pass per drawn feature.
+Each feature is sorted once per fit (a stable argsort of every column).
+A node holds its rows in that order for every feature, a d x k index
+array; a split hands each child the rows of this array that fall on its
+side, and filtering a stable order keeps it stable, so no node sorts
+again. The sweep moves one point at a time from the right side to the
+left along each order, keeping per-treatment counts and outcome sums as
+prefix sums. All drawn features of a node are swept in one vectorised
+pass, up to a budget of feature-by-row cells per pass; larger nodes
+take one feature per pass, which bounds the sweep's memory.
 """
 
 import json
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .risk import best_treatment
+from .risk import _best_of_stats, _counts_and_sums
 from .seeding import make_rng
 
 
@@ -62,108 +67,131 @@ class Split:
     impurity: float
 
 
+# Most feature-by-row cells one vectorised sweep may hold. Small nodes
+# sweep all drawn features in one call; a node above the budget is swept
+# one feature per call, so its arrays stay those of a single feature.
+_SWEEP_BUDGET = 4096
+
+
+def _sweep(xs, ts, ys, m, n_min_leaf, scarce_mode):
+    """Score every cut position of F presorted features at once.
+
+    xs, ts, ys are (F, k) arrays: covariate, treatment and outcome of the
+    node's rows, each row of the arrays in ascending order of its
+    feature. Position j (1..k-1) puts the first j of them on the left.
+
+    Returns a dict: "sides", a (2, 2m, F, k-1) array holding, for the
+    left then the right side of each cut, the per-treatment counts
+    (first m) and outcome sums (last m); and (F, k-1) arrays "gap"
+    (strict gap at the cut), "feasible" and "impurity" (side sizes
+    times their smallest eligible mean, summed). Treatments lead the
+    layout so the reductions over them run on whole contiguous planes.
+    """
+    F, k = xs.shape
+    onehot = ts == np.arange(1, m + 1)[:, None, None]
+    # counts ride along as floats (small integers, so exact), so one
+    # prefix-sum pass serves counts and sums; sides[1] is its scratch input
+    sides = np.empty((2, 2 * m, F, k))
+    sides[1, :m] = onehot
+    sides[1, m:] = np.where(onehot, ys, 0.0)
+    np.cumsum(sides[1], axis=2, out=sides[0])
+    np.subtract(sides[0, :, :, -1:], sides[0], out=sides[1])
+    # position j keeps the first j rows on the left; j = k is no cut
+    sides = sides[:, :, :, :-1]
+    counts, sums = sides[:, :m], sides[:, m:]
+    # scarce mode takes a side's minimum over its eligible treatments only
+    valid = counts >= n_min_leaf if scarce_mode else counts > 0
+    means = np.divide(sums, counts, out=np.full(counts.shape, np.inf), where=valid)
+    defined = valid.any(axis=1) if scarce_mode else (counts >= n_min_leaf).all(axis=1)
+    side_min = means.min(axis=1)
+    gap = xs[:, :-1] < xs[:, 1:]
+    k_left = np.arange(1, k, dtype=np.float64)
+    return {
+        "sides": sides,
+        "gap": gap,
+        "feasible": defined[0] & defined[1] & gap,
+        "impurity": k_left * side_min[0] + (k - k_left) * side_min[1],
+    }
+
+
 def sweep_feature(x, t, y, m, n_min_leaf, scarce_mode=False):
     """Score every cut position along one feature.
 
     Position j (1..k-1) puts the first j points of the sorted order on
-    the left. Returns a dict of arrays over positions: left/right
-    per-treatment counts and outcome sums, the strict-gap mask, the
-    feasibility mask, the candidate impurity I, and the midpoint
-    thresholds. Exposed for instrumentation; `best_split` consumes it.
+    the left. Returns a dict of arrays over positions: the sort order,
+    left/right per-treatment counts and outcome sums, the strict-gap
+    mask, the feasibility mask, the candidate impurity I, and the
+    midpoint thresholds. A one-feature view of the kernel `best_split`
+    runs on presorted rows, exposed for instrumentation and tests.
     """
     x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t, dtype=np.int64)
-    y = np.asarray(y, dtype=np.float64)
-    k = x.size
-    if k < 2:
-        empty = np.empty((0, m))
-        return {
-            "order": np.empty(0, dtype=np.int64),
-            "counts_left": empty.astype(np.int64),
-            "sums_left": empty,
-            "counts_right": empty.astype(np.int64),
-            "sums_right": empty,
-            "gap": np.empty(0, dtype=bool),
-            "feasible": np.empty(0, dtype=bool),
-            "impurity": np.empty(0),
-            "threshold": np.empty(0),
-        }
     order = np.argsort(x, kind="stable")
-    xs, ts, ys = x[order], t[order], y[order]
-    onehot = ts[:, None] == np.arange(1, m + 1)[None, :]
-    cum_counts = np.cumsum(onehot, axis=0)
-    cum_sums = np.cumsum(np.where(onehot, ys[:, None], 0.0), axis=0)
-
-    counts_left = cum_counts[:-1]
-    sums_left = cum_sums[:-1]
-    counts_right = cum_counts[-1] - counts_left
-    sums_right = cum_sums[-1] - sums_left
-    gap = xs[:-1] < xs[1:]
-    k_left = np.arange(1, k, dtype=np.float64)
-    k_right = k - k_left
-
-    def side_min(counts, sums):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            means = np.where(counts > 0, sums / counts, np.inf)
-        if scarce_mode:
-            eligible = counts >= n_min_leaf
-            means = np.where(eligible, means, np.inf)
-            defined = eligible.any(axis=1)
-        else:
-            defined = (counts >= n_min_leaf).all(axis=1)
-        return means.min(axis=1), defined
-
-    min_left, ok_left = side_min(counts_left, sums_left)
-    min_right, ok_right = side_min(counts_right, sums_right)
-    feasible = ok_left & ok_right & gap
-    score = k_left * min_left + k_right * min_right
+    xs = x[order]
+    ts = np.asarray(t, dtype=np.int64)[order]
+    ys = np.asarray(y, dtype=np.float64)[order]
+    sweep = _sweep(xs[None], ts[None], ys[None], m, n_min_leaf, scarce_mode)
+    sides = sweep["sides"][:, :, 0].transpose(0, 2, 1)  # (2, k-1, 2m)
+    counts = sides[:, :, :m].astype(np.int64)
     return {
         "order": order,
-        "counts_left": counts_left,
-        "sums_left": sums_left,
-        "counts_right": counts_right,
-        "sums_right": sums_right,
-        "gap": gap,
-        "feasible": feasible,
-        "impurity": score,
+        "counts_left": counts[0],
+        "sums_left": sides[0, :, m:],
+        "counts_right": counts[1],
+        "sums_right": sides[1, :, m:],
+        "gap": sweep["gap"][0],
+        "feasible": sweep["feasible"][0],
+        "impurity": sweep["impurity"][0],
         "threshold": (xs[:-1] + xs[1:]) / 2.0,
     }
 
 
-def best_split(ds, indices, features, config):
+def best_split(ds, indices, features, config, _presorted=None):
     """Best feasible cut for a node subsample, or None.
 
     Features are scanned in the given order, positions in ascending
-    order; ties keep the first candidate encountered.
+    order; ties keep the first candidate encountered. Scores assume
+    finite data, which `Dataset` enforces.
 
     Args:
         ds: dataset.
         indices: rows belonging to the node.
         features: feature ids to consider, in draw order.
         config: PtConfig.
+        _presorted: for `fit_pt` only: a d x k array whose row f holds
+            the node's rows in stable ascending order of feature f.
+            Without it the drawn features are argsorted here.
 
     Returns:
         Split or None when no feasible cut exists.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    t = ds.T[idx]
-    y = ds.Y[idx]
+    features = np.asarray(features, dtype=np.int64)
+    # each side of a cut needs n_min_leaf of every treatment (strict) or
+    # of some treatment (scarce); a node short of twice that cannot split
+    need = 2 * config.n_min_leaf
+    if config.scarce_mode:
+        if idx.size < need:
+            return None
+    elif np.bincount(ds.T[idx] - 1, minlength=ds.m).min() < need:
+        return None
+    if _presorted is None:
+        rows = idx[np.argsort(ds.X[idx][:, features].T, axis=1, kind="stable")]
+    else:
+        rows = _presorted[features]
+    step = max(1, _SWEEP_BUDGET // idx.size)
     best = None
-    for f in features:
-        sweep = sweep_feature(
-            ds.X[idx, f], t, y, ds.m, config.n_min_leaf, scarce_mode=config.scarce_mode
-        )
+    for lo in range(0, features.size, step):
+        chunk = rows[lo:lo + step]
+        xs = ds.X[chunk, features[lo:lo + step, None]]
+        sweep = _sweep(xs, ds.T[chunk], ds.Y[chunk], ds.m, config.n_min_leaf, config.scarce_mode)
         score = np.where(sweep["feasible"], sweep["impurity"], np.inf)
-        if score.size == 0:
-            continue
-        pos = int(np.argmin(score))
-        if not np.isfinite(score[pos]):
-            continue
-        if best is None or score[pos] < best.impurity:
+        f, pos = divmod(int(np.argmin(score)), score.shape[1])
+        value = score[f, pos]
+        if np.isfinite(value) and (best is None or value < best.impurity):
             best = Split(
-                feature=int(f),
-                threshold=float(sweep["threshold"][pos]),
-                impurity=float(score[pos]),
+                feature=int(features[lo + f]),
+                threshold=float((xs[f, pos] + xs[f, pos + 1]) / 2.0),
+                impurity=float(value),
             )
     return best
 
@@ -185,32 +213,39 @@ class TreeNode:
 
 
 def _leaf(ds, idx, config):
-    t = ds.T[idx]
-    y = ds.Y[idx]
-    counts = np.bincount(t - 1, minlength=ds.m)
-    sums = np.bincount(t - 1, weights=y, minlength=ds.m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = np.where(counts > 0, sums / counts, np.nan)
-    treatment, _ = best_treatment(
-        t, y, ds.m, scarce_mode=config.scarce_mode, n_min_leaf=config.n_min_leaf
+    counts, sums = _counts_and_sums(ds.T[idx], ds.Y[idx], ds.m)
+    means = np.divide(sums, counts, out=np.full(ds.m, np.nan), where=counts > 0)
+    treatment, _ = _best_of_stats(
+        counts, sums, scarce_mode=config.scarce_mode, n_min_leaf=config.n_min_leaf
     )
-    return TreeNode(
-        treatment=treatment,
-        counts=tuple(int(c) for c in counts),
-        means=tuple(float(v) for v in means),
-    )
+    return TreeNode(treatment=treatment, counts=tuple(counts.tolist()), means=tuple(means.tolist()))
 
 
-def _grow(ds, idx, depth, config, rng, n_features):
+def _grow(ds, idx, rows, depth, config, rng, n_features, marks):
+    """Grow the subtree of rows `idx` (ascending) with presort `rows`.
+
+    `rows` is the d x k presort `best_split` takes; the caller keeps no
+    reference to it, so it is freed before the subtrees grow. `marks` is
+    an all-False scratch mask over the dataset's rows.
+    """
     if config.delta_max is not None and depth >= config.delta_max:
         return _leaf(ds, idx, config)
     features = rng.choice(ds.d, size=n_features, replace=False)
-    split = best_split(ds, idx, features, config)
+    split = best_split(ds, idx, features, config, _presorted=rows)
     if split is None:
         return _leaf(ds, idx, config)
     mask = ds.X[idx, split.feature] <= split.threshold
-    left = _grow(ds, idx[mask], depth + 1, config, rng, n_features)
-    right = _grow(ds, idx[~mask], depth + 1, config, rng, n_features)
+    left_idx, right_idx = idx[mask], idx[~mask]
+    # a stable order filtered to a subset is the subset's stable order
+    marks[left_idx] = True
+    goes_left = marks[rows]
+    marks[left_idx] = False
+    # popped into the calls, so each child holds its presort's only reference
+    parts = [rows[~goes_left].reshape(ds.d, right_idx.size),
+             rows[goes_left].reshape(ds.d, left_idx.size)]
+    del rows, goes_left
+    left = _grow(ds, left_idx, parts.pop(), depth + 1, config, rng, n_features, marks)
+    right = _grow(ds, right_idx, parts.pop(), depth + 1, config, rng, n_features, marks)
     return TreeNode(split=split, left=left, right=right)
 
 
@@ -228,7 +263,11 @@ def fit_pt(ds, config=None):
     if not 1 <= n_features <= ds.d:
         raise ConfigError(f"n_features must lie in 1..{ds.d}")
     rng = make_rng(config.seed)
-    root = _grow(ds, np.arange(ds.n), 0, config, rng, n_features)
+    marks = np.zeros(ds.n, dtype=bool)
+    root = _grow(
+        ds, np.arange(ds.n), np.argsort(ds.X.T, axis=1, kind="stable"),
+        0, config, rng, n_features, marks,
+    )
     return PersonalizationTree(root=root, m=ds.m, d=ds.d)
 
 

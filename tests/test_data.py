@@ -69,6 +69,21 @@ class TestDatasetInvariants:
                 Q=np.array([0.0]),
             )
 
+    @pytest.mark.parametrize("field", ["X", "Y", "CF", "Q"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        arrays = {
+            "X": np.zeros((2, 1)),
+            "Y": np.zeros(2),
+            "CF": np.zeros((2, 2)),
+            "Q": np.full(2, 0.5),
+        }
+        arrays[field][-1] = bad
+        if field == "Y":
+            arrays["CF"][-1, 0] = bad
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            Dataset(T=np.array([1, 1]), m=2, **arrays)
+
     def test_arrays_read_only(self):
         ds = random_dataset(np.random.default_rng(0), 5, 2, 2)
         with pytest.raises(ValueError):
@@ -106,6 +121,18 @@ class TestLoadCsv:
             load_csv(p)
         # rows are file line numbers, header included
         assert err.value.row == 3 and err.value.column == "outcome"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("column", ["x1", "outcome", "y2", "q"])
+    def test_non_finite_cell_has_row_and_column(self, tmp_path, cell, column):
+        header = ["x1", "treatment", "outcome", "y1", "y2", "q"]
+        bad = ["2", "1", "0.5", "0.5", "0.25", "0.8"]
+        bad[header.index(column)] = cell
+        text = ",".join(header) + "\n1,2,0.25,0.5,0.25,0.8\n" + ",".join(bad) + "\n"
+        p = write(tmp_path / "n.csv", text)
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            load_csv(p, cf_cols=["y1", "y2"], q_col="q")
+        assert err.value.row == 3 and err.value.column == column
 
     def test_label_below_one(self, tmp_path):
         p = write(tmp_path / "e.csv", "x1,treatment,outcome\n1,0,0.5\n")

@@ -1,8 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from perstrees.data import Dataset
+from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
 from perstrees.errors import ConfigError, SchemaError
+from perstrees.experiment import PRESETS
+from perstrees.forest import PfConfig, fit_pf, forest_to_doc
 from perstrees.tree import (
     PersonalizationTree,
     PtConfig,
@@ -108,10 +113,18 @@ class TestBestSplit:
 
     def test_first_feature_wins_ties(self):
         # feature 1 duplicates feature 0; scanned first, it keeps the split
-        X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-        ds = Dataset(X=X, T=np.array([1, 2, 1, 2]), Y=np.array([2.0, 6.0, 4.0, 8.0]), m=2)
-        assert best_split(ds, np.arange(4), [1, 0], PtConfig()).feature == 1
-        assert best_split(ds, np.arange(4), [0, 1], PtConfig()).feature == 0
+        # (4000 rows put the two features in separate vectorised passes)
+        for reps in (1, 1000):
+            x = np.arange(1.0, 4 * reps + 1)
+            ds = Dataset(
+                X=np.column_stack([x, x]),
+                T=np.tile([1, 2], 2 * reps),
+                Y=np.repeat([2.0, 6.0, 4.0, 8.0], reps),
+                m=2,
+            )
+            rows = np.arange(4 * reps)
+            assert best_split(ds, rows, [1, 0], PtConfig()).feature == 1
+            assert best_split(ds, rows, [0, 1], PtConfig()).feature == 0
 
     def test_none_when_constant_feature(self):
         ds = Dataset(
@@ -138,6 +151,31 @@ class TestBestSplit:
                 assert want == np.inf
             else:
                 assert np.isclose(split.impurity, want)
+
+    @pytest.mark.parametrize("scarce", [False, True])
+    def test_presorted_rows_match_own_argsort(self, scarce):
+        # filtering the global stable order to an ascending row subset
+        # reproduces the subset's own stable argsort, ties included
+        rng = np.random.default_rng(102 if scarce else 103)
+        found = 0
+        for trial in range(80):
+            n = int(rng.integers(2, 80))
+            d = int(rng.integers(1, 5))
+            m = int(rng.integers(2, 4))
+            ds = random_dataset(rng, n, d, m)
+            if trial % 2:
+                ds = Dataset(X=rng.integers(0, 4, size=(n, d)).astype(float), T=ds.T, Y=ds.Y, m=m)
+            subset = np.flatnonzero(rng.random(n) < rng.uniform(0.3, 1.0))
+            marks = np.zeros(n, dtype=bool)
+            marks[subset] = True
+            order = np.argsort(ds.X.T, axis=1, kind="stable")
+            rows = order[marks[order]].reshape(d, subset.size)
+            features = rng.permutation(d)[: int(rng.integers(1, d + 1))]
+            config = PtConfig(n_min_leaf=int(rng.integers(1, 3)), scarce_mode=scarce)
+            want = best_split(ds, subset, features, config)
+            assert best_split(ds, subset, features, config, _presorted=rows) == want
+            found += want is not None
+        assert found >= 20
 
     def test_duplicate_x_values_respected(self):
         # the only balanced cut would fall between the two x=2 rows; no
@@ -351,3 +389,63 @@ class TestSerialization:
             tree_from_doc({**base, "root": bad_treatment})
         with pytest.raises(SchemaError):
             tree_from_doc({**base, "root": {"neither": 1}})
+
+
+GRID = {"name": "discrete_grid", "values": [-1.0, -0.5, 0.0, 0.5, 1.0]}
+
+PINNED_CONFIGS = {
+    "strict": PtConfig(n_min_leaf=5, seed=1),
+    "scarce": PtConfig(n_min_leaf=5, scarce_mode=True, seed=2),
+    "delta_max": PtConfig(n_min_leaf=2, delta_max=4, seed=3),
+    "one_feature": PtConfig(n_min_leaf=3, n_features=1, seed=4),
+}
+
+# sha256 of json.dumps(tree_to_doc(...), sort_keys=True) for trees grown
+# by a sweep that argsorts every feature at every node; a change to split
+# choice, thresholds or leaf statistics moves them
+PINNED_TREES = {
+    ("normal", "strict"):
+        "0f44beb1589558a38665d4d08b41f1ab296591182d6ac1de11662009776ba1d3",
+    ("normal", "scarce"):
+        "53ba5db60ff8fb7e040b0ed2d3b6a28c7a3646b357b1cf462acdd5b777aff015",
+    ("normal", "delta_max"):
+        "2c0290e0ec858312599c79084910ea114179305268380b93ebf4f516591242fc",
+    ("normal", "one_feature"):
+        "1af803c2e60ce407cd72cd4d54bfae384652b7e4a0e3d32c1f8ea53d21f94e41",
+    ("grid", "strict"):
+        "304569dd1d5a64d9a01863f1be4c718c1ca3dbc435ac43abe93edd5cd45424a2",
+    ("grid", "scarce"):
+        "836f14d446c81b1002e351a02c780dd509f652d1b8889a7bf93bdde7243b712c",
+    ("grid", "delta_max"):
+        "0e4cf89cf3e4e93a1f98751346b035b228358eccd30ade6ce53b521f939e7943",
+    ("grid", "one_feature"):
+        "0ae38123fba6920f33a0d2e599a03ab1c48077e3edfcad23da4375f86f63716f",
+}
+
+PINNED_FORESTS = {
+    "normal": "8e6c79d6101368d4ca112c64299c05e250ba10b6aa08ababa0b0cf047e6742db",
+    "grid": "b929fd504f5f6f9d1d17b1330b1d47a0c975bb4d1cbdfa5cf7cd7b911254800c",
+}
+
+
+def pinned_data(covariates):
+    preset = dict(PRESETS["warfarin-like"])
+    if covariates == "grid":
+        preset["covariate_model"] = GRID
+    return generate_synthetic(SyntheticSpec(n=400, seed=9, **preset))
+
+
+def doc_digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedTrees:
+    @pytest.mark.parametrize("covariates, name", sorted(PINNED_TREES))
+    def test_fit_pt_digest(self, covariates, name):
+        tree = fit_pt(pinned_data(covariates), PINNED_CONFIGS[name])
+        assert doc_digest(tree_to_doc(tree)) == PINNED_TREES[covariates, name]
+
+    @pytest.mark.parametrize("covariates", sorted(PINNED_FORESTS))
+    def test_fit_pf_digest(self, covariates):
+        forest = fit_pf(pinned_data(covariates), PfConfig(trees_count=10, seed=6))
+        assert doc_digest(forest_to_doc(forest)) == PINNED_FORESTS[covariates]
