@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InfeasibleError, ParseError
+from ..risk import _counts_and_sums
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,9 @@ def solution_from_assignment(ds, skeleton, menu, assignment):
     of the chosen treatment's shifted outcome, and nu = mu * w.
     """
     ybar = ds.Y - ds.Y.min()
+    top = 2**skeleton.delta
     leaf_ids = skeleton.route_many(ds.X, assignment.cuts)
+    counts, sums = _counts_and_sums(ds.T, ybar, ds.m, leaf_ids - top, top)
     values = {}
     for p in skeleton.internal_nodes:
         cuts = menu.for_node(p)
@@ -304,8 +307,8 @@ def solution_from_assignment(ds, skeleton, menu, assignment):
             values[f"delta({p},{i})"] = float(bits[i - 1])
     mu = {}
     for p, t in zip(skeleton.leaves, assignment.treatments):
-        rows = np.flatnonzero((leaf_ids == p) & (ds.T == t))
-        mu[p] = float(ybar[rows].mean()) if rows.size else 0.0
+        n_t = counts[p - top, t - 1]
+        mu[p] = float(sums[p - top, t - 1] / n_t) if n_t else 0.0
     for i in range(1, ds.n + 1):
         for p in skeleton.leaves:
             values[f"w({i},{p})"] = 1.0 if leaf_ids[i - 1] == p else 0.0

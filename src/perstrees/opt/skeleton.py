@@ -2,7 +2,9 @@
 
 The skeleton of depth delta is a complete binary tree in heap order:
 internal nodes 1..2^delta - 1, leaves 2^delta..2^(delta+1) - 1, node p's
-children 2p and 2p + 1. Routing goes left on x[feature] <= threshold.
+children 2p and 2p + 1. Rows are routed by the rule of fitted trees,
+`tree._route` (left on x[feature] <= threshold), with node p at array
+index p - 1.
 
 Each internal node gets a finite menu of candidate cuts: for each of
 n_features randomly drawn features, midpoints of consecutive distinct
@@ -17,6 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError, EmptyMenuError
 from ..seeding import make_rng
+from ..tree import _route
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,6 @@ class TreeSkeleton:
     def leaves(self):
         return tuple(range(2**self.delta, 2 ** (self.delta + 1)))
 
-    def is_leaf(self, p):
-        return p >= 2**self.delta
-
     def path_to(self, leaf):
         """Ancestors of a leaf, root first, as (node, direction) pairs.
 
@@ -85,26 +85,18 @@ class TreeSkeleton:
             path.append((q, +1 if step == 2 * q + 1 else -1))
         return path
 
-    def route(self, x, cuts):
-        """Leaf reached by one covariate row under the given cuts."""
-        p = 1
+    def _heap(self, cuts):
+        """Node arrays (feature, threshold, left, right) under the given
+        cuts, node p at index p - 1, in the layout of fitted trees."""
         top = 2**self.delta
-        while p < top:
-            f, theta = cuts[p - 1]
-            p = 2 * p + (1 if x[f] > theta else 0)
-        return p
+        p, leaf = np.arange(1, top), np.full(top, -1)
+        feature = np.concatenate([[f for f, _ in cuts], leaf])
+        threshold = np.concatenate([[theta for _, theta in cuts], np.full(top, np.nan)])
+        return feature, threshold, np.concatenate([2 * p - 1, leaf]), np.concatenate([2 * p, leaf])
 
     def route_many(self, X, cuts):
-        """Leaf ids for every row of X."""
-        X = np.asarray(X, dtype=np.float64)
-        feats = np.array([c[0] for c in cuts], dtype=np.int64)
-        thetas = np.array([c[1] for c in cuts], dtype=np.float64)
-        rows = np.arange(len(X))
-        p = np.ones(len(X), dtype=np.int64)
-        for _ in range(self.delta):
-            go_right = X[rows, feats[p - 1]] > thetas[p - 1]
-            p = 2 * p + go_right.astype(np.int64)
-        return p
+        """Leaf id (heap numbering) of every row of X under the given cuts."""
+        return _route(X, *self._heap(cuts)) + 1
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import numpy as np
 
 from ..errors import InfeasibleError, SolveTimeout
 from ..seeding import derive_seed, make_rng
-from ..tree import PersonalizationTree, PtConfig, Split, TreeNode, fit_pt
+from ..risk import _counts_and_sums
+from ..tree import PersonalizationTree, PtConfig, fit_pt
 from .skeleton import TreeSkeleton, build_cut_menu
 
 MEMO_CAP = 200_000
@@ -39,11 +40,6 @@ class _TimeUp(Exception):
     pass
 
 
-def _leaf_tables(ds, skeleton, assignment):
-    leaf_ids = skeleton.route_many(ds.X, assignment.cuts)
-    return [np.flatnonzero(leaf_ids == p) for p in skeleton.leaves]
-
-
 def evaluate_assignment(ds, skeleton, assignment, config):
     """Objective of one assignment, or +inf when it is infeasible.
 
@@ -52,15 +48,13 @@ def evaluate_assignment(ds, skeleton, assignment, config):
     treatment; infeasible means some leaf holds fewer than n_min_leaf
     subjects of some treatment.
     """
-    ybar = ds.Y - ds.Y.min()
-    total = 0.0
-    for rows, t in zip(_leaf_tables(ds, skeleton, assignment), assignment.treatments):
-        counts = np.bincount(ds.T[rows] - 1, minlength=ds.m)
-        if counts.min() < config.n_min_leaf:
-            return float("inf")
-        chosen = rows[ds.T[rows] == t]
-        total += rows.size * float(ybar[chosen].mean())
-    return total
+    top = 2**skeleton.delta
+    leaf = skeleton.route_many(ds.X, assignment.cuts) - top
+    counts, sums = _counts_and_sums(ds.T, ds.Y - ds.Y.min(), ds.m, leaf, top)
+    if counts.min() < config.n_min_leaf:
+        return float("inf")
+    chosen = (np.arange(top), np.asarray(assignment.treatments) - 1)
+    return float(sum(counts.sum(axis=1) * (sums[chosen] / counts[chosen])))
 
 
 @dataclass(frozen=True)
@@ -74,30 +68,21 @@ class OptResult:
 
 
 def assignment_to_tree(ds, skeleton, assignment):
-    """Materialize an assignment as a tree policy with leaf statistics
-    recomputed by routing the dataset."""
-    tables = _leaf_tables(ds, skeleton, assignment)
-
-    def build(p):
-        if skeleton.is_leaf(p):
-            rows = tables[p - 2**skeleton.delta]
-            counts = np.bincount(ds.T[rows] - 1, minlength=ds.m)
-            sums = np.bincount(ds.T[rows] - 1, weights=ds.Y[rows], minlength=ds.m)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                means = np.where(counts > 0, sums / counts, np.nan)
-            return TreeNode(
-                treatment=int(assignment.treatments[p - 2**skeleton.delta]),
-                counts=tuple(int(c) for c in counts),
-                means=tuple(float(v) for v in means),
-            )
-        f, theta = assignment.cuts[p - 1]
-        return TreeNode(
-            split=Split(feature=int(f), threshold=float(theta), impurity=0.0),
-            left=build(2 * p),
-            right=build(2 * p + 1),
-        )
-
-    return PersonalizationTree(root=build(1), m=ds.m, d=ds.d)
+    """Materialize an assignment as a tree policy in heap order, with leaf
+    statistics recomputed by routing the dataset."""
+    top = 2**skeleton.delta
+    leaf = skeleton.route_many(ds.X, assignment.cuts) - top
+    counts, sums = _counts_and_sums(ds.T, ds.Y, ds.m, leaf, top)
+    means = np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+    splits = top - 1
+    return PersonalizationTree(
+        *skeleton._heap(assignment.cuts),
+        treatment=np.concatenate([np.zeros(splits, dtype=np.int64), assignment.treatments]),
+        counts=np.concatenate([np.zeros((splits, ds.m), dtype=np.int64), counts]),
+        means=np.concatenate([np.full((splits, ds.m), np.nan), means]),
+        m=ds.m,
+        d=ds.d,
+    )
 
 
 def solve_exact(ds, skeleton, menu, config, warm=None):
@@ -263,10 +248,10 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
     def candidates(p, node):
         """Cut candidates at skeleton node p, preferred first."""
         options = menu.for_node(p)
-        if node is not None and not node.is_leaf:
-            same = [c for c in options if c[0] == node.split.feature]
+        if pt.left[node] >= 0:
+            same = [c for c in options if c[0] == pt.feature[node]]
             if same:
-                snapped = min(same, key=lambda c: abs(c[1] - node.split.threshold))
+                snapped = min(same, key=lambda c: abs(c[1] - pt.threshold[node]))
                 rest = [c for c in options if c != snapped]
                 order = make_rng(derive_seed(config.seed, "pad", p)).permutation(len(rest))
                 return [snapped] + [rest[i] for i in order]
@@ -274,28 +259,25 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
         return [options[i] for i in order]
 
     def place(p, idx, node):
+        """Fill skeleton node p over rows idx after greedy node `node`,
+        which is a leaf once p is: the greedy tree is no deeper."""
         if p >= top:
-            counts = np.bincount(ds.T[idx] - 1, minlength=ds.m)
+            counts, _ = _counts_and_sums(ds.T[idx], ds.Y[idx], ds.m)
             if counts.min() < config.n_min_leaf:
                 return False
-            treats[p] = node.treatment if node.is_leaf else None
-            if treats[p] is None:
-                # greedy node still internal here cannot happen (depth
-                # is bounded by delta); guard anyway
-                treats[p] = 1
+            treats[p] = int(pt.treatment[node])
             return True
+        children = (pt.left[node], pt.right[node]) if pt.left[node] >= 0 else (node, node)
         for f, theta in candidates(p, node):
             mask = ds.X[idx, f] <= theta
-            left_node = node.left if (node is not None and not node.is_leaf) else node
-            right_node = node.right if (node is not None and not node.is_leaf) else node
-            if place(2 * p, idx[mask], left_node) and place(
-                2 * p + 1, idx[~mask], right_node
+            if place(2 * p, idx[mask], children[0]) and place(
+                2 * p + 1, idx[~mask], children[1]
             ):
                 cuts[p] = (f, theta)
                 return True
         return False
 
-    if not place(1, np.arange(ds.n), pt.root):
+    if not place(1, np.arange(ds.n), 0):
         return None
     return TreeAssignment(
         cuts=tuple(cuts[p] for p in skeleton.internal_nodes),

@@ -34,9 +34,13 @@ class FunctionPolicy:
 def prescriptions(policy, X):
     """Prescriptions for every row of X as an int array.
 
-    Uses the policy's vectorized `predict_many` when it has one.
+    Uses the policy's vectorized `predict_many` when it has one. Raises
+    DomainError when X's column count differs from the policy's `d`.
     """
     X = np.asarray(X, dtype=np.float64)
+    d = getattr(policy, "d", None)
+    if d is not None and X.shape[1] != d:
+        raise DomainError(f"policy expects {d} features, the data has {X.shape[1]}")
     if hasattr(policy, "predict_many"):
         return np.asarray(policy.predict_many(X), dtype=np.int64)
     return np.fromiter((policy.prescribe(x) for x in X), dtype=np.int64, count=len(X))
@@ -59,12 +63,15 @@ class Partition:
         object.__setattr__(self, "leaf_of", leaf_of)
 
 
-def _counts_and_sums(t, y, m):
-    t = np.asarray(t, dtype=np.int64)
-    y = np.asarray(y, dtype=np.float64)
-    counts = np.bincount(t - 1, minlength=m)
-    sums = np.bincount(t - 1, weights=y, minlength=m)
-    return counts, sums
+def _counts_and_sums(t, y, m, leaf=0, n_leaves=1):
+    """Per-(leaf, treatment) counts and outcome sums as (n_leaves, m)
+    arrays, for rows in leaves `leaf` (0-based). Each bin is summed in row
+    order, as a bincount over that leaf's rows alone would be."""
+    key = np.asarray(t, dtype=np.int64) + (leaf * m - 1)
+    size = n_leaves * m
+    counts = np.bincount(key, minlength=size).reshape(n_leaves, m)
+    sums = np.bincount(key, weights=np.asarray(y, dtype=np.float64), minlength=size)
+    return counts, sums.reshape(n_leaves, m)
 
 
 def best_treatment(t, y, m, scarce_mode=False, n_min_leaf=1):
@@ -83,7 +90,7 @@ def best_treatment(t, y, m, scarce_mode=False, n_min_leaf=1):
     if len(t) == 0:
         raise UndefinedImpurityError("empty subsample")
     counts, sums = _counts_and_sums(t, y, m)
-    return _best_of_stats(counts, sums, scarce_mode=scarce_mode, n_min_leaf=n_min_leaf)
+    return _best_of_stats(counts[0], sums[0], scarce_mode=scarce_mode, n_min_leaf=n_min_leaf)
 
 
 def _best_of_stats(counts, sums, scarce_mode=False, n_min_leaf=1):

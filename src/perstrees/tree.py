@@ -16,9 +16,15 @@ left along each order, keeping per-treatment counts and outcome sums as
 prefix sums. All drawn features of a node are swept in one vectorised
 pass, up to a budget of feature-by-row cells per pass; larger nodes
 take one feature per pass, which bounds the sweep's memory.
+
+A fitted tree is a set of parallel node arrays (`PersonalizationTree`)
+in which every parent precedes its children and the leaves appear left
+to right. `_route` is the one walk that sends rows down such arrays; the
+exact-search skeletons route through it too.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,44 +202,118 @@ def best_split(ds, indices, features, config, _presorted=None):
     return best
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal node (split, left, right) or leaf (treatment, counts, means)."""
+def _route(X, feature, threshold, left, right):
+    """Node each row of X reaches in a tree of parallel node arrays.
 
-    split: Split = None
-    left: "TreeNode" = None
-    right: "TreeNode" = None
-    treatment: int = None
-    counts: tuple = None
-    means: tuple = None
+    At split node i (left[i] >= 0) a row goes to left[i] when its
+    feature[i] value is <= threshold[i], else to right[i]. Rows descend
+    one level per step and leave the active set at a leaf. Fitted trees
+    and exact-search skeletons both route through this one function.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    node = np.zeros(len(X), dtype=np.int64)
+    active = np.flatnonzero(left[node] >= 0)
+    at = node[active]
+    while active.size:
+        at = np.where(X[active, feature[at]] <= threshold[at], left[at], right[at])
+        node[active] = at
+        inner = left[at] >= 0
+        active, at = active[inner], at[inner]
+    return node
+
+
+@dataclass(frozen=True, eq=False)
+class PersonalizationTree:
+    """Fitted tree policy: parallel arrays with one entry per node.
+
+    Node i is a split when left[i] >= 0, routing by feature[i] and
+    threshold[i] to left[i] or right[i]. Otherwise it is a leaf
+    prescribing treatment[i], fit on counts[i] subjects of each treatment
+    with mean outcomes means[i] (NaN where a treatment is absent); counts
+    and means are (nodes, m). Unused entries hold -1, NaN or 0.
+
+    Every parent comes before its children and the leaves appear in
+    left-to-right order, so node 0 is the root and leaf ranks follow the
+    array. Greedy fits and model files store nodes in pre-order, exact
+    trees in heap order; both keep this invariant.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    treatment: np.ndarray
+    counts: np.ndarray
+    means: np.ndarray
+    m: int
+    d: int
+
+    def predict_many(self, X):
+        return self.treatment[_route(X, self.feature, self.threshold, self.left, self.right)]
+
+    def prescribe(self, x):
+        return int(self.predict_many([x])[0])
+
+    # alias: trees are predictors as well as policies
+    predict = prescribe
+
+    def leaf_ids(self, X):
+        """Leaf index in 1..n_leaves (left-to-right order) for each row."""
+        node = _route(X, self.feature, self.threshold, self.left, self.right)
+        return np.cumsum(self.left < 0)[node]
 
     @property
-    def is_leaf(self):
-        return self.split is None
+    def n_leaves(self):
+        return int(np.count_nonzero(self.left < 0))
+
+    @property
+    def depth(self):
+        level = np.zeros(self.left.size, dtype=np.int64)
+        for i in np.flatnonzero(self.left >= 0):  # parents come first
+            level[self.left[i]] = level[self.right[i]] = level[i] + 1
+        return int(level.max())
+
+
+def _leaf_node(treatment, counts, means):
+    return (-1, np.nan, -1, -1, treatment, counts, means)
+
+
+def _split_node(feature, threshold, left, right, m):
+    return (feature, threshold, left, right, 0, [0] * m, [np.nan] * m)
+
+
+def _tree_of(nodes, m, d):
+    """Tree from node records listed parents first, leaves left to right."""
+    return PersonalizationTree(*(np.array(column) for column in zip(*nodes)), m=m, d=d)
 
 
 def _leaf(ds, idx, config):
     counts, sums = _counts_and_sums(ds.T[idx], ds.Y[idx], ds.m)
+    counts, sums = counts[0], sums[0]
     means = np.divide(sums, counts, out=np.full(ds.m, np.nan), where=counts > 0)
     treatment, _ = _best_of_stats(
         counts, sums, scarce_mode=config.scarce_mode, n_min_leaf=config.n_min_leaf
     )
-    return TreeNode(treatment=treatment, counts=tuple(counts.tolist()), means=tuple(means.tolist()))
+    return _leaf_node(treatment, counts, means)
 
 
-def _grow(ds, idx, rows, depth, config, rng, n_features, marks):
-    """Grow the subtree of rows `idx` (ascending) with presort `rows`.
+def _grow(ds, idx, rows, depth, config, rng, n_features, marks, nodes):
+    """Append the subtree of rows `idx` (ascending) with presort `rows`
+    to `nodes` in pre-order and return the index of its root.
 
     `rows` is the d x k presort `best_split` takes; the caller keeps no
     reference to it, so it is freed before the subtrees grow. `marks` is
     an all-False scratch mask over the dataset's rows.
     """
-    if config.delta_max is not None and depth >= config.delta_max:
-        return _leaf(ds, idx, config)
-    features = rng.choice(ds.d, size=n_features, replace=False)
-    split = best_split(ds, idx, features, config, _presorted=rows)
+    me = len(nodes)
+    split = None
+    if config.delta_max is None or depth < config.delta_max:
+        features = rng.choice(ds.d, size=n_features, replace=False)
+        split = best_split(ds, idx, features, config, _presorted=rows)
     if split is None:
-        return _leaf(ds, idx, config)
+        nodes.append(_leaf(ds, idx, config))
+        return me
+    nodes.append(None)  # filled in once both children have their indices
     mask = ds.X[idx, split.feature] <= split.threshold
     left_idx, right_idx = idx[mask], idx[~mask]
     # a stable order filtered to a subset is the subset's stable order
@@ -244,9 +324,10 @@ def _grow(ds, idx, rows, depth, config, rng, n_features, marks):
     parts = [rows[~goes_left].reshape(ds.d, right_idx.size),
              rows[goes_left].reshape(ds.d, left_idx.size)]
     del rows, goes_left
-    left = _grow(ds, left_idx, parts.pop(), depth + 1, config, rng, n_features, marks)
-    right = _grow(ds, right_idx, parts.pop(), depth + 1, config, rng, n_features, marks)
-    return TreeNode(split=split, left=left, right=right)
+    left = _grow(ds, left_idx, parts.pop(), depth + 1, config, rng, n_features, marks, nodes)
+    right = _grow(ds, right_idx, parts.pop(), depth + 1, config, rng, n_features, marks, nodes)
+    nodes[me] = _split_node(split.feature, split.threshold, left, right, ds.m)
+    return me
 
 
 def fit_pt(ds, config=None):
@@ -264,134 +345,67 @@ def fit_pt(ds, config=None):
         raise ConfigError(f"n_features must lie in 1..{ds.d}")
     rng = make_rng(config.seed)
     marks = np.zeros(ds.n, dtype=bool)
-    root = _grow(
+    nodes = []
+    _grow(
         ds, np.arange(ds.n), np.argsort(ds.X.T, axis=1, kind="stable"),
-        0, config, rng, n_features, marks,
+        0, config, rng, n_features, marks, nodes,
     )
-    return PersonalizationTree(root=root, m=ds.m, d=ds.d)
-
-
-@dataclass(frozen=True)
-class PersonalizationTree:
-    """Fitted tree policy."""
-
-    root: TreeNode
-    m: int
-    d: int
-
-    def prescribe(self, x):
-        node = self.root
-        while not node.is_leaf:
-            if x[node.split.feature] <= node.split.threshold:
-                node = node.left
-            else:
-                node = node.right
-        return node.treatment
-
-    # alias: trees are predictors as well as policies
-    predict = prescribe
-
-    def predict_many(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(len(X), dtype=np.int64)
-
-        def route(node, rows):
-            if rows.size == 0:
-                return
-            if node.is_leaf:
-                out[rows] = node.treatment
-                return
-            mask = X[rows, node.split.feature] <= node.split.threshold
-            route(node.left, rows[mask])
-            route(node.right, rows[~mask])
-
-        route(self.root, np.arange(len(X)))
-        return out
-
-    def leaf_ids(self, X):
-        """Leaf index in 1..n_leaves (left-to-right order) for each row."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(len(X), dtype=np.int64)
-        counter = [0]
-
-        def route(node, rows):
-            if node.is_leaf:
-                counter[0] += 1
-                out[rows] = counter[0]
-                return
-            mask = X[rows, node.split.feature] <= node.split.threshold
-            route(node.left, rows[mask])
-            route(node.right, rows[~mask])
-
-        route(self.root, np.arange(len(X)))
-        return out
-
-    @property
-    def n_leaves(self):
-        def count(node):
-            return 1 if node.is_leaf else count(node.left) + count(node.right)
-
-        return count(self.root)
-
-    @property
-    def depth(self):
-        def deep(node):
-            return 0 if node.is_leaf else 1 + max(deep(node.left), deep(node.right))
-
-        return deep(self.root)
-
-
-def _node_to_doc(node):
-    if node.is_leaf:
-        means = [None if np.isnan(v) else float(v) for v in node.means]
-        return {
-            "leaf": {
-                "treatment": int(node.treatment),
-                "counts": [int(c) for c in node.counts],
-                "means": means,
-            }
-        }
-    return {
-        "split": {"feature": int(node.split.feature), "threshold": float(node.split.threshold)},
-        "left": _node_to_doc(node.left),
-        "right": _node_to_doc(node.right),
-    }
-
-
-def _node_from_doc(doc, m):
-    if "leaf" in doc:
-        leaf = doc["leaf"]
-        counts = leaf["counts"]
-        means = leaf["means"]
-        if len(counts) != m or len(means) != m:
-            raise SchemaError("leaf counts/means must have one entry per treatment")
-        if not 1 <= leaf["treatment"] <= m:
-            raise SchemaError("leaf treatment out of range")
-        return TreeNode(
-            treatment=int(leaf["treatment"]),
-            counts=tuple(int(c) for c in counts),
-            means=tuple(float("nan") if v is None else float(v) for v in means),
-        )
-    if "split" not in doc:
-        raise SchemaError("tree node must hold either a split or a leaf")
-    sp = doc["split"]
-    return TreeNode(
-        split=Split(feature=int(sp["feature"]), threshold=float(sp["threshold"]), impurity=0.0),
-        left=_node_from_doc(doc["left"], m),
-        right=_node_from_doc(doc["right"], m),
-    )
+    return _tree_of(nodes, ds.m, ds.d)
 
 
 def tree_to_doc(tree):
     """JSON-ready document for a fitted tree."""
-    return {"kind": "pt", "m": int(tree.m), "d": int(tree.d), "root": _node_to_doc(tree.root)}
+    docs = [None] * tree.left.size
+    for i in reversed(range(tree.left.size)):  # children come after parents
+        if tree.left[i] < 0:
+            means = [None if math.isnan(v) else v for v in tree.means[i].tolist()]
+            leaf = {"treatment": int(tree.treatment[i]), "counts": tree.counts[i].tolist()}
+            docs[i] = {"leaf": {**leaf, "means": means}}
+        else:
+            docs[i] = {
+                "split": {"feature": int(tree.feature[i]), "threshold": float(tree.threshold[i])},
+                "left": docs[tree.left[i]],
+                "right": docs[tree.right[i]],
+            }
+    return {"kind": "pt", "m": int(tree.m), "d": int(tree.d), "root": docs[0]}
+
+
+def _node_from_doc(doc, m, d, nodes):
+    """Append a node document's subtree to `nodes` in pre-order and
+    return the index of its root."""
+    me = len(nodes)
+    if "leaf" in doc:
+        leaf = doc["leaf"]
+        counts, means = leaf["counts"], leaf["means"]
+        if len(counts) != m or len(means) != m:
+            raise SchemaError("leaf counts/means must have one entry per treatment")
+        if not 1 <= leaf["treatment"] <= m:
+            raise SchemaError("leaf treatment out of range")
+        means = [float("nan") if v is None else float(v) for v in means]
+        nodes.append(_leaf_node(int(leaf["treatment"]), [int(c) for c in counts], means))
+        return me
+    if "split" not in doc:
+        raise SchemaError("tree node must hold either a split or a leaf")
+    sp = doc["split"]
+    feature, threshold = int(sp["feature"]), float(sp["threshold"])
+    if not 0 <= feature < d:
+        raise SchemaError(f"split feature {feature} outside 0..{d - 1}")
+    if math.isnan(threshold):
+        raise SchemaError("split threshold is NaN")
+    nodes.append(None)  # filled in once both children have their indices
+    left = _node_from_doc(doc["left"], m, d, nodes)
+    right = _node_from_doc(doc["right"], m, d, nodes)
+    nodes[me] = _split_node(feature, threshold, left, right, m)
+    return me
 
 
 def tree_from_doc(doc):
     if doc.get("kind") != "pt":
         raise SchemaError(f"expected a pt document, got kind {doc.get('kind')!r}")
-    m = int(doc["m"])
-    return PersonalizationTree(root=_node_from_doc(doc["root"], m), m=m, d=int(doc["d"]))
+    m, d = int(doc["m"]), int(doc["d"])
+    nodes = []
+    _node_from_doc(doc["root"], m, d, nodes)
+    return _tree_of(nodes, m, d)
 
 
 def save_tree(tree, path):

@@ -319,6 +319,22 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("algo", ["pt", "rc-ols"])
+    def test_feature_count_mismatch_exits_2(self, tmp_path, quad_csv, algo, capsys):
+        # without --cf-cols and --q-col, y1, y2 and q load as three more features
+        model = tmp_path / "model.json"
+        assert run(
+            "train", "--algo", algo, "--data", str(quad_csv), "--cf-cols", "y1,y2",
+            "--q-col", "q", "--out", str(model),
+        ) == 0
+        capsys.readouterr()
+        code = run(
+            "predict", "--model", str(model), "--data", str(quad_csv),
+            "--out", str(tmp_path / "pres.csv"),
+        )
+        assert code == 2
+        assert "policy expects 2 features, the data has 5" in capsys.readouterr().err
+
     def test_oracle_without_cf_columns_exits_2(self, tmp_path, quad_csv):
         model = tmp_path / "model.json"
         run("train", "--algo", "pt", "--data", str(quad_csv),

@@ -13,17 +13,14 @@ from perstrees.forest import (
     save_forest,
     tree_fit_seed,
 )
-from perstrees.tree import PersonalizationTree, PtConfig, TreeNode, fit_pt, tree_to_doc
+from perstrees.tree import PtConfig, fit_pt, tree_from_doc, tree_to_doc
 
 from helpers import random_dataset
 
 
 def stump(treatment, m=2):
-    return PersonalizationTree(
-        root=TreeNode(treatment=treatment, counts=(1,) * m, means=(0.0,) * m),
-        m=m,
-        d=1,
-    )
+    leaf = {"treatment": treatment, "counts": [1] * m, "means": [0.0] * m}
+    return tree_from_doc({"kind": "pt", "m": m, "d": 1, "root": {"leaf": leaf}})
 
 
 class TestSeeds:

@@ -71,7 +71,7 @@ class TestSkeleton:
         sk = TreeSkeleton(2)
         assert sk.internal_nodes == (1, 2, 3)
         assert sk.leaves == (4, 5, 6, 7)
-        assert not sk.is_leaf(3) and sk.is_leaf(4)
+        assert 3 not in sk.leaves and 4 in sk.leaves
 
     def test_path_to(self):
         assert TreeSkeleton(2).path_to(5) == [(1, -1), (2, +1)]
@@ -80,18 +80,19 @@ class TestSkeleton:
     def test_route_boundary_goes_left(self):
         sk = TreeSkeleton(1)
         cuts = ((0, 0.5),)
-        assert sk.route([0.5], cuts) == 2
-        assert sk.route([0.50001], cuts) == 3
+        assert sk.route_many([[0.5], [0.50001]], cuts).tolist() == [2, 3]
 
-    def test_route_many_matches_route(self):
-        rng = np.random.default_rng(0)
+    def test_route_many_heap_leaves(self):
+        # a search tree on feature 0: node p cuts at the midpoint of its
+        # interval, so leaf 8 + j holds (j - 4, j - 3]
         sk = TreeSkeleton(3)
-        X = rng.normal(size=(50, 2))
-        cuts = tuple(
-            (int(rng.integers(2)), float(rng.normal())) for _ in sk.internal_nodes
-        )
-        many = sk.route_many(X, cuts)
-        assert many.tolist() == [sk.route(x, cuts) for x in X]
+        cuts = ((0, 0.0), (0, -2.0), (0, 2.0), (0, -3.0), (0, -1.0), (0, 1.0), (0, 3.0))
+        X = [[x, 9.0] for x in (-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5, -3.0, 0.0, 3.0)]
+        assert sk.route_many(X, cuts).tolist() == [8, 9, 10, 11, 12, 13, 14, 15, 8, 11, 14]
+        # the second feature decides at nodes 2 and 7 only
+        cuts = ((0, 0.0), (1, 0.0), (0, 1.0), (0, -1.0), (0, -1.0), (0, 0.5), (1, 5.0))
+        X = [[-2.0, -1.0], [-2.0, 1.0], [-0.5, 1.0], [0.7, 9.0], [2.0, 5.0], [2.0, 6.0]]
+        assert sk.route_many(X, cuts).tolist() == [8, 10, 11, 13, 14, 15]
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -255,9 +256,10 @@ class TestSolveExact:
         sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=1)
         result = solve_exact(ds, sk, build_cut_menu(ds, sk, cfg), cfg)
-        assert result.tree.root.left.means == (3.0, 3.0)
-        assert result.tree.root.right.means == (13.0, 3.0)
-        assert result.tree.root.left.counts == (1, 1)
+        tree = result.tree
+        assert tree.means[tree.left[0]].tolist() == [3.0, 3.0]
+        assert tree.means[tree.right[0]].tolist() == [13.0, 3.0]
+        assert tree.counts[tree.left[0]].tolist() == [1, 1]
 
     def test_shift_invariant_assignment(self):
         rng = np.random.default_rng(13)
@@ -328,14 +330,12 @@ class TestWarmStart:
         sk = TreeSkeleton(1)
         menu = build_cut_menu(ds, sk, cfg)
         pt = fit_pt(ds, PtConfig(n_min_leaf=5, delta_max=1, seed=3))
-        assert not pt.root.is_leaf
+        assert pt.left[0] >= 0
         warm = warm_start_from_pt(ds, cfg, sk, menu)
         assert warm is not None
-        nearest = min(
-            menu.for_node(1), key=lambda c: abs(c[1] - pt.root.split.threshold)
-        )
+        nearest = min(menu.for_node(1), key=lambda c: abs(c[1] - pt.threshold[0]))
         assert warm.cuts[0] == nearest
-        assert warm.treatments == (pt.root.left.treatment, pt.root.right.treatment)
+        assert warm.treatments == (pt.treatment[pt.left[0]], pt.treatment[pt.right[0]])
 
     def test_pads_shallow_tree_with_menu_cuts(self):
         # the greedy fit draws feature 0 (constant, unsplittable) under
@@ -349,7 +349,7 @@ class TestWarmStart:
         )
         cfg = OptConfig(delta=1, n_min_leaf=1, n_features=1, seed=1)
         pt = fit_pt(ds, PtConfig(n_min_leaf=1, delta_max=1, n_features=1, seed=1))
-        assert pt.root.is_leaf and pt.root.treatment == 2
+        assert pt.left[0] < 0 and pt.treatment[0] == 2
         menu = CutMenu(cuts=(((1, 0.0),),))
         warm = warm_start_from_pt(ds, cfg, TreeSkeleton(1), menu)
         assert warm == TreeAssignment(cuts=((1, 0.0),), treatments=(2, 2))

@@ -8,11 +8,10 @@ from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
 from perstrees.errors import ConfigError, SchemaError
 from perstrees.experiment import PRESETS
 from perstrees.forest import PfConfig, fit_pf, forest_to_doc
+from perstrees.opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact
 from perstrees.tree import (
-    PersonalizationTree,
     PtConfig,
     Split,
-    TreeNode,
     best_split,
     fit_pt,
     load_tree,
@@ -187,16 +186,24 @@ class TestBestSplit:
         assert brute_force_best(ds, np.arange(4), [0], PtConfig()) == np.inf
 
 
+def leaf_doc(treatment, counts, means):
+    return {"leaf": {"treatment": treatment, "counts": counts, "means": means}}
+
+
+def split_doc(feature, threshold, left, right):
+    return {"split": {"feature": feature, "threshold": threshold}, "left": left, "right": right}
+
+
+def tree_doc(root, m, d):
+    return {"kind": "pt", "m": m, "d": d, "root": root}
+
+
 def two_leaf_tree():
-    return PersonalizationTree(
-        root=TreeNode(
-            split=Split(feature=0, threshold=2.0, impurity=0.0),
-            left=TreeNode(treatment=1, counts=(1, 1), means=(0.0, 1.0)),
-            right=TreeNode(treatment=2, counts=(1, 1), means=(1.0, 0.0)),
-        ),
+    return tree_from_doc(tree_doc(
+        split_doc(0, 2.0, leaf_doc(1, [1, 1], [0.0, 1.0]), leaf_doc(2, [1, 1], [1.0, 0.0])),
         m=2,
         d=1,
-    )
+    ))
 
 
 class TestRouting:
@@ -211,19 +218,10 @@ class TestRouting:
         assert tree.predict([0.0]) == tree.prescribe([0.0]) == 1
 
     def test_leaf_ids_left_to_right(self):
-        tree = PersonalizationTree(
-            root=TreeNode(
-                split=Split(feature=0, threshold=0.0, impurity=0.0),
-                left=TreeNode(
-                    split=Split(feature=0, threshold=-1.0, impurity=0.0),
-                    left=TreeNode(treatment=1, counts=(1,), means=(0.0,)),
-                    right=TreeNode(treatment=1, counts=(1,), means=(0.0,)),
-                ),
-                right=TreeNode(treatment=1, counts=(1,), means=(0.0,)),
-            ),
-            m=1,
-            d=1,
-        )
+        stump = leaf_doc(1, [1], [0.0])
+        tree = tree_from_doc(tree_doc(
+            split_doc(0, 0.0, split_doc(0, -1.0, stump, stump), stump), m=1, d=1
+        ))
         X = [[-2.0], [-0.5], [1.0]]
         assert tree.leaf_ids(X).tolist() == [1, 2, 3]
         assert tree.n_leaves == 3
@@ -240,11 +238,83 @@ class TestRouting:
             assert len(set(pres[ids == leaf])) == 1
 
 
+def reference_node(tree, x):
+    """Node one row reaches, walked one split at a time."""
+    i = 0
+    while tree.left[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return i
+
+
+def left_leaf_count(tree):
+    """Number of leaves under the root's left child."""
+    count, stack = 0, [tree.left[0]]
+    while stack:
+        i = stack.pop()
+        if tree.left[i] < 0:
+            count += 1
+        else:
+            stack += [tree.left[i], tree.right[i]]
+    return count
+
+
+class TestRoutingAgreement:
+    """Greedy (pre-order), forest and exact (heap-order) trees route alike."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        ds = random_dataset(np.random.default_rng(50), 200, 3, 2, all_arms=True)
+        sk = TreeSkeleton(2)
+        cfg = OptConfig(delta=2, n_min_leaf=5, n_cuts=4)
+        result = solve_exact(ds, sk, build_cut_menu(ds, sk, cfg), cfg)
+        trees = {
+            "pt": fit_pt(ds, PtConfig(n_min_leaf=5)),
+            "pf": fit_pf(ds, PfConfig(trees_count=2, base=PtConfig(n_min_leaf=5))).trees[1],
+            "opt": result.tree,
+        }
+        return ds, trees, sk, result
+
+    @pytest.mark.parametrize("source", ["pt", "pf", "opt"])
+    def test_batch_row_and_leaf_routes_agree(self, fits, source):
+        ds, trees, _, _ = fits
+        tree = trees[source]
+        assert tree.n_leaves > 1
+        # data rows, plus copies of them sitting exactly on every threshold
+        X = [ds.X]
+        for i in np.flatnonzero(tree.left >= 0):
+            on_cut = ds.X[:20].copy()
+            on_cut[:, tree.feature[i]] = tree.threshold[i]
+            X.append(on_cut)
+        X = np.concatenate(X)
+        nodes = [reference_node(tree, x) for x in X]
+        rank = np.cumsum(tree.left < 0)
+        want = [tree.treatment[i] for i in nodes]
+        assert tree.predict_many(X).tolist() == want
+        assert [tree.prescribe(x) for x in X] == want
+        assert tree.leaf_ids(X).tolist() == [rank[i] for i in nodes]
+
+    @pytest.mark.parametrize("source", ["pt", "pf", "opt"])
+    def test_threshold_goes_left(self, fits, source):
+        ds, trees, _, _ = fits
+        tree = trees[source]
+        X = ds.X.copy()
+        X[:, tree.feature[0]] = tree.threshold[0]
+        n_left = left_leaf_count(tree)
+        assert tree.leaf_ids(X).max() <= n_left
+        X[:, tree.feature[0]] = np.nextafter(tree.threshold[0], np.inf)
+        assert tree.leaf_ids(X).min() > n_left
+
+    def test_skeleton_routes_like_the_exact_tree(self, fits):
+        ds, _, sk, result = fits
+        want = result.tree.leaf_ids(ds.X) + 2**sk.delta - 1
+        assert sk.route_many(ds.X, result.assignment.cuts).tolist() == want.tolist()
+
+
 class TestFitPt:
     def test_depth_zero_is_single_leaf(self):
         ds = random_dataset(np.random.default_rng(0), 30, 2, 2, all_arms=True)
         tree = fit_pt(ds, PtConfig(delta_max=0))
-        assert tree.root.is_leaf and tree.n_leaves == 1
+        assert tree.left[0] < 0 and tree.n_leaves == 1
 
     def test_depth_bound_respected(self):
         rng = np.random.default_rng(3)
@@ -257,29 +327,15 @@ class TestFitPt:
         ds = random_dataset(rng, 300, 2, 3, all_arms=True)
         assert (np.bincount(ds.T - 1) >= 10).all()
         tree = fit_pt(ds, PtConfig(n_min_leaf=10))
-
-        def walk(node):
-            if node.is_leaf:
-                assert min(node.counts) >= 10
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(tree.root)
+        for i in np.flatnonzero(tree.left < 0):
+            assert min(tree.counts[i]) >= 10
 
     def test_scarce_prescribes_only_eligible(self):
         rng = np.random.default_rng(12)
         ds = random_dataset(rng, 150, 2, 3)
         tree = fit_pt(ds, PtConfig(n_min_leaf=8, scarce_mode=True))
-
-        def walk(node):
-            if node.is_leaf:
-                assert node.counts[node.treatment - 1] >= 8
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(tree.root)
+        for i in np.flatnonzero(tree.left < 0):
+            assert tree.counts[i, tree.treatment[i] - 1] >= 8
 
     def test_leaf_bookkeeping_matches_data(self):
         ds = Dataset(
@@ -290,9 +346,11 @@ class TestFitPt:
         )
         tree = fit_pt(ds, PtConfig())
         assert tree.n_leaves == 2
-        left, right = tree.root.left, tree.root.right
-        assert left.counts == (1, 1) and left.means == (1.0, 3.0) and left.treatment == 1
-        assert right.counts == (1, 1) and right.means == (8.0, 2.0) and right.treatment == 2
+        left, right = tree.left[0], tree.right[0]
+        assert tree.counts[left].tolist() == [1, 1]
+        assert tree.means[left].tolist() == [1.0, 3.0] and tree.treatment[left] == 1
+        assert tree.counts[right].tolist() == [1, 1]
+        assert tree.means[right].tolist() == [8.0, 2.0] and tree.treatment[right] == 2
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(21)
@@ -321,16 +379,8 @@ class TestFitPt:
             ds, Partition(leaf_of=tree.leaf_ids(ds.X), n_leaves=tree.n_leaves), tree
         )
         total = 0.0
-
-        def walk(node):
-            nonlocal total
-            if node.is_leaf:
-                total += sum(node.counts) * node.means[node.treatment - 1]
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(tree.root)
+        for i in np.flatnonzero(tree.left < 0):
+            total += tree.counts[i].sum() * tree.means[i, tree.treatment[i] - 1]
         assert np.isclose(ds.n * est, total)
 
     def test_config_validation(self):
@@ -365,15 +415,25 @@ class TestSerialization:
         assert tree_to_doc(back) == tree_to_doc(tree)
 
     def test_nan_means_become_null(self):
-        tree = PersonalizationTree(
-            root=TreeNode(treatment=1, counts=(2, 0), means=(1.5, float("nan"))),
-            m=2,
-            d=1,
-        )
+        tree = tree_from_doc(tree_doc(leaf_doc(1, [2, 0], [1.5, None]), m=2, d=1))
+        assert np.isnan(tree.means[0, 1])
         doc = tree_to_doc(tree)
         assert doc["root"]["leaf"]["means"] == [1.5, None]
         back = tree_from_doc(doc)
-        assert np.isnan(back.root.means[1])
+        assert np.isnan(back.means[0, 1])
+
+    @pytest.mark.parametrize(
+        "feature,threshold",
+        [(-1, 0.0), (7, 0.0), (0, float("nan"))],
+        ids=["negative_feature", "feature_past_d", "nan_threshold"],
+    )
+    def test_rejects_bad_split(self, feature, threshold):
+        # -1 would route on the last column, 7 is past d = 2, and a NaN
+        # threshold (which json.load accepts) would send every row right
+        stump = leaf_doc(1, [1, 1], [0.0, 0.0])
+        doc = tree_doc(split_doc(feature, threshold, stump, stump), m=2, d=2)
+        with pytest.raises(SchemaError):
+            tree_from_doc(doc)
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(SchemaError):
