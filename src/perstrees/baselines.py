@@ -7,7 +7,9 @@ by a treatment-effect estimator on relabeled data: one-vs-all contrasts
 each arm with the pooled rest; one-vs-one fits every ordered pair and
 prescribes either the arm whose worst pairwise contrast is smallest
 (variant A) or the arm winning the most pairwise comparisons
-(variant B). Ties always go to the lowest treatment index.
+(variant B). Regressors and estimators predict one value per row of an
+(n, d) matrix, and every policy takes the argmin of an (n, m) score
+matrix, so ties always go to the lowest treatment index.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError
+from .risk import _BatchPolicy
+
+# query rows x training points x features of one kNN distance block, so
+# the block's float64 temporary stays at 128 KB for any query count
+_KNN_BUDGET = 1 << 14
 
 
 class OlsRegressor:
@@ -45,9 +52,8 @@ class OlsRegressor:
         self.weights = w
         return self
 
-    def predict(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return float(self.weights[0] + x @ self.weights[1:])
+    def predict(self, X):
+        return self.weights[0] + np.asarray(X, dtype=np.float64) @ self.weights[1:]
 
     def to_doc(self):
         return {"type": "ols", "weights": [float(w) for w in self.weights]}
@@ -89,11 +95,16 @@ class KnnRegressor:
         self.k = min(self.k, len(X))
         return self
 
-    def predict(self, x):
-        z = (np.asarray(x, dtype=np.float64) - self.center) / self.scale
-        dist = np.sqrt(((self.x - z) ** 2).sum(axis=1))
-        boundary = np.partition(dist, self.k - 1)[self.k - 1]
-        return float(self.y[dist <= boundary].mean())
+    def predict(self, X):
+        Z = (np.asarray(X, dtype=np.float64) - self.center) / self.scale
+        out = np.empty(len(Z))
+        step = max(1, _KNN_BUDGET // self.x.size)
+        for lo in range(0, len(Z), step):
+            diff = self.x[None] - Z[lo : lo + step, None]
+            dist = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+            boundary = np.partition(dist, self.k - 1, axis=1)[:, self.k - 1, None]
+            out[lo : lo + len(dist)] = [self.y[near].mean() for near in dist <= boundary]
+        return out
 
     def to_doc(self):
         return {
@@ -136,7 +147,7 @@ def regressor_from_doc(doc):
 
 
 @dataclass(frozen=True)
-class RcPolicy:
+class RcPolicy(_BatchPolicy):
     """One regressor per arm; prescribes the smallest predicted outcome."""
 
     regressors: tuple
@@ -144,15 +155,19 @@ class RcPolicy:
     d: int
     base: str = "ols"
 
-    def predictions(self, x):
-        return np.array([r.predict(x) for r in self.regressors])
+    def predictions(self, X):
+        """(n, m) predicted outcome of every arm for each row of X."""
+        return np.column_stack([r.predict(X) for r in self.regressors])
 
-    def prescribe(self, x):
-        return int(np.argmin(self.predictions(x))) + 1
+    def predict_many(self, X):
+        return np.argmin(self.predictions(X), axis=1) + 1
 
 
 def fit_rc(ds, regressor_factory=None, base="ols"):
-    """Fit regress-and-compare; every arm needs at least one subject."""
+    """Fit regress-and-compare; every arm needs at least one subject.
+
+    regressor_factory: optional hook () -> regressor whose `fit(X, y)`
+    returns itself and whose `predict(X)` gives one value per row."""
     factory = regressor_factory or make_regressor(base)
     regs = []
     for t in range(1, ds.m + 1):
@@ -166,8 +181,8 @@ def fit_rc(ds, regressor_factory=None, base="ols"):
 class RegressionCate:
     """Treatment-effect estimate as a difference of two arm regressors.
 
-    Fit on relabeled data with labels in {1, 2}; predicts the label-2
-    regression minus the label-1 regression.
+    Fit on relabeled data with labels in {1, 2}; predicts, for each row
+    of X, the label-2 regression minus the label-1 regression.
     """
 
     def __init__(self, regressor_factory):
@@ -184,8 +199,8 @@ class RegressionCate:
         self.lo = self.factory().fit(X[labels == 1], y[labels == 1])
         return self
 
-    def predict(self, x):
-        return self.hi.predict(x) - self.lo.predict(x)
+    def predict(self, X):
+        return self.hi.predict(X) - self.lo.predict(X)
 
 
 def make_cate(base="ols", params=None):
@@ -195,7 +210,7 @@ def make_cate(base="ols", params=None):
 
 
 @dataclass(frozen=True)
-class OneVsAllPolicy:
+class OneVsAllPolicy(_BatchPolicy):
     """Prescribes the arm with the smallest contrast against the rest."""
 
     estimators: tuple  # index t-1 -> estimator of arm t vs pooled rest
@@ -203,11 +218,12 @@ class OneVsAllPolicy:
     d: int
     base: str = "ols"
 
-    def contrasts(self, x):
-        return np.array([e.predict(x) for e in self.estimators])
+    def contrasts(self, X):
+        """(n, m) contrast of every arm against the rest for each row of X."""
+        return np.column_stack([e.predict(X) for e in self.estimators])
 
-    def prescribe(self, x):
-        return int(np.argmin(self.contrasts(x))) + 1
+    def predict_many(self, X):
+        return np.argmin(self.contrasts(X), axis=1) + 1
 
 
 def fit_1va(ds, cate_factory=None, base="ols"):
@@ -215,8 +231,10 @@ def fit_1va(ds, cate_factory=None, base="ols"):
 
     Args:
         ds: dataset; every treatment needs at least one subject.
-        cate_factory: optional hook (t, s=None) -> estimator with the
-            RegressionCate fit/predict contract; tests inject oracles.
+        cate_factory: optional hook (t, s=None) -> estimator whose
+            `fit(X, labels, y)` returns itself and whose `predict(X)`
+            gives one contrast per row, as RegressionCate; tests inject
+            oracles.
     """
     factory = cate_factory or make_cate(base)
     ests = []
@@ -227,7 +245,7 @@ def fit_1va(ds, cate_factory=None, base="ols"):
 
 
 @dataclass(frozen=True)
-class OneVsOnePolicy:
+class OneVsOnePolicy(_BatchPolicy):
     """Pairwise-contrast policy.
 
     Variant "A" prescribes the arm whose smallest pairwise contrast is
@@ -240,33 +258,25 @@ class OneVsOnePolicy:
     variant: str = "A"
     base: str = "ols"
 
-    def contrast(self, t, s, x):
-        return self.estimators[(t, s)].predict(x)
+    def contrast(self, t, s, X):
+        """Contrast of arm t against arm s for each row of X."""
+        return self.estimators[(t, s)].predict(X)
 
-    def prescribe(self, x):
+    def predict_many(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        arms = range(1, self.m + 1)
+        pair = np.array([[self.contrast(t, s, X) for s in arms if s != t] for t in arms])
+        pair = pair.reshape(self.m, self.m - 1, len(X))  # (arm t, rival s, row)
         if self.variant == "A":
-            worst = np.array(
-                [
-                    min(self.contrast(t, s, x) for s in range(1, self.m + 1) if s != t)
-                    for t in range(1, self.m + 1)
-                ]
-            )
-            return int(np.argmin(worst)) + 1
-        wins = np.array(
-            [
-                sum(
-                    1
-                    for s in range(1, self.m + 1)
-                    if s != t and self.contrast(t, s, x) < 0.0
-                )
-                for t in range(1, self.m + 1)
-            ]
-        )
-        return int(np.argmax(wins)) + 1
+            return np.argmin(pair.min(axis=1, initial=np.inf), axis=0) + 1
+        return np.argmin(-(pair < 0.0).sum(axis=1), axis=0) + 1
 
 
 def fit_1v1(ds, cate_factory=None, base="ols", variant="A"):
-    """Fit a one-vs-one policy over every ordered treatment pair."""
+    """Fit a one-vs-one policy over every ordered treatment pair.
+
+    cate_factory: optional hook (t, s) -> estimator of arm t vs arm s,
+    with the contract described in `fit_1va`."""
     if variant not in ("A", "B"):
         raise ConfigError("variant must be 'A' or 'B'")
     factory = cate_factory or make_cate(base)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import split
 from .errors import ConfigError, InfeasibleError, SchemaError
+from .risk import _BatchPolicy
 from .seeding import derive_seed, make_rng
 from .tree import PtConfig, fit_pt, tree_from_doc, tree_to_doc
 
@@ -89,32 +90,24 @@ def fit_pf(ds, config=None, resample=None):
 
 
 @dataclass(frozen=True)
-class PersonalizationForest:
+class PersonalizationForest(_BatchPolicy):
     """Fitted forest policy."""
 
     trees: tuple
     m: int
     d: int
 
-    def votes(self, x):
-        """Per-treatment vote counts; sums to the number of trees."""
-        counts = np.zeros(self.m, dtype=np.int64)
-        for tree in self.trees:
-            counts[tree.prescribe(x) - 1] += 1
-        return counts
-
-    def prescribe(self, x):
-        return int(np.argmax(self.votes(x))) + 1
-
-    predict = prescribe
-
-    def predict_many(self, X):
+    def votes(self, X):
+        """(n, m) per-treatment vote counts; each row sums to the tree count."""
         X = np.asarray(X, dtype=np.float64)
         counts = np.zeros((len(X), self.m), dtype=np.int64)
         rows = np.arange(len(X))
         for tree in self.trees:
             counts[rows, tree.predict_many(X) - 1] += 1
-        return np.argmax(counts, axis=1).astype(np.int64) + 1
+        return counts
+
+    def predict_many(self, X):
+        return np.argmax(self.votes(X), axis=1) + 1
 
 
 def forest_to_doc(forest):

@@ -45,11 +45,15 @@ _LOADERS = {
 
 
 def model_from_doc(doc):
+    """Policy of a model document; SchemaError for any malformed one."""
     kind = doc.get("kind")
-    loader = _LOADERS.get(kind)
+    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise SchemaError(f"unknown model kind {kind!r}")
-    return loader(doc)
+    try:
+        return loader(doc)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"malformed {kind} model document: {exc!r}") from exc
 
 
 def save_model(policy, path):

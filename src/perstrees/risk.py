@@ -15,8 +15,16 @@ import numpy as np
 from .errors import DomainError, UndefinedEstimateError, UndefinedImpurityError
 
 
+class _BatchPolicy:
+    """A policy: `m` treatments, optionally `d` features, and
+    `predict_many(X)` giving one treatment in 1..m per row of X."""
+
+    def prescribe(self, x):
+        return int(self.predict_many([x])[0])
+
+
 @dataclass(frozen=True)
-class FunctionPolicy:
+class FunctionPolicy(_BatchPolicy):
     """Policy defined by an arbitrary prescription function.
 
     Attributes:
@@ -27,23 +35,19 @@ class FunctionPolicy:
     fn: object
     m: int
 
-    def prescribe(self, x):
-        return int(self.fn(x))
+    def predict_many(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        return np.fromiter((int(self.fn(x)) for x in X), dtype=np.int64, count=len(X))
 
 
 def prescriptions(policy, X):
-    """Prescriptions for every row of X as an int array.
-
-    Uses the policy's vectorized `predict_many` when it has one. Raises
-    DomainError when X's column count differs from the policy's `d`.
-    """
+    """`policy.predict_many(X)` as an int array; DomainError when X's
+    column count differs from the policy's `d`."""
     X = np.asarray(X, dtype=np.float64)
     d = getattr(policy, "d", None)
     if d is not None and X.shape[1] != d:
         raise DomainError(f"policy expects {d} features, the data has {X.shape[1]}")
-    if hasattr(policy, "predict_many"):
-        return np.asarray(policy.predict_many(X), dtype=np.int64)
-    return np.fromiter((policy.prescribe(x) for x in X), dtype=np.int64, count=len(X))
+    return np.asarray(policy.predict_many(X), dtype=np.int64)
 
 
 @dataclass(frozen=True)

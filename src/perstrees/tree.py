@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .risk import _best_of_stats, _counts_and_sums
+from .risk import _BatchPolicy, _best_of_stats, _counts_and_sums
 from .seeding import make_rng
 
 
@@ -223,7 +223,7 @@ def _route(X, feature, threshold, left, right):
 
 
 @dataclass(frozen=True, eq=False)
-class PersonalizationTree:
+class PersonalizationTree(_BatchPolicy):
     """Fitted tree policy: parallel arrays with one entry per node.
 
     Node i is a split when left[i] >= 0, routing by feature[i] and
@@ -250,12 +250,6 @@ class PersonalizationTree:
 
     def predict_many(self, X):
         return self.treatment[_route(X, self.feature, self.threshold, self.left, self.right)]
-
-    def prescribe(self, x):
-        return int(self.predict_many([x])[0])
-
-    # alias: trees are predictors as well as policies
-    predict = prescribe
 
     def leaf_ids(self, X):
         """Leaf index in 1..n_leaves (left-to-right order) for each row."""

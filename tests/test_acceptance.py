@@ -302,8 +302,8 @@ class _FixedContrast:
     def fit(self, X, labels, y):
         return self
 
-    def predict(self, x):
-        return self.value
+    def predict(self, X):
+        return np.full(len(X), self.value)
 
 
 def _fuzz_tables(seed, count):

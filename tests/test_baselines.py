@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from perstrees import baselines
 from perstrees.baselines import (
     KnnRegressor,
     OlsRegressor,
+    OneVsAllPolicy,
+    RcPolicy,
     RegressionCate,
     fit_1v1,
     fit_1va,
@@ -15,8 +18,9 @@ from perstrees.baselines import (
     relabel_from_doc,
     relabel_to_doc,
 )
-from perstrees.data import Dataset
+from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
 from perstrees.errors import ConfigError, DomainError, SchemaError
+from perstrees.risk import prescriptions
 
 from helpers import random_dataset
 
@@ -27,7 +31,7 @@ class TestOls:
         y = 3.0 + 2.0 * X[:, 0]
         reg = OlsRegressor().fit(X, y)
         assert np.allclose(reg.weights, [3.0, 2.0])
-        assert np.isclose(reg.predict([10.0]), 23.0)
+        assert np.isclose(reg.predict([[10.0]])[0], 23.0)
 
     def test_two_features(self):
         rng = np.random.default_rng(0)
@@ -42,12 +46,12 @@ class TestOls:
         y = np.array([2.0, 4.0, 6.0])
         reg = OlsRegressor().fit(X, y)
         for row, want in zip(X, y):
-            assert abs(reg.predict(row) - want) < 1e-3
+            assert abs(reg.predict([row])[0] - want) < 1e-3
 
     def test_round_trip(self):
         reg = OlsRegressor().fit(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
         back = OlsRegressor.from_doc(reg.to_doc())
-        assert np.isclose(back.predict([0.5]), reg.predict([0.5]))
+        assert np.isclose(back.predict([[0.5]])[0], reg.predict([[0.5]])[0])
 
 
 class TestKnn:
@@ -55,11 +59,11 @@ class TestKnn:
         reg = KnnRegressor(k=2).fit(
             np.array([[0.0], [1.0], [2.0], [10.0]]), np.array([0.0, 1.0, 2.0, 10.0])
         )
-        assert reg.predict([0.9]) == 0.5  # neighbors at 1 and 0
+        assert reg.predict([[0.9]])[0] == 0.5  # neighbors at 1 and 0
 
     def test_codistant_points_share_the_average(self):
         reg = KnnRegressor(k=1).fit(np.array([[0.0], [2.0]]), np.array([3.0, 7.0]))
-        assert reg.predict([1.0]) == 5.0
+        assert reg.predict([[1.0]])[0] == 5.0
 
     def test_default_k_is_root_n(self):
         X = np.arange(16.0)[:, None]
@@ -69,7 +73,7 @@ class TestKnn:
     def test_k_capped_at_n(self):
         reg = KnnRegressor(k=99).fit(np.arange(5.0)[:, None], np.arange(5.0))
         assert reg.k == 5
-        assert reg.predict([0.0]) == 2.0  # global mean
+        assert reg.predict([[0.0]])[0] == 2.0  # global mean
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(1)
@@ -80,12 +84,12 @@ class TestKnn:
         a = KnnRegressor(k=3).fit(X, y)
         b = KnnRegressor(k=3).fit(X * stretch, y)
         for q in queries:
-            assert np.isclose(a.predict(q), b.predict(q * stretch))
+            assert np.isclose(a.predict([q])[0], b.predict([q * stretch])[0])
 
     def test_constant_feature_is_harmless(self):
         X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         reg = KnnRegressor(k=1).fit(X, np.array([10.0, 20.0, 30.0]))
-        assert reg.predict([2.1, 5.0]) == 20.0
+        assert reg.predict([[2.1, 5.0]])[0] == 20.0
 
     def test_empty_fit_rejected(self):
         with pytest.raises(DomainError):
@@ -97,7 +101,7 @@ class TestKnn:
         reg = KnnRegressor(k=3).fit(X, y)
         back = KnnRegressor.from_doc(reg.to_doc())
         for q in rng.normal(size=(4, 2)):
-            assert np.isclose(back.predict(q), reg.predict(q))
+            assert np.isclose(back.predict([q])[0], reg.predict([q])[0])
 
     def test_factory_passes_k(self):
         factory = make_regressor("knn", {"k": 3})
@@ -125,7 +129,7 @@ class TestRegressAndCompare:
 
     def test_prediction_vector_ordered_by_arm(self):
         pol = fit_rc(linear_arms_dataset())
-        preds = pol.predictions([0.0])
+        preds = pol.predictions([[0.0]])[0]
         assert np.isclose(preds[0], 0.0) and np.isclose(preds[1], 1.0)
 
     def test_tie_goes_to_lowest_arm(self):
@@ -133,8 +137,8 @@ class TestRegressAndCompare:
             def fit(self, X, y):
                 return self
 
-            def predict(self, x):
-                return 1.0
+            def predict(self, X):
+                return np.ones(len(X))
 
         pol = fit_rc(linear_arms_dataset(), regressor_factory=Flat)
         assert pol.prescribe([0.3]) == 1
@@ -172,8 +176,9 @@ class FakeCate:
         self.log.append((self.key, np.asarray(X).copy(), np.asarray(labels).copy()))
         return self
 
-    def predict(self, x):
-        return self.value(x) if callable(self.value) else self.value
+    def predict(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        return self.value(X) if callable(self.value) else np.full(len(X), self.value)
 
 
 class TestOneVsAll:
@@ -185,7 +190,7 @@ class TestOneVsAll:
             m=3,
         )
         log = []
-        values = {1: lambda x: x[0], 2: -1.0, 3: 1.0}
+        values = {1: lambda X: X[:, 0], 2: -1.0, 3: 1.0}
         pol = fit_1va(ds, cate_factory=lambda t, s=None: FakeCate(values[t], log, t))
         return ds, log, pol
 
@@ -204,7 +209,7 @@ class TestOneVsAll:
 
     def test_contrast_vector(self):
         _, _, pol = self.make()
-        assert pol.contrasts([3.0]).tolist() == [3.0, -1.0, 1.0]
+        assert pol.contrasts([[3.0]])[0].tolist() == [3.0, -1.0, 1.0]
 
     def test_real_estimators_prefer_the_better_arm(self):
         # arm 2 is uniformly 1 lower, so both contrasts point at it
@@ -262,7 +267,7 @@ class TestOneVsOne:
 
     def test_contrast_lookup(self):
         _, _, pol = self.fit("A")
-        assert pol.contrast(2, 3, [0.0]) == -3.0
+        assert pol.contrast(2, 3, [[0.0]])[0] == -3.0
 
     def test_variant_validated(self):
         ds = Dataset(X=np.zeros((2, 1)), T=np.array([1, 2]), Y=np.zeros(2), m=2)
@@ -276,7 +281,7 @@ class TestRegressionCate:
         labels = np.array([1, 1, 2, 2])
         y = np.array([0.0, 1.0, 4.0, 6.0])  # arm 1: y=x, arm 2: y=2x
         est = RegressionCate(lambda: OlsRegressor()).fit(X, labels, y)
-        assert np.isclose(est.predict([5.0]), 5.0)
+        assert np.isclose(est.predict([[5.0]])[0], 5.0)
 
     def test_missing_class_rejected(self):
         est = RegressionCate(lambda: OlsRegressor())
@@ -287,7 +292,7 @@ class TestRegressionCate:
         est = make_cate("knn", {"k": 1})(1, 2)
         X = np.array([[0.0], [1.0]])
         est.fit(X, np.array([1, 2]), np.array([2.0, 5.0]))
-        assert est.predict([0.9]) == 3.0  # 5 - 2 from the single neighbors
+        assert est.predict([[0.9]])[0] == 3.0  # 5 - 2 from the single neighbors
 
 
 class TestRelabelSerialization:
@@ -322,3 +327,102 @@ class TestRelabelSerialization:
     def test_rejects_wrong_estimator_count(self):
         with pytest.raises(SchemaError):
             relabel_from_doc({"kind": "1va", "m": 3, "d": 1, "estimators": []})
+
+
+def knn_row(reg, x):
+    """kNN prediction for one row: mean outcome of every training point
+    no farther than the k-th nearest."""
+    z = (np.asarray(x, dtype=np.float64) - reg.center) / reg.scale
+    dist = np.sqrt(((reg.x - z) ** 2).sum(axis=1))
+    return reg.y[dist <= np.sort(dist)[reg.k - 1]].mean()
+
+
+def grid_sample(n, seed):
+    return generate_synthetic(SyntheticSpec(
+        n=n, d=3, m=2,
+        outcome_model={"name": "quadratic", "centers": [-1.0, 1.0], "feature": 0, "noise": 1.0},
+        propensity_model={"name": "uniform"},
+        covariate_model={"name": "discrete_grid", "values": [-1.0, 0.0, 1.0]},
+        seed=seed,
+    ))
+
+
+class TestKnnBatch:
+    @pytest.mark.parametrize("k", [1, 4, None, 60])
+    def test_matches_row_reference_with_ties(self, k):
+        train = grid_sample(150, 21)
+        reg = KnnRegressor(k=k).fit(train.X, train.Y)
+        block = max(1, baselines._KNN_BUDGET // reg.x.size)
+        queries = grid_sample(2 * block + 7, 22).X
+        got = reg.predict(queries)
+        want = np.array([knn_row(reg, q) for q in queries])
+        assert got.tobytes() == want.tobytes()
+        # co-distant grid points do tie with the k-th neighbour
+        ties = 0
+        for q in queries:
+            z = (q - reg.center) / reg.scale
+            dist = np.sqrt(((reg.x - z) ** 2).sum(axis=1))
+            ties += np.count_nonzero(dist <= np.sort(dist)[reg.k - 1]) > reg.k
+        assert ties > 0
+
+
+def row_value(reg, x):
+    if isinstance(reg, OlsRegressor):
+        return reg.weights[0] + sum(w * v for w, v in zip(reg.weights[1:], x))
+    return knn_row(reg, x)
+
+
+def row_prescriptions(pol, X):
+    """Prescriptions from a loop over rows and arms."""
+
+    def contrast(t, s, x):
+        est = pol.estimators[t - 1] if s is None else pol.estimators[(t, s)]
+        return row_value(est.hi, x) - row_value(est.lo, x)
+
+    arms = range(1, pol.m + 1)
+    pres = []
+    for x in X:
+        if isinstance(pol, RcPolicy):
+            scores = [row_value(r, x) for r in pol.regressors]
+        elif isinstance(pol, OneVsAllPolicy):
+            scores = [contrast(t, None, x) for t in arms]
+        elif pol.variant == "A":
+            scores = [min(contrast(t, s, x) for s in arms if s != t) for t in arms]
+        else:
+            scores = [-sum(contrast(t, s, x) < 0.0 for s in arms if s != t) for t in arms]
+        pres.append(1 + int(np.argmin(scores)))
+    return pres
+
+
+def regressors_of(pol):
+    if isinstance(pol, RcPolicy):
+        return list(pol.regressors)
+    ests = pol.estimators.values() if isinstance(pol.estimators, dict) else pol.estimators
+    return [r for e in ests for r in (e.hi, e.lo)]
+
+
+FITTERS = {
+    "rc-ols": lambda ds: fit_rc(ds),
+    "rc-knn": lambda ds: fit_rc(ds, base="knn"),
+    "1va-ols": lambda ds: fit_1va(ds),
+    "1v1a-ols": lambda ds: fit_1v1(ds, variant="A"),
+    "1v1b-ols": lambda ds: fit_1v1(ds, variant="B"),
+}
+
+
+class TestBatchPrescriptions:
+    @pytest.mark.parametrize("algo", sorted(FITTERS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_match_row_reference(self, algo, seed):
+        rng = np.random.default_rng(100 + seed)
+        ds = random_dataset(rng, 90, 3, 2 + seed, all_arms=True)
+        X = rng.normal(size=(200, 3))
+        pol = FITTERS[algo](ds)
+        assert prescriptions(pol, X).tolist() == row_prescriptions(pol, X)
+        for reg in regressors_of(pol):
+            got = reg.predict(X)
+            want = np.array([row_value(reg, x) for x in X])
+            if isinstance(reg, OlsRegressor):
+                assert np.abs(got - want).max() <= 1e-12
+            else:
+                assert got.tobytes() == want.tobytes()

@@ -335,6 +335,30 @@ class TestExitCodes:
         assert code == 2
         assert "policy expects 2 features, the data has 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "rc-ols", "m": 2, "d": 1},
+        {"kind": "rc-knn", "m": 1, "d": 1, "arms": [{"type": "knn", "k": "few"}]},
+        {"kind": "1va", "m": 1, "d": 1, "estimators": [
+            {"pos": {"type": "ols"}, "neg": {"type": "ols", "weights": [0.0, 1.0]}}]},
+        {"kind": "1v1a", "m": 2, "d": 1, "estimators": [{"t": 1}]},
+        {"kind": "pf"},
+        {"kind": "pt", "m": None, "d": 1, "root": {}},
+        {"kind": "pt", "m": 2, "d": 1, "root": {"split": {"feature": 0, "threshold": 0.5}}},
+        {"kind": ["pt"]},
+    ], ids=["rc-no-arms", "knn-k-text", "1va-no-weights", "1v1-no-s", "pf-no-trees",
+            "pt-m-null", "pt-no-children", "kind-list"])
+    def test_malformed_model_exits_2(self, tmp_path, quad_csv, doc, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = run(
+            "predict", "--model", str(model), "--data", str(quad_csv),
+            "--out", str(tmp_path / "pres.csv"),
+        )
+        assert code == 2
+        kind = doc["kind"]
+        want = f"malformed {kind} model" if isinstance(kind, str) else "unknown model kind"
+        assert want in capsys.readouterr().err
+
     def test_oracle_without_cf_columns_exits_2(self, tmp_path, quad_csv):
         model = tmp_path / "model.json"
         run("train", "--algo", "pt", "--data", str(quad_csv),

@@ -117,7 +117,7 @@ class TestVoting:
             trees=(stump(1), stump(2), stump(2)), m=2, d=1
         )
         assert forest.prescribe([0.0]) == 2
-        assert forest.votes([0.0]).tolist() == [1, 2]
+        assert forest.votes([[0.0]])[0].tolist() == [1, 2]
 
     def test_tie_goes_to_lowest_label(self):
         forest = PersonalizationForest(

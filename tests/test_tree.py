@@ -213,9 +213,9 @@ class TestRouting:
         assert tree.prescribe([2.0000001]) == 2
         assert tree.predict_many([[1.0], [2.0], [3.0]]).tolist() == [1, 1, 2]
 
-    def test_predict_alias(self):
+    def test_prescribe_is_one_row_predict_many(self):
         tree = two_leaf_tree()
-        assert tree.predict([0.0]) == tree.prescribe([0.0]) == 1
+        assert tree.prescribe([0.0]) == tree.predict_many([[0.0]])[0] == 1
 
     def test_leaf_ids_left_to_right(self):
         stump = leaf_doc(1, [1], [0.0])
