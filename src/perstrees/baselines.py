@@ -24,6 +24,14 @@ from .risk import _BatchPolicy
 _KNN_BUDGET = 1 << 14
 
 
+def _matrix(X):
+    """X as a float64 matrix of rows; DomainError for any other shape."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DomainError(f"predict needs an (n, d) matrix of rows, got shape {X.shape}")
+    return X
+
+
 class OlsRegressor:
     """Least squares with intercept; ridge fallback on singular designs.
 
@@ -53,7 +61,7 @@ class OlsRegressor:
         return self
 
     def predict(self, X):
-        return self.weights[0] + np.asarray(X, dtype=np.float64) @ self.weights[1:]
+        return self.weights[0] + _matrix(X) @ self.weights[1:]
 
     def to_doc(self):
         return {"type": "ols", "weights": [float(w) for w in self.weights]}
@@ -96,7 +104,7 @@ class KnnRegressor:
         return self
 
     def predict(self, X):
-        Z = (np.asarray(X, dtype=np.float64) - self.center) / self.scale
+        Z = (_matrix(X) - self.center) / self.scale
         out = np.empty(len(Z))
         step = max(1, _KNN_BUDGET // self.x.size)
         for lo in range(0, len(Z), step):

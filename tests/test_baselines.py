@@ -53,6 +53,13 @@ class TestOls:
         back = OlsRegressor.from_doc(reg.to_doc())
         assert np.isclose(back.predict([[0.5]])[0], reg.predict([[0.5]])[0])
 
+    @pytest.mark.parametrize("make", [OlsRegressor, lambda: KnnRegressor(k=1)])
+    def test_one_dimensional_input_rejected(self, make):
+        reg = make().fit(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.0]))
+        for X in ([10.0], 10.0, np.zeros((1, 1, 1))):
+            with pytest.raises(DomainError, match="matrix"):
+                reg.predict(X)
+
 
 class TestKnn:
     def test_two_nearest(self):

@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from perstrees.data import Dataset
+from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
 from perstrees.errors import (
     ConfigError,
     EmptyMenuError,
@@ -11,6 +12,7 @@ from perstrees.errors import (
     ParseError,
     SolveTimeout,
 )
+from perstrees.opt import solver
 from perstrees.opt import (
     CutMenu,
     OptConfig,
@@ -320,6 +322,187 @@ class TestSolveExact:
                 assert cold.objective <= warm_val + 1e-9
                 hot = solve_exact(ds, sk, menu, cfg, warm=warm)
                 assert np.isclose(hot.objective, cold.objective)
+
+    def test_warm_start_kept_when_better_than_every_menu_tree(self):
+        # the warm cut 3.5 is off the menu; both menu cuts score 40, but
+        # cut 1.5's left leaf alone ties the warm value, so the root scan
+        # must not return it just for passing the warm bound
+        ds = Dataset(
+            X=np.repeat([1.0, 2.0, 4.0, 6.0], 2)[:, None],
+            T=np.tile([1, 2], 4),
+            Y=np.array([0.0, 0.0, 0.0, 20.0, 20.0, 0.0, 20.0, 0.0]),
+            m=2,
+        )
+        sk = TreeSkeleton(1)
+        cfg = OptConfig(delta=1, n_min_leaf=1)
+        menu = CutMenu(cuts=(((0, 1.5), (0, 5.5)),))
+        warm = TreeAssignment(cuts=((0, 3.5),), treatments=(1, 2))
+        assert evaluate_assignment(ds, sk, warm, cfg) == 0.0
+        assert solve_exact(ds, sk, menu, cfg).objective == 40.0
+        result = solve_exact(ds, sk, menu, cfg, warm=warm)
+        assert result.assignment == warm
+        assert result.objective == 0.0
+        assert result.proved
+
+    def test_warm_start_equal_to_the_optimum_moves_nothing(self):
+        # evaluate_assignment sums leaves in another order, and on seed 6
+        # scores the optimum one ulp below the search's own sum
+        sk = TreeSkeleton(2)
+        cfg = OptConfig(delta=2, n_min_leaf=2, n_cuts=3)
+        for seed in range(8):
+            ds = random_dataset(np.random.default_rng(seed), 60, 2, 2, all_arms=True)
+            menu = build_cut_menu(ds, sk, cfg)
+            cold = solve_exact(ds, sk, menu, cfg)
+            hot = solve_exact(ds, sk, menu, cfg, warm=cold.assignment)
+            assert hot.assignment == cold.assignment
+            assert hot.objective.hex() == cold.objective.hex()
+
+    def test_menu_must_fit_the_skeleton(self):
+        rng = np.random.default_rng(31)
+        ds = random_dataset(rng, 40, 2, 2, all_arms=True)
+        cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=3)
+        menu2 = build_cut_menu(ds, TreeSkeleton(2), cfg)
+        menu3 = build_cut_menu(ds, TreeSkeleton(3), cfg)
+        with pytest.raises(ConfigError, match="menu"):
+            solve_exact(ds, TreeSkeleton(3), menu2, cfg)
+        with pytest.raises(ConfigError, match="menu"):
+            solve_exact(ds, TreeSkeleton(2), menu3, cfg)
+        sk = TreeSkeleton(2)
+        short = TreeAssignment(cuts=menu2.cuts[0][:1], treatments=(1, 1))
+        with pytest.raises(ConfigError, match="assignment"):
+            evaluate_assignment(ds, sk, short, cfg)
+        with pytest.raises(ConfigError, match="assignment"):
+            solve_exact(ds, sk, menu2, cfg, warm=short)
+
+
+def reference_solve(ds, skeleton, menu, config):
+    """The per-leaf recursion that the bottom-node pass replaced: each cut
+    scores its two children with one bincount over each child's rows.
+    Returns (cuts, treatments, objective, proved); a time limit is
+    honoured only as 0.0, where no cut completes."""
+    ybar = ds.Y - ds.Y.min()
+    tvec = ds.T - 1
+    top = 2**skeleton.delta
+    deadline = None
+    if config.time_limit is not None:
+        deadline = time.monotonic() + config.time_limit
+    memo = {}
+
+    def leaf_value(idx):
+        counts = np.bincount(tvec[idx], minlength=ds.m)
+        if counts.min() < config.n_min_leaf:
+            return float("inf"), None
+        sums = np.bincount(tvec[idx], weights=ybar[idx], minlength=ds.m)
+        means = sums / counts
+        best = int(np.argmin(means))
+        return idx.size * float(means[best]), best + 1
+
+    def node_value(p, idx):
+        key = (p, idx.tobytes())
+        if key not in memo:
+            memo[key] = leaf_value(idx) if p >= top else scan(p, idx)
+        return memo[key]
+
+    def scan(p, idx):
+        best_val, best_cut = float("inf"), None
+        for ci, (f, theta) in enumerate(menu.for_node(p)):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SolveTimeout("time limit")
+            mask = ds.X[idx, f] <= theta
+            left, _ = node_value(2 * p, idx[mask])
+            if left > best_val:
+                continue
+            right, _ = node_value(2 * p + 1, idx[~mask])
+            if left + right < best_val:
+                best_val, best_cut = left + right, ci
+        return best_val, best_cut
+
+    cuts, treats = {}, {}
+
+    def reconstruct(p, idx, choice):
+        if p >= top:
+            treats[p] = choice
+            return
+        cuts[p] = f, theta = menu.for_node(p)[choice]
+        mask = ds.X[idx, f] <= theta
+        for child, sub in ((2 * p, idx[mask]), (2 * p + 1, idx[~mask])):
+            reconstruct(child, sub, node_value(child, sub)[1])
+
+    rows = np.arange(ds.n)
+    objective, choice = scan(1, rows)
+    if choice is None:
+        raise InfeasibleError("no feasible assignment")
+    reconstruct(1, rows, choice)
+    return (
+        tuple(cuts[p] for p in skeleton.internal_nodes),
+        tuple(treats[p] for p in skeleton.leaves),
+        objective.hex(),
+        True,
+    )
+
+
+def solve_outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (InfeasibleError, SolveTimeout) as exc:
+        return type(exc)
+
+
+def solve_exact_outcome(ds, skeleton, menu, config):
+    r = solve_exact(ds, skeleton, menu, config)
+    return r.assignment.cuts, r.assignment.treatments, r.objective.hex(), r.proved
+
+
+class TestBottomPassEquivalence:
+    @pytest.mark.parametrize("delta", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_matches_per_leaf_recursion(self, delta, grid, monkeypatch):
+        # grid covariates with binary outcomes make tied cuts common;
+        # n_min_leaf 4 leaves some arm empty under many cuts, and 40
+        # makes every instance infeasible
+        rng = np.random.default_rng(40 + 2 * delta + grid)
+        sk = TreeSkeleton(delta)
+        outcomes = set()
+        for trial, (n_min_leaf, time_limit) in enumerate(
+            [(1, None), (2, None), (4, None), (40, None), (1, 0.0)]
+        ):
+            spec = SyntheticSpec(
+                n=90,
+                d=3,
+                m=3 if grid else 2,
+                outcome_model=(
+                    {"name": "warfarin_like", "flip": 0.2}
+                    if grid
+                    else {"name": "quadratic", "centers": [-1.0, 1.0], "noise": 1.0}
+                ),
+                propensity_model={"name": "uniform"},
+                covariate_model=(
+                    {"name": "discrete_grid", "values": [-1.0, 0.0, 1.0, 2.0]}
+                    if grid
+                    else {"name": "normal"}
+                ),
+                seed=int(rng.integers(1000)),
+            )
+            ds = generate_synthetic(spec)
+            cfg = OptConfig(
+                delta=delta,
+                n_min_leaf=n_min_leaf,
+                n_features=2,
+                n_cuts=spec.n if grid else 4,  # a grid has 3 cuts per feature
+                time_limit=time_limit,
+                seed=trial,
+            )
+            menu = build_cut_menu(ds, sk, cfg)
+            want = solve_outcome(reference_solve, ds, sk, menu, cfg)
+            assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
+            with monkeypatch.context() as patch:
+                # passes chunked down to one cut at the root, and a memo
+                # that keeps nothing
+                patch.setattr(solver, "_PASS_BUDGET", ds.n)
+                patch.setattr(solver, "MEMO_BYTES", 0)
+                assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
+            outcomes.add(want if isinstance(want, type) else "solved")
+        assert outcomes == {"solved", InfeasibleError, SolveTimeout}
 
 
 class TestWarmStart:
