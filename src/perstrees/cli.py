@@ -155,9 +155,10 @@ def cmd_export_mip(args):
     menu = build_cut_menu(ds, skeleton, cfg)
     model = build_mip(ds, skeleton, menu, cfg)
     export_mps(model, args.out)
+    n_rows, n_cols = model.A.shape
     print(
-        f"wrote {len(model.variables)} variables ({model.n_binary} binary), "
-        f"{len(model.constraints)} constraints to {args.out}; names at {names_path(args.out)}"
+        f"wrote {n_cols} variables ({model.n_binary} binary), "
+        f"{n_rows} constraints to {args.out}; names at {names_path(args.out)}"
     )
     return 0
 

@@ -1,9 +1,7 @@
 """Optimal trees over finite cut menus: exact solver, MIP build, MPS export."""
 
 from .mip import (
-    Constraint,
     MipModel,
-    Variable,
     build_mip,
     check_solution,
     load_solution_json,
@@ -22,14 +20,12 @@ from .solver import (
 )
 
 __all__ = [
-    "Constraint",
     "CutMenu",
     "MipModel",
     "OptConfig",
     "OptResult",
     "TreeAssignment",
     "TreeSkeleton",
-    "Variable",
     "assignment_to_tree",
     "build_cut_menu",
     "build_mip",

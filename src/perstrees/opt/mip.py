@@ -1,8 +1,9 @@
-"""Mixed-integer formulation of the optimal-tree search.
+"""Mixed-integer formulation of the optimal-tree search, as sparse arrays.
 
 The model minimizes the summed shifted outcomes of leaf-prescribed
-treatments over all routings of the data through a complete tree.
-Variables:
+treatments over all routings of the data through a complete tree. It is
+a MipModel: min c @ x s.t. row_lo <= A @ x <= row_hi, lower <= x <= upper,
+x integral on the binary columns. Columns:
 
     gamma(p,j)   weight of the j-th menu cut at internal node p, [0,1]
     delta(p,i)   binary code bits forcing gamma integral
@@ -11,7 +12,7 @@ Variables:
     mu(p)        mean shifted outcome of the chosen treatment in p
     nu(i,p)      product mu(p) * w(i,p)
 
-Constraint families, with Ybar = Y - min Y, Ymax = max Ybar, and
+Rows, with Ybar = Y - min Y, Ymax = max Ybar, and
 M = Ymax * (largest arm count - n_leaves * n_min_leaf):
 
     onecut(p)        sum_j gamma(p,j) = 1
@@ -27,67 +28,110 @@ M = Ymax * (largest arm count - n_leaves * n_min_leaf):
     meanub(p,t)      sum_{i: T_i=t} (nu(i,p) - Ybar_i w(i,p)) <= M (1 - lambda(p,t))
     meanlb(p,t)      same sum >= -M (1 - lambda(p,t))
 
-chi_i(gamma_q) = sum over menu cuts (l, theta) at q with X[i,l] <= theta
-of gamma(q, cut), i.e. the weight of going left. The code bits are the
-binary digits of the 1-based cut index, so distinct cuts get distinct
-codes and the simplex row pins gamma to a vertex whenever delta is
-integral. Subjects are numbered from 1 in variable names.
+Columns and rows follow these lists, except where _column_blocks and
+_row_blocks interleave families (per node, per subject or per leaf).
+chi_i(gamma_q) = sum over menu cuts (l, theta) at q with
+X[i,l] <= theta of gamma(q, cut), i.e. the weight of going left. The
+code bits are the binary digits of the 1-based cut index, so distinct
+cuts get distinct codes and the simplex row pins gamma to a vertex
+whenever delta is integral. Subjects are numbered from 1 in names.
 """
 
+import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import InfeasibleError, ParseError
 from ..risk import _counts_and_sums
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: str  # "binary" | "continuous"
-    lower: float = 0.0
-    upper: float = float("inf")
-
-
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    coeffs: tuple  # ((variable name, coefficient), ...)
-    sense: str  # "<=" | "=" | ">="
-    rhs: float
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MipModel:
-    """A linear objective, variables, and sparse constraints, plus a
-    registry describing what each variable stands for."""
+    """A linear objective c, a CSC matrix A (sorted indices, no stored
+    zeros), row bounds (row_lo -inf for `<=`, row_hi +inf for `>=`,
+    equal for `=`), column bounds, and a mask of binary columns.
 
-    variables: tuple
-    constraints: tuple
-    objective: tuple  # ((variable name, coefficient), ...), minimized
-    meta: dict = field(default_factory=dict)
+    Names are generated from blocks (templates, axes): for each index
+    tuple of the product of the axes, in row-major order, every template
+    is formatted with it in turn. (("w({0},{1})",), (range(1, 3), (4, 5)))
+    names w(1,4), w(1,5), w(2,4), w(2,5); a template without axes is one
+    plain name.
+    """
 
-    def variable(self, name):
-        return self._by_name[name]
+    c: np.ndarray
+    A: sparse.csc_array
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    binary: np.ndarray
+    col_blocks: tuple
+    row_blocks: tuple
 
     @property
-    def _by_name(self):
-        cache = getattr(self, "_by_name_cache", None)
-        if cache is None:
-            cache = {v.name: v for v in self.variables}
-            self._by_name_cache = cache
-        return cache
+    def variables(self):
+        """Column names, in column order."""
+        return _names(self.col_blocks)
+
+    @property
+    def constraints(self):
+        """Row names, in row order."""
+        return _names(self.row_blocks)
 
     @property
     def n_binary(self):
-        return sum(1 for v in self.variables if v.kind == "binary")
+        return int(np.count_nonzero(self.binary))
 
 
-def _code_bits(j, k):
-    """Binary digits of the 1-based index j, lowest bit first."""
-    return [(j >> i) & 1 for i in range(k)]
+def _names(blocks):
+    return tuple(
+        t.format(*ix)
+        for templates, axes in blocks
+        for ix in itertools.product(*axes)
+        for t in templates
+    )
+
+
+def _starts(blocks):
+    """First index of every block, plus the total count at the end."""
+    sizes = [len(templates) * math.prod(map(len, axes)) for templates, axes in blocks]
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def _column_blocks(n, m, skeleton, menu):
+    blocks = []
+    for p in skeleton.internal_nodes:
+        n_cut = len(menu.for_node(p))
+        blocks.append(((f"gamma({p},{{0}})",), (range(1, n_cut + 1),)))
+        blocks.append(((f"delta({p},{{0}})",), (range(1, (n_cut - 1).bit_length() + 1),)))
+    subjects, leaves, arms = range(1, n + 1), skeleton.leaves, range(1, m + 1)
+    blocks.append((("w({0},{1})",), (subjects, leaves)))
+    blocks.append((("lambda({0},{1})",), (leaves, arms)))
+    blocks.append((("mu({0})",), (leaves,)))
+    blocks.append((("nu({0},{1})",), (subjects, leaves)))
+    return tuple(blocks)
+
+
+def _row_blocks(n, m, skeleton, menu):
+    blocks = []
+    for p in skeleton.internal_nodes:
+        blocks.append(((f"onecut({p})",), ()))
+        n_cut = len(menu.for_node(p))
+        blocks.append(((f"code({p},{{0}})",), (range(1, (n_cut - 1).bit_length() + 1),)))
+    subjects, leaves, arms = range(1, n + 1), skeleton.leaves, range(1, m + 1)
+    for p in leaves:
+        route = tuple(f"routeub({{0}},{p},{q})" for q, _ in skeleton.path_to(p))
+        blocks.append((route + (f"routelb({{0}},{p})",), (subjects,)))
+    blocks.append((("leafmin({0},{1})",), (leaves, arms)))
+    blocks.append((("costw({0},{1})", "costmu({0},{1})", "costlb({0},{1})"), (subjects, leaves)))
+    for p in leaves:
+        blocks.append(((f"onetreat({p})",), ()))
+        blocks.append(((f"meanub({p},{{0}})", f"meanlb({p},{{0}})"), (arms,)))
+    return tuple(blocks)
 
 
 def build_mip(ds, skeleton, menu, config):
@@ -97,282 +141,216 @@ def build_mip(ds, skeleton, menu, config):
         InfeasibleError: n < n_leaves * m * n_min_leaf, so no routing
             can satisfy the per-leaf occupancy minimums.
     """
-    leaves = skeleton.leaves
-    if ds.n < len(leaves) * ds.m * config.n_min_leaf:
+    n, m, n_leaves = ds.n, ds.m, len(skeleton.leaves)
+    if n < n_leaves * m * config.n_min_leaf:
         raise InfeasibleError(
-            f"{ds.n} subjects cannot fill {len(leaves)} leaves with "
-            f"{config.n_min_leaf} of each of {ds.m} treatments"
+            f"{n} subjects cannot fill {n_leaves} leaves with "
+            f"{config.n_min_leaf} of each of {m} treatments"
         )
     ybar = ds.Y - ds.Y.min()
     ymax = float(ybar.max())
-    counts = np.bincount(ds.T - 1, minlength=ds.m)
-    big_m = ymax * (int(counts.max()) - len(leaves) * config.n_min_leaf)
+    counts = np.bincount(ds.T - 1, minlength=m)
+    big_m = ymax * (int(counts.max()) - n_leaves * config.n_min_leaf)
+    arm = ds.T - 1
+    depth, n_split = skeleton.delta, n_leaves - 1
 
-    variables = []
-    meta = {}
-    constraints = []
+    col_blocks = _column_blocks(n, m, skeleton, menu)
+    row_blocks = _row_blocks(n, m, skeleton, menu)
+    col, row = _starts(col_blocks), _starts(row_blocks)
+    # first column of gamma(p,.) and of delta(p,.) at index p - 1
+    gamma, code = col[0 : 2 * n_split : 2], col[1 : 2 * n_split : 2]
+    w0, lam0, mu0, nu0 = col[2 * n_split : 2 * n_split + 4]
+    cell = np.arange(n)[:, None] * n_leaves + np.arange(n_leaves)  # (subject, leaf)
+    w, nu = w0 + cell, nu0 + cell
+    lam = lam0 + np.arange(n_leaves * m).reshape(n_leaves, m)
+    mu = mu0 + np.arange(n_leaves)
 
-    def add_var(name, kind, lower, upper, **info):
-        variables.append(Variable(name=name, kind=kind, lower=lower, upper=upper))
-        meta[name] = info
+    lo = np.full(row[-1], -np.inf)
+    hi = np.full(row[-1], np.inf)
+    entries = []
 
-    for p in skeleton.internal_nodes:
-        cuts = menu.for_node(p)
-        k = (len(cuts) - 1).bit_length()
-        for j, (f, theta) in enumerate(cuts, start=1):
-            add_var(
-                f"gamma({p},{j})", "continuous", 0.0, 1.0,
-                role="gamma", node=p, cut=j, feature=f, threshold=theta,
-            )
-        for i in range(1, k + 1):
-            add_var(f"delta({p},{i})", "binary", 0.0, 1.0, role="delta", node=p, bit=i)
-    for i in range(1, ds.n + 1):
-        for p in leaves:
-            add_var(f"w({i},{p})", "continuous", 0.0, 1.0, role="w", subject=i, leaf=p)
-    for p in leaves:
-        for t in range(1, ds.m + 1):
-            add_var(f"lambda({p},{t})", "binary", 0.0, 1.0, role="lambda", leaf=p, treatment=t)
-    for p in leaves:
-        add_var(f"mu({p})", "continuous", 0.0, float("inf"), role="mu", leaf=p)
-    for i in range(1, ds.n + 1):
-        for p in leaves:
-            add_var(f"nu({i},{p})", "continuous", 0.0, float("inf"), role="nu", subject=i, leaf=p)
+    def add(r, c, v):
+        r, c, v = np.broadcast_arrays(r, c, v)
+        keep = v != 0.0  # A stores no zeros
+        entries.append((r[keep], c[keep], v[keep]))
 
     # cut choice: simplex row plus binary code rows
+    fires = {}
     for p in skeleton.internal_nodes:
         cuts = menu.for_node(p)
-        k = (len(cuts) - 1).bit_length()
-        constraints.append(
-            Constraint(
-                name=f"onecut({p})",
-                coeffs=tuple((f"gamma({p},{j})", 1.0) for j in range(1, len(cuts) + 1)),
-                sense="=",
-                rhs=1.0,
-            )
-        )
-        for i in range(1, k + 1):
-            row = [
-                (f"gamma({p},{j})", 1.0)
-                for j in range(1, len(cuts) + 1)
-                if _code_bits(j, k)[i - 1]
-            ]
-            row.append((f"delta({p},{i})", -1.0))
-            constraints.append(
-                Constraint(name=f"code({p},{i})", coeffs=tuple(row), sense="=", rhs=0.0)
-            )
-
-    # left-branch indicator terms of chi_i(gamma_q), precomputed per node
-    chi_terms = {}
-    for q in skeleton.internal_nodes:
-        cuts = menu.for_node(q)
-        fires = [ds.X[:, f] <= theta for f, theta in cuts]
-        chi_terms[q] = [
-            [(f"gamma({q},{j})", 1.0) for j, col in enumerate(fires, start=1) if col[i]]
-            for i in range(ds.n)
-        ]
+        j = np.arange(len(cuts))
+        one, bits = row[2 * p - 2], row[2 * p - 1] + np.arange((len(cuts) - 1).bit_length())
+        add(one, gamma[p - 1] + j, 1.0)
+        b, jb = np.nonzero(((j + 1) >> np.arange(bits.size)[:, None]) & 1)
+        add(bits[b], gamma[p - 1] + jb, 1.0)
+        add(bits, code[p - 1] + np.arange(bits.size), -1.0)
+        lo[one] = hi[one] = 1.0
+        lo[bits] = hi[bits] = 0.0
+        features = np.array([f for f, _ in cuts], dtype=np.intp)
+        fires[p] = np.nonzero(ds.X[:, features] <= np.array([t for _, t in cuts]))
 
     # routing: w(i,p) is the product of per-ancestor branch indicators
-    for p in leaves:
-        path = skeleton.path_to(p)
-        n_left = sum(1 for _, sign in path if sign < 0)
-        for i in range(1, ds.n + 1):
-            for q, sign in path:
-                row = [(f"w({i},{p})", 1.0)]
-                row.extend((name, sign * c) for name, c in chi_terms[q][i - 1])
-                constraints.append(
-                    Constraint(
-                        name=f"routeub({i},{p},{q})",
-                        coeffs=tuple(row),
-                        sense="<=",
-                        rhs=(1 + sign) / 2.0,
-                    )
-                )
-            row = [(f"w({i},{p})", 1.0)]
-            for q, sign in path:
-                row.extend((name, sign * c) for name, c in chi_terms[q][i - 1])
-            constraints.append(
-                Constraint(
-                    name=f"routelb({i},{p})",
-                    coeffs=tuple(row),
-                    sense=">=",
-                    rhs=1.0 - n_left,
-                )
-            )
+    for leaf, p in enumerate(skeleton.leaves):
+        base = row[2 * n_split + leaf] + np.arange(n) * (depth + 1)
+        n_left = 0
+        for k, (q, sign) in enumerate(skeleton.path_to(p)):
+            i, j = fires[q]
+            add(base[i] + k, gamma[q - 1] + j, float(sign))
+            add(base[i] + depth, gamma[q - 1] + j, float(sign))
+            hi[base + k] = (1 + sign) / 2.0
+            n_left += sign < 0
+        add(base[:, None] + np.arange(depth + 1), w[:, leaf, None], 1.0)
+        lo[base + depth] = 1.0 - n_left
 
     # occupancy: every treatment meets the leaf minimum
-    for p in leaves:
-        for t in range(1, ds.m + 1):
-            members = [f"w({i},{p})" for i in range(1, ds.n + 1) if ds.T[i - 1] == t]
-            constraints.append(
-                Constraint(
-                    name=f"leafmin({p},{t})",
-                    coeffs=tuple((name, 1.0) for name in members),
-                    sense=">=",
-                    rhs=float(config.n_min_leaf),
-                )
-            )
+    first = row[2 * n_split + n_leaves]
+    add(first + np.arange(n_leaves) * m + arm[:, None], w, 1.0)
+    lo[first : first + n_leaves * m] = float(config.n_min_leaf)
 
     # nu(i,p) = mu(p) * w(i,p), linearized
-    for i in range(1, ds.n + 1):
-        for p in leaves:
-            nu, w, mu = f"nu({i},{p})", f"w({i},{p})", f"mu({p})"
-            cw = [(nu, 1.0)]
-            if ymax != 0.0:
-                cw.append((w, -ymax))
-            constraints.append(
-                Constraint(name=f"costw({i},{p})", coeffs=tuple(cw), sense="<=", rhs=0.0)
-            )
-            constraints.append(
-                Constraint(
-                    name=f"costmu({i},{p})",
-                    coeffs=((nu, 1.0), (mu, -1.0)),
-                    sense="<=",
-                    rhs=0.0,
-                )
-            )
-            cl = [(nu, 1.0), (mu, -1.0)]
-            if ymax != 0.0:
-                cl.append((w, -ymax))
-            constraints.append(
-                Constraint(name=f"costlb({i},{p})", coeffs=tuple(cl), sense=">=", rhs=-ymax)
-            )
+    cost = row[2 * n_split + n_leaves + 1] + 3 * cell
+    add(cost, nu, 1.0)
+    add(cost, w, -ymax)
+    hi[cost] = 0.0
+    add(cost + 1, nu, 1.0)
+    add(cost + 1, mu, -1.0)
+    hi[cost + 1] = 0.0
+    add(cost + 2, nu, 1.0)
+    add(cost + 2, mu, -1.0)
+    add(cost + 2, w, -ymax)
+    lo[cost + 2] = -ymax
 
     # treatment choice and its consistency with mu
-    for p in leaves:
-        constraints.append(
-            Constraint(
-                name=f"onetreat({p})",
-                coeffs=tuple((f"lambda({p},{t})", 1.0) for t in range(1, ds.m + 1)),
-                sense="=",
-                rhs=1.0,
-            )
-        )
-        for t in range(1, ds.m + 1):
-            base = []
-            for i in range(1, ds.n + 1):
-                if ds.T[i - 1] != t:
-                    continue
-                base.append((f"nu({i},{p})", 1.0))
-                if ybar[i - 1] != 0.0:
-                    base.append((f"w({i},{p})", -float(ybar[i - 1])))
-            lam = [(f"lambda({p},{t})", big_m)] if big_m != 0.0 else []
-            constraints.append(
-                Constraint(
-                    name=f"meanub({p},{t})",
-                    coeffs=tuple(base + lam),
-                    sense="<=",
-                    rhs=big_m,
-                )
-            )
-            constraints.append(
-                Constraint(
-                    name=f"meanlb({p},{t})",
-                    coeffs=tuple(base + [(n, -c) for n, c in lam]),
-                    sense=">=",
-                    rhs=-big_m,
-                )
-            )
+    one = row[2 * n_split + n_leaves + 2 : -1 : 2]
+    add(one[:, None], lam, 1.0)
+    lo[one] = hi[one] = 1.0
+    ub = one[:, None] + 1 + 2 * np.arange(m)  # meanub(p,t); meanlb(p,t) follows it
+    own = one + 1 + 2 * arm[:, None]  # meanub row of each subject's arm, per leaf
+    for r in (own, own + 1):
+        add(r, nu, 1.0)
+        add(r, w, -ybar[:, None])
+    add(ub, lam, big_m)
+    add(ub + 1, lam, -big_m)
+    hi[ub] = big_m
+    lo[ub + 1] = -big_m
 
-    objective = tuple(
-        (f"nu({i},{p})", 1.0) for i in range(1, ds.n + 1) for p in leaves
-    )
+    r, c, v = (np.concatenate(part) for part in zip(*entries))
+    entries.clear()  # the pieces would otherwise outlive the CSC copy below
+    A = sparse.csc_array((v, (r, c)), shape=(row[-1], col[-1]))
+    objective = np.zeros(col[-1])
+    objective[nu] = 1.0
+    upper = np.ones(col[-1])
+    upper[mu0:] = np.inf
+    binary = np.zeros(col[-1], dtype=bool)
+    binary[lam0:mu0] = True
+    for p in skeleton.internal_nodes:
+        binary[code[p - 1] : col[2 * p]] = True
     return MipModel(
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        objective=objective,
-        meta=meta,
+        c=objective,
+        A=A,
+        row_lo=lo,
+        row_hi=hi,
+        lower=np.zeros(col[-1]),
+        upper=upper,
+        binary=binary,
+        col_blocks=col_blocks,
+        row_blocks=row_blocks,
     )
 
 
 def solution_from_assignment(ds, skeleton, menu, assignment):
-    """Variable values induced by a concrete tree assignment.
+    """Column values induced by a concrete tree assignment.
 
     Returns a complete name-to-value map: one-hot gamma with its code
     bits, memberships from routing, one-hot lambda, mu as the leaf mean
     of the chosen treatment's shifted outcome, and nu = mu * w.
     """
-    ybar = ds.Y - ds.Y.min()
     top = 2**skeleton.delta
-    leaf_ids = skeleton.route_many(ds.X, assignment.cuts)
-    counts, sums = _counts_and_sums(ds.T, ybar, ds.m, leaf_ids - top, top)
-    values = {}
+    leaf = skeleton.route_many(ds.X, assignment.cuts) - top
+    counts, sums = _counts_and_sums(ds.T, ds.Y - ds.Y.min(), ds.m, leaf, top)
+    blocks = _column_blocks(ds.n, ds.m, skeleton, menu)
+    col = _starts(blocks)
+    x = np.zeros(col[-1])
     for p in skeleton.internal_nodes:
-        cuts = menu.for_node(p)
-        chosen = cuts.index(assignment.cuts[p - 1]) + 1
-        k = (len(cuts) - 1).bit_length()
-        for j in range(1, len(cuts) + 1):
-            values[f"gamma({p},{j})"] = 1.0 if j == chosen else 0.0
-        bits = _code_bits(chosen, k)
-        for i in range(1, k + 1):
-            values[f"delta({p},{i})"] = float(bits[i - 1])
-    mu = {}
-    for p, t in zip(skeleton.leaves, assignment.treatments):
-        n_t = counts[p - top, t - 1]
-        mu[p] = float(sums[p - top, t - 1] / n_t) if n_t else 0.0
-    for i in range(1, ds.n + 1):
-        for p in skeleton.leaves:
-            values[f"w({i},{p})"] = 1.0 if leaf_ids[i - 1] == p else 0.0
-    for p, t in zip(skeleton.leaves, assignment.treatments):
-        for s in range(1, ds.m + 1):
-            values[f"lambda({p},{s})"] = 1.0 if s == t else 0.0
-    for p in skeleton.leaves:
-        values[f"mu({p})"] = mu[p]
-    for i in range(1, ds.n + 1):
-        for p in skeleton.leaves:
-            values[f"nu({i},{p})"] = mu[p] if leaf_ids[i - 1] == p else 0.0
-    return values
+        chosen = menu.for_node(p).index(assignment.cuts[p - 1])
+        x[col[2 * p - 2] + chosen] = 1.0
+        bits = slice(col[2 * p - 1], col[2 * p])
+        x[bits] = ((chosen + 1) >> np.arange(bits.stop - bits.start)) & 1
+    w0, lam0, mu0, nu0 = col[2 * top - 2 : 2 * top + 2]
+    member = leaf[:, None] == np.arange(top)
+    t = np.asarray(assignment.treatments) - 1
+    n_t = counts[np.arange(top), t]
+    mu = np.divide(sums[np.arange(top), t], n_t, out=np.zeros(top), where=n_t > 0)
+    x[w0:lam0] = member.ravel()
+    x[lam0:mu0] = (t[:, None] == np.arange(ds.m)).ravel()
+    x[mu0:nu0] = mu
+    x[nu0:] = (member * mu).ravel()
+    return dict(zip(_names(blocks), x.tolist()))
+
+
+def _vector(model, values):
+    """x from a name-to-value map, missing names as zero, and the names
+    that are not columns of the model."""
+    index = {name: j for j, name in enumerate(model.variables)}
+    x = np.zeros(len(index))
+    unknown = []
+    for name, val in values.items():
+        j = index.get(name)
+        if j is None:
+            unknown.append(name)
+        else:
+            x[j] = val
+    return x, unknown
 
 
 def objective_value(model, values):
     """Objective at a name-to-value map; missing names count as zero."""
-    return sum(c * values.get(name, 0.0) for name, c in model.objective)
+    return float(model.c @ _vector(model, values)[0])
 
 
 def check_solution(model, values, tol=1e-9):
     """Validate a candidate solution against the model.
 
     Checks bounds, integrality of binaries, and every constraint, all
-    within the additive tolerance. Unknown variable names are reported
-    too. Returns a list of violation records; an empty list means the
-    solution is valid.
+    within the additive tolerance; a non-finite value is a bound
+    violation. Unknown variable names are reported too. Returns a list
+    of violation records (unknown names, then column by column, then row
+    by row); an empty list means the solution is valid.
     """
-    problems = []
-    known = model._by_name
-    for name in values:
-        if name not in known:
-            problems.append({"kind": "unknown", "name": name, "amount": 0.0})
-    for v in model.variables:
-        x = values.get(v.name, 0.0)
-        if x < v.lower - tol:
-            problems.append({"kind": "bound", "name": v.name, "amount": v.lower - x})
-        elif x > v.upper + tol:
-            problems.append({"kind": "bound", "name": v.name, "amount": x - v.upper})
-        if v.kind == "binary" and abs(x - round(x)) > tol:
-            problems.append(
-                {"kind": "integrality", "name": v.name, "amount": abs(x - round(x))}
-            )
-    for con in model.constraints:
-        activity = sum(c * values.get(name, 0.0) for name, c in con.coeffs)
-        if con.sense == "<=":
-            gap = activity - con.rhs
-        elif con.sense == ">=":
-            gap = con.rhs - activity
-        else:
-            gap = abs(activity - con.rhs)
-        if gap > tol:
-            problems.append({"kind": "constraint", "name": con.name, "amount": gap})
+    x, unknown = _vector(model, values)
+    problems = [{"kind": "unknown", "name": name, "amount": 0.0} for name in unknown]
+    finite = np.isfinite(x)
+    xf = np.where(finite, x, 0.0)
+    bound = np.where(finite, np.maximum(model.lower - xf, xf - model.upper), np.inf)
+    frac = np.where(model.binary, np.abs(xf - np.rint(xf)), 0.0)
+    bad = np.flatnonzero((bound > tol) | (frac > tol))
+    names = model.variables if bad.size else ()
+    for j in bad:
+        if bound[j] > tol:
+            problems.append({"kind": "bound", "name": names[j], "amount": float(bound[j])})
+        if frac[j] > tol:
+            problems.append({"kind": "integrality", "name": names[j], "amount": float(frac[j])})
+    with np.errstate(invalid="ignore"):  # inf - inf on non-finite values; NaN gaps pass
+        activity = model.A @ x
+        gap = np.maximum(model.row_lo - activity, activity - model.row_hi)
+    bad = np.flatnonzero(gap > tol)
+    names = model.constraints if bad.size else ()
+    for r in bad:
+        problems.append({"kind": "constraint", "name": names[r], "amount": float(gap[r])})
     return problems
 
 
 def load_solution_json(path):
-    """Read a flat JSON object mapping variable names to numbers."""
+    """Read a flat JSON object mapping variable names to finite numbers."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=float)  # an integer past the float range is inf
     if not isinstance(doc, dict):
         raise ParseError("solution file must be a JSON object")
     out = {}
     for key, val in doc.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
+        if not isinstance(val, float):
             raise ParseError(f"value for {key!r} is not a number")
-        out[str(key)] = float(val)
+        if not math.isfinite(val):
+            raise ParseError(f"value for {key!r} is not finite")
+        out[str(key)] = val
     return out

@@ -5,14 +5,19 @@ lets any external MIP solver work the model, and check_solution can
 then audit the returned values. The writer emits the NAME, ROWS,
 COLUMNS, RHS, BOUNDS, and ENDATA sections, one coefficient per line,
 with binaries wrapped in INTORG/INTEND marker lines and declared BV.
+COLUMNS walks the CSC matrix column by column, objective first. Row
+senses and right-hand sides come from the row bounds; zero right-hand
+sides and default column bounds (0 and +inf) are omitted.
 
 Fixed-format fields cap names at 8 characters, so rows become R0000001,
-R0000002, ... in constraint order (the objective row is OBJ) and
-columns become C0000001, ... in variable order. The mapping back to the
-model's names is written next to the file as <stem>.names.json.
+R0000002, ... in row order (the objective row is OBJ) and columns
+become C0000001, ... in column order. The mapping back to the model's
+names is written next to the file as <stem>.names.json.
 """
 
 import json
+
+import numpy as np
 
 
 def names_path(path):
@@ -38,71 +43,78 @@ def _line(f1="", f2="", f3="", f4="", f5=""):
     return out.rstrip()
 
 
+def _tags(prefix, count):
+    return [f"{prefix}{idx:07d}" for idx in range(1, count + 1)]
+
+
+def _lines(model, name, rows, cols):
+    A = model.A
+    lo, hi = model.row_lo, model.row_hi
+    sense = np.where(lo == hi, "E", np.where(lo == -np.inf, "L", "G")).tolist()
+    rhs = np.where(hi == np.inf, lo, hi).tolist()
+
+    yield "NAME" + " " * 10 + name
+    yield "ROWS"
+    yield _line("N", "OBJ")
+    for tag, s in zip(rows, sense):
+        yield _line(s, tag)
+
+    yield "COLUMNS"
+    indptr = A.indptr.tolist()
+    number = {value: _num(value) for value in np.unique(A.data).tolist()}
+    binary, obj = model.binary.tolist(), model.c.tolist()
+    marker = 0
+    integral = False
+    for j, cname in enumerate(cols):
+        if binary[j] != integral:
+            marker += 1
+            tag = "'INTORG'" if binary[j] else "'INTEND'"
+            yield _line("", f"MARK{marker:04d}", "'MARKER'", "", tag)
+            integral = binary[j]
+        if obj[j] != 0.0:
+            yield _line("", cname, "OBJ", _num(obj[j]))
+        part = slice(indptr[j], indptr[j + 1])
+        if part.start < part.stop:
+            # _line("", cname, row, value), written out: both tags fill
+            # their 8-character fields, so no padding is left to strip
+            cells = zip(A.indices[part].tolist(), A.data[part].tolist())
+            yield "\n".join([f"    {cname}  {rows[i]}  {number[v]}" for i, v in cells])
+    if integral:
+        marker += 1
+        yield _line("", f"MARK{marker:04d}", "'MARKER'", "", "'INTEND'")
+
+    yield "RHS"
+    for tag, value in zip(rows, rhs):
+        if value != 0.0:
+            yield _line("", "RHS", tag, _num(value))
+
+    yield "BOUNDS"
+    for cname, is_binary, lower, upper in zip(
+        cols, binary, model.lower.tolist(), model.upper.tolist()
+    ):
+        if is_binary:
+            yield _line("BV", "BND", cname)
+            continue
+        if lower != 0.0:
+            yield _line("LO", "BND", cname, _num(lower))
+        if upper != float("inf"):
+            yield _line("UP", "BND", cname, _num(upper))
+    yield "ENDATA"
+
+
 def export_mps(model, path, name="PERSTREE"):
     """Write the model at path (fixed MPS) plus its name map.
 
     The output is deterministic: exporting an identical model twice
     produces identical bytes.
     """
-    rows = {}
-    for idx, con in enumerate(model.constraints, start=1):
-        rows[con.name] = f"R{idx:07d}"
-    cols = {}
-    for idx, var in enumerate(model.variables, start=1):
-        cols[var.name] = f"C{idx:07d}"
-    obj_coef = dict(model.objective)
-    by_col = {v.name: [] for v in model.variables}
-    for con in model.constraints:
-        for vname, coef in con.coeffs:
-            by_col[vname].append((rows[con.name], coef))
-
-    sense_tag = {"<=": "L", ">=": "G", "=": "E"}
-    lines = ["NAME" + " " * 10 + name, "ROWS", _line("N", "OBJ")]
-    for con in model.constraints:
-        lines.append(_line(sense_tag[con.sense], rows[con.name]))
-
-    lines.append("COLUMNS")
-    marker = 0
-    integral = False
-    for var in model.variables:
-        want = var.kind == "binary"
-        if want != integral:
-            marker += 1
-            tag = "'INTORG'" if want else "'INTEND'"
-            lines.append(_line("", f"MARK{marker:04d}", "'MARKER'", "", tag))
-            integral = want
-        cname = cols[var.name]
-        if var.name in obj_coef:
-            lines.append(_line("", cname, "OBJ", _num(obj_coef[var.name])))
-        for rname, coef in by_col[var.name]:
-            lines.append(_line("", cname, rname, _num(coef)))
-    if integral:
-        marker += 1
-        lines.append(_line("", f"MARK{marker:04d}", "'MARKER'", "", "'INTEND'"))
-
-    lines.append("RHS")
-    for con in model.constraints:
-        if con.rhs != 0.0:
-            lines.append(_line("", "RHS", rows[con.name], _num(con.rhs)))
-
-    lines.append("BOUNDS")
-    for var in model.variables:
-        cname = cols[var.name]
-        if var.kind == "binary":
-            lines.append(_line("BV", "BND", cname))
-        else:
-            if var.lower != 0.0:
-                lines.append(_line("LO", "BND", cname, _num(var.lower)))
-            if var.upper != float("inf"):
-                lines.append(_line("UP", "BND", cname, _num(var.upper)))
-    lines.append("ENDATA")
-
+    rows, cols = _tags("R", model.A.shape[0]), _tags("C", model.A.shape[1])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in _lines(model, name, rows, cols))
     name_map = {
         "objective": "OBJ",
-        "rows": {tag: orig for orig, tag in rows.items()},
-        "columns": {tag: orig for orig, tag in cols.items()},
+        "rows": dict(zip(rows, model.constraints)),
+        "columns": dict(zip(cols, model.variables)),
     }
     with open(names_path(path), "w", encoding="ascii", newline="\n") as fh:
         json.dump(name_map, fh, indent=2)

@@ -78,7 +78,10 @@ def evaluate_assignment(ds, skeleton, assignment, config):
     if counts.min() < config.n_min_leaf:
         return float("inf")
     chosen = (np.arange(top), np.asarray(assignment.treatments) - 1)
-    return float(sum(counts.sum(axis=1) * (sums[chosen] / counts[chosen])))
+    value = counts.sum(axis=1) * (sums[chosen] / counts[chosen])
+    while value.size > 1:  # sibling pairs first, as the search adds left + right
+        value = value[0::2] + value[1::2]
+    return float(value[0])
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,7 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         OptResult; proved is False when the time limit cut the search
         short, in which case the best incumbent found so far (or the
         warm start) is returned. A warm start that scores strictly
-        below the scanned assignment, and is not that assignment, is
-        returned in its place.
+        below the scanned assignment is returned in its place.
 
     Raises:
         ConfigError: the menu or the warm start does not fit the skeleton.
@@ -272,9 +274,7 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
             cuts=tuple(cuts[p] for p in skeleton.internal_nodes),
             treatments=tuple(treats[p] for p in skeleton.leaves),
         )
-    # evaluate_assignment adds the leaves in another order, so a warm start
-    # equal to the scanned tree can undercut its value by an ulp
-    if warm_value < best_val and warm != assignment:
+    if warm_value < best_val:
         assignment, objective = warm, warm_value
     if assignment is None:
         if proved:

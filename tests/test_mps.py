@@ -2,10 +2,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from perstrees.data import Dataset
 from perstrees.opt import OptConfig, TreeSkeleton, build_cut_menu, build_mip, export_mps
-from perstrees.opt.mip import Constraint, MipModel, Variable
+from perstrees.opt.mip import MipModel
 from perstrees.opt.mps import names_path
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -14,18 +15,29 @@ GOLDENS = Path(__file__).parent / "goldens"
 def tiny_model():
     inf = float("inf")
     return MipModel(
-        variables=(
-            Variable("x", "continuous", 0.0, 2.5),
-            Variable("b", "binary", 0.0, 1.0),
-            Variable("y", "continuous", -1.0, inf),
-        ),
-        constraints=(
-            Constraint("cap", (("x", 1.0), ("b", 2.0)), "<=", 3.0),
-            Constraint("link", (("x", 1.0), ("y", -1.0)), "=", 0.0),
-            Constraint("floor", (("y", 1.0),), ">=", -0.5),
-        ),
-        objective=(("x", 1.0), ("y", 0.25)),
+        c=np.array([1.0, 0.0, 0.25]),
+        A=sparse.csc_array(np.array([[1.0, 2.0, 0.0], [1.0, 0.0, -1.0], [0.0, 0.0, 1.0]])),
+        row_lo=np.array([-inf, 0.0, -0.5]),  # cap <=, link =, floor >=
+        row_hi=np.array([3.0, 0.0, inf]),
+        lower=np.array([0.0, 0.0, -1.0]),
+        upper=np.array([2.5, 1.0, inf]),
+        binary=np.array([False, True, False]),
+        col_blocks=((("x", "b", "y"), ()),),
+        row_blocks=((("cap", "link", "floor"), ()),),
     )
+
+
+def senses_and_rhs(model):
+    """Each row's MPS sense tag and right-hand side, from its bounds."""
+    out = []
+    for lo, hi in zip(model.row_lo, model.row_hi):
+        if lo == hi:
+            out.append(("E", hi))
+        elif lo == -np.inf:
+            out.append(("L", hi))
+        else:
+            out.append(("G", lo))
+    return out
 
 
 def six_subject_model():
@@ -132,7 +144,7 @@ class TestFormat:
     def test_zero_rhs_rows_are_omitted(self):
         model = six_subject_model()
         _, _, rhs, _, _ = parse_fixed_mps((GOLDENS / "six.mps").read_text())
-        assert len(rhs) == sum(1 for c in model.constraints if c.rhs != 0.0)
+        assert len(rhs) == sum(1 for _, value in senses_and_rhs(model) if value != 0.0)
 
 
 class TestRoundTrip:
@@ -145,28 +157,29 @@ class TestRoundTrip:
         row_tag = {orig: tag for tag, orig in names["rows"].items()}
         col_tag = {orig: tag for tag, orig in names["columns"].items()}
 
-        sense_tag = {"<=": "L", ">=": "G", "=": "E"}
-        for con in model.constraints:
-            tag = row_tag[con.name]
-            assert senses[tag] == sense_tag[con.sense]
-            assert rhs.get(tag, 0.0) == con.rhs
-            for vname, coef in con.coeffs:
-                assert coeffs[col_tag[vname]][tag] == coef
+        rows, cols = model.constraints, model.variables
+        for r, (sense, value) in enumerate(senses_and_rhs(model)):
+            tag = row_tag[rows[r]]
+            assert senses[tag] == sense
+            assert rhs.get(tag, 0.0) == value
+        A = model.A.tocoo()
+        for r, j, coef in zip(A.row, A.col, A.data):
+            assert coeffs[col_tag[cols[j]]][row_tag[rows[r]]] == coef
 
         obj = {
-            names["columns"][ctag]: cols[names["objective"]]
-            for ctag, cols in coeffs.items()
-            if names["objective"] in cols
+            names["columns"][ctag]: col[names["objective"]]
+            for ctag, col in coeffs.items()
+            if names["objective"] in col
         }
-        assert obj == dict(model.objective)
+        assert obj == {cols[j]: model.c[j] for j in np.flatnonzero(model.c)}
 
-        for var in model.variables:
-            assert (col_tag[var.name] in binaries) == (var.kind == "binary")
+        for j, name in enumerate(cols):
+            assert (col_tag[name] in binaries) == model.binary[j]
 
     def test_every_model_name_is_mapped(self, tmp_path):
         model = six_subject_model()
         path = tmp_path / "model.mps"
         export_mps(model, path)
         names = json.loads(Path(names_path(path)).read_text())
-        assert sorted(names["rows"].values()) == sorted(c.name for c in model.constraints)
-        assert sorted(names["columns"].values()) == sorted(v.name for v in model.variables)
+        assert sorted(names["rows"].values()) == sorted(model.constraints)
+        assert sorted(names["columns"].values()) == sorted(model.variables)

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import time
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
 from perstrees.errors import (
@@ -181,6 +183,22 @@ class TestEvaluateAssignment:
         assert evaluate_assignment(ds, sk, a, cfg) == evaluate_assignment(
             shifted, sk, a, cfg
         )
+
+    @pytest.mark.parametrize("delta,n,n_cuts", [(2, 60, 3), (3, 80, 4)])
+    def test_scores_the_optimum_bit_for_bit_as_the_search(self, delta, n, n_cuts):
+        checked = 0
+        for seed in range(20):
+            ds = random_dataset(np.random.default_rng(seed), n, 2, 2)
+            cfg = OptConfig(delta=delta, n_min_leaf=1, n_cuts=n_cuts, seed=seed)
+            sk = TreeSkeleton(delta)
+            menu = build_cut_menu(ds, sk, cfg)
+            try:
+                res = solve_exact(ds, sk, menu, cfg)
+            except InfeasibleError:
+                continue
+            assert evaluate_assignment(ds, sk, res.assignment, cfg).hex() == res.objective.hex()
+            checked += 1
+        assert checked >= 10
 
 
 class TestSolveExact:
@@ -595,8 +613,8 @@ class TestMip:
         ds, sk, menu, cfg = slack_instance(1)
         model = build_mip(ds, sk, menu, cfg)
         roles = {}
-        for v in model.variables:
-            role = model.meta[v.name]["role"]
+        for name in model.variables:
+            role = name.split("(")[0]
             roles[role] = roles.get(role, 0) + 1
         n_cuts = sum(len(menu.for_node(p)) for p in sk.internal_nodes)
         assert roles["gamma"] == n_cuts
@@ -604,9 +622,10 @@ class TestMip:
         assert roles["nu"] == ds.n * 2
         assert roles["lambda"] == 2 * ds.m
         assert roles["mu"] == 2
-        gamma = model.variable("gamma(1,1)")
-        assert gamma.kind == "continuous" and (gamma.lower, gamma.upper) == (0.0, 1.0)
-        assert model.variable("lambda(2,1)").kind == "binary"
+        gamma = model.variables.index("gamma(1,1)")
+        assert not model.binary[gamma]
+        assert (model.lower[gamma], model.upper[gamma]) == (0.0, 1.0)
+        assert model.binary[model.variables.index("lambda(2,1)")]
 
     def test_every_feasible_assignment_satisfies_the_model(self):
         ds, sk, menu, cfg = slack_instance(2)
@@ -689,6 +708,25 @@ class TestMip:
         assert check_solution(model, sol) == []
         assert objective_value(model, sol) == 0.0
 
+    def test_non_finite_values_are_bound_problems(self):
+        ds, sk, menu, cfg = slack_instance(7)
+        model = build_mip(ds, sk, menu, cfg)
+        result = solve_exact(ds, sk, menu, cfg)
+        clean = solution_from_assignment(ds, sk, menu, result.assignment)
+        means = {name for name in clean if name.startswith(("mu(", "nu("))}
+        nan = {name: float("nan") if name in means else v for name, v in clean.items()}
+        assert {p["name"] for p in check_solution(model, nan) if p["kind"] == "bound"} == means
+        for name, value in (("delta(1,1)", np.nan), ("mu(2)", np.inf), ("w(1,2)", -np.inf)):
+            problems = check_solution(model, {**clean, name: value})
+            assert any(p["kind"] == "bound" and p["name"] == name for p in problems)
+
+    def test_load_solution_json_rejects_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "sol.json"
+        for text in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
+            path.write_text('{"mu(2)": %s}' % text)
+            with pytest.raises(ParseError):
+                load_solution_json(path)
+
     def test_load_solution_json(self, tmp_path):
         path = tmp_path / "sol.json"
         path.write_text('{"w(1,2)": 1, "mu(2)": 0.25}')
@@ -702,3 +740,42 @@ class TestMip:
         path.write_text('{"w(1,2)": "big"}')
         with pytest.raises(ParseError):
             load_solution_json(path)
+
+
+class TestHighsOracle:
+    """scipy's bundled HiGHS solves the model's arrays on its own. Its
+    optimum must equal solve_exact's, so on these instances the MIP is
+    neither looser nor tighter than the combinatorial search."""
+
+    @staticmethod
+    def instance(seed, n, delta, n_cuts):
+        ds, sk, _, cfg = slack_instance(seed, n=n, delta=delta)
+        cfg = dataclasses.replace(cfg, n_cuts=n_cuts)
+        return ds, sk, build_cut_menu(ds, sk, cfg), cfg
+
+    @staticmethod
+    def highs(model):
+        return milp(
+            model.c,
+            constraints=LinearConstraint(model.A, model.row_lo, model.row_hi),
+            bounds=Bounds(model.lower, model.upper),
+            integrality=model.binary,
+            options={"mip_rel_gap": 0},
+        )
+
+    @pytest.mark.parametrize(
+        "seed,n,delta,n_cuts",
+        [(1, 30, 1, 3), (2, 30, 1, 3), (3, 30, 1, 3), (2, 40, 2, 2), (6, 40, 2, 2), (7, 40, 2, 2)],
+    )
+    def test_optimum_matches_solve_exact(self, seed, n, delta, n_cuts):
+        ds, sk, menu, cfg = self.instance(seed, n, delta, n_cuts)
+        found = self.highs(build_mip(ds, sk, menu, cfg))
+        objective = solve_exact(ds, sk, menu, cfg).objective
+        assert found.status == 0
+        assert abs(found.fun - objective) <= 1e-9 * max(1.0, abs(objective))
+
+    def test_infeasibility_matches_solve_exact(self):
+        ds, sk, menu, cfg = self.instance(8, 40, 2, 2)
+        assert self.highs(build_mip(ds, sk, menu, cfg)).status == 2
+        with pytest.raises(InfeasibleError):
+            solve_exact(ds, sk, menu, cfg)
