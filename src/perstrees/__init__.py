@@ -1,4 +1,11 @@
-"""Treatment personalization from observational data via recursive partitioning."""
+"""Treatment personalization from observational data via recursive partitioning.
+
+Modules log to the "perstrees" logger, which is silent until the
+application configures logging; DEBUG records count the nearest-neighbour
+queries that the screen left to exact rescoring.
+"""
+
+import logging
 
 from .baselines import (
     KnnRegressor,
@@ -74,6 +81,8 @@ from .submatch import (
 from .tree import PersonalizationTree, PtConfig, best_split, fit_pt
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ALGORITHMS",

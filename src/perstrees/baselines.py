@@ -12,15 +12,20 @@ prescribes either the arm whose worst pairwise contrast is smallest
 matrix, so ties always go to the lowest treatment index.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._nearest import row_norms, screen
 from .errors import ConfigError, DomainError, SchemaError
 from .risk import _BatchPolicy
 
-# query rows x training points x features of one kNN distance block, so
-# the block's float64 temporary stays at 128 KB for any query count
+logger = logging.getLogger(__name__)
+
+# query rows x training points x features of one exact kNN distance
+# block, so the block's float64 temporary stays at 128 KB for any query
+# count
 _KNN_BUDGET = 1 << 14
 
 
@@ -73,12 +78,30 @@ class OlsRegressor:
         return r
 
 
+def _masked_means(y, near):
+    """Mean of y over each row's marked points, summed in index order as
+    `y[near[r]].mean()` does: one gather per neighbour count."""
+    counts = near.sum(axis=1)
+    out = np.empty(len(near))
+    for c in np.unique(counts):
+        rows = np.flatnonzero(counts == c)
+        out[rows] = y[np.nonzero(near[rows])[1].reshape(len(rows), c)].mean(axis=1)
+    return out
+
+
 class KnnRegressor:
     """k-nearest-neighbor mean outcome on standardized features.
 
     k defaults to floor(sqrt(n)) of the fitted sample. All points tied
     with the k-th smallest distance are included in the average, so the
     prediction does not depend on sort order among co-distant points.
+
+    The exact distances are those of one pass per query row, the square
+    root of the summed squared differences. `predict` screens each block
+    of queries with one Gram product first (`_nearest.screen`): a row
+    whose k nearest points are certain under a proven rounding margin
+    takes them, and every other row, ties included, is recomputed by the
+    exact pass, so predictions equal the exact pass's bit for bit.
     """
 
     def __init__(self, k=None):
@@ -106,13 +129,27 @@ class KnnRegressor:
     def predict(self, X):
         Z = (_matrix(X) - self.center) / self.scale
         out = np.empty(len(Z))
+        rescored = 0
+        for start, near, settled in screen(Z, row_norms(Z), self.x, row_norms(self.x), self.k):
+            redo = np.flatnonzero(~settled)
+            if redo.size:
+                near[redo] = self._near(Z[start + redo])
+                rescored += redo.size
+            out[start : start + len(near)] = _masked_means(self.y, near)
+        logger.debug("knn: %d of %d rows rescored exactly", rescored, len(Z))
+        return out
+
+    def _near(self, Z):
+        """Neighbour masks by the exact arithmetic, one distance pass per
+        row: every training point no farther than the k-th nearest."""
+        near = np.empty((len(Z), len(self.x)), dtype=bool)
         step = max(1, _KNN_BUDGET // self.x.size)
         for lo in range(0, len(Z), step):
             diff = self.x[None] - Z[lo : lo + step, None]
             dist = np.sqrt(np.square(diff, out=diff).sum(axis=2))
             boundary = np.partition(dist, self.k - 1, axis=1)[:, self.k - 1, None]
-            out[lo : lo + len(dist)] = [self.y[near].mean() for near in dist <= boundary]
-        return out
+            near[lo : lo + len(dist)] = dist <= boundary
+        return near
 
     def to_doc(self):
         return {

@@ -14,6 +14,7 @@ positions.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,14 +86,25 @@ class TreeSkeleton:
             path.append((q, +1 if step == 2 * q + 1 else -1))
         return path
 
+    @cached_property
+    def _children(self):
+        """Read-only (left, right) node arrays, which no cut changes."""
+        top = 2**self.delta
+        p, leaf = np.arange(1, top), np.full(top, -1)
+        children = np.concatenate([2 * p - 1, leaf]), np.concatenate([2 * p, leaf])
+        for a in children:
+            a.flags.writeable = False
+        return children
+
     def _heap(self, cuts):
         """Node arrays (feature, threshold, left, right) under the given
         cuts, node p at index p - 1, in the layout of fitted trees."""
-        top = 2**self.delta
-        p, leaf = np.arange(1, top), np.full(top, -1)
-        feature = np.concatenate([[f for f, _ in cuts], leaf])
-        threshold = np.concatenate([[theta for _, theta in cuts], np.full(top, np.nan)])
-        return feature, threshold, np.concatenate([2 * p - 1, leaf]), np.concatenate([2 * p, leaf])
+        splits = 2**self.delta - 1
+        cut = np.array(cuts, dtype=np.float64).reshape(splits, 2)
+        feature, threshold = np.empty(2 * splits + 1, dtype=np.int64), np.empty(2 * splits + 1)
+        feature[:splits], threshold[:splits] = cut.T
+        feature[splits:], threshold[splits:] = -1, np.nan
+        return feature, threshold, *self._children
 
     def route_many(self, X, cuts):
         """Leaf id (heap numbering) of every row of X under the given cuts."""

@@ -8,17 +8,33 @@ and matches each against the full sample; the optimal protocol (two
 treatments only) picks the set of disjoint cross-arm pairs with the
 smallest total distance. Matched subjects are flagged so training pools
 can exclude them.
+
+Greedy matching screens, then verifies. The exact distance is
+`Metric.distances`, one pass per subject. The screen whitens every row
+by the Cholesky factor of the metric inverse and gets all distances of
+a block of subjects to an arm from one matrix product, each with a
+proven bound on its rounding error (`_nearest`). A subject-arm pair
+with exactly one row that can be nearest takes that row; every other
+pair, ties included, is recomputed by `Metric.distances` and `argmin`,
+as is every pair when the factorization fails. Matches therefore equal
+the exact pass's, lowest row on ties. `optimal_submatch` needs the
+exact distances themselves as assignment costs, so it keeps computing
+them one row at a time.
 """
 
 import csv
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from ._nearest import screen, whiten
 from .errors import DomainError, ParseError, SchemaError
 from .risk import PolicyScore, _coefficient, prescriptions
 from .seeding import make_rng
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -92,6 +108,33 @@ def _arm_indices(ds):
     return arms
 
 
+def _nearest_matches(ds, drawn, arms, metric):
+    """match[j, t - 1]: the row of arm t nearest to subject drawn[j] by
+    `Metric.distances`, ties to the lowest row; -1 on the subject's own
+    arm. The screen settles every pair with a single possible nearest
+    row; the others are recomputed by `Metric.distances` and `argmin`."""
+    match = np.full((len(drawn), ds.m), -1, dtype=np.int64)
+    white = whiten(metric.inverse, ds.X)
+    rescored = 0
+    for t, cands in enumerate(arms, start=1):
+        js = np.flatnonzero(ds.T[drawn] != t)
+        if white is not None:
+            W, b = white
+            q = drawn[js]
+            for start, near, settled in screen(W[q], b[q], W[cands], b[cands], 1):
+                rows = js[start : start + len(near)][settled]
+                match[rows, t - 1] = cands[near[settled].argmax(axis=1)]
+        for j in js[match[js, t - 1] < 0]:
+            dist = metric.distances(ds.X[drawn[j]], ds.X[cands])
+            match[j, t - 1] = cands[np.argmin(dist)]
+            rescored += 1
+    logger.debug(
+        "greedy_submatch: %d of %d pairs rescored exactly",
+        rescored, len(drawn) * (ds.m - 1),
+    )
+    return match
+
+
 def greedy_submatch(ds, n_test, metric, seed):
     """Draw test subjects and match their missing arms greedily.
 
@@ -103,25 +146,14 @@ def greedy_submatch(ds, n_test, metric, seed):
         raise DomainError(f"n_test must lie in 1..{ds.n}")
     arms = _arm_indices(ds)
     drawn = make_rng(seed).choice(ds.n, size=n_test, replace=False)
-    yhat = np.empty((n_test, ds.m), dtype=np.float64)
-    flagged = set()
-    for j, i in enumerate(drawn):
-        for t in range(1, ds.m + 1):
-            if t == ds.T[i]:
-                yhat[j, t - 1] = ds.Y[i]
-                continue
-            cands = arms[t - 1]
-            dist = metric.distances(ds.X[i], ds.X[cands])
-            match = int(cands[np.argmin(dist)])
-            yhat[j, t - 1] = ds.Y[match]
-            flagged.add(match)
-    removed = np.array(sorted(set(drawn.tolist()) | flagged), dtype=np.int64)
+    match = _nearest_matches(ds, drawn, arms, metric)
+    match[np.arange(n_test), ds.T[drawn] - 1] = drawn
     return MatchedTestSet(
         drawn=drawn.astype(np.int64),
         factual_t=ds.T[drawn],
         factual_y=ds.Y[drawn],
-        yhat=yhat,
-        removed=removed,
+        yhat=ds.Y[match],
+        removed=np.unique(match),
         X_test=ds.X[drawn].copy(),
         m=ds.m,
     )

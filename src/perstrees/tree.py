@@ -207,17 +207,21 @@ def _route(X, feature, threshold, left, right):
 
     At split node i (left[i] >= 0) a row goes to left[i] when its
     feature[i] value is <= threshold[i], else to right[i]. Rows descend
-    one level per step and leave the active set at a leaf. Fitted trees
-    and exact-search skeletons both route through this one function.
+    one level per step and leave the active set at a leaf, where their
+    node is written. Fitted trees and exact-search skeletons both route
+    through this one function.
     """
     X = np.asarray(X, dtype=np.float64)
+    split = left >= 0
     node = np.zeros(len(X), dtype=np.int64)
-    active = np.flatnonzero(left[node] >= 0)
+    active = np.flatnonzero(split[node])
     at = node[active]
     while active.size:
         at = np.where(X[active, feature[at]] <= threshold[at], left[at], right[at])
+        inner = split[at]
+        if np.count_nonzero(inner) == inner.size:  # no row reached a leaf
+            continue
         node[active] = at
-        inner = left[at] >= 0
         active, at = active[inner], at[inner]
     return node
 

@@ -1,7 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
-from perstrees import baselines
+from perstrees import _nearest, baselines
 from perstrees.baselines import (
     KnnRegressor,
     OlsRegressor,
@@ -371,6 +373,53 @@ class TestKnnBatch:
             dist = np.sqrt(((reg.x - z) ** 2).sum(axis=1))
             ties += np.count_nonzero(dist <= np.sort(dist)[reg.k - 1]) > reg.k
         assert ties > 0
+
+
+def ulp_pairs(n, offset):
+    """n / 2 points around `offset`, each followed by its 1-ulp neighbour."""
+    base = offset + np.random.default_rng(1).uniform(-1.0, 1.0, size=(n // 2, 2))
+    return np.stack([base, np.nextafter(base, np.inf)], axis=1).reshape(-1, 2)
+
+
+# name -> (training X, queries, whether the screen must leave some rows
+# to exact rescoring at k = 1, whether the model stores X unscaled)
+KNN_SCREEN_CASES = {
+    "discrete-grid ties": lambda: (grid_sample(150, 23).X, grid_sample(60, 24).X, True, False),
+    "duplicate rows": lambda: (
+        np.tile(np.random.default_rng(3).normal(size=(50, 2)), (3, 1)),
+        np.random.default_rng(4).normal(size=(60, 2)), True, False),
+    # stored as given, as a model document may hold them, so the pairs
+    # stay 1 ulp apart where the distances are taken
+    "one ulp apart": lambda: (ulp_pairs(150, 1e3), ulp_pairs(60, 1e3) + 1e-3, True, True),
+    "common offset 1e6": lambda: (
+        1e6 + 1e-3 * np.random.default_rng(5).normal(size=(150, 3)),
+        1e6 + 1e-3 * np.random.default_rng(6).normal(size=(60, 3)), False, False),
+    "blocks past the budget": lambda: (
+        np.random.default_rng(7).normal(size=(150, 4)),
+        np.random.default_rng(8).normal(size=(_nearest._SCREEN_CELLS // 150 * 2 + 7, 4)),
+        False, False),
+}
+
+
+class TestKnnScreen:
+    @pytest.mark.parametrize("k", [1, 5, None, 150])
+    @pytest.mark.parametrize("case", sorted(KNN_SCREEN_CASES))
+    def test_matches_row_reference(self, case, k, caplog):
+        X, queries, rescores, unscaled = KNN_SCREEN_CASES[case]()
+        reg = KnnRegressor(k=k).fit(X, np.random.default_rng(9).normal(size=len(X)))
+        if unscaled:
+            reg.center, reg.scale, reg.x = np.zeros(X.shape[1]), np.ones(X.shape[1]), X
+        with caplog.at_level(logging.DEBUG, logger="perstrees"):
+            got = reg.predict(queries)
+        want = np.array([knn_row(reg, q) for q in queries])
+        assert got.tobytes() == want.tobytes()
+        (record,) = [r for r in caplog.records if r.name == "perstrees.baselines"]
+        rescored, rows = record.args
+        assert rows == len(queries)
+        if k == 1:
+            assert (rescored > 0) == rescores
+        if k == len(X):
+            assert rescored == 0  # every point is a neighbour, ties or not
 
 
 def row_value(reg, x):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import perstrees
 from perstrees.cli import main
 from perstrees.data import load_csv
 from perstrees.model_io import load_model
@@ -155,6 +159,39 @@ class TestTrainPredictEvaluate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["protocol"] == "greedy-submatch" and doc["n_test"] == 25
         assert json.loads(metrics.read_text()) == doc
+
+
+class TestBlasThreads:
+    def test_evaluate_bytes_do_not_depend_on_blas_threads(self, tmp_path, monkeypatch):
+        """The nearest-neighbour screens multiply matrices with BLAS, whose
+        summation order may follow the thread count; matched sets and kNN
+        predictions must not."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(
+            json.dumps({"preset": "warfarin-like", "n": 2000, "seed": 5})
+        )
+        assert run("gen-data", "--spec", "spec.json", "--out", "data.csv") == 0
+        data = ("--data", "data.csv", "--cf-cols", "y1,y2,y3", "--q-col", "q")
+        assert run("train", "--algo", "pt", *data, "--params", '{"n_min_leaf": 10}',
+                   "--out", "pt.json") == 0
+        assert run("train", "--algo", "rc-knn", *data, "--out", "knn.json") == 0
+        src = os.path.dirname(os.path.dirname(perstrees.__file__))
+        script = ("import json, sys; from perstrees.cli import main; "
+                  "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+        for threads in ("1", "2"):
+            commands = [
+                ["evaluate", "--model", "pt.json", *data, "--greedy", "500", "--seed", "1",
+                 "--out", f"greedy-{threads}.json"],
+                ["evaluate", "--model", "knn.json", *data, "--oracle",
+                 "--out", f"oracle-{threads}.json"],
+            ]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        for name in ("greedy", "oracle"):
+            assert (tmp_path / f"{name}-1.json").read_bytes() == (
+                tmp_path / f"{name}-2.json").read_bytes()
 
 
 class TestSubmatchCommand:

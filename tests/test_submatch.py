@@ -1,12 +1,15 @@
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from perstrees import _nearest
 from perstrees.data import Dataset
 from perstrees.errors import DomainError, ParseError, SchemaError
 from perstrees.risk import FunctionPolicy
+from perstrees.seeding import make_rng
 from perstrees.submatch import (
     MatchedTestSet,
     Metric,
@@ -145,6 +148,92 @@ class TestGreedy:
         ds_one_arm = Dataset(X=np.zeros((3, 1)), T=np.ones(3, dtype=int), Y=np.zeros(3), m=2)
         with pytest.raises(DomainError, match="treatment 2"):
             greedy_submatch(ds_one_arm, 1, IDENTITY_1D, seed=0)
+
+
+def greedy_reference(ds, n_test, metric, seed):
+    """The row-at-a-time greedy loop: one `Metric.distances` pass and
+    argmin per drawn subject and missing arm. Returns drawn, yhat and
+    removed."""
+    drawn = make_rng(seed).choice(ds.n, size=n_test, replace=False)
+    arms = [np.flatnonzero(ds.T == t) for t in range(1, ds.m + 1)]
+    yhat = np.empty((n_test, ds.m), dtype=np.float64)
+    flagged = set()
+    for j, i in enumerate(drawn):
+        for t in range(1, ds.m + 1):
+            if t == ds.T[i]:
+                yhat[j, t - 1] = ds.Y[i]
+                continue
+            cands = arms[t - 1]
+            match = int(cands[np.argmin(metric.distances(ds.X[i], ds.X[cands]))])
+            yhat[j, t - 1] = ds.Y[match]
+            flagged.add(match)
+    return drawn, yhat, np.array(sorted(set(drawn.tolist()) | flagged), dtype=np.int64)
+
+
+def screen_dataset(X, m=2, seed=0):
+    rng = np.random.default_rng(seed)
+    T = rng.integers(1, m + 1, size=len(X))
+    T[:m] = np.arange(1, m + 1)
+    return Dataset(X=X, T=T, Y=rng.normal(size=len(X)), m=m)
+
+
+def ulp_pairs(n, offset):
+    """n / 2 points around `offset`, each followed by its 1-ulp neighbour."""
+    base = offset + np.random.default_rng(1).uniform(-1.0, 1.0, size=(n // 2, 2))
+    return np.stack([base, np.nextafter(base, np.inf)], axis=1).reshape(-1, 2)
+
+
+# name -> (dataset, metric or None for the sample's, n_test, whether the
+# screen must leave some pairs to exact rescoring)
+SCREEN_CASES = {
+    "discrete-grid ties": lambda: (
+        screen_dataset(np.random.default_rng(2).choice([-1.0, 0.0, 1.0], size=(300, 3)), m=3),
+        None, 120, True),
+    "duplicate rows": lambda: (
+        screen_dataset(np.tile(np.random.default_rng(3).normal(size=(40, 2)), (3, 1))),
+        None, 80, True),
+    "one ulp apart": lambda: (screen_dataset(ulp_pairs(200, 1e3)), IDENTITY_2D, 100, True),
+    "common offset 1e6": lambda: (
+        screen_dataset(1e6 + 1e-3 * np.random.default_rng(4).normal(size=(200, 3))),
+        None, 60, True),
+    "singular metric": lambda: (
+        screen_dataset(np.random.default_rng(5).normal(size=(120, 2))),
+        Metric(inverse=np.diag([1.0, 0.0])), 50, True),
+    "indefinite metric": lambda: (
+        screen_dataset(np.random.default_rng(6).normal(size=(120, 2))),
+        Metric(inverse=np.diag([1.0, -1.0])), 50, True),
+    "blocks past the budget": lambda: (
+        screen_dataset(np.random.default_rng(7).normal(size=(600, 4)), m=3),
+        None, 450, False),
+}
+
+IDENTITY_2D = Metric(inverse=np.eye(2))
+
+
+class TestScreenedGreedy:
+    @pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+    def test_matches_row_reference(self, case, caplog):
+        ds, metric, n_test, rescores = SCREEN_CASES[case]()
+        metric = metric or mahalanobis_metric(ds)
+        with caplog.at_level(logging.DEBUG, logger="perstrees"):
+            mts = greedy_submatch(ds, n_test, metric, seed=5)
+        drawn, yhat, removed = greedy_reference(ds, n_test, metric, seed=5)
+        assert mts.drawn.tobytes() == drawn.tobytes()
+        assert mts.yhat.tobytes() == yhat.tobytes()
+        assert mts.removed.tobytes() == removed.tobytes()
+        (record,) = [r for r in caplog.records if r.name == "perstrees.submatch"]
+        rescored, pairs = record.args
+        assert pairs == n_test * (ds.m - 1)
+        assert (rescored > 0) == rescores
+        if not rescores:
+            arm = np.bincount(ds.T).max()
+            assert n_test * arm > _nearest._SCREEN_CELLS  # several blocks per arm
+
+    def test_unsymmetric_inverse_is_exact(self):
+        ds = screen_dataset(np.random.default_rng(8).normal(size=(150, 2)))
+        metric = Metric(inverse=np.array([[1.0, 0.3], [-0.1, 2.0]]))
+        mts = greedy_submatch(ds, 40, metric, seed=1)
+        assert mts.yhat.tobytes() == greedy_reference(ds, 40, metric, seed=1)[1].tobytes()
 
 
 class TestOptimal:
