@@ -5,11 +5,13 @@ experiment. Every command is a thin shell over the library; outputs
 are deterministic for a fixed seed, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data or
-feasibility error.
+feasibility error. `perstrees -v <command>` prints the package's DEBUG
+log records to stderr; stdout and every written file stay the same.
 """
 
 import argparse
 import json
+import logging
 import math
 import sys
 
@@ -172,6 +174,8 @@ def cmd_experiment(args):
 
 def build_parser():
     parser = _Parser(prog="perstrees", description=__doc__.splitlines()[0])
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log DEBUG records of the perstrees logger to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
@@ -233,6 +237,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("perstrees")
+    level = logger.level
+    handler = logging.StreamHandler(sys.stderr)
+    if args.verbose:
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -247,6 +257,9 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print(f"perstrees: error: invalid JSON: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

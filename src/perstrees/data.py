@@ -196,7 +196,28 @@ def _parse_label(cell, row, column):
     v = _parse_float(cell, row, column)
     if not v.is_integer():
         raise ParseError("treatment label must be an integer", row=row, column=column)
+    if not -(2.0**63) <= v < 2.0**63:
+        raise ParseError("treatment label beyond the 64-bit integer range", row=row, column=column)
+    if v < 1:
+        raise DomainError(f"treatment label {int(v)} < 1 (row {row})")
     return int(v)
+
+
+def _valid_labels(v):
+    return np.isfinite(v) & (v == np.trunc(v)) & (v >= 1) & (v < 2.0**63)
+
+
+def _column(cells, column, valid=np.isfinite, parse=_parse_float):
+    """Parse one column with float(); on any bad cell, rescan the column
+    with the per-cell `parse`, which raises for its first bad row."""
+    try:
+        v = np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        v = None
+    if v is None or not valid(v).all():
+        for i, cell in enumerate(cells):
+            parse(cell, i + 2, column)
+    return v
 
 
 def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=None, q_col=None):
@@ -206,6 +227,10 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
     propensity columns are treated as features. A feature column whose
     cells all parse as numbers is numeric; otherwise it is categorical
     and one-hot encoded over its sorted distinct values.
+
+    Columns are parsed whole, in the order treatment, outcome,
+    counterfactuals, propensity, features, so with several bad cells the
+    error names the first bad row of the first bad column in that order.
 
     Args:
         path: CSV file with a header row.
@@ -224,7 +249,7 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header required") from None
-        rows = [r for r in reader if r]
+        rows = list(filter(None, reader))
 
     reserved = [treatment_col, outcome_col] + list(cf_cols or []) + ([q_col] if q_col else [])
     for col in reserved:
@@ -232,21 +257,17 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
             raise SchemaError(f"{path}: missing column {col!r}")
     if len(set(header)) != len(header):
         raise SchemaError(f"{path}: duplicate column names")
-    col_index = {name: j for j, name in enumerate(header)}
     feature_cols = [name for name in header if name not in reserved]
 
-    for i, r in enumerate(rows):
-        if len(r) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
+    if set(map(len, rows)) - {len(header)}:
+        for i, r in enumerate(rows):
+            if len(r) != len(header):
+                raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
 
     n = len(rows)
-    T = np.empty(n, dtype=np.int64)
-    Y = np.empty(n, dtype=np.float64)
-    for i, r in enumerate(rows):
-        T[i] = _parse_label(r[col_index[treatment_col]], i + 2, treatment_col)
-        if T[i] < 1:
-            raise DomainError(f"treatment label {T[i]} < 1 (row {i + 2})")
-        Y[i] = _parse_float(r[col_index[outcome_col]], i + 2, outcome_col)
+    cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
+    T = _column(cells[treatment_col], treatment_col, _valid_labels, _parse_label).astype(np.int64)
+    Y = _column(cells[outcome_col], outcome_col)
 
     m = int(T.max()) if n else 1
     CF = None
@@ -254,74 +275,72 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
         m = len(cf_cols)
         if n and T.max() > m:
             raise DomainError(f"label {T.max()} exceeds the {m} counterfactual columns")
-        CF = np.empty((n, m), dtype=np.float64)
-        for i, r in enumerate(rows):
-            for t, col in enumerate(cf_cols):
-                CF[i, t] = _parse_float(r[col_index[col]], i + 2, col)
-    Q = None
-    if q_col:
-        Q = np.empty(n, dtype=np.float64)
-        for i, r in enumerate(rows):
-            Q[i] = _parse_float(r[col_index[q_col]], i + 2, q_col)
+        CF = np.column_stack([_column(cells[col], col) for col in cf_cols])
+    Q = _column(cells[q_col], q_col) if q_col else None
 
     features = []
     encoded = []
     for name in feature_cols:
-        j = col_index[name]
-        cells = [r[j] for r in rows]
+        column = cells[name]
         try:
-            col = np.array([float(c) for c in cells], dtype=np.float64)
-            bad = np.flatnonzero(~np.isfinite(col))
-            if bad.size:
-                raise ParseError("not a finite number", row=int(bad[0]) + 2, column=name)
-            features.append(Feature(name))
-            encoded.append(col.reshape(-1, 1))
+            col = np.array(list(map(float, column)), dtype=np.float64)
         except ValueError:
-            levels = tuple(sorted(set(cells)))
+            levels = tuple(sorted(set(column)))
             features.append(Feature(name, levels=levels))
-            block = np.zeros((n, len(levels)), dtype=np.float64)
             pos = {lv: k for k, lv in enumerate(levels)}
-            for i, c in enumerate(cells):
-                block[i, pos[c]] = 1.0
+            block = np.zeros((n, len(levels)), dtype=np.float64)
+            block[np.arange(n), [pos[c] for c in column]] = 1.0
             encoded.append(block)
+            continue
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise ParseError("not a finite number", row=int(bad[0]) + 2, column=name)
+        features.append(Feature(name))
+        encoded.append(col.reshape(-1, 1))
 
     X = np.hstack(encoded) if encoded else np.empty((n, 0))
     return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
 
 
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if f.is_integer() and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
+_SAVE_BLOCK = 8192  # rows formatted per write, so memory stays bounded
+
+
+def _fmt(col):
+    """The cells of one column, as strings."""
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    whole = (col == np.trunc(col)) & (np.abs(col) < 1e15)
+    if whole.all():
+        return list(map(str, col.astype(np.int64).tolist()))
+    if not whole.any():
+        return list(map(repr, col.tolist()))
+    return [str(int(v)) if w else repr(v) for v, w in zip(col.tolist(), whole.tolist())]
 
 
 def save_csv(ds, path):
     """Write the encoded dataset as CSV (features, treatment, outcome,
     y1..ym if counterfactuals are present, q if propensities are).
 
-    Floats are written with shortest round-trip precision, so a reload
-    reproduces the arrays bit for bit.
+    Floats are written with shortest round-trip precision, whole
+    numbers below 1e15 without a fraction, so a reload reproduces the
+    arrays bit for bit except that -0.0 comes back as 0.0. The header
+    goes through csv.writer; numeric cells never need quoting, so data
+    rows are joined directly, each ending in CRLF as csv.writer ends
+    them.
     """
     header = list(ds.schema.encoded_names) + ["treatment", "outcome"]
+    columns = [*ds.X.T, ds.T, ds.Y]
     if ds.CF is not None:
         header += [f"y{t + 1}" for t in range(ds.m)]
+        columns += list(ds.CF.T)
     if ds.Q is not None:
         header += ["q"]
+        columns.append(ds.Q)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [_fmt(v) for v in ds.X[i]]
-            row.append(str(int(ds.T[i])))
-            row.append(_fmt(ds.Y[i]))
-            if ds.CF is not None:
-                row.extend(_fmt(v) for v in ds.CF[i])
-            if ds.Q is not None:
-                row.append(_fmt(ds.Q[i]))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for start in range(0, ds.n, _SAVE_BLOCK):
+            cells = [_fmt(col[start : start + _SAVE_BLOCK]) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def confounded_propensity(z, m=3):

@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..errors import InfeasibleError, ParseError
 from ..risk import _counts_and_sums
@@ -63,7 +62,7 @@ class MipModel:
     """
 
     c: np.ndarray
-    A: sparse.csc_array
+    A: "scipy.sparse.csc_array"
     row_lo: np.ndarray
     row_hi: np.ndarray
     lower: np.ndarray
@@ -141,6 +140,8 @@ def build_mip(ds, skeleton, menu, config):
         InfeasibleError: n < n_leaves * m * n_min_leaf, so no routing
             can satisfy the per-leaf occupancy minimums.
     """
+    from scipy import sparse  # imported on use: commands without a MIP never load scipy
+
     n, m, n_leaves = ds.n, ds.m, len(skeleton.leaves)
     if n < n_leaves * m * config.n_min_leaf:
         raise InfeasibleError(

@@ -27,7 +27,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._nearest import screen, whiten
 from .errors import DomainError, ParseError, SchemaError
@@ -171,6 +170,8 @@ def optimal_submatch(ds, n_pair, metric):
     for arm sizes n1 and n2, about 8 * n1 * (n2 + n1) bytes; 10,000
     subjects per arm take 1.6 GB.
     """
+    from scipy.optimize import linear_sum_assignment  # imported on use, like in build_mip
+
     if ds.m != 2:
         raise DomainError("optimal submatching is defined for two treatments only")
     arm1, arm2 = _arm_indices(ds)

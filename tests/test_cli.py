@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -192,6 +193,69 @@ class TestBlasThreads:
         for name in ("greedy", "oracle"):
             assert (tmp_path / f"{name}-1.json").read_bytes() == (
                 tmp_path / f"{name}-2.json").read_bytes()
+
+
+class TestVerbose:
+    def test_debug_records_go_to_stderr_only(self, tmp_path, quad_csv, capsys):
+        cols = ("--data", str(quad_csv), "--cf-cols", "y1,y2", "--q-col", "q")
+        model = tmp_path / "model.json"
+        assert run("train", "--algo", "pt", *cols, "--params", '{"n_min_leaf": 5}',
+                   "--out", str(model)) == 0
+        capsys.readouterr()
+        handlers = list(logging.getLogger("perstrees").handlers)
+        outputs = {}
+        for flag in ((), ("-v",)):
+            out = tmp_path / f"metrics{len(flag)}.json"
+            assert run(*flag, "evaluate", "--model", str(model), *cols, "--greedy", "30",
+                       "--out", str(out)) == 0
+            captured = capsys.readouterr()
+            outputs[flag] = (captured.out, out.read_bytes(), captured.err)
+        assert outputs[()][:2] == outputs[("-v",)][:2]
+        assert outputs[()][2] == ""
+        assert "greedy_submatch: 0 of 30 pairs rescored exactly" in outputs[("-v",)][2]
+        assert logging.getLogger("perstrees").handlers == handlers
+
+    def test_knn_record(self, tmp_path, quad_csv, capsys):
+        cols = ("--data", str(quad_csv), "--cf-cols", "y1,y2", "--q-col", "q")
+        model = tmp_path / "knn.json"
+        assert run("-v", "train", "--algo", "rc-knn", *cols, "--out", str(model)) == 0
+        assert run("-v", "evaluate", "--model", str(model), *cols, "--oracle") == 0
+        assert "knn: " in capsys.readouterr().err
+
+
+class TestColdStart:
+    """scipy costs about half a second to import; only optimal submatching
+    and the MIP build load it, on first use."""
+
+    def env(self):
+        src = os.path.dirname(os.path.dirname(perstrees.__file__))
+        return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def test_import_leaves_scipy_unloaded(self):
+        script = ("import sys, perstrees, perstrees.cli; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", script], env=self.env(), check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.strip() == "[]"
+
+    def test_scipy_commands_run_in_fresh_processes(self, tmp_path, quad_csv):
+        cols = ("--data", str(quad_csv), "--cf-cols", "y1,y2", "--q-col", "q")
+        model = tmp_path / "model.json"
+        assert run("train", "--algo", "pt", *cols, "--params", '{"n_min_leaf": 5}',
+                   "--out", str(model)) == 0
+        commands = [
+            ["evaluate", "--model", str(model), *cols, "--optimal", "10"],
+            ["export-mip", *cols, "--delta", "1", "--n-min-leaf", "5", "--n-cuts", "3",
+             "--out", str(tmp_path / "tree.mps")],
+        ]
+        stdout = []
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "perstrees.cli", *argv],
+                                  env=self.env(), capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            stdout.append(done.stdout)
+        assert json.loads(stdout[0])["protocol"] == "optimal-submatch"
+        assert (tmp_path / "tree.mps").read_text().rstrip().endswith("ENDATA")
 
 
 class TestSubmatchCommand:
@@ -395,6 +459,14 @@ class TestExitCodes:
         kind = doc["kind"]
         want = f"malformed {kind} model" if isinstance(kind, str) else "unknown model kind"
         assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["1e300", "-1e300"])
+    def test_oversized_label_exits_2(self, tmp_path, label, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text(f"x1,treatment,outcome\n1,1,0\n2,{label},1\n")
+        code = run("train", "--algo", "pt", "--data", str(data), "--out", str(tmp_path / "m.json"))
+        assert code == 2
+        assert "(row 3, column 'treatment')" in capsys.readouterr().err
 
     def test_oracle_without_cf_columns_exits_2(self, tmp_path, quad_csv):
         model = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -268,3 +269,286 @@ class TestSplitBootstrap:
         assert np.array_equal(i1, i2)
         assert not np.array_equal(i1, i3)
         assert len(i1) == 30
+
+
+# Test-only copies of the per-cell CSV codec that the columnar one
+# replaced. They pin the columnar code to the same bytes, values and
+# errors.
+
+
+def _parse_float_reference(cell, row, column):
+    try:
+        v = float(cell)
+    except ValueError:
+        raise ParseError("not a number", row=row, column=column) from None
+    if not math.isfinite(v):
+        raise ParseError("not a finite number", row=row, column=column)
+    return v
+
+
+def _parse_label_reference(cell, row, column):
+    v = _parse_float_reference(cell, row, column)
+    if not v.is_integer():
+        raise ParseError("treatment label must be an integer", row=row, column=column)
+    return int(v)
+
+
+def load_csv_reference(path, treatment_col="treatment", outcome_col="outcome", cf_cols=None,
+                       q_col=None):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, header required") from None
+        rows = [r for r in reader if r]
+
+    reserved = [treatment_col, outcome_col] + list(cf_cols or []) + ([q_col] if q_col else [])
+    for col in reserved:
+        if col not in header:
+            raise SchemaError(f"{path}: missing column {col!r}")
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate column names")
+    col_index = {name: j for j, name in enumerate(header)}
+    feature_cols = [name for name in header if name not in reserved]
+
+    for i, r in enumerate(rows):
+        if len(r) != len(header):
+            raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
+
+    n = len(rows)
+    T = np.empty(n, dtype=np.int64)
+    Y = np.empty(n, dtype=np.float64)
+    for i, r in enumerate(rows):
+        T[i] = _parse_label_reference(r[col_index[treatment_col]], i + 2, treatment_col)
+        if T[i] < 1:
+            raise DomainError(f"treatment label {T[i]} < 1 (row {i + 2})")
+        Y[i] = _parse_float_reference(r[col_index[outcome_col]], i + 2, outcome_col)
+
+    m = int(T.max()) if n else 1
+    CF = None
+    if cf_cols:
+        m = len(cf_cols)
+        if n and T.max() > m:
+            raise DomainError(f"label {T.max()} exceeds the {m} counterfactual columns")
+        CF = np.empty((n, m), dtype=np.float64)
+        for i, r in enumerate(rows):
+            for t, col in enumerate(cf_cols):
+                CF[i, t] = _parse_float_reference(r[col_index[col]], i + 2, col)
+    Q = None
+    if q_col:
+        Q = np.empty(n, dtype=np.float64)
+        for i, r in enumerate(rows):
+            Q[i] = _parse_float_reference(r[col_index[q_col]], i + 2, q_col)
+
+    features = []
+    encoded = []
+    for name in feature_cols:
+        j = col_index[name]
+        cells = [r[j] for r in rows]
+        try:
+            col = np.array([float(c) for c in cells], dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                raise ParseError("not a finite number", row=int(bad[0]) + 2, column=name)
+            features.append(Feature(name))
+            encoded.append(col.reshape(-1, 1))
+        except ValueError:
+            levels = tuple(sorted(set(cells)))
+            features.append(Feature(name, levels=levels))
+            block = np.zeros((n, len(levels)), dtype=np.float64)
+            pos = {lv: k for k, lv in enumerate(levels)}
+            for i, c in enumerate(cells):
+                block[i, pos[c]] = 1.0
+            encoded.append(block)
+
+    X = np.hstack(encoded) if encoded else np.empty((n, 0))
+    return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
+
+
+def _fmt_reference(v):
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    f = float(v)
+    if f.is_integer() and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+def save_csv_reference(ds, path):
+    header = list(ds.schema.encoded_names) + ["treatment", "outcome"]
+    if ds.CF is not None:
+        header += [f"y{t + 1}" for t in range(ds.m)]
+    if ds.Q is not None:
+        header += ["q"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ds.n):
+            row = [_fmt_reference(v) for v in ds.X[i]]
+            row.append(str(int(ds.T[i])))
+            row.append(_fmt_reference(ds.Y[i]))
+            if ds.CF is not None:
+                row.extend(_fmt_reference(v) for v in ds.CF[i])
+            if ds.Q is not None:
+                row.append(_fmt_reference(ds.Q[i]))
+            writer.writerow(row)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 2.0**53 + 1.0, 5e-324, -5e-324,
+    1.7e308, -1.7e308, 3.0, -7.0, 0.1, 1 / 3, 123456789.0, 2.5e-8, 1e16, 4503599627370497.0,
+]
+
+
+def _assert_same_dataset(a, b):
+    assert a.schema == b.schema and a.m == b.m
+    for name in ("X", "T", "Y", "CF", "Q"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+        else:
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+def _same_outcome(fn, reference):
+    """Run both loaders; they must agree on the dataset or on the error."""
+    try:
+        expected = reference()
+    except Exception as exc:  # noqa: BLE001 - the type is compared below
+        with pytest.raises(type(exc)) as err:
+            fn()
+        assert str(err.value) == str(exc)
+        assert getattr(err.value, "row", None) == getattr(exc, "row", None)
+        assert getattr(err.value, "column", None) == getattr(exc, "column", None)
+        return err.value
+    _assert_same_dataset(fn(), expected)
+    return None
+
+
+class TestCsvCodecExactness:
+    CF = {"cf_cols": ["y1", "y2"], "q_col": "q"}
+
+    def edge_dataset(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 * len(EDGE_VALUES)
+        pick = lambda shape: rng.choice(EDGE_VALUES, size=shape)  # noqa: E731
+        X = np.column_stack([pick(n), rng.normal(size=n), pick(n).round(), pick(n)])
+        T = rng.integers(1, 3, size=n)
+        CF = pick((n, 2))
+        Q = rng.choice([5e-324, 1e-300, 0.25, 1.0, 1 / 3, 0.1], size=n)
+        return Dataset(X=X, T=T, Y=CF[np.arange(n), T - 1], m=2, CF=CF, Q=Q)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_values_bytes_and_bits(self, tmp_path, seed):
+        ds = self.edge_dataset(seed)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        save_csv(ds, new)
+        save_csv_reference(ds, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        back = _same_outcome(lambda: load_csv(str(new), **self.CF),
+                             lambda: load_csv_reference(str(ref), **self.CF))
+        assert back is None
+        again = load_csv(str(new), **self.CF)
+        for name in ("X", "T", "Y", "CF", "Q"):  # -0.0 is written as 0
+            assert np.array_equal(getattr(again, name), getattr(ds, name)), name
+
+    def test_each_edge_value_alone(self, tmp_path):
+        for k, v in enumerate(EDGE_VALUES):
+            ds = Dataset(X=np.array([[v]]), T=np.array([1]), Y=np.array([v]), m=1)
+            new, ref = tmp_path / f"n{k}.csv", tmp_path / f"r{k}.csv"
+            save_csv(ds, new)
+            save_csv_reference(ds, ref)
+            assert new.read_bytes() == ref.read_bytes(), v
+            expected = 0.0 if v == 0 else v  # -0.0 is written as 0
+            assert load_csv(str(new)).X.tobytes() == np.array([[expected]]).tobytes(), v
+
+    def test_blocks_of_rows(self, tmp_path):
+        rng = np.random.default_rng(11)
+        ds = random_dataset(rng, 20_000, 2, 3, with_cf=True, with_q=True)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        save_csv(ds, new)
+        save_csv_reference(ds, ref)
+        assert new.read_bytes() == ref.read_bytes()
+
+    def test_categorical_levels_with_commas_and_quotes(self, tmp_path):
+        levels = ('a,b', 'say "hi"', "plain", " padded ", "line\nbreak")
+        p = tmp_path / "cat.csv"
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["kind", "x", "treatment", "outcome"])
+            for i, lv in enumerate(levels * 3):
+                writer.writerow([lv, i * 0.5, 1 + i % 2, -i])
+        _same_outcome(lambda: load_csv(str(p)), lambda: load_csv_reference(str(p)))
+        ds = load_csv(str(p))
+        assert ds.schema.features[0].levels == tuple(sorted(levels))
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        save_csv(ds, new)
+        save_csv_reference(ds, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        assert b'"kind=a,b"' in new.read_bytes()
+
+    def test_header_only(self, tmp_path):
+        p = write(tmp_path / "h.csv", "x1,treatment,outcome,y1,y2,q\n")
+        _same_outcome(lambda: load_csv(p, **self.CF), lambda: load_csv_reference(p, **self.CF))
+        ds = load_csv(p, **self.CF)
+        assert (ds.n, ds.d, ds.m) == (0, 1, 2)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        save_csv(ds, new)
+        save_csv_reference(ds, ref)
+        assert new.read_bytes() == ref.read_bytes() == b"x1,treatment,outcome,y1,y2,q\r\n"
+
+    HEADER = ["x1", "x2", "treatment", "outcome", "y1", "y2", "q"]
+    GOOD = [["0.5", "1", "1", "0.25", "0.25", "3", "0.5"],
+            ["-1", "2", "2", "7", "1", "7", "1"],
+            ["2e-3", "3", "1", "0", "0", "-1", "0.125"]]
+
+    @pytest.mark.parametrize("column,cell", [
+        ("treatment", "abc"), ("treatment", ""), ("treatment", "1.5"), ("treatment", "0"),
+        ("treatment", "-3"), ("treatment", "-0"), ("treatment", "nan"), ("treatment", "inf"),
+        ("treatment", "-inf"), ("treatment", "3"), ("outcome", "x"), ("outcome", "nan"),
+        ("outcome", "1e999"), ("y1", "?"), ("y1", "inf"), ("y2", "nan"), ("y2", "-"),
+        ("q", "oops"), ("q", "-inf"), ("q", "0"), ("x1", "inf"), ("x1", "NaN"),
+        ("x2", "-Infinity"), ("x2", "1e400"),
+    ])
+    @pytest.mark.parametrize("row", range(3))
+    def test_single_bad_cell(self, tmp_path, column, cell, row):
+        rows = [list(r) for r in self.GOOD]
+        rows[row][self.HEADER.index(column)] = cell
+        text = "\n".join(",".join(r) for r in [self.HEADER] + rows) + "\n"
+        p = write(tmp_path / "bad.csv", text)
+        err = _same_outcome(lambda: load_csv(p, **self.CF),
+                            lambda: load_csv_reference(p, **self.CF))
+        assert err is not None
+
+    def test_ragged_row(self, tmp_path):
+        p = write(tmp_path / "r.csv", "x1,treatment,outcome\n1,1,0\n2,1\n3,1,0,9\n")
+        err = _same_outcome(lambda: load_csv(p), lambda: load_csv_reference(p))
+        assert isinstance(err, ParseError) and err.row == 3
+
+    def test_first_bad_cell_in_column_order(self, tmp_path):
+        # a bad outcome on row 2 and a bad label on row 3: columns are
+        # parsed in the order treatment, outcome, ..., so the label wins
+        p = write(tmp_path / "two.csv", "x1,treatment,outcome\n1,1,oops\n2,1.5,0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert (err.value.row, err.value.column) == (3, "treatment")
+        # within a column the first bad row wins, whatever its fault
+        p = write(tmp_path / "col.csv", "x1,treatment,outcome\n1,1,0\n2,0,0\n3,abc,0\n")
+        with pytest.raises(DomainError, match=r"label 0 < 1 \(row 3\)"):
+            load_csv(p)
+
+
+class TestOversizedLabel:
+    @pytest.mark.parametrize("cell", ["1e300", "-1e300", "9223372036854775808", "1e19"])
+    def test_parse_error_names_row_and_column(self, tmp_path, cell):
+        p = write(tmp_path / "big.csv", f"x1,treatment,outcome\n1,1,0\n2,{cell},0\n")
+        with pytest.raises(ParseError, match="64-bit integer range") as err:
+            load_csv(p)
+        assert (err.value.row, err.value.column) == (3, "treatment")
+
+    def test_largest_int64_label_is_kept(self, tmp_path):
+        # 2**63 - 1024 is the largest double below 2**63
+        p = write(tmp_path / "edge.csv", "x1,treatment,outcome\n1,9223372036854774784,0\n")
+        assert load_csv(p).T.tolist() == [2**63 - 1024]
