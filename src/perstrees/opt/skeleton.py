@@ -13,6 +13,7 @@ positions.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,12 +29,12 @@ class OptConfig:
     """Exact-search settings.
 
     Attributes:
-        delta: exact tree depth (every leaf sits at this depth).
+        delta: exact tree depth, an integer (every leaf sits at this depth).
         n_min_leaf: minimum subjects of every treatment in every leaf.
         n_features: features drawn per node menu; None means all.
         n_cuts: target number of cut positions per feature.
-        time_limit: wall-clock budget in seconds for solve_exact; None
-            means unlimited.
+        time_limit: wall-clock budget in seconds for solve_exact, a
+            number >= 0 (not NaN); None means unlimited.
         seed: seed for menu feature draws and warm-start padding.
     """
 
@@ -45,8 +46,14 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta < 1:
-            raise ConfigError("delta must be at least 1")
+        delta = self.delta
+        if isinstance(delta, bool) or not isinstance(delta, numbers.Integral) or delta < 1:
+            raise ConfigError(f"delta must be an integer of at least 1, got {delta!r}")
+        limit = self.time_limit
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit >= 0
+        ):
+            raise ConfigError(f"time_limit must be None or a number >= 0, got {limit!r}")
         if self.n_min_leaf < 1:
             raise ConfigError("n_min_leaf must be at least 1")
         if self.n_cuts < 1:

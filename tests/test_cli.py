@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -222,6 +223,27 @@ class TestVerbose:
         assert run("-v", "evaluate", "--model", str(model), *cols, "--oracle") == 0
         assert "knn: " in capsys.readouterr().err
 
+    def test_solver_record(self, tmp_path, quad_csv, capsys):
+        cols = ("--data", str(quad_csv), "--cf-cols", "y1,y2", "--q-col", "q")
+        model = tmp_path / "opt.json"
+        handlers = list(logging.getLogger("perstrees").handlers)
+        outputs = {}
+        for flag in ((), ("-v",)):
+            assert run(*flag, "train", "--algo", "opt", *cols, "--params",
+                       '{"n_min_leaf": 5, "n_cuts": 4}', "--out", str(model)) == 0
+            captured = capsys.readouterr()
+            outputs[flag] = (captured.out, model.read_bytes(), captured.err)
+        assert outputs[()][:2] == outputs[("-v",)][:2]
+        assert outputs[()][2] == ""
+        records = [line for line in outputs[("-v",)][2].splitlines() if "solve_exact:" in line]
+        assert len(records) == 1
+        assert re.fullmatch(
+            r"solve_exact: 1 scans screened \d+ cuts, \d+ settled exactly; \d+ bottom passes; "
+            r"memo \d+ hits, \d+ misses, \d+ evictions; optimality proved",
+            records[0],
+        )
+        assert logging.getLogger("perstrees").handlers == handlers
+
 
 class TestColdStart:
     """scipy costs about half a second to import; only optimal submatching
@@ -378,6 +400,19 @@ class TestExperiment:
         doc["algorithms"] = ["no-such-algo"]
         cfg.write_text(json.dumps(doc))
         assert run("experiment", "--config", str(cfg)) == 1
+
+    @pytest.mark.parametrize(
+        "params", [{"time_limit": float("nan")}, {"time_limit": "10"}, {"delta": 1.0}]
+    )
+    def test_malformed_opt_params_exit_1(self, tmp_path, params, capsys):
+        cfg = tmp_path / "config.json"
+        doc = self.config_doc(tmp_path, tmp_path / "curve.csv")
+        doc["algorithms"] = [{"name": "opt", "params": dict(params, n_min_leaf=2, n_cuts=2)}]
+        doc["n_grid"] = [60]
+        doc["replications"] = 1
+        cfg.write_text(json.dumps(doc))
+        assert run("experiment", "--config", str(cfg)) == 1
+        assert f"{next(iter(params))} must be" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import logging
+import re
 import time
 
 import numpy as np
@@ -109,6 +111,36 @@ class TestSkeleton:
             OptConfig(n_cuts=0)
         with pytest.raises(ConfigError):
             OptConfig(n_features=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"time_limit": float("nan")},  # the deadline would never pass
+            {"time_limit": "10"},
+            {"time_limit": -1.0},
+            {"time_limit": True},
+            {"delta": 1.0},
+            {"delta": "2"},
+            {"delta": True},
+        ],
+    )
+    def test_rejects_malformed_depth_and_time_limit(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            OptConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"time_limit": None},
+            {"time_limit": 0},
+            {"time_limit": 2.5},
+            {"time_limit": float("inf")},
+            {"time_limit": np.float64(1.0)},
+            {"delta": np.int64(3)},
+        ],
+    )
+    def test_accepts_numbers(self, kwargs):
+        OptConfig(**kwargs)
 
 
 class TestBuildMenu:
@@ -514,13 +546,113 @@ class TestBottomPassEquivalence:
             want = solve_outcome(reference_solve, ds, sk, menu, cfg)
             assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
             with monkeypatch.context() as patch:
-                # passes chunked down to one cut at the root, and a memo
-                # that keeps nothing
+                # passes chunked down to one cut at a bottom root and to a
+                # few rows at a screened node, and a memo that keeps nothing
                 patch.setattr(solver, "_PASS_BUDGET", ds.n)
                 patch.setattr(solver, "MEMO_BYTES", 0)
                 assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
             outcomes.add(want if isinstance(want, type) else "solved")
         assert outcomes == {"solved", InfeasibleError, SolveTimeout}
+
+    @pytest.mark.parametrize(
+        "delta,n,d,n_features,n_cuts,duplicate",
+        [
+            (2, 150, 2, None, 16, False),  # many cuts per feature
+            (3, 100, 2, 1, 12, False),
+            (2, 120, 3, None, 6, True),  # exact ties across features
+            (3, 100, 3, 2, 3, True),
+            (4, 90, 2, 1, 2, False),  # screened nodes at depth two
+        ],
+    )
+    def test_screened_scans_match_per_leaf_recursion(
+        self, delta, n, d, n_features, n_cuts, duplicate
+    ):
+        # normal outcomes, so sums in block order and in row order round
+        # differently; copies of one column tie cuts on different features
+        sk = TreeSkeleton(delta)
+        for seed in range(4):
+            ds = random_dataset(np.random.default_rng(seed), n, d, 2, all_arms=True)
+            if duplicate:
+                ds = Dataset(X=np.repeat(ds.X[:, :1], d, axis=1), T=ds.T, Y=ds.Y, m=ds.m)
+            cfg = OptConfig(
+                delta=delta, n_min_leaf=2, n_features=n_features, n_cuts=n_cuts, seed=seed
+            )
+            menu = build_cut_menu(ds, sk, cfg)
+            want = solve_outcome(reference_solve, ds, sk, menu, cfg)
+            assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
+
+    @pytest.mark.parametrize("budget", [64, 1000])
+    def test_split_screen_passes(self, budget, monkeypatch):
+        passes = []
+        tally = solver._tally
+
+        def spy(chunks, size):
+            chunks = list(chunks)
+            if chunks[0][0].ndim == 3:  # a screen pass: rows x groups x child cuts
+                passes.append((len(chunks), chunks[0][0].shape[1]))
+            return tally(chunks, size)
+
+        sk = TreeSkeleton(2)
+        for seed in range(3):
+            ds = random_dataset(np.random.default_rng(seed), 150, 3, 2, all_arms=True)
+            cfg = OptConfig(delta=2, n_min_leaf=2, n_cuts=6, seed=seed)
+            menu = build_cut_menu(ds, sk, cfg)
+            want = solve_outcome(reference_solve, ds, sk, menu, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_PASS_BUDGET", budget)
+                patch.setattr(solver, "_tally", spy)
+                assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
+        assert max(chunks for chunks, _ in passes) > 1  # rows split
+        assert min(groups for _, groups in passes) < 3  # feature groups split
+
+    def test_pinned_block_order_rounding(self):
+        # seed 181 of a search over seeds 0-299 of this generator: root cuts
+        # (2, 2.5) and (1, 1.5) tie exactly in the row-order arithmetic, but
+        # block-order sums put (1, 1.5) strictly lower, so a screen without
+        # its margin settles only the later cut
+        rng = np.random.default_rng(181)
+        ds = Dataset(
+            X=rng.integers(0, 4, size=(40, 3)).astype(float),
+            T=rng.integers(1, 3, size=40),
+            Y=rng.choice([0.1, 0.2, 0.3], size=40),
+            m=2,
+        )
+        sk = TreeSkeleton(2)
+        cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=40)
+        menu = build_cut_menu(ds, sk, cfg)
+        want = reference_solve(ds, sk, menu, cfg)
+        assert want[0][0] == (2, 2.5)
+        assert solve_exact_outcome(ds, sk, menu, cfg) == want
+        ybar = ds.Y - ds.Y.min()
+        differ = 0
+        for f in range(ds.d):
+            thresholds = np.array(sorted(theta for g, theta in menu.for_node(1) if g == f))
+            block = np.searchsorted(thresholds, ds.X[:, f])
+            for arm in range(ds.m):
+                rows = ds.T - 1 == arm
+                by_block = np.cumsum(np.bincount(block[rows], ybar[rows], thresholds.size + 1))
+                for j in range(thresholds.size):
+                    right = (block[rows] > j).astype(np.intp)
+                    differ += by_block[j] != np.bincount(right, ybar[rows], 2)[0]
+        assert differ > 0
+
+    def test_stats_record(self, caplog):
+        ds = random_dataset(np.random.default_rng(5), 120, 2, 2, all_arms=True)
+        sk = TreeSkeleton(2)
+        cfg = OptConfig(delta=2, n_min_leaf=2, n_cuts=5)
+        menu = build_cut_menu(ds, sk, cfg)
+        with caplog.at_level(logging.DEBUG, logger="perstrees"):
+            solve_exact(ds, sk, menu, cfg)
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "perstrees.opt.solver"]
+        got = re.fullmatch(
+            r"solve_exact: 1 scans screened (\d+) cuts, (\d+) settled exactly; (\d+) bottom "
+            r"passes; memo (\d+) hits, (\d+) misses, 0 evictions; optimality proved",
+            record,
+        )
+        screened, settled, passes, hits, misses = map(int, got.groups())
+        assert screened == len(menu.for_node(1))
+        assert 1 <= settled < screened
+        assert passes == misses  # at depth two only bottom nodes reach the memo
 
 
 class TestWarmStart:
