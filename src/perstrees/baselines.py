@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._nearest import row_norms, screen
-from .errors import ConfigError, DomainError, SchemaError
+from .errors import ConfigError, DomainError, SchemaError, _check_int, _check_keys
 from .risk import _BatchPolicy
 
 logger = logging.getLogger(__name__)
@@ -105,7 +105,7 @@ class KnnRegressor:
     """
 
     def __init__(self, k=None):
-        self.k = k
+        self.k = _check_int("k", k, 1, none_ok=True)
         self.x = None
         self.y = None
         self.center = None
@@ -163,7 +163,7 @@ class KnnRegressor:
 
     @staticmethod
     def from_doc(doc):
-        r = KnnRegressor(k=int(doc["k"]))
+        r = KnnRegressor(k=_check_int("k", doc["k"], 1))
         r.center = np.asarray(doc["center"], dtype=np.float64)
         r.scale = np.asarray(doc["scale"], dtype=np.float64)
         r.x = np.asarray(doc["x"], dtype=np.float64)
@@ -175,13 +175,19 @@ _REGRESSORS = {"ols": OlsRegressor, "knn": KnnRegressor}
 
 
 def make_regressor(base, params=None):
-    """Regressor factory by identifier ("ols" or "knn")."""
+    """Regressor factory by identifier ("ols" or "knn").
+
+    params are the regressor's constructor arguments: "k" for knn, none
+    for ols. An unknown key or a bad value raises ConfigError here, not
+    at the first fit.
+    """
     if base not in _REGRESSORS:
         raise ConfigError(f"unknown regressor {base!r} (known: ols, knn)")
-    params = params or {}
-    if base == "knn":
-        return lambda: KnnRegressor(k=params.get("k"))
-    return lambda: OlsRegressor()
+    params = dict(params or {})
+    _check_keys(base, params, ("k",) if base == "knn" else ())
+    cls = _REGRESSORS[base]
+    cls(**params)
+    return lambda: cls(**params)
 
 
 def regressor_from_doc(doc):

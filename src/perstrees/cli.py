@@ -146,13 +146,8 @@ def cmd_submatch(args):
 
 def cmd_export_mip(args):
     ds = _load_data(args)
-    cfg = OptConfig(
-        delta=args.delta,
-        n_min_leaf=args.n_min_leaf,
-        n_features=args.n_features,
-        n_cuts=args.n_cuts,
-        seed=args.seed,
-    )
+    flags = ("delta", "n_min_leaf", "n_features", "n_cuts", "seed")
+    cfg = OptConfig(**{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
     skeleton = TreeSkeleton(cfg.delta)
     menu = build_cut_menu(ds, skeleton, cfg)
     model = build_mip(ds, skeleton, menu, cfg)
@@ -219,11 +214,11 @@ def build_parser():
 
     p = sub.add_parser("export-mip", help="write the optimal-tree MIP as MPS")
     _add_data_args(p)
-    p.add_argument("--delta", type=int, default=2)
-    p.add_argument("--n-min-leaf", type=int, default=20)
-    p.add_argument("--n-features", type=int, default=None)
-    p.add_argument("--n-cuts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=int)
+    p.add_argument("--n-min-leaf", type=int)
+    p.add_argument("--n-features", type=int)
+    p.add_argument("--n-cuts", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_export_mip)
 

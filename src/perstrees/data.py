@@ -19,6 +19,7 @@ from .errors import (
     MissingPropensityError,
     ParseError,
     SchemaError,
+    _check_int,
 )
 from .seeding import make_rng
 
@@ -382,8 +383,9 @@ class SyntheticSpec:
     covariate_model: dict = field(default_factory=lambda: {"name": "normal"})
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1 or self.m < 1:
-            raise ConfigError("n, d, m must be positive")
+        for name in ("n", "d", "m"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
 
 
 def _cov_normal(spec, rng, params):

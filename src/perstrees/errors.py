@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of settings."""
+
+import numbers
 
 
 class PerstreesError(Exception):
@@ -26,6 +28,25 @@ class DomainError(PerstreesError):
 
 class ConfigError(PerstreesError):
     """An unknown identifier or an invalid configuration value."""
+
+
+def _check_int(name, value, minimum, none_ok=False):
+    """value if it is an integer (not a bool) of at least minimum, or
+    None where none_ok; ConfigError naming the setting otherwise."""
+    if value is None and none_ok:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        what = "None or an integer" if none_ok else "an integer"
+        raise ConfigError(f"{name} must be {what} of at least {minimum}, got {value!r}")
+    return value
+
+
+def _check_keys(owner, params, valid):
+    """ConfigError naming the first key of params that valid lacks."""
+    for key in params:
+        if key not in valid:
+            listed = ", ".join(valid) or "none"
+            raise ConfigError(f"unknown {owner} parameter {key!r}; valid keys: {listed}")
 
 
 class UndefinedImpurityError(PerstreesError):

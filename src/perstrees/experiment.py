@@ -23,13 +23,13 @@ Replications run serially; determinism comes from the master seed
 alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .baselines import fit_1v1, fit_1va, fit_rc, make_cate, make_regressor
 from .data import SyntheticSpec, generate_synthetic, split
-from .errors import ConfigError
+from .errors import ConfigError, _check_int, _check_keys
 from .forest import PfConfig, fit_pf
 from .opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact, warm_start_from_pt
 from .risk import oracle_metrics
@@ -57,87 +57,92 @@ PRESETS = {
 }
 
 
-def _pt_config(params, seed, n_min_leaf=1):
-    return PtConfig(
-        n_min_leaf=params.get("n_min_leaf", n_min_leaf),
-        delta_max=params.get("delta_max"),
-        n_features=params.get("n_features"),
-        scarce_mode=params.get("scarce_mode", False),
-        seed=params.get("seed", seed),
-    )
+def _fields(cls, *skip):
+    """Field names of a config dataclass, skip aside."""
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
 
 
-def _fit_pt(ds, params, seed):
-    return fit_pt(ds, _pt_config(params, seed))
+# Each algorithm is build(params, seed) -> fit(ds). build maps the params
+# onto its config's fields by name; the seed comes from the caller alone.
+# An undeclared key or a bad value raises ConfigError before any fit.
 
 
-def _fit_pf(ds, params, seed):
-    cfg = PfConfig(
-        trees_count=params.get("trees_count", 100),
-        base=_pt_config(params, seed, n_min_leaf=10),
-        seed=params.get("seed", seed),
-    )
-    return fit_pf(ds, cfg)
+def _pt(params, seed):
+    _check_keys("pt", params, _fields(PtConfig, "seed"))
+    cfg = PtConfig(**params, seed=seed)
+    return lambda ds: fit_pt(ds, cfg)
 
 
-def _fit_opt(ds, params, seed):
-    cfg = OptConfig(
-        delta=params.get("delta", 2),
-        n_min_leaf=params.get("n_min_leaf", 20),
-        n_features=params.get("n_features"),
-        n_cuts=params.get("n_cuts", 10),
-        time_limit=params.get("time_limit"),
-        seed=params.get("seed", seed),
-    )
+def _pf(params, seed):
+    tree_keys = _fields(PtConfig, "seed")
+    _check_keys("pf", params, _fields(PfConfig, "base", "seed") + tree_keys)
+    base = replace(PfConfig().base, **{k: params.pop(k) for k in tree_keys if k in params})
+    cfg = PfConfig(**params, base=base, seed=seed)
+    return lambda ds: fit_pf(ds, cfg)
+
+
+def _opt(params, seed):
+    _check_keys("opt", params, _fields(OptConfig, "seed") + ("warm",))
+    warm = params.pop("warm", True)
+    if not isinstance(warm, bool):
+        raise ConfigError(f"warm must be true or false, got {warm!r}")
+    cfg = OptConfig(**params, seed=seed)
     skeleton = TreeSkeleton(cfg.delta)
-    menu = build_cut_menu(ds, skeleton, cfg)
-    warm = None
-    if params.get("warm", True):
-        warm = warm_start_from_pt(ds, cfg, skeleton, menu)
-    return solve_exact(ds, skeleton, menu, cfg, warm=warm).tree
 
-
-def _fit_rc_base(base):
-    def fit(ds, params, seed):
-        del seed
-        return fit_rc(ds, regressor_factory=make_regressor(base, params), base=base)
+    def fit(ds):
+        menu = build_cut_menu(ds, skeleton, cfg)
+        start = warm_start_from_pt(ds, cfg, skeleton, menu) if warm else None
+        return solve_exact(ds, skeleton, menu, cfg, warm=start).tree
 
     return fit
 
 
-def _fit_relabel(base, variant=None):
-    def fit(ds, params, seed):
-        del seed
+def _rc(base):
+    def build(params, seed):
+        factory = make_regressor(base, params)
+        return lambda ds: fit_rc(ds, regressor_factory=factory, base=base)
+
+    return build
+
+
+def _relabel(base, variant=None):
+    def build(params, seed):
         factory = make_cate(base, params)
         if variant is None:
-            return fit_1va(ds, cate_factory=factory, base=base)
-        return fit_1v1(ds, cate_factory=factory, base=base, variant=variant)
+            return lambda ds: fit_1va(ds, cate_factory=factory, base=base)
+        return lambda ds: fit_1v1(ds, cate_factory=factory, base=base, variant=variant)
 
-    return fit
+    return build
 
 
 ALGORITHMS = {
-    "pt": _fit_pt,
-    "pf": _fit_pf,
-    "opt": _fit_opt,
-    "rc-ols": _fit_rc_base("ols"),
-    "rc-knn": _fit_rc_base("knn"),
-    "1va-ols": _fit_relabel("ols"),
-    "1va-knn": _fit_relabel("knn"),
-    "1v1a-ols": _fit_relabel("ols", "A"),
-    "1v1a-knn": _fit_relabel("knn", "A"),
-    "1v1b-ols": _fit_relabel("ols", "B"),
-    "1v1b-knn": _fit_relabel("knn", "B"),
+    "pt": _pt,
+    "pf": _pf,
+    "opt": _opt,
+    "rc-ols": _rc("ols"),
+    "rc-knn": _rc("knn"),
+    "1va-ols": _relabel("ols"),
+    "1va-knn": _relabel("knn"),
+    "1v1a-ols": _relabel("ols", "A"),
+    "1v1a-knn": _relabel("knn", "A"),
+    "1v1b-ols": _relabel("ols", "B"),
+    "1v1b-knn": _relabel("knn", "B"),
 }
 
 
-def fit_algorithm(name, ds, params=None, seed=0):
-    """Train one named algorithm; unknown names raise ConfigError."""
-    fn = ALGORITHMS.get(name)
-    if fn is None:
+def _build(name, params, seed):
+    """The fit of one named algorithm under params, all checked."""
+    build = ALGORITHMS.get(name)
+    if build is None:
         known = ", ".join(sorted(ALGORITHMS))
         raise ConfigError(f"unknown algorithm {name!r}; valid names: {known}")
-    return fn(ds, dict(params or {}), seed)
+    return build(dict(params or {}), seed)
+
+
+def fit_algorithm(name, ds, params=None, seed=0):
+    """Train one named algorithm; an unknown name, an undeclared
+    parameter or a bad value raises ConfigError."""
+    return _build(name, params, seed)(ds)
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,10 @@ class ExperimentConfig:
     version: int = CONFIG_VERSION
 
 
-def _data_template(doc):
+def _data_template(doc, *cell):
+    """SyntheticSpec fields of a data document, any preset expanded.
+    cell names the fields the caller fills in, which the document may
+    not set."""
     data = dict(doc)
     preset = data.pop("preset", None)
     if preset is not None:
@@ -180,14 +188,19 @@ def _data_template(doc):
         merged = dict(PRESETS[preset])
         merged.update(data)
         data = merged
-    for key in ("d", "m", "outcome_model", "propensity_model"):
-        if key not in data:
+    _check_keys("data spec", data, ("preset",) + _fields(SyntheticSpec, *cell))
+    for key in ("n", "d", "m", "outcome_model", "propensity_model"):
+        if key not in data and key not in cell:
             raise ConfigError(f"data spec lacks {key!r}")
     return data
 
 
 def experiment_config_from_doc(doc):
-    """Validate and structure a parsed experiment config JSON."""
+    """Validate and structure a parsed experiment config JSON.
+
+    Every algorithm's params and every count are checked here, so a bad
+    value fails before the first cell trains.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
     if doc.get("version") != CONFIG_VERSION:
@@ -196,58 +209,41 @@ def experiment_config_from_doc(doc):
     for entry in doc.get("algorithms", []):
         if isinstance(entry, str):
             entry = {"name": entry}
-        name = entry.get("name")
-        if name not in ALGORITHMS:
-            known = ", ".join(sorted(ALGORITHMS))
-            raise ConfigError(f"unknown algorithm {name!r}; valid names: {known}")
-        algos.append(
-            AlgoSpec(name=name, params=dict(entry.get("params", {})), label=entry.get("label"))
+        algo = AlgoSpec(
+            name=entry.get("name"), params=dict(entry.get("params", {})), label=entry.get("label")
         )
+        _build(algo.name, algo.params, 0)
+        algos.append(algo)
     if not algos:
         raise ConfigError("at least one algorithm is required")
     labels = [a.column for a in algos]
     if len(set(labels)) != len(labels):
         raise ConfigError("algorithm labels must be unique")
-    n_grid = tuple(int(n) for n in doc.get("n_grid", []))
+    grid = doc.get("n_grid")
+    n_grid = tuple(_check_int("n_grid entry", n, 1) for n in grid) if isinstance(grid, list) else ()
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("n_grid must be a non-empty ascending list")
-    replications = int(doc.get("replications", 0))
-    if replications < 1:
-        raise ConfigError("replications must be at least 1")
     proto = doc.get("protocol", {})
     kind = proto.get("kind")
     if kind not in ("oracle", "greedy-submatch", "optimal-submatch"):
         raise ConfigError(
             "protocol kind must be oracle, greedy-submatch, or optimal-submatch"
         )
-    n_test = proto.get("n_test")
-    n_pair = proto.get("n_pair")
-    if kind in ("oracle", "greedy-submatch") and not n_test:
-        raise ConfigError(f"{kind} protocol needs n_test")
-    if kind == "optimal-submatch" and not n_pair:
-        raise ConfigError("optimal-submatch protocol needs n_pair")
+    optimal = kind == "optimal-submatch"
+    n_test = _check_int("n_test", proto.get("n_test"), 1, none_ok=optimal)
+    n_pair = _check_int("n_pair", proto.get("n_pair"), 1, none_ok=not optimal)
     if "output" not in doc:
         raise ConfigError("output path is required")
+    data = _data_template(doc.get("data", {}), "n", "seed")
+    SyntheticSpec(n=n_grid[0], **data)  # checks d and m now, not in the first cell
     return ExperimentConfig(
         algorithms=tuple(algos),
         n_grid=n_grid,
-        replications=replications,
+        replications=_check_int("replications", doc.get("replications"), 1),
         protocol=Protocol(kind=kind, n_test=n_test, n_pair=n_pair),
-        master_seed=int(doc.get("master_seed", 0)),
-        data=_data_template(doc.get("data", {})),
+        master_seed=_check_int("master_seed", doc.get("master_seed", 0), 0),
+        data=data,
         output=str(doc["output"]),
-    )
-
-
-def _make_spec(template, n, seed):
-    return SyntheticSpec(
-        n=n,
-        d=int(template["d"]),
-        m=int(template["m"]),
-        outcome_model=template["outcome_model"],
-        propensity_model=template["propensity_model"],
-        covariate_model=template.get("covariate_model", {"name": "normal"}),
-        seed=seed,
     )
 
 
@@ -255,12 +251,7 @@ def synthetic_spec_from_doc(doc):
     """SyntheticSpec from a JSON document, expanding any preset."""
     if not isinstance(doc, dict):
         raise ConfigError("synthetic spec must be a JSON object")
-    doc = dict(doc)
-    n = doc.pop("n", None)
-    if n is None:
-        raise ConfigError("synthetic spec needs n")
-    seed = int(doc.pop("seed", 0))
-    return _make_spec(_data_template(doc), int(n), seed)
+    return SyntheticSpec(**_data_template(doc))
 
 
 def _cell(config, n, rep):
@@ -268,11 +259,11 @@ def _cell(config, n, rep):
     data_seed = derive_seed(config.master_seed, "data", n, rep)
     proto = config.protocol
     if proto.kind == "oracle":
-        pool = generate_synthetic(_make_spec(config.data, n + proto.n_test, data_seed))
+        pool = generate_synthetic(SyntheticSpec(**config.data, n=n + proto.n_test, seed=data_seed))
         train = split(pool, np.arange(n))
         test = split(pool, np.arange(n, pool.n))
         return train, ("oracle", test)
-    pool = generate_synthetic(_make_spec(config.data, n, data_seed))
+    pool = generate_synthetic(SyntheticSpec(**config.data, n=n, seed=data_seed))
     metric = mahalanobis_metric(pool)
     if proto.kind == "greedy-submatch":
         match_seed = derive_seed(config.master_seed, "match", n, rep)

@@ -7,14 +7,13 @@ most 100 retries) to keep every tree fittable. Prescriptions are the
 majority vote over trees, ties to the lowest treatment index.
 """
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import split
-from .errors import ConfigError, InfeasibleError, SchemaError
+from .errors import ConfigError, InfeasibleError, SchemaError, _check_int
 from .risk import _BatchPolicy
 from .seeding import derive_seed, make_rng
 from .tree import PtConfig, fit_pt, tree_from_doc, tree_to_doc
@@ -36,8 +35,8 @@ class PfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trees_count < 1:
-            raise ConfigError("trees_count must be at least 1")
+        _check_int("trees_count", self.trees_count, 1)
+        _check_int("seed", self.seed, 0)
 
 
 def replicate_seed(forest_seed, tree_index, attempt=0):
@@ -125,14 +124,3 @@ def forest_from_doc(doc):
     if any(t.m != m or t.d != d for t in trees):
         raise SchemaError("all trees in a forest must agree on m and d")
     return PersonalizationForest(trees=trees, m=m, d=d)
-
-
-def save_forest(forest, path):
-    with open(path, "w") as fh:
-        json.dump(forest_to_doc(forest), fh, indent=2)
-        fh.write("\n")
-
-
-def load_forest(path):
-    with open(path) as fh:
-        return forest_from_doc(json.load(fh))

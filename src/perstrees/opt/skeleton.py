@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyMenuError
+from ..errors import ConfigError, EmptyMenuError, _check_int
 from ..seeding import make_rng
 from ..tree import _route
 
@@ -46,20 +46,16 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        delta = self.delta
-        if isinstance(delta, bool) or not isinstance(delta, numbers.Integral) or delta < 1:
-            raise ConfigError(f"delta must be an integer of at least 1, got {delta!r}")
+        _check_int("delta", self.delta, 1)
+        _check_int("n_min_leaf", self.n_min_leaf, 1)
+        _check_int("n_features", self.n_features, 1, none_ok=True)
+        _check_int("n_cuts", self.n_cuts, 1)
         limit = self.time_limit
         if limit is not None and (
             isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit >= 0
         ):
             raise ConfigError(f"time_limit must be None or a number >= 0, got {limit!r}")
-        if self.n_min_leaf < 1:
-            raise ConfigError("n_min_leaf must be at least 1")
-        if self.n_cuts < 1:
-            raise ConfigError("n_cuts must be at least 1")
-        if self.n_features is not None and self.n_features < 1:
-            raise ConfigError("n_features must be positive")
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,7 @@ class TreeSkeleton:
     delta: int
 
     def __post_init__(self):
-        if self.delta < 1:
-            raise ConfigError("delta must be at least 1")
+        _check_int("delta", self.delta, 1)
 
     @property
     def internal_nodes(self):

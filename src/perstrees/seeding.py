@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import _check_int
+
 MAX_SEED = 2**63 - 1
 
 
@@ -33,5 +35,5 @@ def derive_seed(master, *parts):
 
 
 def make_rng(seed):
-    """Build the package-standard generator for a given seed."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    """Build the package-standard generator for a seed, an integer >= 0."""
+    return np.random.Generator(np.random.PCG64(_check_int("seed", seed, 0)))

@@ -23,13 +23,12 @@ to right. `_route` is the one walk that sends rows down such arrays; the
 exact-search skeletons route through it too.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, _check_int
 from .risk import _BatchPolicy, _best_of_stats, _counts_and_sums
 from .seeding import make_rng
 
@@ -56,12 +55,12 @@ class PtConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_min_leaf < 1:
-            raise ConfigError("n_min_leaf must be at least 1")
-        if self.delta_max is not None and self.delta_max < 0:
-            raise ConfigError("delta_max must be non-negative")
-        if self.n_features is not None and self.n_features < 1:
-            raise ConfigError("n_features must be positive")
+        _check_int("n_min_leaf", self.n_min_leaf, 1)
+        _check_int("delta_max", self.delta_max, 0, none_ok=True)
+        _check_int("n_features", self.n_features, 1, none_ok=True)
+        if not isinstance(self.scarce_mode, bool):
+            raise ConfigError(f"scarce_mode must be true or false, got {self.scarce_mode!r}")
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -404,14 +403,3 @@ def tree_from_doc(doc):
     nodes = []
     _node_from_doc(doc["root"], m, d, nodes)
     return _tree_of(nodes, m, d)
-
-
-def save_tree(tree, path):
-    with open(path, "w") as fh:
-        json.dump(tree_to_doc(tree), fh, indent=2)
-        fh.write("\n")
-
-
-def load_tree(path):
-    with open(path) as fh:
-        return tree_from_doc(json.load(fh))

@@ -300,6 +300,14 @@ class TestSubmatchCommand:
         back = load_matched_csv(out)
         assert len(back["drawn"]) == 20  # two test rows per pair
 
+    def test_negative_seed_exits_1(self, quad_csv, tmp_path, capsys):
+        code = run(
+            "submatch", "--data", str(quad_csv), "--method", "greedy", "--n-test", "10",
+            "--seed", "-1", "--out", str(tmp_path / "m.csv"),
+        )
+        assert code == 1
+        assert "seed must be" in capsys.readouterr().err
+
     def test_greedy_needs_n_test(self, quad_csv, tmp_path):
         code = run(
             "submatch", "--data", str(quad_csv), "--method", "greedy",
@@ -402,7 +410,8 @@ class TestExperiment:
         assert run("experiment", "--config", str(cfg)) == 1
 
     @pytest.mark.parametrize(
-        "params", [{"time_limit": float("nan")}, {"time_limit": "10"}, {"delta": 1.0}]
+        "params", [{"time_limit": float("nan")}, {"time_limit": "10"}, {"delta": 1.0},
+                   {"n_features": 1.5}, {"warm": "no"}]
     )
     def test_malformed_opt_params_exit_1(self, tmp_path, params, capsys):
         cfg = tmp_path / "config.json"
@@ -413,6 +422,33 @@ class TestExperiment:
         cfg.write_text(json.dumps(doc))
         assert run("experiment", "--config", str(cfg)) == 1
         assert f"{next(iter(params))} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("n_grid", [60.7], "n_grid entry must be"),
+        ("n_grid", "60", "n_grid must be"),
+        ("master_seed", 1.5, "master_seed must be"),
+        ("replications", "x", "replications must be"),
+        ("protocol", {"kind": "oracle", "n_test": 2.5}, "n_test must be"),
+        ("protocol", {"kind": "optimal-submatch", "n_pair": 0}, "n_pair must be"),
+        ("data", {"preset": "quadratic", "n": 50}, "unknown data spec parameter 'n'"),
+        ("data", {"preset": "quadratic", "m": 2.0}, "m must be"),
+        ("algorithms", ["pt", {"name": "rc-knn", "params": {"kk": 3}}], "'kk'; valid keys: k"),
+        ("algorithms", ["pt", {"name": "pf", "params": {"n_min_lef": 5}}], "'n_min_lef'"),
+        ("algorithms", ["pt", {"name": "opt", "params": {"seed": 3}}], "opt parameter 'seed'"),
+    ])
+    def test_malformed_config_exits_1_before_any_cell(
+        self, tmp_path, monkeypatch, capsys, key, value, named
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a cell trained before the config was refused")
+
+        monkeypatch.setattr("perstrees.experiment.fit_algorithm", no_fit)
+        cfg = tmp_path / "config.json"
+        doc = self.config_doc(tmp_path, tmp_path / "curve.csv")
+        doc[key] = value
+        cfg.write_text(json.dumps(doc))
+        assert run("experiment", "--config", str(cfg)) == 1
+        assert named in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -448,6 +484,56 @@ class TestExitCodes:
         spec.write_text(json.dumps({"preset": "quadratic"}))
         assert run("gen-data", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 1
 
+    @pytest.mark.parametrize("n", [2.5, True, "abc", 0])
+    def test_spec_bad_n_exits_1(self, tmp_path, n, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"preset": "quadratic", "n": n}))
+        assert run("gen-data", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 1
+        assert "n must be" in capsys.readouterr().err
+
+    def test_spec_unknown_key_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"preset": "quadratic", "n": 20, "sede": 3}))
+        assert run("gen-data", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 1
+        assert "unknown data spec parameter 'sede'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo, params, extra, named", [
+        ("pt", {"n_min_lef": 50}, (), "unknown pt parameter 'n_min_lef'; valid keys: n_min_leaf"),
+        ("pf", {"n_min_lef": 50}, (), "unknown pf parameter 'n_min_lef'; valid keys: trees_count"),
+        ("pt", {"trees_count": 3}, (), "unknown pt parameter 'trees_count'"),
+        ("pt", {"seed": 3}, (), "unknown pt parameter 'seed'"),
+        ("opt", {"n_min_lef": 5}, (), "unknown opt parameter 'n_min_lef'; valid keys: delta"),
+        ("pt", {"scarce_mode": "no"}, (), "scarce_mode must be"),
+        ("pf", {"scarce_mode": "no"}, (), "scarce_mode must be"),
+        ("opt", {"warm": "no"}, (), "warm must be"),
+        ("pt", {"n_min_leaf": 2.5}, (), "n_min_leaf must be"),
+        ("pf", {"n_min_leaf": 2.5}, (), "n_min_leaf must be"),
+        ("pt", {"n_min_leaf": float("nan")}, (), "n_min_leaf must be"),
+        ("pf", {"n_min_leaf": float("nan")}, (), "n_min_leaf must be"),
+        ("pt", {"n_min_leaf": "5"}, (), "n_min_leaf must be"),
+        ("pf", {"n_min_leaf": "5"}, (), "n_min_leaf must be"),
+        ("pt", {"n_features": 1.5}, (), "n_features must be"),
+        ("pf", {"n_features": 1.5}, (), "n_features must be"),
+        ("pf", {"trees_count": 2.5}, (), "trees_count must be"),
+        ("opt", {"n_cuts": "3"}, (), "n_cuts must be"),
+        ("pt", {}, ("--seed", "-1"), "seed must be"),
+        ("pf", {}, ("--seed", "-1"), "seed must be"),
+        ("opt", {}, ("--seed", "-1"), "seed must be"),
+        ("rc-knn", {"k": 0}, (), "k must be"),
+        ("rc-knn", {"k": -3}, (), "k must be"),
+        ("rc-knn", {"k": 2.5}, (), "k must be"),
+        ("1v1a-knn", {"k": 0}, (), "k must be"),
+        ("rc-ols", {"k": 5}, (), "unknown ols parameter 'k'; valid keys: none"),
+        ("1v1a-ols", {"k": 5}, (), "unknown ols parameter 'k'"),
+    ])
+    def test_malformed_params_exit_1(self, tmp_path, quad_csv, algo, params, extra, named, capsys):
+        code = run(
+            "train", "--algo", algo, "--data", str(quad_csv), "--params", json.dumps(params),
+            *extra, "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert named in capsys.readouterr().err
+
     def test_bad_params_json_exits_2(self, tmp_path, quad_csv):
         code = run(
             "train", "--algo", "pt", "--data", str(quad_csv),
@@ -474,6 +560,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc", [
         {"kind": "rc-ols", "m": 2, "d": 1},
         {"kind": "rc-knn", "m": 1, "d": 1, "arms": [{"type": "knn", "k": "few"}]},
+        *({"kind": "rc-knn", "m": 1, "d": 5, "arms": [{
+            "type": "knn", "k": k, "center": [0.0] * 5, "scale": [1.0] * 5,
+            "x": [[0.0] * 5, [1.0] * 5], "y": [0.0, 1.0]}]} for k in (0, -3)),
         {"kind": "1va", "m": 1, "d": 1, "estimators": [
             {"pos": {"type": "ols"}, "neg": {"type": "ols", "weights": [0.0, 1.0]}}]},
         {"kind": "1v1a", "m": 2, "d": 1, "estimators": [{"t": 1}]},
@@ -481,8 +570,8 @@ class TestExitCodes:
         {"kind": "pt", "m": None, "d": 1, "root": {}},
         {"kind": "pt", "m": 2, "d": 1, "root": {"split": {"feature": 0, "threshold": 0.5}}},
         {"kind": ["pt"]},
-    ], ids=["rc-no-arms", "knn-k-text", "1va-no-weights", "1v1-no-s", "pf-no-trees",
-            "pt-m-null", "pt-no-children", "kind-list"])
+    ], ids=["rc-no-arms", "knn-k-text", "knn-k-0", "knn-k-negative", "1va-no-weights",
+            "1v1-no-s", "pf-no-trees", "pt-m-null", "pt-no-children", "kind-list"])
     def test_malformed_model_exits_2(self, tmp_path, quad_csv, doc, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))

@@ -1,0 +1,117 @@
+"""Settings checks shared by every config class, and the README's list of
+accepted params keys against the keys the code accepts."""
+
+import fnmatch
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from perstrees.baselines import KnnRegressor
+from perstrees.data import SyntheticSpec
+from perstrees.errors import ConfigError
+from perstrees.experiment import ALGORITHMS, fit_algorithm
+from perstrees.forest import PfConfig
+from perstrees.opt import OptConfig, TreeSkeleton
+from perstrees.tree import PtConfig
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# the smallest valid arguments of each class, which one field then spoils
+VALID = {
+    PtConfig: {},
+    PfConfig: {},
+    OptConfig: {},
+    TreeSkeleton: {"delta": 2},
+    SyntheticSpec: {"n": 5, "d": 2, "m": 2, "outcome_model": {}, "propensity_model": {}},
+    KnnRegressor: {},
+}
+
+INTEGER_FIELDS = [
+    (PtConfig, "n_min_leaf", 1),
+    (PtConfig, "delta_max", 0),
+    (PtConfig, "n_features", 1),
+    (PtConfig, "seed", 0),
+    (PfConfig, "trees_count", 1),
+    (PfConfig, "seed", 0),
+    (OptConfig, "delta", 1),
+    (OptConfig, "n_min_leaf", 1),
+    (OptConfig, "n_features", 1),
+    (OptConfig, "n_cuts", 1),
+    (OptConfig, "seed", 0),
+    (TreeSkeleton, "delta", 1),
+    (SyntheticSpec, "n", 1),
+    (SyntheticSpec, "d", 1),
+    (SyntheticSpec, "m", 1),
+    (SyntheticSpec, "seed", 0),
+    (KnnRegressor, "k", 1),
+]
+FIELD_IDS = [f"{cls.__name__}.{name}" for cls, name, _ in INTEGER_FIELDS]
+
+
+@pytest.mark.parametrize("cls, name, minimum", INTEGER_FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("bad", [True, 2.5, float("nan"), "3", "below"])
+def test_integer_field_refuses(cls, name, minimum, bad):
+    value = minimum - 1 if bad == "below" else bad
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        cls(**{**VALID[cls], name: value})
+
+
+@pytest.mark.parametrize("cls, name, minimum", INTEGER_FIELDS, ids=FIELD_IDS)
+def test_integer_field_takes_its_minimum(cls, name, minimum):
+    cls(**{**VALID[cls], name: minimum})
+    cls(**{**VALID[cls], name: np.int64(minimum)})
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_scarce_mode_must_be_bool(value):
+    with pytest.raises(ConfigError, match="scarce_mode must be"):
+        PtConfig(scarce_mode=value)
+
+
+@pytest.mark.parametrize("algo, params, named", [
+    ("opt", {"warm": 1}, "warm must be"),
+    ("pf", {"base": {}}, "unknown pf parameter 'base'"),
+])
+def test_bad_params_refused_before_fitting(algo, params, named):
+    # no dataset is needed: the params are checked before any fit
+    with pytest.raises(ConfigError, match=named):
+        fit_algorithm(algo, None, params)
+
+
+def accepted_keys(algo):
+    """The keys the code accepts, as listed by its unknown-key message."""
+    with pytest.raises(ConfigError, match="valid keys: ") as info:
+        fit_algorithm(algo, None, {"no_such_key": 1})
+    listed = str(info.value).split("valid keys: ", 1)[1]
+    return set() if listed == "none" else set(listed.split(", "))
+
+
+def readme_keys():
+    """{algorithm: keys} from the README's accepted-keys bullets."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if "the accepted keys" in line) + 1
+    bullets = []
+    for line in lines[start:]:
+        if line.startswith("- "):
+            bullets.append(line[2:])
+        elif line.startswith("  ") and bullets:
+            bullets[-1] += line
+        elif bullets:
+            break
+    found = {}
+    for bullet in bullets:
+        names, keys = bullet.split(":", 1)
+        patterns = re.findall(r"`([^`]+)`", names)
+        for algo in {a for p in patterns for a in fnmatch.filter(ALGORITHMS, p)}:
+            assert algo not in found, f"README lists {algo} twice"
+            found[algo] = set(re.findall(r"`([^`]+)`", keys))
+    return found
+
+
+def test_readme_lists_the_accepted_keys():
+    documented = readme_keys()
+    assert sorted(documented) == sorted(ALGORITHMS)
+    for algo in ALGORITHMS:
+        assert documented[algo] == accepted_keys(algo), algo

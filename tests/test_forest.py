@@ -8,11 +8,10 @@ from perstrees.forest import (
     fit_pf,
     forest_from_doc,
     forest_to_doc,
-    load_forest,
     replicate_seed,
-    save_forest,
     tree_fit_seed,
 )
+from perstrees.model_io import load_model, save_model
 from perstrees.tree import PtConfig, fit_pt, tree_from_doc, tree_to_doc
 
 from helpers import random_dataset
@@ -141,8 +140,8 @@ class TestSerialization:
         ds = random_dataset(rng, 90, 3, 2, all_arms=True)
         forest = fit_pf(ds, PfConfig(trees_count=3, base=PtConfig(n_min_leaf=4)))
         path = tmp_path / "forest.json"
-        save_forest(forest, path)
-        back = load_forest(path)
+        save_model(forest, path)
+        back = load_model(path)
         assert back.m == forest.m and back.d == forest.d
         assert len(back.trees) == 3
         assert back.predict_many(ds.X).tolist() == forest.predict_many(ds.X).tolist()

@@ -8,14 +8,13 @@ from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
 from perstrees.errors import ConfigError, SchemaError
 from perstrees.experiment import PRESETS
 from perstrees.forest import PfConfig, fit_pf, forest_to_doc
+from perstrees.model_io import load_model, save_model
 from perstrees.opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact
 from perstrees.tree import (
     PtConfig,
     Split,
     best_split,
     fit_pt,
-    load_tree,
-    save_tree,
     sweep_feature,
     tree_from_doc,
     tree_to_doc,
@@ -408,8 +407,8 @@ class TestSerialization:
         ds = random_dataset(rng, 120, 4, 3, all_arms=True)
         tree = fit_pt(ds, PtConfig(n_min_leaf=4, scarce_mode=True))
         path = tmp_path / "tree.json"
-        save_tree(tree, path)
-        back = load_tree(path)
+        save_model(tree, path)
+        back = load_model(path)
         assert back.m == tree.m and back.d == tree.d
         assert back.predict_many(ds.X).tolist() == tree.predict_many(ds.X).tolist()
         assert tree_to_doc(back) == tree_to_doc(tree)
