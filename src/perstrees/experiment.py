@@ -195,23 +195,32 @@ def _data_template(doc, *cell):
     return data
 
 
+def _check_object(what, value):
+    """value if it is a JSON object; ConfigError naming it otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def experiment_config_from_doc(doc):
     """Validate and structure a parsed experiment config JSON.
 
     Every algorithm's params and every count are checked here, so a bad
     value fails before the first cell trains.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("experiment config must be a JSON object")
+    _check_object("experiment config", doc)
     if doc.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
     algos = []
-    for entry in doc.get("algorithms", []):
+    entries = doc.get("algorithms", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"algorithms must be a list, got {entries!r}")
+    for entry in entries:
         if isinstance(entry, str):
             entry = {"name": entry}
-        algo = AlgoSpec(
-            name=entry.get("name"), params=dict(entry.get("params", {})), label=entry.get("label")
-        )
+        _check_object("algorithms entry", entry)
+        params = _check_object("params", entry.get("params", {}))
+        algo = AlgoSpec(name=entry.get("name"), params=dict(params), label=entry.get("label"))
         _build(algo.name, algo.params, 0)
         algos.append(algo)
     if not algos:
@@ -223,7 +232,7 @@ def experiment_config_from_doc(doc):
     n_grid = tuple(_check_int("n_grid entry", n, 1) for n in grid) if isinstance(grid, list) else ()
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("n_grid must be a non-empty ascending list")
-    proto = doc.get("protocol", {})
+    proto = _check_object("protocol", doc.get("protocol", {}))
     kind = proto.get("kind")
     if kind not in ("oracle", "greedy-submatch", "optimal-submatch"):
         raise ConfigError(
@@ -234,7 +243,7 @@ def experiment_config_from_doc(doc):
     n_pair = _check_int("n_pair", proto.get("n_pair"), 1, none_ok=not optimal)
     if "output" not in doc:
         raise ConfigError("output path is required")
-    data = _data_template(doc.get("data", {}), "n", "seed")
+    data = _data_template(_check_object("data", doc.get("data", {})), "n", "seed")
     SyntheticSpec(n=n_grid[0], **data)  # checks d and m now, not in the first cell
     return ExperimentConfig(
         algorithms=tuple(algos),

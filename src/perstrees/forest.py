@@ -36,6 +36,8 @@ class PfConfig:
 
     def __post_init__(self):
         _check_int("trees_count", self.trees_count, 1)
+        if not isinstance(self.base, PtConfig):
+            raise ConfigError(f"base must be a PtConfig, got {self.base!r}")
         _check_int("seed", self.seed, 0)
 
 

@@ -49,10 +49,47 @@ from ..risk import _counts_and_sums
 
 
 @dataclass(frozen=True, eq=False)
+class CscMatrix:
+    """A sparse matrix as compressed sparse column arrays, under the
+    attribute names scipy uses: column j holds the values
+    data[indptr[j]:indptr[j + 1]] in the rows indices[indptr[j]:indptr[j + 1]].
+    scipy.sparse.csc_array((A.data, A.indices, A.indptr), shape=A.shape)
+    wraps it for a solver such as scipy.optimize.milp.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def __matmul__(self, x):
+        """A @ x for a vector x. Each row is summed in column order from
+        0.0, the order of scipy's CSC product, so the bits are the same."""
+        col = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        return np.bincount(self.indices, weights=self.data * x[col], minlength=self.shape[0])
+
+
+def _csc(entries, shape):
+    """CscMatrix from a list of (key, value) pieces, key being the
+    column-major position col * n_rows + row of each entry. Positions
+    must be distinct. Each column's rows come out sorted. The list is
+    emptied, so that the pieces do not outlive the copy."""
+    key, data = (np.concatenate(part) for part in zip(*entries))
+    entries.clear()
+    order = np.argsort(key)
+    key = key[order]
+    data = data[order]
+    n_rows, n_cols = shape
+    indptr = np.searchsorted(key, np.arange(n_cols + 1) * n_rows)
+    return CscMatrix(data=data, indices=key % n_rows, indptr=indptr, shape=shape)
+
+
+@dataclass(frozen=True, eq=False)
 class MipModel:
-    """A linear objective c, a CSC matrix A (sorted indices, no stored
-    zeros), row bounds (row_lo -inf for `<=`, row_hi +inf for `>=`,
-    equal for `=`), column bounds, and a mask of binary columns.
+    """A linear objective c, the constraint matrix A as CSC arrays
+    (CscMatrix: sorted indices, no stored zeros; no scipy needed), row
+    bounds (row_lo -inf for `<=`, row_hi +inf for `>=`, equal for `=`),
+    column bounds, and a mask of binary columns.
 
     Names are generated from blocks (templates, axes): for each index
     tuple of the product of the axes, in row-major order, every template
@@ -62,7 +99,7 @@ class MipModel:
     """
 
     c: np.ndarray
-    A: "scipy.sparse.csc_array"
+    A: CscMatrix
     row_lo: np.ndarray
     row_hi: np.ndarray
     lower: np.ndarray
@@ -140,8 +177,6 @@ def build_mip(ds, skeleton, menu, config):
         InfeasibleError: n < n_leaves * m * n_min_leaf, so no routing
             can satisfy the per-leaf occupancy minimums.
     """
-    from scipy import sparse  # imported on use: commands without a MIP never load scipy
-
     n, m, n_leaves = ds.n, ds.m, len(skeleton.leaves)
     if n < n_leaves * m * config.n_min_leaf:
         raise InfeasibleError(
@@ -166,14 +201,17 @@ def build_mip(ds, skeleton, menu, config):
     lam = lam0 + np.arange(n_leaves * m).reshape(n_leaves, m)
     mu = mu0 + np.arange(n_leaves)
 
-    lo = np.full(row[-1], -np.inf)
-    hi = np.full(row[-1], np.inf)
+    n_rows = int(row[-1])
+    lo = np.full(n_rows, -np.inf)
+    hi = np.full(n_rows, np.inf)
     entries = []
 
     def add(r, c, v):
+        # every call below writes (row, column) cells that no other call
+        # writes, so the entries are distinct and need no summing
         r, c, v = np.broadcast_arrays(r, c, v)
         keep = v != 0.0  # A stores no zeros
-        entries.append((r[keep], c[keep], v[keep]))
+        entries.append((c[keep] * n_rows + r[keep], v[keep]))
 
     # cut choice: simplex row plus binary code rows
     fires = {}
@@ -235,9 +273,7 @@ def build_mip(ds, skeleton, menu, config):
     hi[ub] = big_m
     lo[ub + 1] = -big_m
 
-    r, c, v = (np.concatenate(part) for part in zip(*entries))
-    entries.clear()  # the pieces would otherwise outlive the CSC copy below
-    A = sparse.csc_array((v, (r, c)), shape=(row[-1], col[-1]))
+    A = _csc(entries, (n_rows, int(col[-1])))
     objective = np.zeros(col[-1])
     objective[nu] = 1.0
     upper = np.ones(col[-1])

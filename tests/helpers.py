@@ -38,3 +38,10 @@ def leaf_argmin_policy(ds, leaf_of):
                 means[t - 1] = ds.Y[sel].mean()
         choice[leaf] = int(np.argmin(means)) + 1
     return choice
+
+
+def to_scipy(A):
+    """A model's CscMatrix as a scipy.sparse.csc_array over the same arrays."""
+    from scipy import sparse
+
+    return sparse.csc_array((A.data, A.indices, A.indptr), shape=A.shape)

@@ -247,18 +247,48 @@ class TestVerbose:
 
 class TestColdStart:
     """scipy costs about half a second to import; only optimal submatching
-    and the MIP build load it, on first use."""
+    loads it, on first use."""
 
     def env(self):
         src = os.path.dirname(os.path.dirname(perstrees.__file__))
         return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
-    def test_import_leaves_scipy_unloaded(self):
-        script = ("import sys, perstrees, perstrees.cli; "
-                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        done = subprocess.run([sys.executable, "-c", script], env=self.env(), check=True,
+    def scipy_modules_after(self, script, *argv):
+        """The scipy modules loaded once script has run in a fresh process."""
+        script += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=self.env(),
                               capture_output=True, text=True, timeout=120)
-        assert done.stdout.strip() == "[]"
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
+    def test_import_leaves_scipy_unloaded(self):
+        assert self.scipy_modules_after("import sys, perstrees, perstrees.cli") == "[]"
+
+    def test_export_mip_leaves_scipy_unloaded(self, tmp_path, quad_csv):
+        script = "import sys, perstrees.cli\nassert perstrees.cli.main(sys.argv[1:]) == 0"
+        out = tmp_path / "tree.mps"
+        assert self.scipy_modules_after(
+            script, "export-mip", "--data", str(quad_csv), "--cf-cols", "y1,y2", "--q-col", "q",
+            "--delta", "2", "--n-min-leaf", "5", "--n-cuts", "3", "--out", str(out),
+        ) == "[]"
+        assert out.read_text().rstrip().endswith("ENDATA")
+
+    def test_check_solution_leaves_scipy_unloaded(self):
+        script = """
+import sys
+import numpy as np
+from perstrees.data import Dataset
+from perstrees.opt import (OptConfig, TreeAssignment, TreeSkeleton, build_cut_menu, build_mip,
+                           check_solution, objective_value, solution_from_assignment)
+ds = Dataset(X=np.arange(8.0)[:, None], T=np.array([1, 2] * 4), Y=np.arange(8.0) % 3, m=2)
+cfg = OptConfig(delta=1, n_min_leaf=1, n_cuts=3)
+sk = TreeSkeleton(1)
+menu = build_cut_menu(ds, sk, cfg)
+model = build_mip(ds, sk, menu, cfg)
+values = solution_from_assignment(ds, sk, menu, TreeAssignment(menu.for_node(1)[:1], (1, 2)))
+assert isinstance(check_solution(model, values), list)
+objective_value(model, values)"""
+        assert self.scipy_modules_after(script) == "[]"
 
     def test_scipy_commands_run_in_fresh_processes(self, tmp_path, quad_csv):
         cols = ("--data", str(quad_csv), "--cf-cols", "y1,y2", "--q-col", "q")
@@ -435,6 +465,11 @@ class TestExperiment:
         ("algorithms", ["pt", {"name": "rc-knn", "params": {"kk": 3}}], "'kk'; valid keys: k"),
         ("algorithms", ["pt", {"name": "pf", "params": {"n_min_lef": 5}}], "'n_min_lef'"),
         ("algorithms", ["pt", {"name": "opt", "params": {"seed": 3}}], "opt parameter 'seed'"),
+        ("protocol", "oracle", "protocol must be a JSON object"),
+        ("algorithms", [5], "algorithms entry must be a JSON object"),
+        ("data", "quadratic", "data must be a JSON object"),
+        ("algorithms", [{"name": "pt", "params": [1]}], "params must be a JSON object"),
+        ("algorithms", "pt", "algorithms must be a list"),
     ])
     def test_malformed_config_exits_1_before_any_cell(
         self, tmp_path, monkeypatch, capsys, key, value, named

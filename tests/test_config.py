@@ -64,6 +64,11 @@ def test_integer_field_takes_its_minimum(cls, name, minimum):
     cls(**{**VALID[cls], name: np.int64(minimum)})
 
 
+def test_pf_base_must_be_a_pt_config():
+    with pytest.raises(ConfigError, match="base must be a PtConfig"):
+        PfConfig(base={"n_min_leaf": 5})
+
+
 @pytest.mark.parametrize("value", ["no", 1, None])
 def test_scarce_mode_must_be_bool(value):
     with pytest.raises(ConfigError, match="scarce_mode must be"):

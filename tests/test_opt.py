@@ -35,7 +35,7 @@ from perstrees.opt import (
 )
 from perstrees.tree import PtConfig, fit_pt
 
-from helpers import random_dataset
+from helpers import random_dataset, to_scipy
 
 
 def toy_1d():
@@ -889,7 +889,7 @@ class TestHighsOracle:
     def highs(model):
         return milp(
             model.c,
-            constraints=LinearConstraint(model.A, model.row_lo, model.row_hi),
+            constraints=LinearConstraint(to_scipy(model.A), model.row_lo, model.row_hi),
             bounds=Bounds(model.lower, model.upper),
             integrality=model.binary,
             options={"mip_rel_gap": 0},
