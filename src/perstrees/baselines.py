@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._nearest import row_norms, screen
-from .errors import ConfigError, DomainError, SchemaError, _check_int, _check_keys
+from .errors import ConfigError, DomainError, SchemaError, _check_floats, _check_int, _check_keys
 from .risk import _BatchPolicy
 
 logger = logging.getLogger(__name__)
@@ -72,9 +72,11 @@ class OlsRegressor:
         return {"type": "ols", "weights": [float(w) for w in self.weights]}
 
     @staticmethod
-    def from_doc(doc):
+    def from_doc(doc, d=None):
+        """The regressor of a document; d, when given, fixes the feature
+        count, so the weights must be d + 1 numbers."""
         r = OlsRegressor()
-        r.weights = np.asarray(doc["weights"], dtype=np.float64)
+        r.weights = _check_floats("weights", doc["weights"], (None if d is None else d + 1,))
         return r
 
 
@@ -162,12 +164,16 @@ class KnnRegressor:
         }
 
     @staticmethod
-    def from_doc(doc):
+    def from_doc(doc, d=None):
+        """The regressor of a document; d, when given, fixes the feature
+        count. k may not exceed the number of stored points."""
         r = KnnRegressor(k=_check_int("k", doc["k"], 1))
-        r.center = np.asarray(doc["center"], dtype=np.float64)
-        r.scale = np.asarray(doc["scale"], dtype=np.float64)
-        r.x = np.asarray(doc["x"], dtype=np.float64)
-        r.y = np.asarray(doc["y"], dtype=np.float64)
+        r.center = _check_floats("center", doc["center"], (d,))
+        r.scale = _check_floats("scale", doc["scale"], r.center.shape)
+        r.x = _check_floats("x", doc["x"], (None,) + r.center.shape)
+        r.y = _check_floats("y", doc["y"], (len(r.x),))
+        if r.k > len(r.x):
+            raise ConfigError(f"k must be at most the {len(r.x)} stored points, got {r.k}")
         return r
 
 
@@ -190,11 +196,11 @@ def make_regressor(base, params=None):
     return lambda: cls(**params)
 
 
-def regressor_from_doc(doc):
+def regressor_from_doc(doc, d):
     kind = doc.get("type")
     if kind not in _REGRESSORS:
         raise SchemaError(f"unknown regressor type {kind!r}")
-    return _REGRESSORS[kind].from_doc(doc)
+    return _REGRESSORS[kind].from_doc(doc, d)
 
 
 @dataclass(frozen=True)
@@ -351,22 +357,30 @@ def rc_to_doc(policy):
     }
 
 
+def _shape(doc):
+    """The checked treatment and feature counts of a model document."""
+    return _check_int("m", doc["m"], 1), _check_int("d", doc["d"], 0)
+
+
 def rc_from_doc(doc):
     kind = doc.get("kind", "")
     if not kind.startswith("rc-"):
         raise SchemaError(f"expected an rc document, got kind {kind!r}")
-    regs = tuple(regressor_from_doc(d) for d in doc["arms"])
-    return RcPolicy(regressors=regs, m=int(doc["m"]), d=int(doc["d"]), base=kind[3:])
+    m, d = _shape(doc)
+    regs = tuple(regressor_from_doc(arm, d) for arm in doc["arms"])
+    if len(regs) != m:
+        raise SchemaError(f"rc document must hold one regressor per treatment, got {len(regs)}")
+    return RcPolicy(regressors=regs, m=m, d=d, base=kind[3:])
 
 
 def _cate_to_doc(est):
     return {"pos": est.hi.to_doc(), "neg": est.lo.to_doc()}
 
 
-def _cate_from_doc(doc):
+def _cate_from_doc(doc, d):
     est = RegressionCate(None)
-    est.hi = regressor_from_doc(doc["pos"])
-    est.lo = regressor_from_doc(doc["neg"])
+    est.hi = regressor_from_doc(doc["pos"], d)
+    est.lo = regressor_from_doc(doc["neg"], d)
     return est
 
 
@@ -392,16 +406,19 @@ def relabel_to_doc(policy):
 
 def relabel_from_doc(doc):
     kind = doc.get("kind")
-    m = int(doc["m"])
-    d = int(doc["d"])
+    m, d = _shape(doc)
     base = doc.get("base", "ols")
     if kind == "1va":
-        ests = tuple(_cate_from_doc(e) for e in doc["estimators"])
+        ests = tuple(_cate_from_doc(e, d) for e in doc["estimators"])
         if len(ests) != m:
             raise SchemaError("1va document must hold one estimator per treatment")
         return OneVsAllPolicy(estimators=ests, m=m, d=d, base=base)
     if kind in ("1v1a", "1v1b"):
-        ests = {(int(e["t"]), int(e["s"])): _cate_from_doc(e) for e in doc["estimators"]}
+        ests = {(_check_int("t", e["t"], 1), _check_int("s", e["s"], 1)): _cate_from_doc(e, d)
+                for e in doc["estimators"]}
+        pairs = {(t, s) for t in range(1, m + 1) for s in range(1, m + 1) if s != t}
+        if len(doc["estimators"]) != len(pairs) or ests.keys() != pairs:
+            raise SchemaError(f"{kind} document must hold one estimator per ordered pair of arms")
         return OneVsOnePolicy(
             estimators=ests, m=m, d=d, variant=kind[-1].upper(), base=base
         )

@@ -7,7 +7,9 @@ assignment probabilities Q of the received treatments.
 """
 
 import csv
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +21,10 @@ from .errors import (
     MissingPropensityError,
     ParseError,
     SchemaError,
+    _check_floats,
     _check_int,
+    _check_keys,
+    _check_object,
 )
 from .seeding import make_rng
 
@@ -370,8 +375,10 @@ class SyntheticSpec:
     """Recipe for a synthetic observational dataset.
 
     outcome_model, propensity_model, and covariate_model are dicts with a
-    "name" key plus model parameters; see the _OUTCOME/_PROPENSITY/
-    _COVARIATE registries for the available identifiers.
+    "name" key plus that model's parameters. Each model is a function
+    below whose keyword-only arguments declare its parameters and their
+    defaults, and the README lists them. Construction checks all three
+    models against n, d and m, so a spec that exists can be drawn.
     """
 
     n: int
@@ -386,30 +393,71 @@ class SyntheticSpec:
         for name in ("n", "d", "m"):
             _check_int(name, getattr(self, name), 1)
         _check_int("seed", self.seed, 0)
+        _bind_models(self)
 
 
-def _cov_normal(spec, rng, params):
+# Each generator model is a function of (spec, rng), (spec, rng, X) or
+# (spec, X) whose keyword-only arguments are its parameters: a default
+# makes one optional, and the annotation is the check a given value
+# passes, check(spec, key, value) -> the value to draw with. A given
+# null stands for a null default.
+
+
+def _feature(spec, key, j):
+    """A feature index below d."""
+    _check_int(key, j, 0)
+    if j >= spec.d:
+        raise ConfigError(f"{key} must be below d = {spec.d}, got {j!r}")
+    return j
+
+
+def _features(spec, key, value):
+    """A list of feature indices below d."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of feature indices, got {value!r}")
+    return [_feature(spec, key, j) for j in value]
+
+
+def _number(spec, key, value):
+    """A finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _floats(*shape):
+    """The check of an array parameter: finite numbers of the shape,
+    whose entries are lengths, "m", "d", or None for any length >= 1."""
+
+    def check(spec, key, value):
+        want = tuple(getattr(spec, n) if isinstance(n, str) else n for n in shape)
+        return _check_floats(key, value, want)
+
+    return check
+
+
+def _levels(spec, key, value):
+    """One list of levels for every feature, or a list per feature."""
+    if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
+        if len(value) != spec.d:
+            raise ConfigError(f"{key} must hold {spec.d} lists, one per feature, got {len(value)}")
+        return [_check_floats(key, v, (None,)) for v in value]
+    return _check_floats(key, value, (None,))
+
+
+def _cov_normal(spec, rng):
     return rng.standard_normal((spec.n, spec.d))
 
 
-def _cov_discrete_grid(spec, rng, params):
-    values = params.get("values")
-    if not values:
-        raise ConfigError("discrete_grid needs a non-empty 'values' list")
-    if isinstance(values[0], (list, tuple)):
-        if len(values) != spec.d:
-            raise ConfigError("per-feature 'values' must list every feature")
-        cols = [rng.choice(np.asarray(v, dtype=np.float64), size=spec.n) for v in values]
-        return np.column_stack(cols)
-    vals = np.asarray(values, dtype=np.float64)
-    return rng.choice(vals, size=(spec.n, spec.d))
+def _cov_discrete_grid(spec, rng, *, values: _levels):
+    if isinstance(values, list):
+        return np.column_stack([rng.choice(v, size=spec.n) for v in values])
+    return rng.choice(values, size=(spec.n, spec.d))
 
 
-def _cov_mixed_binary(spec, rng, params):
+def _cov_mixed_binary(spec, rng, *, binary_features: _features = ()):
     X = rng.standard_normal((spec.n, spec.d))
-    for j in params.get("binary_features", []):
-        if not 0 <= j < spec.d:
-            raise ConfigError(f"binary feature index {j} out of range")
+    for j in binary_features:
         X[:, j] = rng.integers(0, 2, size=spec.n).astype(np.float64)
     return X
 
@@ -421,27 +469,21 @@ _COVARIATE = {
 }
 
 
-def _out_linear(spec, rng, X, params):
-    coef = np.asarray(params["coef"], dtype=np.float64)
-    intercept = np.asarray(params.get("intercept", np.zeros(spec.m)), dtype=np.float64)
-    if coef.shape != (spec.m, spec.d) or intercept.shape != (spec.m,):
-        raise ConfigError("linear model needs coef (m x d) and intercept (m)")
-    mean = X @ coef.T + intercept
-    noise = float(params.get("noise", 0.0))
+def _out_linear(spec, rng, X, *, coef: _floats("m", "d"), intercept: _floats("m") = None,
+                noise: _number = 0.0):
+    mean = X @ coef.T + (0.0 if intercept is None else intercept)
     return mean + noise * rng.standard_normal(mean.shape)
 
 
-def _out_quadratic(spec, rng, X, params):
-    centers = np.asarray(params["centers"], dtype=np.float64)
-    if centers.shape != (spec.m,):
-        raise ConfigError("quadratic model needs one center per treatment")
-    f = int(params.get("feature", 0))
-    mean = (X[:, [f]] - centers[None, :]) ** 2
-    noise = float(params.get("noise", 0.0))
+def _out_quadratic(spec, rng, X, *, centers: _floats("m"), feature: _feature = 0,
+                   noise: _number = 0.0):
+    mean = (X[:, [feature]] - centers[None, :]) ** 2
     return mean + noise * rng.standard_normal(mean.shape)
 
 
-def _out_warfarin_like(spec, rng, X, params):
+def _out_warfarin_like(spec, rng, X, *, driver: _feature = 0, up_feature: _feature = None,
+                       down_feature: _feature = None, cuts: _floats(2) = (-0.4, 0.6),
+                       flip: _number = 0.0):
     """Binary "dose incorrect" outcomes over three dose groups.
 
     The correct group is 1 + 1[x_driver > cut1] + 1[x_driver > cut2],
@@ -450,21 +492,14 @@ def _out_warfarin_like(spec, rng, X, params):
     1 when the treatment differs from the correct group, 0 when it
     matches, each cell flipped independently with probability `flip`.
     """
-    if spec.m != 3:
-        raise ConfigError("warfarin_like is defined for m = 3 only")
-    cuts = params.get("cuts", (-0.4, 0.6))
-    driver = int(params.get("driver", 0))
-    up = params.get("up_feature")
-    down = params.get("down_feature")
     x = X[:, driver]
     group = 1 + (x > cuts[0]).astype(np.int64) + (x > cuts[1]).astype(np.int64)
-    if up is not None:
-        group = group + (X[:, int(up)] > 0.5).astype(np.int64)
-    if down is not None:
-        group = group - (X[:, int(down)] > 0.5).astype(np.int64)
+    if up_feature is not None:
+        group = group + (X[:, up_feature] > 0.5).astype(np.int64)
+    if down_feature is not None:
+        group = group - (X[:, down_feature] > 0.5).astype(np.int64)
     group = np.clip(group, 1, 3)
     cf = (np.arange(1, 4)[None, :] != group[:, None]).astype(np.float64)
-    flip = float(params.get("flip", 0.0))
     if flip > 0.0:
         mask = rng.random(cf.shape) < flip
         cf = np.abs(cf - mask.astype(np.float64))
@@ -485,24 +520,16 @@ def _standardize(col):
     return (col - col.mean()) / sd
 
 
-def _prop_uniform(spec, X, params):
+def _prop_uniform(spec, X):
     return np.full((spec.n, spec.m), 1.0 / spec.m)
 
 
-def _prop_bmi_logistic(spec, X, params):
-    if spec.m != 3:
-        raise ConfigError("bmi_logistic is defined for m = 3 only")
-    f = int(params.get("feature", 0))
-    z = _standardize(X[:, f])
-    return confounded_propensity(z)
+def _prop_bmi_logistic(spec, X, *, feature: _feature = 0):
+    return confounded_propensity(_standardize(X[:, feature]))
 
 
-def _prop_logistic_binary(spec, X, params):
-    if spec.m != 2:
-        raise ConfigError("logistic_binary is defined for m = 2 only")
-    f = int(params.get("feature", 0))
-    a = float(params.get("strength", 1.0))
-    p2 = 1.0 / (1.0 + np.exp(-a * X[:, f]))
+def _prop_logistic_binary(spec, X, *, feature: _feature = 0, strength: _number = 1.0):
+    p2 = 1.0 / (1.0 + np.exp(-strength * X[:, feature]))
     return np.column_stack([1.0 - p2, p2])
 
 
@@ -512,13 +539,47 @@ _PROPENSITY = {
     "logistic_binary": _prop_logistic_binary,
 }
 
+# the models defined for one treatment count only
+_ONLY_M = {_out_warfarin_like: 3, _prop_bmi_logistic: 3, _prop_logistic_binary: 2}
 
-def _lookup(registry, model, what):
+
+def _bind(kind, registry, model, spec):
+    """The model dict's function with its parameters checked and bound;
+    ConfigError naming the model and the key for an unknown name, an
+    undeclared or missing parameter, or a value that fails its check."""
+    _check_object(f"{kind}_model", model)
     name = model.get("name")
-    if name not in registry:
-        known = ", ".join(sorted(registry))
-        raise ConfigError(f"unknown {what} model {name!r} (known: {known})")
-    return registry[name]
+    draw = registry.get(name) if isinstance(name, str) else None
+    if draw is None:
+        known = ", ".join(registry)
+        raise ConfigError(f"unknown {kind} model {name!r}; valid names: {known}")
+    owner = f"{name} {kind} model"
+    only = _ONLY_M.get(draw, spec.m)
+    if spec.m != only:
+        raise ConfigError(f"{owner} is defined for m = {only} only, got m = {spec.m}")
+    checks = draw.__annotations__
+    defaults = draw.__kwdefaults__ or {}
+    params = {key: value for key, value in model.items() if key != "name"}
+    _check_keys(owner, params, tuple(checks))
+    try:
+        for key, check in checks.items():
+            if key not in params:
+                if key not in defaults:
+                    raise ConfigError(f"{key} is required")
+            elif not (params[key] is None and key in defaults and defaults[key] is None):
+                params[key] = check(spec, key, params[key])
+    except ConfigError as exc:
+        raise ConfigError(f"{owner}: {exc}") from None
+    return functools.partial(draw, **params)
+
+
+def _bind_models(spec):
+    """The covariate, outcome and propensity draws of a spec."""
+    return (
+        _bind("covariate", _COVARIATE, spec.covariate_model, spec),
+        _bind("outcome", _OUTCOME, spec.outcome_model, spec),
+        _bind("propensity", _PROPENSITY, spec.propensity_model, spec),
+    )
 
 
 def generate_synthetic(spec):
@@ -527,14 +588,11 @@ def generate_synthetic(spec):
     Drawing order (covariates, counterfactual noise, treatments) is fixed,
     so identical specs produce bit-identical datasets.
     """
+    cov, out, prop = _bind_models(spec)
     rng = make_rng(spec.seed)
-    cov = _lookup(_COVARIATE, spec.covariate_model, "covariate")
-    out = _lookup(_OUTCOME, spec.outcome_model, "outcome")
-    prop = _lookup(_PROPENSITY, spec.propensity_model, "propensity")
-
-    X = cov(spec, rng, spec.covariate_model)
-    CF = out(spec, rng, X, spec.outcome_model)
-    probs = prop(spec, X, spec.propensity_model)
+    X = cov(spec, rng)
+    CF = out(spec, rng, X)
+    probs = prop(spec, X)
     if probs.shape != (spec.n, spec.m) or probs.min() <= 0.0:
         raise ConfigError("propensity model must return positive n x m probabilities")
 

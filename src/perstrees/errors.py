@@ -2,6 +2,8 @@
 
 import numbers
 
+import numpy as np
+
 
 class PerstreesError(Exception):
     """Base class for all errors raised by this package."""
@@ -47,6 +49,35 @@ def _check_keys(owner, params, valid):
         if key not in valid:
             listed = ", ".join(valid) or "none"
             raise ConfigError(f"unknown {owner} parameter {key!r}; valid keys: {listed}")
+
+
+def _check_object(name, value):
+    """value if it is a JSON object; ConfigError naming it otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _check_floats(name, value, shape):
+    """value as a float64 array of the given shape, each entry of shape a
+    length or None for any length of at least 1; ConfigError naming the
+    setting unless value holds finite numbers (not bools) of that shape."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf":
+        problem = f"got {value!r:.60}"
+    elif a.ndim != len(shape) or any(
+        n < 1 if want is None else n != want for n, want in zip(a.shape, shape)
+    ):
+        problem = f"got shape {a.shape}"
+    elif not np.isfinite(a).all():
+        problem = "got a non-finite entry"
+    else:
+        return a.astype(np.float64, copy=False)
+    want = " x ".join("k" if n is None else str(n) for n in shape)
+    raise ConfigError(f"{name} must be {want} finite numbers, {problem}")
 
 
 class UndefinedImpurityError(PerstreesError):

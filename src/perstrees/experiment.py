@@ -23,13 +23,13 @@ Replications run serially; determinism comes from the master seed
 alone.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .baselines import fit_1v1, fit_1va, fit_rc, make_cate, make_regressor
 from .data import SyntheticSpec, generate_synthetic, split
-from .errors import ConfigError, _check_int, _check_keys
+from .errors import ConfigError, _check_int, _check_keys, _check_object
 from .forest import PfConfig, fit_pf
 from .opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact, warm_start_from_pt
 from .risk import oracle_metrics
@@ -189,17 +189,11 @@ def _data_template(doc, *cell):
         merged.update(data)
         data = merged
     _check_keys("data spec", data, ("preset",) + _fields(SyntheticSpec, *cell))
-    for key in ("n", "d", "m", "outcome_model", "propensity_model"):
-        if key not in data and key not in cell:
-            raise ConfigError(f"data spec lacks {key!r}")
+    for f in fields(SyntheticSpec):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in data and f.name not in cell:
+            raise ConfigError(f"data spec lacks {f.name!r}")
     return data
-
-
-def _check_object(what, value):
-    """value if it is a JSON object; ConfigError naming it otherwise."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
-    return value
 
 
 def experiment_config_from_doc(doc):
@@ -209,6 +203,7 @@ def experiment_config_from_doc(doc):
     value fails before the first cell trains.
     """
     _check_object("experiment config", doc)
+    _check_keys("experiment config", doc, _fields(ExperimentConfig))
     if doc.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
     algos = []
@@ -219,8 +214,13 @@ def experiment_config_from_doc(doc):
         if isinstance(entry, str):
             entry = {"name": entry}
         _check_object("algorithms entry", entry)
+        _check_keys("algorithms entry", entry, _fields(AlgoSpec))
         params = _check_object("params", entry.get("params", {}))
-        algo = AlgoSpec(name=entry.get("name"), params=dict(params), label=entry.get("label"))
+        label = entry.get("label")  # a cell of the results CSV, written unquoted
+        if label is not None and (not isinstance(label, str) or not label
+                                  or any(c in ',"\r\n' for c in label)):
+            raise ConfigError(f"label must be null or a CSV-safe string, got {label!r}")
+        algo = AlgoSpec(name=entry.get("name"), params=dict(params), label=label)
         _build(algo.name, algo.params, 0)
         algos.append(algo)
     if not algos:
@@ -233,6 +233,7 @@ def experiment_config_from_doc(doc):
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("n_grid must be a non-empty ascending list")
     proto = _check_object("protocol", doc.get("protocol", {}))
+    _check_keys("protocol", proto, _fields(Protocol))
     kind = proto.get("kind")
     if kind not in ("oracle", "greedy-submatch", "optimal-submatch"):
         raise ConfigError(
@@ -241,10 +242,10 @@ def experiment_config_from_doc(doc):
     optimal = kind == "optimal-submatch"
     n_test = _check_int("n_test", proto.get("n_test"), 1, none_ok=optimal)
     n_pair = _check_int("n_pair", proto.get("n_pair"), 1, none_ok=not optimal)
-    if "output" not in doc:
-        raise ConfigError("output path is required")
+    if not isinstance(doc.get("output"), str):
+        raise ConfigError(f"output must be a path, got {doc.get('output')!r}")
     data = _data_template(_check_object("data", doc.get("data", {})), "n", "seed")
-    SyntheticSpec(n=n_grid[0], **data)  # checks d and m now, not in the first cell
+    SyntheticSpec(n=n_grid[0], **data)  # checks d, m and the models now, not in the first cell
     return ExperimentConfig(
         algorithms=tuple(algos),
         n_grid=n_grid,
@@ -252,15 +253,13 @@ def experiment_config_from_doc(doc):
         protocol=Protocol(kind=kind, n_test=n_test, n_pair=n_pair),
         master_seed=_check_int("master_seed", doc.get("master_seed", 0), 0),
         data=data,
-        output=str(doc["output"]),
+        output=doc["output"],
     )
 
 
 def synthetic_spec_from_doc(doc):
     """SyntheticSpec from a JSON document, expanding any preset."""
-    if not isinstance(doc, dict):
-        raise ConfigError("synthetic spec must be a JSON object")
-    return SyntheticSpec(**_data_template(doc))
+    return SyntheticSpec(**_data_template(_check_object("synthetic spec", doc)))
 
 
 def _cell(config, n, rep):

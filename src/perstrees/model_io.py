@@ -52,7 +52,7 @@ def model_from_doc(doc):
         raise SchemaError(f"unknown model kind {kind!r}")
     try:
         return loader(doc)
-    except (LookupError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, ConfigError, SchemaError) as exc:
         raise SchemaError(f"malformed {kind} model document: {exc!r}") from exc
 
 

@@ -37,6 +37,7 @@ cuts get distinct codes and the simplex row pins gamma to a vertex
 whenever delta is integral. Subjects are numbered from 1 in names.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -72,8 +73,9 @@ class CscMatrix:
 def _csc(entries, shape):
     """CscMatrix from a list of (key, value) pieces, key being the
     column-major position col * n_rows + row of each entry. Positions
-    must be distinct. Each column's rows come out sorted. The list is
-    emptied, so that the pieces do not outlive the copy."""
+    must be distinct. Each column's rows come out sorted, as int32 where
+    the row count allows. The list is emptied, so that the pieces do not
+    outlive the copy."""
     key, data = (np.concatenate(part) for part in zip(*entries))
     entries.clear()
     order = np.argsort(key)
@@ -81,7 +83,8 @@ def _csc(entries, shape):
     data = data[order]
     n_rows, n_cols = shape
     indptr = np.searchsorted(key, np.arange(n_cols + 1) * n_rows)
-    return CscMatrix(data=data, indices=key % n_rows, indptr=indptr, shape=shape)
+    rows = (key % n_rows).astype(np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64)
+    return CscMatrix(data=data, indices=rows, indptr=indptr, shape=shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +98,8 @@ class MipModel:
     tuple of the product of the axes, in row-major order, every template
     is formatted with it in turn. (("w({0},{1})",), (range(1, 3), (4, 5)))
     names w(1,4), w(1,5), w(2,4), w(2,5); a template without axes is one
-    plain name.
+    plain name. Each name list, and the column index by name, is made
+    once per model, on first use.
     """
 
     c: np.ndarray
@@ -108,15 +112,19 @@ class MipModel:
     col_blocks: tuple
     row_blocks: tuple
 
-    @property
+    @functools.cached_property
     def variables(self):
         """Column names, in column order."""
         return _names(self.col_blocks)
 
-    @property
+    @functools.cached_property
     def constraints(self):
         """Row names, in row order."""
         return _names(self.row_blocks)
+
+    @functools.cached_property
+    def _column_index(self):
+        return {name: j for j, name in enumerate(self.variables)}
 
     @property
     def n_binary(self):
@@ -328,7 +336,7 @@ def solution_from_assignment(ds, skeleton, menu, assignment):
 def _vector(model, values):
     """x from a name-to-value map, missing names as zero, and the names
     that are not columns of the model."""
-    index = {name: j for j, name in enumerate(model.variables)}
+    index = model._column_index
     x = np.zeros(len(index))
     unknown = []
     for name, val in values.items():

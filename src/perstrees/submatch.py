@@ -170,7 +170,7 @@ def optimal_submatch(ds, n_pair, metric):
     for arm sizes n1 and n2, about 8 * n1 * (n2 + n1) bytes; 10,000
     subjects per arm take 1.6 GB.
     """
-    from scipy.optimize import linear_sum_assignment  # imported on use, like in build_mip
+    from scipy.optimize import linear_sum_assignment  # imported on use; nothing else needs scipy
 
     if ds.m != 2:
         raise DomainError("optimal submatching is defined for two treatments only")

@@ -470,6 +470,18 @@ class TestExperiment:
         ("data", "quadratic", "data must be a JSON object"),
         ("algorithms", [{"name": "pt", "params": [1]}], "params must be a JSON object"),
         ("algorithms", "pt", "algorithms must be a list"),
+        ("master_sed", 7, "unknown experiment config parameter 'master_sed'"),
+        ("algorithms", [{"name": "pt", "lable": "tree"}],
+         "unknown algorithms entry parameter 'lable'"),
+        ("protocol", {"kind": "optimal-submatch", "n_pair": 5, "n_pairs": 5},
+         "unknown protocol parameter 'n_pairs'"),
+        ("data", {"preset": "warfarin-like",
+                  "outcome_model": {"name": "warfarin_like", "flip_probability": 0.1}},
+         "unknown warfarin_like outcome model parameter 'flip_probability'"),
+        ("algorithms", [{"name": "pt", "label": ["a"]}], "label must be null or a CSV-safe string"),
+        ("algorithms", [{"name": "pt", "label": "a,b"}], "label must be null or a CSV-safe string"),
+        ("algorithms", [{"name": "pt", "label": ""}], "label must be null or a CSV-safe string"),
+        ("output", 7, "output must be a path, got 7"),
     ])
     def test_malformed_config_exits_1_before_any_cell(
         self, tmp_path, monkeypatch, capsys, key, value, named
@@ -484,6 +496,17 @@ class TestExperiment:
         cfg.write_text(json.dumps(doc))
         assert run("experiment", "--config", str(cfg)) == 1
         assert named in capsys.readouterr().err
+
+
+# an OLS regressor over the five columns quad_csv loads as features
+# without --cf-cols and --q-col
+OLS5 = {"type": "ols", "weights": [0.0, 1.0, -1.0, 0.5, 0.0, 2.0]}
+
+
+def ols_pairs(m):
+    """1v1 estimators of every ordered pair of m arms."""
+    arms = range(1, m + 1)
+    return [{"t": t, "s": s, "pos": OLS5, "neg": OLS5} for t in arms for s in arms if s != t]
 
 
 class TestExitCodes:
@@ -531,6 +554,35 @@ class TestExitCodes:
         spec.write_text(json.dumps({"preset": "quadratic", "n": 20, "sede": 3}))
         assert run("gen-data", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 1
         assert "unknown data spec parameter 'sede'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"preset": "warfarin-like", "outcome_model": {"name": "warfarin_like", "flip_prob": 0.5}},
+         "unknown warfarin_like outcome model parameter 'flip_prob'; valid keys: driver"),
+        ({"preset": "quadratic", "propensity_model": {"name": "logistic_binary", "strenght": 9}},
+         "unknown logistic_binary propensity model parameter 'strenght'"),
+        ({"preset": "warfarin-like", "outcome_model": {"name": "warfarin_like", "driver": 2.7}},
+         "warfarin_like outcome model: driver must be an integer"),
+        ({"preset": "quadratic",
+          "outcome_model": {"name": "quadratic", "centers": [0, 1], "feature": -1}},
+         "quadratic outcome model: feature must be an integer of at least 0"),
+        ({"preset": "quadratic",
+          "outcome_model": {"name": "quadratic", "centers": [0, 1], "noise": "0.1"}},
+         "quadratic outcome model: noise must be a finite number"),
+        ({"preset": "quadratic", "outcome_model": {"name": "quadratic", "feature": 0}},
+         "quadratic outcome model: centers is required"),
+        ({"preset": "quadratic", "covariate_model": {"name": "discrete_grid", "values": "abc"}},
+         "discrete_grid covariate model: values must be"),
+        ({"preset": "warfarin-like", "outcome_model": {"name": "warfarin_like", "up_feature": 10}},
+         "warfarin_like outcome model: up_feature must be below d = 10"),
+    ], ids=["flip_prob", "strenght", "driver-2.7", "feature--1", "noise-text", "no-centers",
+            "values-text", "up_feature-10"])
+    def test_bad_model_parameter_exits_1(self, tmp_path, spec, named, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**spec, "n": 20}))
+        out = tmp_path / "d.csv"
+        assert run("gen-data", "--spec", str(path), "--out", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo, params, extra, named", [
         ("pt", {"n_min_lef": 50}, (), "unknown pt parameter 'n_min_lef'; valid keys: n_min_leaf"),
@@ -605,8 +657,13 @@ class TestExitCodes:
         {"kind": "pt", "m": None, "d": 1, "root": {}},
         {"kind": "pt", "m": 2, "d": 1, "root": {"split": {"feature": 0, "threshold": 0.5}}},
         {"kind": ["pt"]},
+        {"kind": "rc-ols", "m": 3, "d": 5, "arms": [OLS5, OLS5]},
+        {"kind": "1v1a", "m": 2, "d": 5, "estimators": ols_pairs(3)},
+        {"kind": "rc-ols", "m": 2, "d": 5, "arms": [OLS5, {"type": "ols", "weights": [0.0] * 3}]},
+        {"kind": "1v1a", "m": 3, "d": 5, "estimators": ols_pairs(3)[1:]},
     ], ids=["rc-no-arms", "knn-k-text", "knn-k-0", "knn-k-negative", "1va-no-weights",
-            "1v1-no-s", "pf-no-trees", "pt-m-null", "pt-no-children", "kind-list"])
+            "1v1-no-s", "pf-no-trees", "pt-m-null", "pt-no-children", "kind-list",
+            "rc-arm-missing", "1v1-m-short", "ols-weights-short", "1v1-pair-missing"])
     def test_malformed_model_exits_2(self, tmp_path, quad_csv, doc, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))

@@ -1,13 +1,16 @@
-"""Settings checks shared by every config class, and the README's list of
-accepted params keys against the keys the code accepts."""
+"""Settings checks shared by every config class, and the README's lists
+of accepted params keys and of generator-model parameters against the
+ones the code declares."""
 
 import fnmatch
+import json
 import pathlib
 import re
 
 import numpy as np
 import pytest
 
+from perstrees import data
 from perstrees.baselines import KnnRegressor
 from perstrees.data import SyntheticSpec
 from perstrees.errors import ConfigError
@@ -24,7 +27,11 @@ VALID = {
     PfConfig: {},
     OptConfig: {},
     TreeSkeleton: {"delta": 2},
-    SyntheticSpec: {"n": 5, "d": 2, "m": 2, "outcome_model": {}, "propensity_model": {}},
+    SyntheticSpec: {
+        "n": 5, "d": 1, "m": 1,
+        "outcome_model": {"name": "quadratic", "centers": [0.0]},
+        "propensity_model": {"name": "uniform"},
+    },
     KnnRegressor: {},
 }
 
@@ -93,10 +100,11 @@ def accepted_keys(algo):
     return set() if listed == "none" else set(listed.split(", "))
 
 
-def readme_keys():
-    """{algorithm: keys} from the README's accepted-keys bullets."""
+def readme_bullets(marker):
+    """The README's bullets after the first line holding marker, each
+    joined onto one line."""
     lines = README.read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if "the accepted keys" in line) + 1
+    start = next(i for i, line in enumerate(lines) if marker in line) + 1
     bullets = []
     for line in lines[start:]:
         if line.startswith("- "):
@@ -105,8 +113,13 @@ def readme_keys():
             bullets[-1] += line
         elif bullets:
             break
+    return bullets
+
+
+def readme_keys():
+    """{algorithm: keys} from the README's accepted-keys bullets."""
     found = {}
-    for bullet in bullets:
+    for bullet in readme_bullets("the accepted keys"):
         names, keys = bullet.split(":", 1)
         patterns = re.findall(r"`([^`]+)`", names)
         for algo in {a for p in patterns for a in fnmatch.filter(ALGORITHMS, p)}:
@@ -120,3 +133,29 @@ def test_readme_lists_the_accepted_keys():
     assert sorted(documented) == sorted(ALGORITHMS)
     for algo in ALGORITHMS:
         assert documented[algo] == accepted_keys(algo), algo
+
+
+MODELS = {"covariates": data._COVARIATE, "outcome": data._OUTCOME, "propensity": data._PROPENSITY}
+
+
+def test_readme_lists_the_model_parameters():
+    # a bullet reads "<kind> `<name>`[, m = <m> only]: <params>; <prose>",
+    # each parameter `key` if required, else `key=<default as JSON>`
+    documented = {}
+    for bullet in readme_bullets("The models"):
+        head, rest = bullet.split(":", 1)
+        kind, name = re.match(r"(\w+) `(\w+)`", head).groups()
+        only = re.search(r"m = (\d+) only", head)
+        params = re.findall(r"`([^`]+)`", rest.split(";", 1)[0])
+        documented[kind, name] = (
+            only and int(only[1]), dict(p.partition("=")[::2] for p in params)
+        )
+    declared = {}
+    for kind, registry in MODELS.items():
+        for name, draw in registry.items():
+            defaults = draw.__kwdefaults__ or {}
+            params = {
+                k: json.dumps(defaults[k]) if k in defaults else "" for k in draw.__annotations__
+            }
+            declared[kind, name] = (data._ONLY_M.get(draw), params)
+    assert documented == declared

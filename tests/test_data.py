@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from perstrees.data import (
     split,
 )
 from perstrees.errors import ConfigError, DomainError, ParseError, SchemaError
+from perstrees.experiment import PRESETS
 
 from helpers import random_dataset
 
@@ -236,6 +238,145 @@ class TestGenerateSynthetic:
         z = (z - z.mean()) / z.std(ddof=1)
         probs = np.stack([confounded_propensity(v) for v in z])
         assert np.max(np.abs(freq - probs.mean(axis=0))) < 0.01
+
+
+COEF = [[1.0, -0.5, 0.0], [0.25, 2.0, -1.5]]
+
+# both presets, and every generator model with parameters off their
+# defaults; integers stand in for some floats, as JSON configs write them
+PINNED_SPECS = {
+    "preset-warfarin-like": dict(PRESETS["warfarin-like"], n=300, seed=3),
+    "preset-quadratic": dict(PRESETS["quadratic"], n=300, seed=4),
+    "discrete_grid-flat": dict(
+        n=120, d=3, m=2, seed=5,
+        covariate_model={"name": "discrete_grid", "values": [-1, 0.0, 2.5]},
+        outcome_model={"name": "linear", "coef": COEF},
+        propensity_model={"name": "uniform"}),
+    "discrete_grid-per-feature": dict(
+        n=120, d=3, m=2, seed=6,
+        covariate_model={"name": "discrete_grid", "values": [[0, 1], [0.5, 1.5, 2.5], [-3.0]]},
+        outcome_model={"name": "linear", "coef": COEF, "noise": 0.2},
+        propensity_model={"name": "uniform"}),
+    "mixed_binary": dict(
+        n=150, d=4, m=3, seed=7,
+        covariate_model={"name": "mixed_binary", "binary_features": [3, 1]},
+        outcome_model={"name": "warfarin_like", "up_feature": 3, "down_feature": 1},
+        propensity_model={"name": "bmi_logistic", "feature": 2}),
+    "linear": dict(
+        n=200, d=3, m=2, seed=8,
+        outcome_model={"name": "linear", "coef": COEF, "intercept": [0.5, -0.25], "noise": 0.7},
+        propensity_model={"name": "logistic_binary", "feature": 2, "strength": -2.5}),
+    "quadratic": dict(
+        n=200, d=3, m=3, seed=9,
+        outcome_model={"name": "quadratic", "centers": [-2.0, 0.0, 1.5], "feature": 1,
+                       "noise": 0.4},
+        propensity_model={"name": "uniform"}),
+    "warfarin_like": dict(
+        n=250, d=5, m=3, seed=10,
+        outcome_model={"name": "warfarin_like", "driver": 4, "up_feature": 0, "down_feature": 2,
+                       "cuts": [-1.0, 0.2], "flip": 0.3},
+        propensity_model={"name": "bmi_logistic", "feature": 4}),
+    "uniform-m4": dict(
+        n=160, d=2, m=4, seed=11,
+        outcome_model={"name": "quadratic", "centers": [-1.0, 0.0, 1.0, 2.0], "noise": 0.1},
+        propensity_model={"name": "uniform"}),
+    "bmi_logistic": dict(
+        n=180, d=2, m=3, seed=12,
+        outcome_model={"name": "linear", "coef": [[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]},
+        propensity_model={"name": "bmi_logistic", "feature": 1}),
+    "logistic_binary": dict(
+        n=180, d=2, m=2, seed=13,
+        outcome_model={"name": "quadratic", "centers": [0.5, -0.5]},
+        propensity_model={"name": "logistic_binary", "feature": 1, "strength": 3}),
+}
+
+# sha256 of X, T, Y, CF and Q's bytes, recorded before the generator
+# models declared their parameters as keyword-only arguments
+PINNED_DIGESTS = {
+    "preset-warfarin-like": "4afe4e05181bff80b645dcc798d5c5e8a8a6e817be3ca832a0e8357ca74f945e",
+    "preset-quadratic": "926cf2797616008ac91f318d58fbcb1bf33c92219d8ab678751248c28a1ba9dc",
+    "discrete_grid-flat": "66da8156d08ca05b837a1e72f7aa997821e7af10127ac07f032642ffec98bda3",
+    "discrete_grid-per-feature": "70943fd47a1666e31bf6cb6fbbf4d6f2e0685febcbdd6ec9575f31d9bf523fb3",
+    "mixed_binary": "aa33de3ad9ff965fdc7d8578b020e218580ec33098d6f4bf4d1d0ecc1cea443b",
+    "linear": "c7abdafba76a752d885b696ce3806f6188c8cce0aa4870e154b5d6dd659e690c",
+    "quadratic": "9790075c4e46d14f4d6e9f25e6283b0685a1efbb47be4ad0980ccaee0490a08f",
+    "warfarin_like": "94f30b3e3a828fde0c810a5b0f1b95269a7d87b180fa9423e931b00c18b413a1",
+    "uniform-m4": "1f8d114af287f02bcf586fc5c1907f56fe6934ea0252f58ac2dbc48b11a2db13",
+    "bmi_logistic": "7bf474325a6ecdef7279423c1ff3f7e68e526f39178d3a0f26f96c564a16a096",
+    "logistic_binary": "159835546a5daf1ee3a45ac1fa55685a894d20262283b963c56027c991a1a425",
+}
+
+
+def synthetic_digest(spec):
+    ds = generate_synthetic(SyntheticSpec(**spec))
+    h = hashlib.sha256()
+    for a in (ds.X, ds.T, ds.Y, ds.CF, ds.Q):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedSynthetic:
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+    def test_generated_data_keeps_its_bits(self, name):
+        assert synthetic_digest(PINNED_SPECS[name]) == PINNED_DIGESTS[name]
+
+    def test_null_stands_for_a_null_default(self):
+        spec = PINNED_SPECS["linear"]
+        plain = {k: v for k, v in spec["outcome_model"].items() if k != "intercept"}
+        given = dict(plain, intercept=None)
+        assert synthetic_digest(dict(spec, outcome_model=given)) == synthetic_digest(
+            dict(spec, outcome_model=plain))
+
+
+def spec_with(**models):
+    """A drawable two-arm spec, d = 3, with the given models replaced."""
+    return dict(PINNED_SPECS["linear"], **models)
+
+
+class TestModelChecks:
+    """SyntheticSpec checks its models when it is made, before any draw."""
+
+    @pytest.mark.parametrize("models, named", [
+        ({"outcome_model": "linear"}, "outcome_model must be a JSON object"),
+        ({"outcome_model": {"name": 3}}, "unknown outcome model 3; valid names: linear"),
+        ({"propensity_model": {"name": "uniform", "feature": 0}},
+         "unknown uniform propensity model parameter 'feature'; valid keys: none"),
+        ({"outcome_model": {"name": "linear"}}, "linear outcome model: coef is required"),
+        ({"outcome_model": {"name": "linear", "coef": COEF[:1]}},
+         r"coef must be 2 x 3 finite numbers, got shape \(1, 3\)"),
+        ({"outcome_model": {"name": "linear", "coef": [[1, 2, float("nan")], [0, 0, 0]]}},
+         "coef must be 2 x 3 finite numbers, got a non-finite entry"),
+        ({"outcome_model": {"name": "linear", "coef": [[True] * 3] * 2}}, "coef must be"),
+        ({"outcome_model": {"name": "linear", "coef": [[1, 2], [3]]}}, "coef must be"),
+        ({"outcome_model": {"name": "linear", "coef": COEF, "intercept": None, "noise": None}},
+         "linear outcome model: noise must be a finite number, got None"),
+        ({"outcome_model": {"name": "quadratic", "centers": [0, 1], "feature": 3}},
+         "feature must be below d = 3, got 3"),
+        ({"outcome_model": {"name": "quadratic", "centers": [0, 1], "feature": True}},
+         "feature must be an integer"),
+        ({"outcome_model": {"name": "warfarin_like"}},
+         "warfarin_like outcome model is defined for m = 3 only, got m = 2"),
+        ({"propensity_model": {"name": "logistic_binary", "strength": True}},
+         "strength must be a finite number"),
+        ({"propensity_model": {"name": "logistic_binary", "strength": float("inf")}},
+         "strength must be a finite number"),
+        ({"covariate_model": {"name": "discrete_grid", "values": []}},
+         r"values must be k finite numbers, got shape \(0,\)"),
+        ({"covariate_model": {"name": "discrete_grid", "values": [[0, 1], [2]]}},
+         "values must hold 3 lists, one per feature, got 2"),
+        ({"covariate_model": {"name": "mixed_binary", "binary_features": 1}},
+         "binary_features must be a list of feature indices"),
+        ({"covariate_model": {"name": "mixed_binary", "binary_features": [0, 3]}},
+         "mixed_binary covariate model: binary_features must be below d = 3"),
+    ])
+    def test_bad_model_refused_at_construction(self, models, named):
+        with pytest.raises(ConfigError, match=named):
+            SyntheticSpec(**spec_with(**models))
+
+    def test_checks_run_on_numpy_values(self):
+        models = {"outcome_model": {"name": "quadratic", "centers": np.array([0.0, 1.0]),
+                                    "feature": np.int64(2), "noise": np.float64(0.5)}}
+        assert generate_synthetic(SyntheticSpec(**spec_with(**models))).n == 200
 
 
 class TestSplitBootstrap:

@@ -203,6 +203,11 @@ class TestRoundTrip:
         assert sorted(names["rows"].values()) == sorted(model.constraints)
         assert sorted(names["columns"].values()) == sorted(model.variables)
 
+    def test_names_are_made_once_per_model(self):
+        model = six_subject_model()
+        assert model.variables is model.variables
+        assert model.constraints is model.constraints
+
 
 def hand_model(c, dense, row_lo, row_hi, lower, upper, binary, col_names=None):
     """A MipModel from dense arrays, its columns x0, x1, ... and rows
@@ -347,6 +352,7 @@ class TestCscArrays:
         assert model.A.shape == ref.shape
         assert np.array_equal(model.A.indptr, ref.indptr)
         assert np.array_equal(model.A.indices, ref.indices)
+        assert model.A.indices.dtype == np.int32  # array_equal ignores the dtype
         assert model.A.data.tobytes() == ref.data.tobytes()
         assert np.all(model.A.data != 0.0)
 
@@ -362,6 +368,7 @@ class TestCscArrays:
         assert pieces == []
         assert np.array_equal(A.indptr, ref.indptr)
         assert np.array_equal(A.indices, ref.indices)
+        assert A.indices.dtype == np.int32
         assert A.data.tobytes() == ref.data.tobytes()
 
     @pytest.mark.parametrize("delta, seed, n_cuts", INSTANCES[:4])
