@@ -21,11 +21,17 @@ survivor is the reference's argmin. Every other query, a tie, a
 duplicate point or a margin too coarse to separate the candidates, is
 left to the reference arithmetic, so the screen never changes a result.
 
-The margin. Let b be the row norm of |x| |L| (b = |x| for kNN), and for
-a query i and candidate c let v = |x_i| + |x_c|, so |x_i - x_c| <= v
-and |v| |L| has norm at most b_i + b_c. Every error below is a multiple
-of (b_i + b_c)^2; gamma_k = k u / (1 - k u).
+The margin. `whiten` centers the rows on their column means mu first,
+z = fl(x - mu), so that a large common offset does not swell it (kNN's
+standardized rows are centered already: z = x). Let b be the row norm
+of |z| |L| (b = |z| for kNN), and for a query i and candidate c let
+v = |z_i| + |z_c|, so |x_i - x_c| <= (1 + gamma_1) v and |v| |L| has
+norm at most b_i + b_c. Every error below is a multiple of
+(b_i + b_c)^2; gamma_k = k u / (1 - k u).
 
+- Centering: each entry of z is rounded once, so z_i - z_c is within
+  gamma_1 v of x_i - x_c, and the quadratic form moves by 2 u to first
+  order. kNN has no such term.
 - Reference: the differences are rounded once (relative u each, so
   2u + u^2 on the quadratic form) and the quadratic form sums d^2
   products of three factors in some order, gamma_{d^2 + 1} on
@@ -44,17 +50,17 @@ of (b_i + b_c)^2; gamma_k = k u / (1 - k u).
   |w_i|^2, |w_c|^2 and |w_i| |w_c|, and the last two additions one u
   each: gamma_{d + 2} (1 + gamma_d)^2.
 
-The sum is (2 d^2 + 4 d + 8) u = eps (d^2 + 2 d + 4) to first order, and
-(2 d + 4) u for kNN. The margin used is 2 eps (d^2 + 2 d + 8) (b_i + b_c)^2
-plus the smallest normal number. It is at least twice the first-order
-sum; the slack covers the higher-order gamma terms and the rounding of
-b, of M and of s -/+ M themselves, and the absolute term covers gradual
-underflow. The relative 4 eps keeps sqrt from rounding a strictly larger
-squared distance onto the k-th neighbour's distance: the square roots of
-values 1 + 3 eps apart differ by more than an ulp. The bounds assume
-finite data whose squared norms do not overflow; NaN propagates to
-failed comparisons, and a query without exactly k survivors goes to the
-reference.
+The sum is (2 d^2 + 4 d + 10) u = eps (d^2 + 2 d + 5) to first order,
+and (2 d + 4) u for kNN. The margin used is
+2 eps (d^2 + 2 d + 8) (b_i + b_c)^2 plus the smallest normal number. It
+is at least twice the first-order sum; the slack covers the higher-order
+gamma terms and the rounding of b, of M and of s -/+ M themselves, and
+the absolute term covers gradual underflow. The relative 4 eps keeps
+sqrt from rounding a strictly larger squared distance onto the k-th
+neighbour's distance: the square roots of values 1 + 3 eps apart differ
+by more than an ulp. The bounds assume finite data whose squared norms
+do not overflow; NaN propagates to failed comparisons, and a query
+without exactly k survivors goes to the reference.
 
 The screen's own arithmetic (a BLAS product whose summation order may
 depend on the thread count) decides only which queries the reference
@@ -75,8 +81,9 @@ def row_norms(W):
 
 
 def whiten(inverse, X):
-    """Rows of X whitened by the Cholesky factor L of a metric inverse,
-    with the row norms of |X| |L| that size the margin.
+    """Rows of X centered on their mean and whitened by the Cholesky
+    factor L of a metric inverse, with the row norms of |X - mean| |L|
+    that size the margin.
 
     Returns None, so that every query goes to the reference, when the
     symmetric part of the inverse has no Cholesky factor or its skew
@@ -90,6 +97,7 @@ def whiten(inverse, X):
     skew = np.abs(inverse - inverse.T).sum(axis=1) * 0.5
     if not (skew <= np.einsum("ij,ij->i", L, L)).all():
         return None
+    X = X - X.mean(axis=0)
     return X @ L, row_norms(np.abs(X) @ np.abs(L))
 
 

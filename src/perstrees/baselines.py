@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._nearest import row_norms, screen
-from .errors import ConfigError, DomainError, SchemaError, _check_floats, _check_int, _check_keys
+from .errors import (
+    ConfigError, DomainError, SchemaError, _check_floats, _check_int, _check_keys, _check_shape,
+)
 from .risk import _BatchPolicy
 
 logger = logging.getLogger(__name__)
@@ -154,26 +156,19 @@ class KnnRegressor:
         return near
 
     def to_doc(self):
-        return {
-            "type": "knn",
-            "k": int(self.k),
-            "center": [float(v) for v in self.center],
-            "scale": [float(v) for v in self.scale],
-            "x": [[float(v) for v in row] for row in self.x],
-            "y": [float(v) for v in self.y],
-        }
+        return {"type": "knn", "k": int(self.k), "center": self.center.tolist(),
+                "scale": self.scale.tolist(), "x": self.x.tolist(), "y": self.y.tolist()}
 
     @staticmethod
     def from_doc(doc, d=None):
         """The regressor of a document; d, when given, fixes the feature
         count. k may not exceed the number of stored points."""
-        r = KnnRegressor(k=_check_int("k", doc["k"], 1))
+        r = KnnRegressor()
         r.center = _check_floats("center", doc["center"], (d,))
         r.scale = _check_floats("scale", doc["scale"], r.center.shape)
         r.x = _check_floats("x", doc["x"], (None,) + r.center.shape)
         r.y = _check_floats("y", doc["y"], (len(r.x),))
-        if r.k > len(r.x):
-            raise ConfigError(f"k must be at most the {len(r.x)} stored points, got {r.k}")
+        r.k = _check_int("k", doc["k"], 1, maximum=len(r.x))
         return r
 
 
@@ -357,17 +352,15 @@ def rc_to_doc(policy):
     }
 
 
-def _shape(doc):
-    """The checked treatment and feature counts of a model document."""
-    return _check_int("m", doc["m"], 1), _check_int("d", doc["d"], 0)
-
-
 def rc_from_doc(doc):
-    kind = doc.get("kind", "")
-    if not kind.startswith("rc-"):
+    kind = doc.get("kind")
+    if kind not in ("rc-ols", "rc-knn"):
         raise SchemaError(f"expected an rc document, got kind {kind!r}")
-    m, d = _shape(doc)
-    regs = tuple(regressor_from_doc(arm, d) for arm in doc["arms"])
+    try:
+        m, d = _check_shape(doc)
+        regs = tuple(regressor_from_doc(arm, d) for arm in doc["arms"])
+    except ConfigError as exc:
+        raise SchemaError(str(exc)) from exc
     if len(regs) != m:
         raise SchemaError(f"rc document must hold one regressor per treatment, got {len(regs)}")
     return RcPolicy(regressors=regs, m=m, d=d, base=kind[3:])
@@ -386,40 +379,35 @@ def _cate_from_doc(doc, d):
 
 def relabel_to_doc(policy):
     if isinstance(policy, OneVsAllPolicy):
-        return {
-            "kind": "1va",
-            "base": policy.base,
-            "m": int(policy.m),
-            "d": int(policy.d),
-            "estimators": [_cate_to_doc(e) for e in policy.estimators],
-        }
-    return {
-        "kind": f"1v1{policy.variant.lower()}",
-        "base": policy.base,
-        "m": int(policy.m),
-        "d": int(policy.d),
-        "estimators": [
-            {"t": t, "s": s, **_cate_to_doc(e)} for (t, s), e in sorted(policy.estimators.items())
-        ],
-    }
+        kind, ests = "1va", [_cate_to_doc(e) for e in policy.estimators]
+    else:
+        kind = f"1v1{policy.variant.lower()}"
+        pairs = sorted(policy.estimators.items())
+        ests = [{"t": t, "s": s, **_cate_to_doc(e)} for (t, s), e in pairs]
+    return {"kind": kind, "base": policy.base, "m": int(policy.m), "d": int(policy.d),
+            "estimators": ests}
 
 
 def relabel_from_doc(doc):
-    kind = doc.get("kind")
-    m, d = _shape(doc)
-    base = doc.get("base", "ols")
+    kind, base = doc.get("kind"), doc.get("base", "ols")
+    if kind not in ("1va", "1v1a", "1v1b"):
+        raise SchemaError(f"unknown relabeling document kind {kind!r}")
+    if base not in ("ols", "knn"):
+        raise SchemaError(f"relabeling base must be 'ols' or 'knn', got {base!r}")
+    try:
+        m, d = _check_shape(doc)
+        if kind == "1va":
+            ests = tuple(_cate_from_doc(e, d) for e in doc["estimators"])
+        else:
+            ests = {(_check_int("t", e["t"], 1), _check_int("s", e["s"], 1)): _cate_from_doc(e, d)
+                    for e in doc["estimators"]}
+    except ConfigError as exc:
+        raise SchemaError(str(exc)) from exc
     if kind == "1va":
-        ests = tuple(_cate_from_doc(e, d) for e in doc["estimators"])
         if len(ests) != m:
             raise SchemaError("1va document must hold one estimator per treatment")
         return OneVsAllPolicy(estimators=ests, m=m, d=d, base=base)
-    if kind in ("1v1a", "1v1b"):
-        ests = {(_check_int("t", e["t"], 1), _check_int("s", e["s"], 1)): _cate_from_doc(e, d)
-                for e in doc["estimators"]}
-        pairs = {(t, s) for t in range(1, m + 1) for s in range(1, m + 1) if s != t}
-        if len(doc["estimators"]) != len(pairs) or ests.keys() != pairs:
-            raise SchemaError(f"{kind} document must hold one estimator per ordered pair of arms")
-        return OneVsOnePolicy(
-            estimators=ests, m=m, d=d, variant=kind[-1].upper(), base=base
-        )
-    raise SchemaError(f"unknown relabeling document kind {kind!r}")
+    pairs = {(t, s) for t in range(1, m + 1) for s in range(1, m + 1) if s != t}
+    if len(doc["estimators"]) != len(pairs) or ests.keys() != pairs:
+        raise SchemaError(f"{kind} document must hold one estimator per ordered pair of arms")
+    return OneVsOnePolicy(estimators=ests, m=m, d=d, variant=kind[-1].upper(), base=base)

@@ -9,7 +9,6 @@ assignment probabilities Q of the received treatments.
 import csv
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     _check_floats,
     _check_int,
     _check_keys,
+    _check_number,
     _check_object,
 )
 from .seeding import make_rng
@@ -420,9 +420,7 @@ def _features(spec, key, value):
 
 def _number(spec, key, value):
     """A finite real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return value
+    return _check_number(key, value)
 
 
 def _floats(*shape):

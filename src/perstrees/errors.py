@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks of settings."""
 
-import numbers
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,15 +33,33 @@ class ConfigError(PerstreesError):
     """An unknown identifier or an invalid configuration value."""
 
 
-def _check_int(name, value, minimum, none_ok=False):
-    """value if it is an integer (not a bool) of at least minimum, or
-    None where none_ok; ConfigError naming the setting otherwise."""
+def _check_int(name, value, minimum, none_ok=False, maximum=None):
+    """value if it is an integer (not a bool) of at least minimum and,
+    where given, at most maximum, or None where none_ok; ConfigError
+    naming the setting otherwise."""
     if value is None and none_ok:
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    # exact ints (and floats below) skip the ABC check, slow enough to show on model files
+    integral = type(value) is int or not isinstance(value, bool) and isinstance(value, Integral)
+    if not integral or value < minimum or maximum is not None and value > maximum:
         what = "None or an integer" if none_ok else "an integer"
-        raise ConfigError(f"{name} must be {what} of at least {minimum}, got {value!r}")
+        bound = f"of at least {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise ConfigError(f"{name} must be {what} {bound}, got {value!r}")
     return value
+
+
+def _check_number(name, value):
+    """value if it is a finite real number (not a bool); ConfigError
+    naming the setting otherwise."""
+    real = type(value) is float or not isinstance(value, bool) and isinstance(value, Real)
+    if not real or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _check_shape(doc):
+    """The treatment count m >= 1 and feature count d >= 0 of a model document."""
+    return _check_int("m", doc["m"], 1), _check_int("d", doc["d"], 0)
 
 
 def _check_keys(owner, params, valid):

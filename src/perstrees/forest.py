@@ -121,8 +121,7 @@ def forest_from_doc(doc):
     trees = tuple(tree_from_doc(t) for t in doc["trees"])
     if not trees:
         raise SchemaError("a forest document must contain at least one tree")
-    m = trees[0].m
-    d = trees[0].d
+    m, d = trees[0].m, trees[0].d
     if any(t.m != m or t.d != d for t in trees):
         raise SchemaError("all trees in a forest must agree on m and d")
     return PersonalizationForest(trees=trees, m=m, d=d)

@@ -16,7 +16,7 @@ from .baselines import (
     relabel_from_doc,
     relabel_to_doc,
 )
-from .errors import ConfigError, SchemaError
+from .errors import SchemaError
 from .forest import PersonalizationForest, forest_from_doc, forest_to_doc
 from .tree import PersonalizationTree, tree_from_doc, tree_to_doc
 
@@ -52,7 +52,7 @@ def model_from_doc(doc):
         raise SchemaError(f"unknown model kind {kind!r}")
     try:
         return loader(doc)
-    except (LookupError, TypeError, ValueError, AttributeError, ConfigError, SchemaError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, SchemaError) as exc:
         raise SchemaError(f"malformed {kind} model document: {exc!r}") from exc
 
 

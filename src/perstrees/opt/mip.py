@@ -74,17 +74,23 @@ def _csc(entries, shape):
     """CscMatrix from a list of (key, value) pieces, key being the
     column-major position col * n_rows + row of each entry. Positions
     must be distinct. Each column's rows come out sorted, as int32 where
-    the row count allows. The list is emptied, so that the pieces do not
-    outlive the copy."""
-    key, data = (np.concatenate(part) for part in zip(*entries))
-    entries.clear()
-    order = np.argsort(key)
-    key = key[order]
-    data = data[order]
+    the row count allows. The list is emptied and each array dropped once
+    used, so that at most keys, values, order and rows are alive at once."""
     n_rows, n_cols = shape
-    indptr = np.searchsorted(key, np.arange(n_cols + 1) * n_rows)
-    rows = (key % n_rows).astype(np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64)
-    return CscMatrix(data=data, indices=rows, indptr=indptr, shape=shape)
+    keys, values = zip(*entries)
+    entries.clear()
+    key = np.concatenate(keys)
+    del keys
+    data = np.concatenate(values)
+    del values
+    order = np.argsort(key)
+    rows = np.empty(key.size, np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64)
+    np.remainder(key, n_rows, out=rows, casting="same_kind")
+    counts = np.bincount(np.floor_divide(key, n_rows, out=key), minlength=n_cols)
+    del key
+    data = data[order]
+    rows = rows[order]
+    return CscMatrix(data=data, indices=rows, indptr=np.append(0, counts.cumsum()), shape=shape)
 
 
 @dataclass(frozen=True, eq=False)

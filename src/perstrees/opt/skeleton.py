@@ -152,9 +152,7 @@ def build_cut_menu(ds, skeleton, config):
     Raises:
         EmptyMenuError: some node ends up with no candidate cuts.
     """
-    n_features = ds.d if config.n_features is None else config.n_features
-    if not 1 <= n_features <= ds.d:
-        raise ConfigError(f"n_features must lie in 1..{ds.d}")
+    n_features = _check_int("n_features", config.n_features or ds.d, 1, maximum=ds.d)
     positions = cut_positions(ds.n, config.n_cuts)
     sorted_cols = {}
     rng = make_rng(config.seed)

@@ -10,16 +10,16 @@ smallest total distance. Matched subjects are flagged so training pools
 can exclude them.
 
 Greedy matching screens, then verifies. The exact distance is
-`Metric.distances`, one pass per subject. The screen whitens every row
-by the Cholesky factor of the metric inverse and gets all distances of
-a block of subjects to an arm from one matrix product, each with a
-proven bound on its rounding error (`_nearest`). A subject-arm pair
-with exactly one row that can be nearest takes that row; every other
-pair, ties included, is recomputed by `Metric.distances` and `argmin`,
-as is every pair when the factorization fails. Matches therefore equal
-the exact pass's, lowest row on ties. `optimal_submatch` needs the
-exact distances themselves as assignment costs, so it keeps computing
-them one row at a time.
+`Metric.distances`, one pass per subject. The screen centers every row
+and whitens it by the Cholesky factor of the metric inverse, and gets
+all distances of a block of subjects to an arm from one matrix product,
+each with a proven bound on its rounding error (`_nearest`). A
+subject-arm pair with exactly one row that can be nearest takes that
+row; every other pair, ties included, is recomputed by
+`Metric.distances` and `argmin`, as is every pair when the factorization
+fails. Matches therefore equal the exact pass's, lowest row on ties.
+`optimal_submatch` needs the exact distances themselves as assignment
+costs, so it keeps computing them one row at a time.
 """
 
 import csv
@@ -43,8 +43,7 @@ class Metric:
     inverse: np.ndarray
 
     def distance(self, a, b):
-        diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-        return float(np.sqrt(max(diff @ self.inverse @ diff, 0.0)))
+        return float(self.distances(a, [b])[0])
 
     def distances(self, x, X):
         """Distance from one point to every row of X."""
@@ -182,30 +181,18 @@ def optimal_submatch(ds, n_pair, metric):
     for a, i in enumerate(arm1):
         cost[a, :n2] = metric.distances(ds.X[i], ds.X[arm2])
     rows, cols = linear_sum_assignment(cost)
-    pairs = [
-        (cost[a, b], int(arm1[a]), int(arm2[b]))
-        for a, b in zip(rows, cols)
-        if b < n2
-    ]
-    pairs.sort()
-    pairs = sorted(pairs[:n_pair], key=lambda p: p[1])
-
-    drawn, factual_t, factual_y, yhat_rows, X_rows = [], [], [], [], []
-    for _, i, j in pairs:
-        for subject in (i, j):
-            drawn.append(subject)
-            factual_t.append(int(ds.T[subject]))
-            factual_y.append(float(ds.Y[subject]))
-            yhat_rows.append([float(ds.Y[i]), float(ds.Y[j])])
-            X_rows.append(ds.X[subject])
-    removed = np.array(sorted(drawn), dtype=np.int64)
+    real = np.flatnonzero(cols < n2)  # in arm-1 row order, as rows is ascending
+    # the n_pair cheapest, cost ties to the lower arm-1 row, kept in arm-1 row order
+    real = np.sort(real[np.argsort(cost[rows[real], cols[real]], kind="stable")[:n_pair]])
+    pairs = np.column_stack([arm1[rows[real]], arm2[cols[real]]])  # (n_pair, 2)
+    drawn = pairs.ravel()
     return MatchedTestSet(
-        drawn=np.array(drawn, dtype=np.int64),
-        factual_t=np.array(factual_t, dtype=np.int64),
-        factual_y=np.array(factual_y, dtype=np.float64),
-        yhat=np.array(yhat_rows, dtype=np.float64),
-        removed=removed,
-        X_test=np.array(X_rows, dtype=np.float64),
+        drawn=drawn,
+        factual_t=ds.T[drawn],
+        factual_y=ds.Y[drawn],
+        yhat=ds.Y[pairs.repeat(2, axis=0)],
+        removed=np.sort(drawn),
+        X_test=ds.X[drawn],
         m=2,
     )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, _check_int
+from .errors import ConfigError, SchemaError, _check_int, _check_number, _check_shape
 from .risk import _BatchPolicy, _best_of_stats, _counts_and_sums
 from .seeding import make_rng
 
@@ -337,9 +337,7 @@ def fit_pt(ds, config=None):
     config = config or PtConfig()
     if ds.n == 0:
         raise ConfigError("cannot fit a tree on an empty dataset")
-    n_features = ds.d if config.n_features is None else config.n_features
-    if not 1 <= n_features <= ds.d:
-        raise ConfigError(f"n_features must lie in 1..{ds.d}")
+    n_features = _check_int("n_features", config.n_features or ds.d, 1, maximum=ds.d)
     rng = make_rng(config.seed)
     marks = np.zeros(ds.n, dtype=bool)
     nodes = []
@@ -369,26 +367,22 @@ def tree_to_doc(tree):
 
 def _node_from_doc(doc, m, d, nodes):
     """Append a node document's subtree to `nodes` in pre-order and
-    return the index of its root."""
+    return the index of its root; ConfigError for a bad field."""
     me = len(nodes)
     if "leaf" in doc:
         leaf = doc["leaf"]
-        counts, means = leaf["counts"], leaf["means"]
+        counts = [_check_int("leaf counts", c, 0) for c in leaf["counts"]]
+        means = [np.nan if v is None else _check_number("leaf means", v) for v in leaf["means"]]
         if len(counts) != m or len(means) != m:
             raise SchemaError("leaf counts/means must have one entry per treatment")
-        if not 1 <= leaf["treatment"] <= m:
-            raise SchemaError("leaf treatment out of range")
-        means = [float("nan") if v is None else float(v) for v in means]
-        nodes.append(_leaf_node(int(leaf["treatment"]), [int(c) for c in counts], means))
+        treatment = _check_int("leaf treatment", leaf["treatment"], 1, maximum=m)
+        nodes.append(_leaf_node(treatment, counts, means))
         return me
     if "split" not in doc:
         raise SchemaError("tree node must hold either a split or a leaf")
     sp = doc["split"]
-    feature, threshold = int(sp["feature"]), float(sp["threshold"])
-    if not 0 <= feature < d:
-        raise SchemaError(f"split feature {feature} outside 0..{d - 1}")
-    if math.isnan(threshold):
-        raise SchemaError("split threshold is NaN")
+    feature = _check_int("split feature", sp["feature"], 0, maximum=d - 1)
+    threshold = _check_number("split threshold", sp["threshold"])
     nodes.append(None)  # filled in once both children have their indices
     left = _node_from_doc(doc["left"], m, d, nodes)
     right = _node_from_doc(doc["right"], m, d, nodes)
@@ -399,7 +393,10 @@ def _node_from_doc(doc, m, d, nodes):
 def tree_from_doc(doc):
     if doc.get("kind") != "pt":
         raise SchemaError(f"expected a pt document, got kind {doc.get('kind')!r}")
-    m, d = int(doc["m"]), int(doc["d"])
     nodes = []
-    _node_from_doc(doc["root"], m, d, nodes)
+    try:
+        m, d = _check_shape(doc)
+        _node_from_doc(doc["root"], m, d, nodes)
+    except ConfigError as exc:
+        raise SchemaError(str(exc)) from exc
     return _tree_of(nodes, m, d)

@@ -172,6 +172,12 @@ class TestRegressAndCompare:
         with pytest.raises(SchemaError):
             rc_from_doc({"kind": "pt", "m": 1, "d": 1, "arms": []})
 
+    def test_rejects_knn_k_past_the_stored_points(self):
+        doc = rc_to_doc(fit_rc(linear_arms_dataset(), base="knn"))
+        doc["arms"][1]["k"] = 21  # each arm stores 20 points
+        with pytest.raises(SchemaError, match="k must be an integer in 1..20"):
+            rc_from_doc(doc)
+
 
 class FakeCate:
     """Scripted contrast estimator recording what it was fitted on."""
@@ -336,6 +342,13 @@ class TestRelabelSerialization:
     def test_rejects_wrong_estimator_count(self):
         with pytest.raises(SchemaError):
             relabel_from_doc({"kind": "1va", "m": 3, "d": 1, "estimators": []})
+
+    @pytest.mark.parametrize("change", [{"base": 7}, {"base": "forest"}, {"m": True}])
+    def test_rejects_bad_fields(self, change):
+        ds = random_dataset(np.random.default_rng(5), 45, 2, 3, all_arms=True)
+        doc = relabel_to_doc(fit_1va(ds))
+        with pytest.raises(SchemaError):
+            relabel_from_doc({**doc, **change})
 
 
 def knn_row(reg, x):

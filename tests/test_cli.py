@@ -11,7 +11,7 @@ import pytest
 import perstrees
 from perstrees.cli import main
 from perstrees.data import load_csv
-from perstrees.model_io import load_model
+from perstrees.model_io import load_model, save_model
 from perstrees.risk import oracle_metrics
 from perstrees.submatch import load_matched_csv
 
@@ -146,6 +146,27 @@ class TestTrainPredictEvaluate:
         doc = json.loads(model.read_text())
         assert doc["kind"] == "pt"
         assert "split" in doc["root"]
+
+    @pytest.mark.parametrize("algo,params,kind", [
+        ("pt", '{"n_min_leaf": 3}', "pt"),
+        ("pf", '{"trees_count": 3, "n_min_leaf": 8}', "pf"),
+        ("opt", '{"delta": 2, "n_min_leaf": 5, "n_cuts": 3}', "pt"),
+        ("rc-ols", "{}", "rc-ols"),
+        ("rc-knn", '{"k": 5}', "rc-knn"),
+        ("1va-knn", '{"k": 5}', "1va"),
+        ("1v1a-ols", "{}", "1v1a"),
+        ("1v1b-knn", '{"k": 5}', "1v1b"),
+    ])
+    def test_model_file_resaves_byte_identical(self, tmp_path, quad_csv, algo, params, kind):
+        model, again = tmp_path / "model.json", tmp_path / "again.json"
+        code = run(
+            "train", "--algo", algo, "--data", str(quad_csv), "--cf-cols", "y1,y2",
+            "--q-col", "q", "--params", params, "--out", str(model),
+        )
+        assert code == 0
+        assert json.loads(model.read_text())["kind"] == kind
+        save_model(load_model(model), again)
+        assert again.read_bytes() == model.read_bytes()
 
     def test_greedy_evaluation(self, tmp_path, quad_csv, capsys):
         model = tmp_path / "model.json"
@@ -509,6 +530,16 @@ def ols_pairs(m):
     return [{"t": t, "s": s, "pos": OLS5, "neg": OLS5} for t in arms for s in arms if s != t]
 
 
+def pt5(split=(), leaf=(), **shape):
+    """A pt document on m = 2, d = 5: one split over two leaves, with
+    fields of the split and of the left leaf replaced."""
+    right = {"treatment": 1, "counts": [3, 2], "means": [0.5, 1.0]}
+    left = {"leaf": {**right, **dict(leaf)}}
+    root = {"split": {"feature": 0, "threshold": 0.5, **dict(split)}, "left": left,
+            "right": {"leaf": right}}
+    return {"kind": "pt", "m": 2, "d": 5, **shape, "root": root}
+
+
 class TestExitCodes:
     def test_usage_errors_exit_1(self, tmp_path, quad_csv):
         assert run("no-such-command") == 1
@@ -661,9 +692,20 @@ class TestExitCodes:
         {"kind": "1v1a", "m": 2, "d": 5, "estimators": ols_pairs(3)},
         {"kind": "rc-ols", "m": 2, "d": 5, "arms": [OLS5, {"type": "ols", "weights": [0.0] * 3}]},
         {"kind": "1v1a", "m": 3, "d": 5, "estimators": ols_pairs(3)[1:]},
+        pt5(split={"feature": 1.7}),
+        pt5(leaf={"treatment": 1.9}),
+        pt5(leaf={"counts": [2.5, -1]}),
+        pt5(split={"threshold": True}),
+        pt5(m="2", d="5"),
+        pt5(leaf={"means": [1e400, 0.0]}),
+        {"kind": "pf", "trees": [pt5(), pt5(split={"feature": 1.7})]},
+        {"kind": "1va", "base": 7, "m": 2, "d": 5, "estimators": [{"pos": OLS5, "neg": OLS5}] * 2},
     ], ids=["rc-no-arms", "knn-k-text", "knn-k-0", "knn-k-negative", "1va-no-weights",
             "1v1-no-s", "pf-no-trees", "pt-m-null", "pt-no-children", "kind-list",
-            "rc-arm-missing", "1v1-m-short", "ols-weights-short", "1v1-pair-missing"])
+            "rc-arm-missing", "1v1-m-short", "ols-weights-short", "1v1-pair-missing",
+            "pt-feature-1.7", "pt-treatment-1.9", "pt-counts-2.5-and-negative",
+            "pt-threshold-true", "pt-m-d-strings", "pt-mean-1e400", "pf-tree-feature-1.7",
+            "1va-base-7"])
     def test_malformed_model_exits_2(self, tmp_path, quad_csv, doc, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))

@@ -154,6 +154,12 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             forest_from_doc({"kind": "pf", "trees": []})
 
+    def test_rejects_a_bad_tree_field(self):
+        bad = tree_to_doc(stump(1))
+        bad["root"]["leaf"]["counts"] = [2.5, 1]
+        with pytest.raises(SchemaError):
+            forest_from_doc({"kind": "pf", "trees": [tree_to_doc(stump(1)), bad]})
+
     def test_rejects_mismatched_trees(self):
         docs = [tree_to_doc(stump(1, m)) for m in (2, 3)]
         with pytest.raises(SchemaError):

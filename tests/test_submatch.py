@@ -195,7 +195,7 @@ SCREEN_CASES = {
     "one ulp apart": lambda: (screen_dataset(ulp_pairs(200, 1e3)), IDENTITY_2D, 100, True),
     "common offset 1e6": lambda: (
         screen_dataset(1e6 + 1e-3 * np.random.default_rng(4).normal(size=(200, 3))),
-        None, 60, True),
+        None, 60, False),
     "singular metric": lambda: (
         screen_dataset(np.random.default_rng(5).normal(size=(120, 2))),
         Metric(inverse=np.diag([1.0, 0.0])), 50, True),
@@ -225,7 +225,7 @@ class TestScreenedGreedy:
         rescored, pairs = record.args
         assert pairs == n_test * (ds.m - 1)
         assert (rescored > 0) == rescores
-        if not rescores:
+        if case == "blocks past the budget":
             arm = np.bincount(ds.T).max()
             assert n_test * arm > _nearest._SCREEN_CELLS  # several blocks per arm
 

@@ -423,8 +423,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "feature,threshold",
-        [(-1, 0.0), (7, 0.0), (0, float("nan"))],
-        ids=["negative_feature", "feature_past_d", "nan_threshold"],
+        [(-1, 0.0), (7, 0.0), (0, float("nan")),
+         (1.0, 0.0), (True, 0.0), (0, True), (0, float("inf"))],
+        ids=["negative_feature", "feature_past_d", "nan_threshold",
+             "float_feature", "bool_feature", "bool_threshold", "inf_threshold"],
     )
     def test_rejects_bad_split(self, feature, threshold):
         # -1 would route on the last column, 7 is past d = 2, and a NaN
@@ -448,6 +450,24 @@ class TestSerialization:
             tree_from_doc({**base, "root": bad_treatment})
         with pytest.raises(SchemaError):
             tree_from_doc({**base, "root": {"neither": 1}})
+
+    @pytest.mark.parametrize("leaf,shape", [
+        ({"treatment": 1.9}, {}),
+        ({"treatment": 0}, {}),
+        ({"counts": [2.5, 1]}, {}),
+        ({"counts": [-1, 1]}, {}),
+        ({"means": [float("inf"), None]}, {}),
+        ({"means": ["1.5", None]}, {}),
+        ({}, {"m": "2"}),
+        ({}, {"d": 2.0}),
+    ], ids=["treatment-float", "treatment-0", "counts-float", "counts-negative", "means-inf",
+            "means-text", "m-text", "d-float"])
+    def test_rejects_bad_leaf_and_shape_fields(self, leaf, shape):
+        # each of these but treatment 0 was once cast to a valid-looking value
+        fields = {"treatment": 1, "counts": [1, 1], "means": [0.0, None], **leaf}
+        root = split_doc(0, 0.5, leaf_doc(**fields), leaf_doc(2, [1, 1], [1.0, 0.0]))
+        with pytest.raises(SchemaError):
+            tree_from_doc({**tree_doc(root, m=2, d=2), **shape})
 
 
 GRID = {"name": "discrete_grid", "values": [-1.0, -0.5, 0.0, 0.5, 1.0]}
