@@ -151,6 +151,14 @@ class AlgoSpec:
     params: dict = field(default_factory=dict)
     label: str = None
 
+    def __post_init__(self):
+        _check_object("params", self.params)
+        label = self.label  # a cell of the results CSV, written unquoted
+        if label is not None and (not isinstance(label, str) or not label
+                                  or any(c in ',"\r\n' for c in label)):
+            raise ConfigError(f"label must be null or a CSV-safe string, got {label!r}")
+        _build(self.name, self.params, 0)
+
     @property
     def column(self):
         return self.label if self.label is not None else self.name
@@ -162,6 +170,13 @@ class Protocol:
     n_test: int = None
     n_pair: int = None
 
+    def __post_init__(self):
+        if self.kind not in ("oracle", "greedy-submatch", "optimal-submatch"):
+            raise ConfigError("protocol kind must be oracle, greedy-submatch, or optimal-submatch")
+        optimal = self.kind == "optimal-submatch"
+        _check_int("n_test", self.n_test, 1, none_ok=optimal)
+        _check_int("n_pair", self.n_pair, 1, none_ok=not optimal)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -170,9 +185,33 @@ class ExperimentConfig:
     replications: int
     protocol: Protocol
     master_seed: int
-    data: dict
+    data: dict  # SyntheticSpec fields but n and seed; a preset is expanded on construction
     output: str
     version: int = CONFIG_VERSION
+
+    def __post_init__(self):
+        if self.version != CONFIG_VERSION:
+            raise ConfigError(f"config version must be {CONFIG_VERSION}")
+        if not self.algorithms:
+            raise ConfigError("at least one algorithm is required")
+        if not all(isinstance(a, AlgoSpec) for a in self.algorithms):
+            raise ConfigError(f"algorithms must be AlgoSpec entries, got {self.algorithms!r}")
+        labels = [a.column for a in self.algorithms]
+        if len(set(labels)) != len(labels):
+            raise ConfigError("algorithm labels must be unique")
+        grid = self.n_grid if isinstance(self.n_grid, (list, tuple)) else ()
+        for n in grid:
+            _check_int("n_grid entry", n, 1)
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError("n_grid must be a non-empty ascending list")
+        if not isinstance(self.protocol, Protocol):
+            raise ConfigError(f"protocol must be a Protocol, got {self.protocol!r}")
+        if not isinstance(self.output, str):
+            raise ConfigError(f"output must be a path, got {self.output!r}")
+        object.__setattr__(self, "data", _data_template(_check_object("data", self.data), "n", "seed"))
+        SyntheticSpec(n=grid[0], **self.data)  # checks d, m and the models now, not in the first cell
+        _check_int("replications", self.replications, 1)
+        _check_int("master_seed", self.master_seed, 0)
 
 
 def _data_template(doc, *cell):
@@ -197,63 +236,31 @@ def _data_template(doc, *cell):
 
 
 def experiment_config_from_doc(doc):
-    """Validate and structure a parsed experiment config JSON.
-
-    Every algorithm's params and every count are checked here, so a bad
-    value fails before the first cell trains.
-    """
+    """Structure a parsed experiment config JSON. The config classes
+    check every value, every algorithm's params included, so a bad value
+    fails before the first cell trains."""
     _check_object("experiment config", doc)
     _check_keys("experiment config", doc, _fields(ExperimentConfig))
-    if doc.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"config version must be {CONFIG_VERSION}")
     algos = []
     entries = doc.get("algorithms", [])
     if not isinstance(entries, list):
         raise ConfigError(f"algorithms must be a list, got {entries!r}")
     for entry in entries:
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        _check_object("algorithms entry", entry)
+        entry = {"name": entry} if isinstance(entry, str) else _check_object("algorithms entry", entry)
         _check_keys("algorithms entry", entry, _fields(AlgoSpec))
-        params = _check_object("params", entry.get("params", {}))
-        label = entry.get("label")  # a cell of the results CSV, written unquoted
-        if label is not None and (not isinstance(label, str) or not label
-                                  or any(c in ',"\r\n' for c in label)):
-            raise ConfigError(f"label must be null or a CSV-safe string, got {label!r}")
-        algo = AlgoSpec(name=entry.get("name"), params=dict(params), label=label)
-        _build(algo.name, algo.params, 0)
-        algos.append(algo)
-    if not algos:
-        raise ConfigError("at least one algorithm is required")
-    labels = [a.column for a in algos]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("algorithm labels must be unique")
-    grid = doc.get("n_grid")
-    n_grid = tuple(_check_int("n_grid entry", n, 1) for n in grid) if isinstance(grid, list) else ()
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ConfigError("n_grid must be a non-empty ascending list")
+        algos.append(AlgoSpec(entry.get("name"), entry.get("params", {}), entry.get("label")))
     proto = _check_object("protocol", doc.get("protocol", {}))
     _check_keys("protocol", proto, _fields(Protocol))
-    kind = proto.get("kind")
-    if kind not in ("oracle", "greedy-submatch", "optimal-submatch"):
-        raise ConfigError(
-            "protocol kind must be oracle, greedy-submatch, or optimal-submatch"
-        )
-    optimal = kind == "optimal-submatch"
-    n_test = _check_int("n_test", proto.get("n_test"), 1, none_ok=optimal)
-    n_pair = _check_int("n_pair", proto.get("n_pair"), 1, none_ok=not optimal)
-    if not isinstance(doc.get("output"), str):
-        raise ConfigError(f"output must be a path, got {doc.get('output')!r}")
-    data = _data_template(_check_object("data", doc.get("data", {})), "n", "seed")
-    SyntheticSpec(n=n_grid[0], **data)  # checks d, m and the models now, not in the first cell
+    grid = doc.get("n_grid")
     return ExperimentConfig(
         algorithms=tuple(algos),
-        n_grid=n_grid,
-        replications=_check_int("replications", doc.get("replications"), 1),
-        protocol=Protocol(kind=kind, n_test=n_test, n_pair=n_pair),
-        master_seed=_check_int("master_seed", doc.get("master_seed", 0), 0),
-        data=data,
-        output=doc["output"],
+        n_grid=tuple(grid) if isinstance(grid, list) else (),
+        replications=doc.get("replications"),
+        protocol=Protocol(proto.get("kind"), proto.get("n_test"), proto.get("n_pair")),
+        master_seed=doc.get("master_seed", 0),
+        data=doc.get("data", {}),
+        output=doc.get("output"),
+        version=doc.get("version"),
     )
 
 
@@ -303,16 +310,9 @@ def run_experiment(config):
     return rows
 
 
-def _fmt(v):
-    v = float(v)
-    if np.isnan(v):
-        return "nan"
-    return repr(v)
-
-
 def _write_rows(rows, path):
     lines = ["algo,n,replication,risk,p1,p2"]
     for algo, n, rep, risk, p1, p2 in rows:
-        lines.append(f"{algo},{n},{rep},{_fmt(risk)},{_fmt(p1)},{_fmt(p2)}")
+        lines.append(f"{algo},{n},{rep}," + ",".join(repr(float(v)) for v in (risk, p1, p2)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -56,16 +56,27 @@ def model_from_doc(doc):
         raise SchemaError(f"malformed {kind} model document: {exc!r}") from exc
 
 
+# json takes one call per level: a tree past the recursion limit is refused whole
+_TOO_DEEP = "the tree is too deep for a nested model file"
+
+
 def save_model(policy, path):
     doc = model_to_doc(policy)
+    try:
+        text = json.dumps(doc, indent=2)
+    except RecursionError as exc:
+        raise SchemaError(_TOO_DEEP) from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write(text)
         fh.write("\n")
 
 
 def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise SchemaError(_TOO_DEEP) from exc
     if not isinstance(doc, dict):
         raise SchemaError("model file must hold a JSON object")
     return model_from_doc(doc)

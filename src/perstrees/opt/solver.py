@@ -73,7 +73,7 @@ import numpy as np
 from ..errors import ConfigError, InfeasibleError, SolveTimeout
 from ..seeding import derive_seed, make_rng
 from ..risk import _counts_and_sums
-from ..tree import PersonalizationTree, PtConfig, fit_pt
+from ..tree import PersonalizationTree, PtConfig, _build, fit_pt
 from .skeleton import TreeSkeleton, build_cut_menu
 
 logger = logging.getLogger(__name__)
@@ -205,21 +205,19 @@ class OptResult:
 
 
 def assignment_to_tree(ds, skeleton, assignment):
-    """Materialize an assignment as a tree policy in heap order, with leaf
-    statistics recomputed by routing the dataset."""
+    """Materialize an assignment as a tree policy, skeleton node p as item p
+    of `_build`, with leaf statistics recomputed by routing the dataset."""
     top = 2**skeleton.delta
     leaf = skeleton.route_many(ds.X, assignment.cuts) - top
     counts, sums = _counts_and_sums(ds.T, ds.Y, ds.m, leaf, top)
     means = np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
-    splits = top - 1
-    return PersonalizationTree(
-        *skeleton._heap(assignment.cuts),
-        treatment=np.concatenate([np.zeros(splits, dtype=np.int64), assignment.treatments]),
-        counts=np.concatenate([np.zeros((splits, ds.m), dtype=np.int64), counts]),
-        means=np.concatenate([np.full((splits, ds.m), np.nan), means]),
-        m=ds.m,
-        d=ds.d,
-    )
+
+    def expand(p):
+        if p >= top:
+            return assignment.treatments[p - top], counts[p - top], means[p - top]
+        return (*assignment.cuts[p - 1], 2 * p, 2 * p + 1)
+
+    return _build(1, expand, ds.m, ds.d)
 
 
 def solve_exact(ds, skeleton, menu, config, warm=None):
@@ -468,15 +466,11 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
     def candidates(p, node):
         """Cut candidates at skeleton node p, preferred first."""
         options = menu.for_node(p)
-        if pt.left[node] >= 0:
-            same = [c for c in options if c[0] == pt.feature[node]]
-            if same:
-                snapped = min(same, key=lambda c: abs(c[1] - pt.threshold[node]))
-                rest = [c for c in options if c != snapped]
-                order = make_rng(derive_seed(config.seed, "pad", p)).permutation(len(rest))
-                return [snapped] + [rest[i] for i in order]
-        order = make_rng(derive_seed(config.seed, "pad", p)).permutation(len(options))
-        return [options[i] for i in order]
+        same = [c for c in options if pt.left[node] >= 0 and c[0] == pt.feature[node]]
+        snapped = [min(same, key=lambda c: abs(c[1] - pt.threshold[node]))] if same else []
+        rest = [c for c in options if c not in snapped]
+        order = make_rng(derive_seed(config.seed, "pad", p)).permutation(len(rest))
+        return snapped + [rest[i] for i in order]
 
     def place(p, idx, node):
         """Fill skeleton node p over rows idx after greedy node `node`,

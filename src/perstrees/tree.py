@@ -18,9 +18,10 @@ pass, up to a budget of feature-by-row cells per pass; larger nodes
 take one feature per pass, which bounds the sweep's memory.
 
 A fitted tree is a set of parallel node arrays (`PersonalizationTree`)
-in which every parent precedes its children and the leaves appear left
-to right. `_route` is the one walk that sends rows down such arrays; the
-exact-search skeletons route through it too.
+in pre-order: every parent precedes its children and the leaves appear
+left to right. `_build` is the one walk that builds such arrays (greedy
+fits, model files, exact solutions) and `_route` the one that sends rows
+down them; the exact-search skeletons route through it too.
 """
 
 import math
@@ -235,10 +236,9 @@ class PersonalizationTree(_BatchPolicy):
     with mean outcomes means[i] (NaN where a treatment is absent); counts
     and means are (nodes, m). Unused entries hold -1, NaN or 0.
 
-    Every parent comes before its children and the leaves appear in
-    left-to-right order, so node 0 is the root and leaf ranks follow the
-    array. Greedy fits and model files store nodes in pre-order, exact
-    trees in heap order; both keep this invariant.
+    Nodes are in pre-order, as `_build` numbers them: every parent comes
+    before its children and the leaves appear in left-to-right order, so
+    node 0 is the root and leaf ranks follow the array.
     """
 
     feature: np.ndarray
@@ -271,60 +271,71 @@ class PersonalizationTree(_BatchPolicy):
         return int(level.max())
 
 
-def _leaf_node(treatment, counts, means):
-    return (-1, np.nan, -1, -1, treatment, counts, means)
-
-
-def _split_node(feature, threshold, left, right, m):
-    return (feature, threshold, left, right, 0, [0] * m, [np.nan] * m)
-
-
-def _tree_of(nodes, m, d):
-    """Tree from node records listed parents first, leaves left to right."""
-    return PersonalizationTree(*(np.array(column) for column in zip(*nodes)), m=m, d=d)
-
-
-def _leaf(ds, idx, config):
-    counts, sums = _counts_and_sums(ds.T[idx], ds.Y[idx], ds.m)
-    counts, sums = counts[0], sums[0]
-    means = np.divide(sums, counts, out=np.full(ds.m, np.nan), where=counts > 0)
-    treatment, _ = _best_of_stats(
-        counts, sums, scarce_mode=config.scarce_mode, n_min_leaf=config.n_min_leaf
-    )
-    return _leaf_node(treatment, counts, means)
-
-
-def _grow(ds, idx, rows, depth, config, rng, n_features, marks, nodes):
-    """Append the subtree of rows `idx` (ascending) with presort `rows`
-    to `nodes` in pre-order and return the index of its root.
-
-    `rows` is the d x k presort `best_split` takes; the caller keeps no
-    reference to it, so it is freed before the subtrees grow. `marks` is
-    an all-False scratch mask over the dataset's rows.
+def _build(root, expand, m, d):
+    """Tree of the nodes `expand` gives, walked in pre-order from the root
+    item on an explicit stack. expand(item) returns a leaf (treatment,
+    counts, means) or a split (feature, threshold, left item, right item).
+    Nodes are numbered parents first and leaves left to right, and an item
+    waiting on the stack is held there alone. Each node records its
+    parent's link, and one scatter fills left and right.
     """
-    me = len(nodes)
-    split = None
-    if config.delta_max is None or depth < config.delta_max:
-        features = rng.choice(ds.d, size=n_features, replace=False)
-        split = best_split(ds, idx, features, config, _presorted=rows)
-    if split is None:
-        nodes.append(_leaf(ds, idx, config))
-        return me
-    nodes.append(None)  # filled in once both children have their indices
-    mask = ds.X[idx, split.feature] <= split.threshold
-    left_idx, right_idx = idx[mask], idx[~mask]
-    # a stable order filtered to a subset is the subset's stable order
-    marks[left_idx] = True
-    goes_left = marks[rows]
-    marks[left_idx] = False
-    # popped into the calls, so each child holds its presort's only reference
-    parts = [rows[~goes_left].reshape(ds.d, right_idx.size),
-             rows[goes_left].reshape(ds.d, left_idx.size)]
-    del rows, goes_left
-    left = _grow(ds, left_idx, parts.pop(), depth + 1, config, rng, n_features, marks, nodes)
-    right = _grow(ds, right_idx, parts.pop(), depth + 1, config, rng, n_features, marks, nodes)
-    nodes[me] = _split_node(split.feature, split.threshold, left, right, ds.m)
-    return me
+    feature, threshold, links, leaves = [], [], [], []
+    stack, root = [(root, -1)], None
+    while stack:
+        item, link = stack.pop()
+        node = expand(item)
+        links.append(link)
+        if len(node) == 3:
+            leaves.append((len(feature), *node))
+            node = (-1, np.nan)
+        else:
+            stack += ((node[3], 2 * len(feature) + 1), (node[2], 2 * len(feature)))
+        feature.append(node[0])
+        threshold.append(node[1])
+    n = len(feature)
+    children = np.full((2, n), -1, dtype=np.int64)
+    link = np.array(links[1:], dtype=np.int64)
+    children[link & 1, link >> 1] = np.arange(1, n)
+    at, *stats = zip(*leaves)
+    columns = np.zeros(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64), np.full((n, m), np.nan)
+    for column, values in zip(columns, stats):
+        column[list(at)] = values
+    feature = np.array(feature, dtype=np.int64)
+    return PersonalizationTree(feature, np.array(threshold), *children, *columns, m=m, d=d)
+
+
+def _grower(ds, config, n_features):
+    """`_build`'s expand step for greedy growth, one per tree. An item is
+    (idx, rows, depth): a node's rows in ascending order, the d x k
+    presort `best_split` takes, and the node's depth. Each child gets the
+    rows of the presort on its side, a stable order of its own rows.
+    """
+    rng = make_rng(config.seed)
+    marks = np.zeros(ds.n, dtype=bool)  # all False between calls
+
+    def expand(item):
+        idx, rows, depth = item
+        split = None
+        if config.delta_max is None or depth < config.delta_max:
+            features = rng.choice(ds.d, size=n_features, replace=False)
+            split = best_split(ds, idx, features, config, _presorted=rows)
+        if split is None:
+            counts, sums = (a[0] for a in _counts_and_sums(ds.T[idx], ds.Y[idx], ds.m))
+            means = np.divide(sums, counts, out=np.full(ds.m, np.nan), where=counts > 0)
+            treatment, _ = _best_of_stats(counts, sums, config.scarce_mode, config.n_min_leaf)
+            return treatment, counts, means
+        mask = ds.X[idx, split.feature] <= split.threshold
+        left_idx, right_idx = idx[mask], idx[~mask]
+        marks[left_idx] = True
+        goes_left = marks[rows]
+        marks[left_idx] = False
+        return (
+            split.feature, split.threshold,
+            (left_idx, rows[goes_left].reshape(ds.d, left_idx.size), depth + 1),
+            (right_idx, rows[~goes_left].reshape(ds.d, right_idx.size), depth + 1),
+        )
+
+    return expand
 
 
 def fit_pt(ds, config=None):
@@ -338,14 +349,10 @@ def fit_pt(ds, config=None):
     if ds.n == 0:
         raise ConfigError("cannot fit a tree on an empty dataset")
     n_features = _check_int("n_features", config.n_features or ds.d, 1, maximum=ds.d)
-    rng = make_rng(config.seed)
-    marks = np.zeros(ds.n, dtype=bool)
-    nodes = []
-    _grow(
-        ds, np.arange(ds.n), np.argsort(ds.X.T, axis=1, kind="stable"),
-        0, config, rng, n_features, marks, nodes,
+    return _build(  # the root item goes in unnamed, so the stack alone holds its presort
+        (np.arange(ds.n), np.argsort(ds.X.T, axis=1, kind="stable"), 0),
+        _grower(ds, config, n_features), ds.m, ds.d,
     )
-    return _tree_of(nodes, ds.m, ds.d)
 
 
 def tree_to_doc(tree):
@@ -357,46 +364,33 @@ def tree_to_doc(tree):
             leaf = {"treatment": int(tree.treatment[i]), "counts": tree.counts[i].tolist()}
             docs[i] = {"leaf": {**leaf, "means": means}}
         else:
-            docs[i] = {
-                "split": {"feature": int(tree.feature[i]), "threshold": float(tree.threshold[i])},
-                "left": docs[tree.left[i]],
-                "right": docs[tree.right[i]],
-            }
+            split = {"feature": int(tree.feature[i]), "threshold": float(tree.threshold[i])}
+            docs[i] = {"split": split, "left": docs[tree.left[i]], "right": docs[tree.right[i]]}
     return {"kind": "pt", "m": int(tree.m), "d": int(tree.d), "root": docs[0]}
-
-
-def _node_from_doc(doc, m, d, nodes):
-    """Append a node document's subtree to `nodes` in pre-order and
-    return the index of its root; ConfigError for a bad field."""
-    me = len(nodes)
-    if "leaf" in doc:
-        leaf = doc["leaf"]
-        counts = [_check_int("leaf counts", c, 0) for c in leaf["counts"]]
-        means = [np.nan if v is None else _check_number("leaf means", v) for v in leaf["means"]]
-        if len(counts) != m or len(means) != m:
-            raise SchemaError("leaf counts/means must have one entry per treatment")
-        treatment = _check_int("leaf treatment", leaf["treatment"], 1, maximum=m)
-        nodes.append(_leaf_node(treatment, counts, means))
-        return me
-    if "split" not in doc:
-        raise SchemaError("tree node must hold either a split or a leaf")
-    sp = doc["split"]
-    feature = _check_int("split feature", sp["feature"], 0, maximum=d - 1)
-    threshold = _check_number("split threshold", sp["threshold"])
-    nodes.append(None)  # filled in once both children have their indices
-    left = _node_from_doc(doc["left"], m, d, nodes)
-    right = _node_from_doc(doc["right"], m, d, nodes)
-    nodes[me] = _split_node(feature, threshold, left, right, m)
-    return me
 
 
 def tree_from_doc(doc):
     if doc.get("kind") != "pt":
         raise SchemaError(f"expected a pt document, got kind {doc.get('kind')!r}")
-    nodes = []
+    most = int(np.iinfo(np.int64).max)  # leaf counts are held as int64
+
+    def expand(node):
+        """A node document as `_build` takes it; ConfigError for a bad field."""
+        if "leaf" in node:
+            leaf = node["leaf"]
+            counts = [_check_int("leaf counts", c, 0, maximum=most) for c in leaf["counts"]]
+            means = [np.nan if v is None else _check_number("leaf means", v) for v in leaf["means"]]
+            if len(counts) != m or len(means) != m:
+                raise SchemaError("leaf counts/means must have one entry per treatment")
+            return _check_int("leaf treatment", leaf["treatment"], 1, maximum=m), counts, means
+        if "split" not in node:
+            raise SchemaError("tree node must hold either a split or a leaf")
+        sp = node["split"]
+        feature = _check_int("split feature", sp["feature"], 0, maximum=d - 1)
+        return feature, _check_number("split threshold", sp["threshold"]), node["left"], node["right"]
+
     try:
         m, d = _check_shape(doc)
-        _node_from_doc(doc["root"], m, d, nodes)
+        return _build(doc["root"], expand, m, d)
     except ConfigError as exc:
         raise SchemaError(str(exc)) from exc
-    return _tree_of(nodes, m, d)

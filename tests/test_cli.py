@@ -699,13 +699,14 @@ class TestExitCodes:
         pt5(m="2", d="5"),
         pt5(leaf={"means": [1e400, 0.0]}),
         {"kind": "pf", "trees": [pt5(), pt5(split={"feature": 1.7})]},
+        pt5(leaf={"counts": [10**30, 1]}),
         {"kind": "1va", "base": 7, "m": 2, "d": 5, "estimators": [{"pos": OLS5, "neg": OLS5}] * 2},
     ], ids=["rc-no-arms", "knn-k-text", "knn-k-0", "knn-k-negative", "1va-no-weights",
             "1v1-no-s", "pf-no-trees", "pt-m-null", "pt-no-children", "kind-list",
             "rc-arm-missing", "1v1-m-short", "ols-weights-short", "1v1-pair-missing",
             "pt-feature-1.7", "pt-treatment-1.9", "pt-counts-2.5-and-negative",
             "pt-threshold-true", "pt-m-d-strings", "pt-mean-1e400", "pf-tree-feature-1.7",
-            "1va-base-7"])
+            "pt-counts-past-int64", "1va-base-7"])
     def test_malformed_model_exits_2(self, tmp_path, quad_csv, doc, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
@@ -717,6 +718,28 @@ class TestExitCodes:
         kind = doc["kind"]
         want = f"malformed {kind} model" if isinstance(kind, str) else "unknown model kind"
         assert want in capsys.readouterr().err
+
+    def test_tree_too_deep_to_save_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # each cut peels one row off, a chain 1,499 splits deep
+        data, model = tmp_path / "chain.csv", tmp_path / "model.json"
+        rows = (f"{i},{1 + i % 2},{10**6 * (i % 2) + i}\n" for i in range(3000))
+        data.write_text("x,treatment,outcome\n" + "".join(rows))
+        assert run("train", "--algo", "pt", "--data", str(data), "--out", str(model)) == 2
+        assert "too deep for a nested model file" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_model_file_too_deep_to_read_exits_2(self, tmp_path, quad_csv, capsys):
+        # written as text: json itself cannot write a document this deep
+        leaf = '{"leaf": {"treatment": 1, "counts": [5, 5], "means": [0.0, 1.0]}}'
+        split = '{"split": {"feature": 0, "threshold": 0.5}, "left": ' + leaf + ', "right": '
+        model = tmp_path / "model.json"
+        model.write_text('{"kind": "pt", "m": 2, "d": 5, "root": ' + split * 1499 + leaf + "}" * 1500)
+        code = run(
+            "predict", "--model", str(model), "--data", str(quad_csv),
+            "--out", str(tmp_path / "pres.csv"),
+        )
+        assert code == 2
+        assert "too deep for a nested model file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("label", ["1e300", "-1e300"])
     def test_oversized_label_exits_2(self, tmp_path, label, capsys):

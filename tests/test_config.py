@@ -14,7 +14,14 @@ from perstrees import data
 from perstrees.baselines import KnnRegressor
 from perstrees.data import SyntheticSpec
 from perstrees.errors import ConfigError
-from perstrees.experiment import ALGORITHMS, fit_algorithm
+from perstrees.experiment import (
+    ALGORITHMS,
+    AlgoSpec,
+    ExperimentConfig,
+    Protocol,
+    fit_algorithm,
+    run_experiment,
+)
 from perstrees.forest import PfConfig
 from perstrees.opt import OptConfig, TreeSkeleton
 from perstrees.tree import PtConfig
@@ -90,6 +97,54 @@ def test_bad_params_refused_before_fitting(algo, params, named):
     # no dataset is needed: the params are checked before any fit
     with pytest.raises(ConfigError, match=named):
         fit_algorithm(algo, None, params)
+
+
+def experiment(tmp_path, **fields):
+    """A small valid ExperimentConfig, the given fields replaced."""
+    return ExperimentConfig(**{
+        "algorithms": (AlgoSpec("pt"),), "n_grid": (40,), "replications": 1,
+        "protocol": Protocol("oracle", n_test=20), "master_seed": 0,
+        "data": {"preset": "quadratic"}, "output": str(tmp_path / "curve.csv"), **fields,
+    })
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("algorithms", (AlgoSpec("pt"), AlgoSpec("pt")), "labels must be unique"),
+    ("algorithms", (), "at least one algorithm"),
+    ("algorithms", ("pt",), "AlgoSpec entries"),
+    ("n_grid", (60, 40), "n_grid must be"),
+    ("n_grid", (40.5,), "n_grid entry must be"),
+    ("replications", 0, "replications must be"),
+    ("master_seed", -5, "master_seed must be"),
+    ("protocol", {"kind": "oracle", "n_test": 20}, "protocol must be a Protocol"),
+    ("data", {"preset": "cubic"}, "unknown preset 'cubic'"),
+    ("data", {"preset": "quadratic", "n": 5}, "unknown data spec parameter 'n'"),
+    ("output", None, "output must be a path"),
+    ("version", 2, "config version must be 1"),
+])
+def test_experiment_config_checks_its_fields(tmp_path, field, value, named):
+    with pytest.raises(ConfigError, match=named):
+        experiment(tmp_path, **{field: value})
+
+
+@pytest.mark.parametrize("cls, kwargs, named", [
+    (AlgoSpec, {"name": "pt", "label": "a,b"}, "label must be"),
+    (AlgoSpec, {"name": "pt", "params": {"n_min_lef": 5}}, "'n_min_lef'"),
+    (AlgoSpec, {"name": "pt", "params": [1]}, "params must be"),
+    (AlgoSpec, {"name": "tree"}, "unknown algorithm 'tree'"),
+    (Protocol, {"kind": "holdout"}, "protocol kind must be"),
+    (Protocol, {"kind": "oracle"}, "n_test must be"),
+    (Protocol, {"kind": "optimal-submatch", "n_pair": 0}, "n_pair must be"),
+])
+def test_algo_spec_and_protocol_check_their_fields(cls, kwargs, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        cls(**kwargs)
+
+
+def test_experiment_config_expands_its_preset(tmp_path):
+    config = experiment(tmp_path)
+    assert "preset" not in config.data and config.data["d"] == 2
+    assert [row[:3] for row in run_experiment(config)] == [("pt", 40, 1)]
 
 
 def accepted_keys(algo):

@@ -257,8 +257,19 @@ def left_leaf_count(tree):
     return count
 
 
+def pre_order(tree):
+    """Node indices in the order a pre-order walk meets them."""
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if tree.left[i] >= 0:
+            stack += [tree.right[i], tree.left[i]]
+    return order
+
+
 class TestRoutingAgreement:
-    """Greedy (pre-order), forest and exact (heap-order) trees route alike."""
+    """Greedy, forest and exact trees, all in pre-order, route alike."""
 
     @pytest.fixture(scope="class")
     def fits(self):
@@ -303,6 +314,19 @@ class TestRoutingAgreement:
         X[:, tree.feature[0]] = np.nextafter(tree.threshold[0], np.inf)
         assert tree.leaf_ids(X).min() > n_left
 
+    @pytest.mark.parametrize("source", ["pt", "pf", "opt"])
+    def test_nodes_are_in_pre_order(self, fits, source):
+        # parents before children, leaves left to right: a pre-order walk
+        # meets the nodes in array order
+        tree = fits[1][source]
+        assert pre_order(tree) == list(range(tree.left.size))
+
+    def test_exact_tree_prescribes_as_the_skeleton_routes(self, fits):
+        ds, trees, sk, result = fits
+        leaf = sk.route_many(ds.X, result.assignment.cuts) - 2**sk.delta
+        want = np.asarray(result.assignment.treatments)[leaf]
+        assert trees["opt"].predict_many(ds.X).tolist() == want.tolist()
+
     def test_skeleton_routes_like_the_exact_tree(self, fits):
         ds, _, sk, result = fits
         want = result.tree.leaf_ids(ds.X) + 2**sk.delta - 1
@@ -310,6 +334,16 @@ class TestRoutingAgreement:
 
 
 class TestFitPt:
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # every cut peels one row off the left, so the tree is a chain
+        i = np.arange(3000)
+        ds = Dataset(X=i[:, None], T=1 + i % 2, Y=1e6 * (i % 2) + i, m=2)
+        tree = fit_pt(ds)
+        assert (tree.depth, tree.n_leaves) == (1499, 1500)
+        assert pre_order(tree) == list(range(tree.left.size))
+        want = [tree.treatment[reference_node(tree, x)] for x in ds.X]
+        assert tree.predict_many(ds.X).tolist() == want
+
     def test_depth_zero_is_single_leaf(self):
         ds = random_dataset(np.random.default_rng(0), 30, 2, 2, all_arms=True)
         tree = fit_pt(ds, PtConfig(delta_max=0))
