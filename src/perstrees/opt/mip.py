@@ -47,6 +47,7 @@ import numpy as np
 
 from ..errors import InfeasibleError, ParseError
 from ..risk import _counts_and_sums
+from .solver import _leaves
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,9 +189,11 @@ def build_mip(ds, skeleton, menu, config):
     """Assemble the full model for one dataset, skeleton, and menu.
 
     Raises:
+        ConfigError: the menu does not fit the skeleton.
         InfeasibleError: n < n_leaves * m * n_min_leaf, so no routing
             can satisfy the per-leaf occupancy minimums.
     """
+    skeleton._check_nodes("menu", menu.cuts)
     n, m, n_leaves = ds.n, ds.m, len(skeleton.leaves)
     if n < n_leaves * m * config.n_min_leaf:
         raise InfeasibleError(
@@ -315,9 +318,12 @@ def solution_from_assignment(ds, skeleton, menu, assignment):
     Returns a complete name-to-value map: one-hot gamma with its code
     bits, memberships from routing, one-hot lambda, mu as the leaf mean
     of the chosen treatment's shifted outcome, and nu = mu * w.
+    ConfigError when the menu or the assignment does not fit the
+    skeleton, or the assignment does not fit the data.
     """
+    skeleton._check_nodes("menu", menu.cuts)
     top = 2**skeleton.delta
-    leaf = skeleton.route_many(ds.X, assignment.cuts) - top
+    leaf = _leaves(ds, skeleton, assignment)
     counts, sums = _counts_and_sums(ds.T, ds.Y - ds.Y.min(), ds.m, leaf, top)
     blocks = _column_blocks(ds.n, ds.m, skeleton, menu)
     col = _starts(blocks)

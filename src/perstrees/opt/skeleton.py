@@ -2,9 +2,10 @@
 
 The skeleton of depth delta is a complete binary tree in heap order:
 internal nodes 1..2^delta - 1, leaves 2^delta..2^(delta+1) - 1, node p's
-children 2p and 2p + 1. Rows are routed by the rule of fitted trees,
-`tree._route` (left on x[feature] <= threshold), with node p at array
-index p - 1.
+children 2p and 2p + 1. Rows are routed by heap arithmetic, one gather
+per level from feature and threshold arrays holding node p's cut at
+index p - 1: a row at p moves to 2p when x[feature] <= threshold and to
+2p + 1 otherwise (so NaN goes right), as in fitted trees.
 
 Each internal node gets a finite menu of candidate cuts: for each of
 n_features randomly drawn features, midpoints of consecutive distinct
@@ -15,13 +16,11 @@ positions.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ..errors import ConfigError, EmptyMenuError, _check_int
 from ..seeding import make_rng
-from ..tree import _route
 
 
 @dataclass(frozen=True)
@@ -88,29 +87,24 @@ class TreeSkeleton:
             path.append((q, +1 if step == 2 * q + 1 else -1))
         return path
 
-    @cached_property
-    def _children(self):
-        """Read-only (left, right) node arrays, which no cut changes."""
-        top = 2**self.delta
-        p, leaf = np.arange(1, top), np.full(top, -1)
-        children = np.concatenate([2 * p - 1, leaf]), np.concatenate([2 * p, leaf])
-        for a in children:
-            a.flags.writeable = False
-        return children
-
-    def _heap(self, cuts):
-        """Node arrays (feature, threshold, left, right) under the given
-        cuts, node p at index p - 1, in the layout of fitted trees."""
-        splits = 2**self.delta - 1
-        cut = np.array(cuts, dtype=np.float64).reshape(splits, 2)
-        feature, threshold = np.empty(2 * splits + 1, dtype=np.int64), np.empty(2 * splits + 1)
-        feature[:splits], threshold[:splits] = cut.T
-        feature[splits:], threshold[splits:] = -1, np.nan
-        return feature, threshold, *self._children
+    def _check_nodes(self, name, seq):
+        """ConfigError unless seq holds one entry per internal node."""
+        n = 2**self.delta - 1
+        if len(seq) != n:
+            raise ConfigError(f"{name} has {len(seq)} nodes, a depth-{self.delta} skeleton has {n}")
 
     def route_many(self, X, cuts):
         """Leaf id (heap numbering) of every row of X under the given cuts."""
-        return _route(X, *self._heap(cuts)) + 1
+        self._check_nodes("the cut list", cuts)
+        feature = np.array([f for f, _ in cuts], dtype=np.intp)
+        threshold = np.array([theta for _, theta in cuts], dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64)
+        rows = np.arange(len(X))
+        p = 2 + ~(X[:, feature[0]] <= threshold[0])  # the root's children
+        for _ in range(self.delta - 1):
+            q = p - 1
+            p += p + ~(X[rows, feature[q]] <= threshold[q])
+        return p
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, InfeasibleError, SolveTimeout
+from ..errors import ConfigError, InfeasibleError, SolveTimeout, _check_int, _check_number
 from ..seeding import derive_seed, make_rng
 from ..risk import _counts_and_sums
 from ..tree import PersonalizationTree, PtConfig, _build, fit_pt
@@ -102,6 +102,27 @@ class TreeAssignment:
 
     cuts: tuple
     treatments: tuple
+
+
+def _leaves(ds, skeleton, assignment):
+    """Each row's 0-based leaf under the assignment; ConfigError unless its
+    cut and treatment counts fit the skeleton, its cut features lie in
+    0..d-1, its thresholds are finite and its treatments lie in 1..m."""
+    top = 2**skeleton.delta
+    cuts, treatments = assignment.cuts, assignment.treatments
+    if len(cuts) != top - 1 or len(treatments) != top:
+        raise ConfigError(
+            f"assignment has {len(cuts)} cuts and {len(treatments)} treatments, "
+            f"a depth-{skeleton.delta} skeleton has {top - 1} and {top}"
+        )
+    last = ds.d - 1
+    for f, _ in cuts:
+        _check_int("cut feature", f, 0, maximum=last)
+    for _, theta in cuts:
+        _check_number("cut threshold", theta)
+    for t in treatments:
+        _check_int("treatment", t, 1, maximum=ds.m)
+    return skeleton.route_many(ds.X, cuts) - top
 
 
 class _TimeUp(Exception):
@@ -174,16 +195,10 @@ def evaluate_assignment(ds, skeleton, assignment, config):
     subjects of some treatment.
 
     Raises:
-        ConfigError: the assignment's cut or treatment count does not fit
-            the skeleton.
+        ConfigError: the assignment does not fit the skeleton or the data.
     """
     top = 2**skeleton.delta
-    if len(assignment.cuts) != top - 1 or len(assignment.treatments) != top:
-        raise ConfigError(
-            f"assignment has {len(assignment.cuts)} cuts and {len(assignment.treatments)} "
-            f"treatments, a depth-{skeleton.delta} skeleton has {top - 1} and {top}"
-        )
-    leaf = skeleton.route_many(ds.X, assignment.cuts) - top
+    leaf = _leaves(ds, skeleton, assignment)
     counts, sums = _counts_and_sums(ds.T, ds.Y - ds.Y.min(), ds.m, leaf, top)
     if counts.min() < config.n_min_leaf:
         return float("inf")
@@ -206,9 +221,10 @@ class OptResult:
 
 def assignment_to_tree(ds, skeleton, assignment):
     """Materialize an assignment as a tree policy, skeleton node p as item p
-    of `_build`, with leaf statistics recomputed by routing the dataset."""
+    of `_build`, with leaf statistics recomputed by routing the dataset;
+    ConfigError when the assignment does not fit the skeleton or the data."""
     top = 2**skeleton.delta
-    leaf = skeleton.route_many(ds.X, assignment.cuts) - top
+    leaf = _leaves(ds, skeleton, assignment)
     counts, sums = _counts_and_sums(ds.T, ds.Y, ds.m, leaf, top)
     means = np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
 
@@ -248,15 +264,13 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         place.
 
     Raises:
-        ConfigError: the menu or the warm start does not fit the skeleton.
+        ConfigError: the menu or the warm start does not fit the skeleton,
+            or the warm start does not fit the data.
         InfeasibleError: no feasible assignment exists.
         SolveTimeout: time expired with no incumbent available.
     """
+    skeleton._check_nodes("menu", menu.cuts)
     top = 2**skeleton.delta
-    if len(menu.cuts) != top - 1:
-        raise ConfigError(
-            f"menu has {len(menu.cuts)} nodes, a depth-{skeleton.delta} skeleton has {top - 1}"
-        )
     ybar = ds.Y - ds.Y.min()
     tvec = ds.T - 1
     m = ds.m
@@ -380,14 +394,14 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
                 best[:] = total, int(ci)
         return tuple(best)
 
-    cuts, treats = {}, {}
+    pick = [None] * (2 * top)  # heap-indexed: node p's cut, then leaf p's treatment
 
     def reconstruct(p, idx, choice):
         if 2 * p >= top:
-            ci, treats[2 * p], treats[2 * p + 1] = choice
-            cuts[p] = menu.for_node(p)[ci]
+            ci, pick[2 * p], pick[2 * p + 1] = choice
+            pick[p] = menu.for_node(p)[ci]
             return
-        cuts[p] = f, theta = menu.for_node(p)[choice]
+        pick[p] = f, theta = menu.for_node(p)[choice]
         mask = ds.X[idx, f] <= theta
         for child, sub in ((2 * p, idx[mask]), (2 * p + 1, idx[~mask])):
             reconstruct(child, sub, node_value(child, sub)[1])
@@ -418,10 +432,7 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
     (best_val, best_cut), assignment, objective = best, None, best[0]
     if best_cut is not None:
         reconstruct(1, all_rows, best_cut)
-        assignment = TreeAssignment(
-            cuts=tuple(cuts[p] for p in skeleton.internal_nodes),
-            treatments=tuple(treats[p] for p in skeleton.leaves),
-        )
+        assignment = TreeAssignment(tuple(pick[1:top]), tuple(pick[top:]))
     if warm_value < best_val:
         assignment, objective = warm, warm_value
     if assignment is None:
@@ -444,12 +455,14 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
     depth with menu cuts tried in seeded random order; padded leaves
     inherit the greedy leaf's prescription. Returns None when no
     feasible completion exists along the attempted padding orders.
-    Builds the skeleton and menu from config when not supplied.
+    Builds the skeleton and menu from config when not supplied;
+    ConfigError when a supplied menu does not fit the skeleton.
     """
     if skeleton is None:
         skeleton = TreeSkeleton(config.delta)
     if menu is None:
         menu = build_cut_menu(ds, skeleton, config)
+    skeleton._check_nodes("menu", menu.cuts)
     pt = fit_pt(
         ds,
         PtConfig(
@@ -460,8 +473,7 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
         ),
     )
     top = 2**skeleton.delta
-    cuts = {}
-    treats = {}
+    pick = [None] * (2 * top)  # heap-indexed, as in solve_exact
 
     def candidates(p, node):
         """Cut candidates at skeleton node p, preferred first."""
@@ -476,10 +488,9 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
         """Fill skeleton node p over rows idx after greedy node `node`,
         which is a leaf once p is: the greedy tree is no deeper."""
         if p >= top:
-            counts, _ = _counts_and_sums(ds.T[idx], ds.Y[idx], ds.m)
-            if counts.min() < config.n_min_leaf:
+            if np.bincount(ds.T[idx], minlength=ds.m + 1)[1:].min() < config.n_min_leaf:
                 return False
-            treats[p] = int(pt.treatment[node])
+            pick[p] = int(pt.treatment[node])
             return True
         children = (pt.left[node], pt.right[node]) if pt.left[node] >= 0 else (node, node)
         for f, theta in candidates(p, node):
@@ -487,13 +498,10 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
             if place(2 * p, idx[mask], children[0]) and place(
                 2 * p + 1, idx[~mask], children[1]
             ):
-                cuts[p] = (f, theta)
+                pick[p] = (f, theta)
                 return True
         return False
 
     if not place(1, np.arange(ds.n), 0):
         return None
-    return TreeAssignment(
-        cuts=tuple(cuts[p] for p in skeleton.internal_nodes),
-        treatments=tuple(treats[p] for p in skeleton.leaves),
-    )
+    return TreeAssignment(tuple(pick[1:top]), tuple(pick[top:]))

@@ -42,12 +42,25 @@ class FunctionPolicy(_BatchPolicy):
 
 def prescriptions(policy, X):
     """`policy.predict_many(X)` as an int array; DomainError when X's
-    column count differs from the policy's `d`."""
+    column count differs from the policy's `d` or a prescription lies
+    outside 1..`policy.m`."""
     X = np.asarray(X, dtype=np.float64)
     d = getattr(policy, "d", None)
     if d is not None and X.shape[1] != d:
         raise DomainError(f"policy expects {d} features, the data has {X.shape[1]}")
-    return np.asarray(policy.predict_many(X), dtype=np.int64)
+    pres = np.asarray(policy.predict_many(X), dtype=np.int64)
+    if pres.size and not 1 <= pres.min() <= pres.max() <= policy.m:
+        raise DomainError(f"prescriptions span {pres.min()}..{pres.max()}, outside 1..{policy.m}")
+    return pres
+
+
+def _outcomes_under(policy, X, outcomes):
+    """Row i's entry of outcomes (one column per arm) under the policy's
+    prescription for X[i]; DomainError for a prescription past the arms."""
+    pres = prescriptions(policy, X)
+    if pres.size and pres.max() > outcomes.shape[1]:
+        raise DomainError(f"prescription {pres.max()} exceeds the data's {outcomes.shape[1]} arms")
+    return outcomes[np.arange(len(pres)), pres - 1]
 
 
 @dataclass(frozen=True)
@@ -199,8 +212,7 @@ def oracle_metrics(ds, policy):
     single treatment with the smallest mean counterfactual outcome.
     """
     CF = ds.require_cf()
-    pres = prescriptions(policy, ds.X)
-    risk = float(CF[np.arange(ds.n), pres - 1].mean())
+    risk = float(_outcomes_under(policy, ds.X, CF).mean())
     prescient = float(CF.min(axis=1).mean())
     best_const = float(CF.mean(axis=0).min())
     excess = risk - prescient

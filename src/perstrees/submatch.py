@@ -30,7 +30,7 @@ import numpy as np
 
 from ._nearest import screen, whiten
 from .errors import DomainError, ParseError, SchemaError
-from .risk import PolicyScore, _coefficient, prescriptions
+from .risk import PolicyScore, _coefficient, _outcomes_under
 from .seeding import make_rng
 
 logger = logging.getLogger(__name__)
@@ -202,7 +202,7 @@ def matched_metrics(mts, policy):
     pass of prescriptions. p1 compares against the best single
     treatment, p2 against the historical assignment; an undefined
     coefficient is NaN."""
-    chosen = mts.yhat[np.arange(mts.n_test), prescriptions(policy, mts.X_test) - 1]
+    chosen = _outcomes_under(policy, mts.X_test, mts.yhat)
     best = mts.yhat.min(axis=1).sum()
     excess = chosen.sum() - best
     p1 = _coefficient(excess, mts.yhat.sum(axis=0).min() - best)

@@ -21,7 +21,7 @@ A fitted tree is a set of parallel node arrays (`PersonalizationTree`)
 in pre-order: every parent precedes its children and the leaves appear
 left to right. `_build` is the one walk that builds such arrays (greedy
 fits, model files, exact solutions) and `_route` the one that sends rows
-down them; the exact-search skeletons route through it too.
+down them.
 """
 
 import math
@@ -208,8 +208,7 @@ def _route(X, feature, threshold, left, right):
     At split node i (left[i] >= 0) a row goes to left[i] when its
     feature[i] value is <= threshold[i], else to right[i]. Rows descend
     one level per step and leave the active set at a leaf, where their
-    node is written. Fitted trees and exact-search skeletons both route
-    through this one function.
+    node is written. Every fitted tree routes through this one function.
     """
     X = np.asarray(X, dtype=np.float64)
     split = left >= 0

@@ -754,3 +754,13 @@ class TestExitCodes:
         run("train", "--algo", "pt", "--data", str(quad_csv),
             "--params", '{"n_min_leaf": 10}', "--out", str(model))
         assert run("evaluate", "--model", str(model), "--data", str(quad_csv), "--oracle") == 2
+
+    @pytest.mark.parametrize("protocol", [["--oracle"], ["--greedy", "20"]])
+    def test_model_with_more_arms_than_the_data_exits_2(self, tmp_path, quad_csv, protocol, capsys):
+        # arm 3 has the lowest fitted outcome everywhere, and the data has two arms
+        arms = [{"type": "ols", "weights": [w, 0.0, 0.0]} for w in (0.0, 0.0, -1.0)]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "rc-ols", "m": 3, "d": 2, "arms": arms}))
+        cols = ("--data", str(quad_csv), "--cf-cols", "y1,y2", "--q-col", "q")
+        assert run("evaluate", "--model", str(model), *cols, *protocol) == 2
+        assert "prescription 3 exceeds the data's 2 arms" in capsys.readouterr().err

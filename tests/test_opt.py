@@ -22,6 +22,7 @@ from perstrees.opt import (
     OptConfig,
     TreeAssignment,
     TreeSkeleton,
+    assignment_to_tree,
     build_cut_menu,
     build_mip,
     check_solution,
@@ -99,6 +100,41 @@ class TestSkeleton:
         cuts = ((0, 0.0), (1, 0.0), (0, 1.0), (0, -1.0), (0, -1.0), (0, 0.5), (1, 5.0))
         X = [[-2.0, -1.0], [-2.0, 1.0], [-0.5, 1.0], [0.7, 9.0], [2.0, 5.0], [2.0, 6.0]]
         assert sk.route_many(X, cuts).tolist() == [8, 10, 11, 13, 14, 15]
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 4])
+    def test_route_many_matches_the_tree_and_a_heap_walk(self, delta):
+        rng = np.random.default_rng(40 + delta)
+        ds = random_dataset(rng, 30, 3, 2, all_arms=True)
+        top = 2**delta
+        cuts = tuple((int(rng.integers(3)), float(rng.normal())) for _ in range(top - 1))
+        treatments = tuple(int(t) for t in rng.integers(1, 3, size=top))
+        # rows on each threshold, one ulp above it, and NaN at its feature
+        X = [ds.X]
+        for f, theta in cuts:
+            for value in (theta, np.nextafter(theta, np.inf), np.nan):
+                edge = ds.X[:10].copy()
+                edge[:, f] = value
+                X.append(edge)
+        X = np.concatenate(X)
+
+        def heap_walk(x):
+            p = 1
+            while p < top:
+                f, theta = cuts[p - 1]
+                p = 2 * p if x[f] <= theta else 2 * p + 1
+            return p
+
+        leaf = TreeSkeleton(delta).route_many(X, cuts) - top
+        tree = assignment_to_tree(ds, TreeSkeleton(delta), TreeAssignment(cuts, treatments))
+        assert leaf.tolist() == (tree.leaf_ids(X) - 1).tolist()
+        assert leaf.tolist() == [heap_walk(x) - top for x in X]
+
+    @pytest.mark.parametrize("delta", [1, 2, 3])
+    def test_route_many_refuses_a_wrong_cut_count(self, delta):
+        sk = TreeSkeleton(delta)
+        for n_cuts in (2**delta - 2, 2**delta):
+            with pytest.raises(ConfigError, match="cut"):
+                sk.route_many(np.zeros((3, 1)), ((0, 0.0),) * n_cuts)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -231,6 +267,45 @@ class TestEvaluateAssignment:
             assert evaluate_assignment(ds, sk, res.assignment, cfg).hex() == res.objective.hex()
             checked += 1
         assert checked >= 10
+
+
+# the three readers of an assignment, each as (ds, skeleton, menu, assignment)
+READERS = {
+    "evaluate_assignment": lambda ds, sk, menu, a: evaluate_assignment(
+        ds, sk, a, OptConfig(delta=sk.delta, n_min_leaf=1)),
+    "assignment_to_tree": lambda ds, sk, menu, a: assignment_to_tree(ds, sk, a),
+    "solution_from_assignment": solution_from_assignment,
+}
+
+
+class TestAssignmentChecks:
+    @pytest.mark.parametrize("reader", list(READERS))
+    @pytest.mark.parametrize("cut,treatments,named", [
+        (None, (0, 2), "treatment"),
+        (None, (1, 3), "treatment"),
+        (None, (-2, 1), "treatment"),
+        ((2, 0.0), (1, 2), "cut feature"),
+        ((-1, 0.0), (1, 2), "cut feature"),
+        ((0, float("nan")), (1, 2), "cut threshold"),
+        ((0, float("inf")), (1, 2), "cut threshold"),
+    ], ids=["treatment-0", "treatment-m+1", "treatment-negative", "feature-d",
+            "feature-negative", "threshold-nan", "threshold-inf"])
+    def test_readers_refuse_what_the_data_cannot_hold(self, reader, cut, treatments, named):
+        ds = random_dataset(np.random.default_rng(17), 40, 2, 2, all_arms=True)
+        sk = TreeSkeleton(1)
+        menu = build_cut_menu(ds, sk, OptConfig(delta=1, n_min_leaf=1, n_cuts=3))
+        a = TreeAssignment((cut or menu.for_node(1)[0],), treatments)
+        with pytest.raises(ConfigError, match=named):
+            READERS[reader](ds, sk, menu, a)
+
+    def test_solve_exact_refuses_a_warm_start_that_prescribes_0(self):
+        ds = random_dataset(np.random.default_rng(17), 40, 2, 2, all_arms=True)
+        sk = TreeSkeleton(1)
+        cfg = OptConfig(delta=1, n_min_leaf=1, n_cuts=3)
+        menu = build_cut_menu(ds, sk, cfg)
+        warm = TreeAssignment(menu.for_node(1)[:1], (0, 2))
+        with pytest.raises(ConfigError, match="treatment"):
+            solve_exact(ds, sk, menu, cfg, warm=warm)
 
 
 class TestSolveExact:
@@ -423,6 +498,12 @@ class TestSolveExact:
             evaluate_assignment(ds, sk, short, cfg)
         with pytest.raises(ConfigError, match="assignment"):
             solve_exact(ds, sk, menu2, cfg, warm=short)
+        menu1 = build_cut_menu(ds, TreeSkeleton(1), cfg)
+        for menu in (menu1, menu3):
+            with pytest.raises(ConfigError, match="menu"):
+                build_mip(ds, sk, menu, cfg)
+            with pytest.raises(ConfigError, match="menu"):
+                warm_start_from_pt(ds, cfg, sk, menu)
 
 
 def reference_solve(ds, skeleton, menu, config):

@@ -5,6 +5,7 @@ import pytest
 
 from perstrees.data import Dataset
 from perstrees.errors import (
+    DomainError,
     MissingCounterfactualError,
     MissingPropensityError,
     UndefinedEstimateError,
@@ -188,6 +189,14 @@ class TestOracleMetrics:
         with pytest.raises(MissingCounterfactualError):
             oracle_metrics(ds, const_policy(1, 2))
 
+    @pytest.mark.parametrize("t,m,named", [
+        (0, 2, "outside 1..2"), (3, 3, "exceeds the data's 2 arms")
+    ])
+    def test_refuses_a_prescription_outside_the_arms(self, t, m, named):
+        ds = random_dataset(np.random.default_rng(0), 5, 1, 2, with_cf=True)
+        with pytest.raises(DomainError, match=named):
+            oracle_metrics(ds, const_policy(t, m))
+
 
 def test_prescriptions_row_loop_matches_vectorized():
     rng = np.random.default_rng(9)
@@ -195,3 +204,13 @@ def test_prescriptions_row_loop_matches_vectorized():
     pol = FunctionPolicy(fn=lambda x: 1 + int(x[0] > 0), m=2)
     got = prescriptions(pol, X)
     assert got.tolist() == [1 + int(v > 0) for v in X[:, 0]]
+
+
+@pytest.mark.parametrize("t", [0, -1, 4])
+def test_prescriptions_outside_1_to_m_are_refused(t):
+    X = np.zeros((3, 1))
+    pol = FunctionPolicy(fn=lambda x: t if x[0] > 0 else 1, m=3)
+    assert prescriptions(pol, X).tolist() == [1, 1, 1]
+    X[1, 0] = 1.0
+    with pytest.raises(DomainError, match="outside 1..3"):
+        prescriptions(pol, X)

@@ -413,6 +413,13 @@ class TestMatchedMetrics:
         assert math.isnan(p1_hat(mts, const_policy(1)))
         assert math.isnan(p2_hat(mts, const_policy(1)))
 
+    @pytest.mark.parametrize("t,m,named", [
+        (0, 2, "outside 1..2"), (3, 3, "exceeds the data's 2 arms")
+    ])
+    def test_refuses_a_prescription_outside_the_arms(self, t, m, named):
+        with pytest.raises(DomainError, match=named):
+            matched_metrics(tiny_mts(), const_policy(t, m))
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
