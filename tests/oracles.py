@@ -4,6 +4,11 @@ production counterparts were rewritten for speed.
 export_mps is the line-at-a-time MPS writer: one f-string per line and
 json.dump for the name map. The columnar writer in perstrees.opt.mps
 must produce the same bytes.
+
+sweep is the split kernel as it was before pads and the trimmed strict
+mode: a masked divide into an inf-filled plane and a plain min over
+treatments. perstrees.tree._sweep must give the same values at every
+real cut position.
 """
 
 import json
@@ -105,3 +110,30 @@ def export_mps(model, path, name="PERSTREE"):
     with open(names_path(path), "w", encoding="ascii", newline="\n") as fh:
         json.dump(name_map, fh, indent=2)
         fh.write("\n")
+
+
+def sweep(xs, ts, ys, m, n_min_leaf, scarce_mode):
+    """Score every cut position of F presorted features at once; xs, ts,
+    ys are (F, k). Returns "sides" (2, 2m, F, k-1), and "gap",
+    "feasible" and "impurity" (F, k-1)."""
+    F, k = xs.shape
+    onehot = ts == np.arange(1, m + 1)[:, None, None]
+    sides = np.empty((2, 2 * m, F, k))
+    sides[1, :m] = onehot
+    sides[1, m:] = np.where(onehot, ys, 0.0)
+    np.cumsum(sides[1], axis=2, out=sides[0])
+    np.subtract(sides[0, :, :, -1:], sides[0], out=sides[1])
+    sides = sides[:, :, :, :-1]
+    counts, sums = sides[:, :m], sides[:, m:]
+    valid = counts >= n_min_leaf if scarce_mode else counts > 0
+    means = np.divide(sums, counts, out=np.full(counts.shape, np.inf), where=valid)
+    defined = valid.any(axis=1) if scarce_mode else (counts >= n_min_leaf).all(axis=1)
+    side_min = means.min(axis=1)
+    gap = xs[:, :-1] < xs[:, 1:]
+    k_left = np.arange(1, k, dtype=np.float64)
+    return {
+        "sides": sides,
+        "gap": gap,
+        "feasible": defined[0] & defined[1] & gap,
+        "impurity": k_left * side_min[0] + (k - k_left) * side_min[1],
+    }

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from perstrees.data import Dataset, split
 from perstrees.errors import ConfigError, InfeasibleError, SchemaError
 from perstrees.forest import (
+    MAX_REDRAWS,
     PersonalizationForest,
     PfConfig,
     fit_pf,
@@ -12,6 +16,7 @@ from perstrees.forest import (
     tree_fit_seed,
 )
 from perstrees.model_io import load_model, save_model
+from perstrees.seeding import make_rng
 from perstrees.tree import PtConfig, fit_pt, tree_from_doc, tree_to_doc
 
 from helpers import random_dataset
@@ -164,3 +169,44 @@ class TestSerialization:
         docs = [tree_to_doc(stump(1, m)) for m in (2, 3)]
         with pytest.raises(SchemaError):
             forest_from_doc({"kind": "pf", "trees": docs})
+
+
+def lumpy_dataset(rng, n, m):
+    """Small data whose columns are normal, a five-value grid and one-hot,
+    with a third of the rows repeated, so replicates and nodes hold ties."""
+    base = random_dataset(rng, n, 2, m, all_arms=True)
+    X = np.column_stack([
+        base.X[:, 0],
+        rng.integers(-2, 3, size=n) / 2.0,
+        rng.integers(0, 2, size=n).astype(float),
+        rng.integers(0, 2, size=n).astype(float),
+    ])
+    take = np.concatenate([np.arange(n), rng.integers(0, n, size=n // 3)])
+    return Dataset(X=X[take], T=base.T[take], Y=base.Y[take], m=m)
+
+
+class TestTreesAsSingleFits:
+    @pytest.mark.parametrize("base", [
+        PtConfig(n_min_leaf=2),
+        PtConfig(n_min_leaf=3, scarce_mode=True),
+        PtConfig(n_min_leaf=1, delta_max=3, n_features=4),
+        PtConfig(n_min_leaf=2, n_features=1),
+    ], ids=["strict", "scarce", "delta_max", "one_feature"])
+    def test_every_tree_is_fit_pt_on_its_replicate(self, base):
+        # a forest tree is fit_pt on split(ds, replicate) with its derived
+        # seed, whatever order the forest grows its trees in
+        rng = np.random.default_rng(50)
+        for trial in range(4):
+            m = 2 + trial % 2
+            ds = lumpy_dataset(rng, int(rng.integers(30, 90)), m)
+            seed = int(rng.integers(0, 1000))
+            forest = fit_pf(ds, PfConfig(trees_count=6, base=base, seed=seed))
+            n_features = base.n_features or 2  # ceil(sqrt(4))
+            for j, tree in enumerate(forest.trees):
+                for attempt in range(MAX_REDRAWS + 1):
+                    rep_seed = replicate_seed(seed, j, attempt)
+                    idx = make_rng(rep_seed).integers(0, ds.n, size=ds.n)
+                    if np.unique(ds.T[idx]).size == m:
+                        break
+                config = replace(base, seed=tree_fit_seed(rep_seed), n_features=n_features)
+                assert tree_to_doc(tree) == tree_to_doc(fit_pt(split(ds, idx), config))

@@ -533,6 +533,10 @@ PINNED_TREES = {
         "0e4cf89cf3e4e93a1f98751346b035b228358eccd30ade6ce53b521f939e7943",
     ("grid", "one_feature"):
         "0ae38123fba6920f33a0d2e599a03ab1c48077e3edfcad23da4375f86f63716f",
+    ("signed", "strict"):
+        "262dd8d0673ae012d5447ad803be69ef58fef88014acc1f53b372cdc2dc14861",
+    ("signed", "scarce"):
+        "ae55e6b9877c411fe83c615dbf2c62f91758c4575169487ab8f89e0aac958f11",
 }
 
 PINNED_FORESTS = {
@@ -540,12 +544,38 @@ PINNED_FORESTS = {
     "grid": "b929fd504f5f6f9d1d17b1330b1d47a0c975bb4d1cbdfa5cf7cd7b911254800c",
 }
 
+# the same for 10-tree forests (seed 6) on the named base configs, whose
+# own seeds a forest ignores; "signed" fits the "normal" data with an
+# outcome column of negatives, positives and -0.0
+PINNED_FOREST_BASES = {
+    ("normal", "scarce"):
+        "bd6742be8df7284e4dae6ddbe9226ac4b29387b2f17d3017e5c3aa17bf120e6d",
+    ("normal", "delta_max"):
+        "fc17be8ad9e3265d90ea2135a032259460d9f0501fc792770b726c9940280f3b",
+    ("normal", "one_feature"):
+        "4f842784a75a9930f120b49819c85ce9b4ed5cade436723d17ddb2e82aabe99c",
+    ("grid", "scarce"):
+        "4a7ec6185367dfbe21621cf4c7a1cca34b8cbb38323f434bf6e33fea53ce9342",
+    ("grid", "delta_max"):
+        "d304f8e76e93b8dc265e970f5cbb27ce7c9ff3a633fb5908cdfee4fd9e789cc1",
+    ("grid", "one_feature"):
+        "49ab78acb5a78e5ad9f144bad9c9dbe0b2b87b479a0812fdba091071452c1baa",
+    ("signed", "strict"):
+        "b8bafd4a6e7de4fc606f7e2a06b4b4b5d26ebe5f7e47a72e6fd8d1cbda4036ab",
+    ("signed", "scarce"):
+        "12099f674fda06f300ad7da6dfc519a7c4ce49aa01f12380dfdf2cfad8aa9503",
+}
+
 
 def pinned_data(covariates):
     preset = dict(PRESETS["warfarin-like"])
     if covariates == "grid":
         preset["covariate_model"] = GRID
-    return generate_synthetic(SyntheticSpec(n=400, seed=9, **preset))
+    ds = generate_synthetic(SyntheticSpec(n=400, seed=9, **preset))
+    if covariates == "signed":  # the 0/1 outcome becomes -0.0 or a signed real
+        Y = np.where(ds.Y == 0.0, -0.0, ds.Y * ds.X[:, 1])
+        ds = Dataset(X=ds.X, T=ds.T, Y=Y, m=ds.m)
+    return ds
 
 
 def doc_digest(doc):
@@ -562,3 +592,9 @@ class TestPinnedTrees:
     def test_fit_pf_digest(self, covariates):
         forest = fit_pf(pinned_data(covariates), PfConfig(trees_count=10, seed=6))
         assert doc_digest(forest_to_doc(forest)) == PINNED_FORESTS[covariates]
+
+    @pytest.mark.parametrize("covariates, name", sorted(PINNED_FOREST_BASES))
+    def test_fit_pf_digest_on_base(self, covariates, name):
+        config = PfConfig(trees_count=10, base=PINNED_CONFIGS[name], seed=6)
+        forest = fit_pf(pinned_data(covariates), config)
+        assert doc_digest(forest_to_doc(forest)) == PINNED_FOREST_BASES[covariates, name]
