@@ -3,20 +3,24 @@
 Each tree is fit on a bootstrap replicate drawn with a seed derived from
 the master seed and the tree index, so adding trees never perturbs the
 earlier ones. Replicates missing a treatment entirely are redrawn (at
-most 100 retries) to keep every tree fittable. Prescriptions are the
+most 100 retries) to keep every tree fittable. A replicate is a row-index
+array into the forest's dataset, and the trees are grown together in
+lockstep (`tree._grow`); each comes out identical to `fit_pt` on
+`split(ds, replicate)` with its derived seed. Prescriptions are the
 majority vote over trees, ties to the lowest treatment index.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import split
 from .errors import ConfigError, InfeasibleError, SchemaError, _check_int
 from .risk import _BatchPolicy
 from .seeding import derive_seed, make_rng
-from .tree import PtConfig, fit_pt, tree_from_doc, tree_to_doc
+# fit_pt is kept as a name here, bound to the tree module's, as the one
+# fit each forest tree equals; perfbench's tracer wraps every binding
+from .tree import PtConfig, _grow, fit_pt, tree_from_doc, tree_to_doc  # noqa: F401
 
 MAX_REDRAWS = 100
 
@@ -72,21 +76,20 @@ def fit_pf(ds, config=None, resample=None):
     n_features = config.base.n_features
     if n_features is None:
         n_features = min(ds.d, max(1, math.ceil(math.sqrt(ds.d))))
-    trees = []
+    replicates = []
     for j in range(config.trees_count):
         for attempt in range(MAX_REDRAWS + 1):
             rep_seed = replicate_seed(config.seed, j, attempt)
             idx = np.asarray(resample(rep_seed, ds.n), dtype=np.int64)
-            sub = split(ds, idx)
-            if np.unique(sub.T).size == ds.m:
+            if np.unique(ds.T[idx]).size == ds.m:
                 break
         else:
             raise InfeasibleError(
                 f"tree {j}: no bootstrap replicate contained every treatment "
                 f"after {MAX_REDRAWS} redraws"
             )
-        cfg = replace(config.base, seed=tree_fit_seed(rep_seed), n_features=n_features)
-        trees.append(fit_pt(sub, cfg))
+        replicates.append((tree_fit_seed(rep_seed), idx))
+    trees = _grow(ds, config.base, n_features, replicates)
     return PersonalizationForest(trees=tuple(trees), m=ds.m, d=ds.d)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InfeasibleError, ParseError
+from ..errors import ConfigError, InfeasibleError, ParseError
 from ..risk import _counts_and_sums
 from .solver import _leaves
 
@@ -71,26 +71,53 @@ class CscMatrix:
         return np.bincount(self.indices, weights=self.data * x[col], minlength=self.shape[0])
 
 
+# Entries _csc packs, sorts and gathers per step, so its passes hold no
+# array of every entry beyond those it returns.
+_CSC_CHUNK = 1 << 20
+
+
 def _csc(entries, shape):
     """CscMatrix from a list of (key, value) pieces, key being the
     column-major position col * n_rows + row of each entry. Positions
     must be distinct. Each column's rows come out sorted, as int32 where
-    the row count allows. The list is emptied and each array dropped once
-    used, so that at most keys, values, order and rows are alive at once."""
+    the row count allows.
+
+    Memory: the pieces are copied out from the last one back, each dropped
+    once copied, so their memory is freed from the top as the copies
+    fill. Where every key fits 31 bits, it is packed above its entry's
+    32-bit index and the packed keys are sorted in place; the order then
+    takes 32-bit indices, and the values are gathered through it in
+    chunks, so no 64-bit index array of every entry is made.
+    """
     n_rows, n_cols = shape
-    keys, values = zip(*entries)
-    entries.clear()
-    key = np.concatenate(keys)
-    del keys
-    data = np.concatenate(values)
-    del values
-    order = np.argsort(key)
+    total = sum(k.size for k, _ in entries)
+    key, data = np.empty(total, np.int64), np.empty(total)
+    while entries:
+        k, v = entries.pop()
+        key[total - k.size:total], data[total - k.size:total] = k, v
+        total -= k.size
+        del k, v
+    steps = range(0, key.size, _CSC_CHUNK)
+    narrow = n_rows * n_cols <= 2**31 and key.size <= 2**32
+    if narrow:
+        key <<= 32
+        for s in steps:
+            key[s:s + _CSC_CHUNK] |= np.arange(s, min(s + _CSC_CHUNK, key.size))
+        key.sort()
+        order = np.empty(key.size, np.uint32)
+        np.bitwise_and(key, 0xFFFFFFFF, out=order, casting="unsafe")
+        np.right_shift(key, 32, out=key)
+    else:
+        order = np.argsort(key)
     rows = np.empty(key.size, np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64)
     np.remainder(key, n_rows, out=rows, casting="same_kind")
     counts = np.bincount(np.floor_divide(key, n_rows, out=key), minlength=n_cols)
     del key
-    data = data[order]
-    rows = rows[order]
+    if not narrow:  # the packed keys were sorted, and rows with them
+        rows = rows[order]
+    values, data = data, np.empty(data.size)
+    for s in steps:
+        data[s:s + _CSC_CHUNK] = values[order[s:s + _CSC_CHUNK]]
     return CscMatrix(data=data, indices=rows, indptr=np.append(0, counts.cumsum()), shape=shape)
 
 
@@ -319,7 +346,8 @@ def solution_from_assignment(ds, skeleton, menu, assignment):
     bits, memberships from routing, one-hot lambda, mu as the leaf mean
     of the chosen treatment's shifted outcome, and nu = mu * w.
     ConfigError when the menu or the assignment does not fit the
-    skeleton, or the assignment does not fit the data.
+    skeleton, the assignment does not fit the data, or a cut is not on
+    its node's menu.
     """
     skeleton._check_nodes("menu", menu.cuts)
     top = 2**skeleton.delta
@@ -329,7 +357,10 @@ def solution_from_assignment(ds, skeleton, menu, assignment):
     col = _starts(blocks)
     x = np.zeros(col[-1])
     for p in skeleton.internal_nodes:
-        chosen = menu.for_node(p).index(assignment.cuts[p - 1])
+        cut, options = assignment.cuts[p - 1], menu.for_node(p)
+        if cut not in options:
+            raise ConfigError(f"cut {cut!r} of node {p} is not on that node's menu")
+        chosen = options.index(cut)
         x[col[2 * p - 2] + chosen] = 1.0
         bits = slice(col[2 * p - 1], col[2 * p])
         x[bits] = ((chosen + 1) >> np.arange(bits.stop - bits.start)) & 1

@@ -94,11 +94,13 @@ class TreeSkeleton:
             raise ConfigError(f"{name} has {len(seq)} nodes, a depth-{self.delta} skeleton has {n}")
 
     def route_many(self, X, cuts):
-        """Leaf id (heap numbering) of every row of X under the given cuts."""
+        """Leaf id (heap numbering) of every row of X under the given cuts;
+        ConfigError unless each internal node has one, on a column of X."""
         self._check_nodes("the cut list", cuts)
-        feature = np.array([f for f, _ in cuts], dtype=np.intp)
-        threshold = np.array([theta for _, theta in cuts], dtype=np.float64)
         X = np.asarray(X, dtype=np.float64)
+        last = X.shape[1] - 1
+        feature = np.array([_check_int("cut feature", f, 0, maximum=last) for f, _ in cuts], dtype=np.intp)
+        threshold = np.array([theta for _, theta in cuts], dtype=np.float64)
         rows = np.arange(len(X))
         p = 2 + ~(X[:, feature[0]] <= threshold[0])  # the root's children
         for _ in range(self.delta - 1):

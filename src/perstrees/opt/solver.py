@@ -72,7 +72,7 @@ import numpy as np
 
 from ..errors import ConfigError, InfeasibleError, SolveTimeout, _check_int, _check_number
 from ..seeding import derive_seed, make_rng
-from ..risk import _counts_and_sums
+from ..risk import _counts_and_sums, _means
 from ..tree import PersonalizationTree, PtConfig, _build, fit_pt
 from .skeleton import TreeSkeleton, build_cut_menu
 
@@ -106,8 +106,9 @@ class TreeAssignment:
 
 def _leaves(ds, skeleton, assignment):
     """Each row's 0-based leaf under the assignment; ConfigError unless its
-    cut and treatment counts fit the skeleton, its cut features lie in
-    0..d-1, its thresholds are finite and its treatments lie in 1..m."""
+    cut and treatment counts fit the skeleton, its thresholds are finite,
+    its treatments lie in 1..m and (checked by the routing) its cut
+    features lie in 0..d-1."""
     top = 2**skeleton.delta
     cuts, treatments = assignment.cuts, assignment.treatments
     if len(cuts) != top - 1 or len(treatments) != top:
@@ -115,9 +116,6 @@ def _leaves(ds, skeleton, assignment):
             f"assignment has {len(cuts)} cuts and {len(treatments)} treatments, "
             f"a depth-{skeleton.delta} skeleton has {top - 1} and {top}"
         )
-    last = ds.d - 1
-    for f, _ in cuts:
-        _check_int("cut feature", f, 0, maximum=last)
     for _, theta in cuts:
         _check_number("cut threshold", theta)
     for t in treatments:
@@ -226,7 +224,7 @@ def assignment_to_tree(ds, skeleton, assignment):
     top = 2**skeleton.delta
     leaf = _leaves(ds, skeleton, assignment)
     counts, sums = _counts_and_sums(ds.T, ds.Y, ds.m, leaf, top)
-    means = np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+    means = _means(counts, sums)
 
     def expand(p):
         if p >= top:

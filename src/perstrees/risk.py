@@ -107,27 +107,34 @@ def best_treatment(t, y, m, scarce_mode=False, n_min_leaf=1):
     if len(t) == 0:
         raise UndefinedImpurityError("empty subsample")
     counts, sums = _counts_and_sums(t, y, m)
-    return _best_of_stats(counts[0], sums[0], scarce_mode=scarce_mode, n_min_leaf=n_min_leaf)
+    treatment, mean = _best_of_stats(counts, _means(counts, sums), scarce_mode, n_min_leaf)
+    return int(treatment[0]), float(mean[0])
 
 
-def _best_of_stats(counts, sums, scarce_mode=False, n_min_leaf=1):
-    """`best_treatment` from per-treatment counts and outcome sums."""
-    m = counts.size
+def _means(counts, sums):
+    """Mean outcomes from counts and outcome sums, NaN where a treatment
+    is absent (its sum is 0, and 0/0 is NaN)."""
+    with np.errstate(invalid="ignore"):
+        return sums / counts
+
+
+def _best_of_stats(counts, means, scarce_mode=False, n_min_leaf=1):
+    """`best_treatment` of each row of (rows, m) per-treatment counts and
+    `_means`: arrays of the treatments and their means. The first row
+    with no eligible treatment raises."""
     if scarce_mode:
         eligible = counts >= n_min_leaf
-        if not eligible.any():
+        if not eligible.any(axis=1).all():
             raise UndefinedImpurityError(
                 f"no treatment has {n_min_leaf} subjects in the subsample"
             )
     else:
-        if (counts == 0).any():
-            missing = int(np.flatnonzero(counts == 0)[0]) + 1
+        eligible = counts > 0
+        if not eligible.all():
+            missing = int(np.flatnonzero(~eligible)[0]) % counts.shape[1] + 1  # first row's lowest
             raise UndefinedImpurityError(f"treatment {missing} absent from the subsample")
-        eligible = np.ones(m, dtype=bool)
-    means = np.full(m, np.inf)
-    means[eligible] = sums[eligible] / counts[eligible]
-    best = int(np.argmin(means))
-    return best + 1, float(means[best])
+    best = np.where(eligible, means, np.inf).argmin(axis=1)
+    return best + 1, means[np.arange(best.size), best]
 
 
 def impurity(t, y, m, scarce_mode=False, n_min_leaf=1):

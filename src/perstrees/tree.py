@@ -7,19 +7,26 @@ feasible cut is taken. Splitting continues while feasible cuts exist and
 the depth bound allows; leaves prescribe the treatment with the smallest
 mean outcome among their eligible treatments.
 
-Each feature is sorted once per fit (a stable argsort of every column).
+Each feature is sorted once per fit (`_stable_argsort` of every column).
 A node holds its rows in that order for every feature, a d x k index
 array; a split hands each child the rows of this array that fall on its
 side, and filtering a stable order keeps it stable, so no node sorts
 again. The sweep moves one point at a time from the right side to the
 left along each order, keeping per-treatment counts and outcome sums as
-prefix sums. All drawn features of a node are swept in one vectorised
-pass, up to a budget of feature-by-row cells per pass; larger nodes
-take one feature per pass, which bounds the sweep's memory.
+prefix sums.
+
+Trees are grown in lockstep (`_lockstep`): every tree keeps its own
+seeded generator and pre-order stack, and each round expands the next
+node of every unfinished tree together. The drawn features of all
+those nodes are swept in a few vectorised passes of similar-sized
+nodes, each pass padded to its largest node and held under a budget of
+feature-by-row cells; a node above the budget is swept one feature per
+pass, which bounds the sweep's memory. A forest's trees so come out
+identical to one-by-one fits, and `fit_pt` is the one-tree case.
 
 A fitted tree is a set of parallel node arrays (`PersonalizationTree`)
 in pre-order: every parent precedes its children and the leaves appear
-left to right. `_build` is the one walk that builds such arrays (greedy
+left to right. `_walk` is the one walk that builds such arrays (greedy
 fits, model files, exact solutions) and `_route` the one that sends rows
 down them.
 """
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaError, _check_int, _check_number, _check_shape
-from .risk import _BatchPolicy, _best_of_stats, _counts_and_sums
+from .risk import _BatchPolicy, _best_of_stats, _counts_and_sums, _means
 from .seeding import make_rng
 
 
@@ -73,50 +80,100 @@ class Split:
     impurity: float
 
 
-# Most feature-by-row cells one vectorised sweep may hold. Small nodes
-# sweep all drawn features in one call; a node above the budget is swept
-# one feature per call, so its arrays stay those of a single feature.
+# Most feature-by-row cells one vectorised sweep may hold. Nodes of
+# similar size share a sweep up to the budget; a node above it is swept
+# in chunks of as many features as fit, at least one, which bounds the
+# sweep's memory.
 _SWEEP_BUDGET = 4096
 
+# Nodes share a padded sweep while the largest holds at most 5/4 of the
+# smallest's rows, so pads stay under a fifth of the cells.
+_PAD_RATIO = (5, 4)
 
-def _sweep(xs, ts, ys, m, n_min_leaf, scarce_mode):
-    """Score every cut position of F presorted features at once.
 
-    xs, ts, ys are (F, k) arrays: covariate, treatment and outcome of the
+def _tie_runs(X):
+    """An unstable (SIMD) ascending argsort of X along the last axis, and
+    the tie run of each sorted value: runs count up from 0, and equal
+    values (-0.0 and +0.0 among them) share one. X must hold no NaN."""
+    order = np.argsort(X, axis=-1)
+    xs = np.take_along_axis(X, order, axis=-1)
+    run = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(xs[..., 1:] != xs[..., :-1], axis=-1, out=run[..., 1:])
+    return order, run
+
+
+def _by_key(rank, position):
+    """Positions in ascending (rank, position) order along the last axis,
+    from one unstable sort of the unique keys rank * n + position."""
+    n = rank.shape[-1]
+    key = rank * n + position
+    key.sort(axis=-1)
+    return np.remainder(key, n, out=key)
+
+
+def _stable_argsort(X):
+    """np.argsort(X, axis=-1, kind="stable") from two unstable sorts: the
+    values, then the keys tie run * n + position. Without ties the first
+    sort is the answer."""
+    order, run = _tie_runs(X)
+    if (run[..., -1:] == X.shape[-1] - 1).all():
+        return order
+    return _by_key(run, order)
+
+
+def _sweep(xs, ts, ys, k, m, n_min_leaf, scarce_mode, side=1):
+    """Score cut positions side..K-side of R presorted feature rows at once.
+
+    xs, ts, ys are (R, K) arrays: covariate, treatment and outcome of a
     node's rows, each row of the arrays in ascending order of its
-    feature. Position j (1..k-1) puts the first j of them on the left.
+    feature. Row r holds k[r] real points, then pads (treatment 0,
+    outcome +0.0, x = +inf), which count for no treatment and add zero
+    to every sum; k may be one size for all rows. Position j puts the
+    first j points on the left, and positions at or past k[r] are never
+    feasible. Each side of a feasible cut holds at least `side` points,
+    so callers pass that bound to skip positions that cannot be feasible,
+    or 1 to score them all.
 
-    Returns a dict: "sides", a (2, 2m, F, k-1) array holding, for the
-    left then the right side of each cut, the per-treatment counts
-    (first m) and outcome sums (last m); and (F, k-1) arrays "gap"
-    (strict gap at the cut), "feasible" and "impurity" (side sizes
-    times their smallest eligible mean, summed). Treatments lead the
-    layout so the reductions over them run on whole contiguous planes.
+    Returns a dict: "sides", a (2, 2m, R, P) array over the P positions
+    holding, for the left then the right side of each cut, the
+    per-treatment counts (first m) and outcome sums (last m); and (R, P)
+    arrays "gap" (strict gap at the cut), "feasible" and "impurity"
+    (side sizes times their smallest eligible mean, summed). Treatments
+    lead the layout so the reductions over them run on whole contiguous
+    planes.
     """
-    F, k = xs.shape
-    onehot = ts == np.arange(1, m + 1)[:, None, None]
+    K = xs.shape[1]
     # counts ride along as floats (small integers, so exact), so one
     # prefix-sum pass serves counts and sums; sides[1] is its scratch input
-    sides = np.empty((2, 2 * m, F, k))
-    sides[1, :m] = onehot
-    sides[1, m:] = np.where(onehot, ys, 0.0)
-    np.cumsum(sides[1], axis=2, out=sides[0])
-    np.subtract(sides[0, :, :, -1:], sides[0], out=sides[1])
-    # position j keeps the first j rows on the left; j = k is no cut
-    sides = sides[:, :, :, :-1]
+    sides = np.empty((2, 2 * m, *xs.shape))
+    onehot = np.equal(ts, np.arange(1, m + 1)[:, None, None], out=sides[1, :m])
+    np.multiply(onehot, ys, out=sides[1, m:])
+    np.add.accumulate(sides[1], axis=2, out=sides[0])
+    # position j keeps the first j points on the left, prefix column j - 1;
+    # the right side is the row's total less that
+    total = sides[0, :, :, -1:]
+    sides = sides[:, :, :, side - 1:K - side]
+    np.subtract(total, sides[0], out=sides[1])
     counts, sums = sides[:, :m], sides[:, m:]
-    # scarce mode takes a side's minimum over its eligible treatments only
-    valid = counts >= n_min_leaf if scarce_mode else counts > 0
-    means = np.divide(sums, counts, out=np.full(counts.shape, np.inf), where=valid)
-    defined = valid.any(axis=1) if scarce_mode else (counts >= n_min_leaf).all(axis=1)
-    side_min = means.min(axis=1)
-    gap = xs[:, :-1] < xs[:, 1:]
-    k_left = np.arange(1, k, dtype=np.float64)
+    k_left = np.arange(side, K - side + 1, dtype=np.float64)
+    # an absent treatment's 0/0 is NaN, which fmin skips; on pads an empty
+    # right side can meet a zero or negative size
+    with np.errstate(invalid="ignore"):
+        if scarce_mode:  # a side's minimum over its eligible treatments only
+            valid = counts >= n_min_leaf
+            means = np.divide(sums, counts, out=np.full(counts.shape, np.inf), where=valid)
+            side_min = np.minimum.reduce(means, axis=1)
+            defined = np.logical_or.reduce(valid, axis=1)
+        else:
+            side_min = np.fmin.reduce(sums / counts, axis=1)
+            defined = np.minimum.reduce(counts, axis=1) >= n_min_leaf
+        impurity = k_left * side_min[0] + np.subtract.outer(k, k_left) * side_min[1]
+    gap = xs[:, side - 1:K - side] < xs[:, side:K - side + 1]
     return {
         "sides": sides,
         "gap": gap,
         "feasible": defined[0] & defined[1] & gap,
-        "impurity": k_left * side_min[0] + (k - k_left) * side_min[1],
+        "impurity": impurity,
     }
 
 
@@ -131,11 +188,11 @@ def sweep_feature(x, t, y, m, n_min_leaf, scarce_mode=False):
     runs on presorted rows, exposed for instrumentation and tests.
     """
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
+    order = _stable_argsort(x)
     xs = x[order]
     ts = np.asarray(t, dtype=np.int64)[order]
     ys = np.asarray(y, dtype=np.float64)[order]
-    sweep = _sweep(xs[None], ts[None], ys[None], m, n_min_leaf, scarce_mode)
+    sweep = _sweep(xs[None], ts[None], ys[None], x.size, m, n_min_leaf, scarce_mode)
     sides = sweep["sides"][:, :, 0].transpose(0, 2, 1)  # (2, k-1, 2m)
     counts = sides[:, :, :m].astype(np.int64)
     return {
@@ -151,6 +208,92 @@ def sweep_feature(x, t, y, m, n_min_leaf, scarce_mode=False):
     }
 
 
+def _may_split(counts, config):
+    """Which nodes, given their (nodes, m) treatment counts, can hold a
+    feasible cut: each side needs n_min_leaf of every treatment (strict)
+    or of some treatment (scarce), so a node short of twice that cannot."""
+    held = (np.add if config.scarce_mode else np.minimum).reduce(counts, axis=1)
+    return held >= 2 * config.n_min_leaf
+
+
+def _batches(nodes):
+    """The feature rows of `_best_splits`' nodes in sweep batches, each a
+    list of (node, lo, hi): node i's features lo:hi. Nodes go in order
+    of k. A batch takes whole nodes while its largest k is within
+    _PAD_RATIO of its smallest and its cells stay within _SWEEP_BUDGET;
+    a node over the budget alone is swept in chunks of features that fit
+    (at least one each)."""
+    batch, first, rows = [], 0, 0
+    wide, tall = _PAD_RATIO
+    for i in sorted(range(len(nodes)), key=lambda i: nodes[i][1].shape[1]):
+        F, k = len(nodes[i][0]), nodes[i][1].shape[1]
+        step = max(1, _SWEEP_BUDGET // k)
+        if F > step:
+            yield from ([(i, lo, min(lo + step, F))] for lo in range(0, F, step))
+            continue
+        if batch and (k * tall > first * wide or (rows + F) * k > _SWEEP_BUDGET):
+            yield batch
+            batch = []
+        if not batch:
+            first, rows = k, 0
+        batch.append((i, 0, F))
+        rows += F
+    if batch:
+        yield batch
+
+
+def _best_splits(ds, nodes, config):
+    """`best_split` for many nodes at once: a Split or None per node.
+
+    A node is (features, rows): its feature ids in draw order and a
+    d x k array whose row f holds its rows in stable ascending order of
+    feature f (only the drawn rows are read). Each batch of `_batches`
+    is one sweep, its nodes padded to its largest k, of the positions a
+    feasible cut can take. A node keeps the first minimum over (feature,
+    position), as `best_split` does: its chunks come in draw order, and
+    a later one replaces the best only when strictly lower.
+    """
+    best = [None] * len(nodes)
+    # the least side of a feasible cut: n_min_leaf of each treatment, or of one
+    side = config.n_min_leaf * (1 if config.scarce_mode else ds.m)
+    for batch in _batches(nodes):
+        picks = [nodes[i][0][lo:hi] for i, lo, hi in batch]
+        blocks = [nodes[i][1][f] for (i, _, _), f in zip(batch, picks)]
+        features = picks[0] if len(picks) == 1 else np.concatenate(picks)
+        k = blocks[-1].shape[1]
+        if k < 2 * side:  # no cut leaves `side` points on both sides
+            continue
+        if blocks[0].shape[1] == k:
+            # int32 row ids gather fastest once widened
+            block = np.concatenate(blocks, dtype=np.intp, casting="same_kind")
+            xs, ts, ys = ds.X[block, features[:, None]], ds.T[block], ds.Y[block]
+        else:
+            k = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
+            flat = np.concatenate([b.ravel() for b in blocks], dtype=np.intp, casting="same_kind")
+            real = np.arange(k[-1]) < k[:, None]
+            xs = np.full(real.shape, np.inf)
+            xs[real] = ds.X[flat, features.repeat(k)]
+            ts = np.zeros(real.shape, dtype=ds.T.dtype)
+            ts[real] = ds.T[flat]
+            ys = np.zeros(real.shape)
+            ys[real] = ds.Y[flat]
+        sweep = _sweep(xs, ts, ys, k, ds.m, config.n_min_leaf, config.scarce_mode, side)
+        score = np.where(sweep["feasible"], sweep["impurity"], np.inf)
+        top = 0
+        for i, lo, hi in batch:
+            f, pos = divmod(int(score[top:top + hi - lo].argmin()), score.shape[1])
+            f += top
+            value = score[f, pos]
+            if math.isfinite(value) and (best[i] is None or value < best[i].impurity):
+                best[i] = Split(
+                    feature=int(features[f]),
+                    threshold=float((xs[f, side - 1 + pos] + xs[f, side + pos]) / 2.0),
+                    impurity=float(value),
+                )
+            top += hi - lo
+    return best
+
+
 def best_split(ds, indices, features, config, _presorted=None):
     """Best feasible cut for a node subsample, or None.
 
@@ -163,43 +306,22 @@ def best_split(ds, indices, features, config, _presorted=None):
         indices: rows belonging to the node.
         features: feature ids to consider, in draw order.
         config: PtConfig.
-        _presorted: for `fit_pt` only: a d x k array whose row f holds
-            the node's rows in stable ascending order of feature f.
-            Without it the drawn features are argsorted here.
+        _presorted: a d x k array whose row f holds the node's rows in
+            stable ascending order of feature f. Without it the drawn
+            features are sorted here.
 
     Returns:
         Split or None when no feasible cut exists.
     """
     idx = np.asarray(indices, dtype=np.int64)
     features = np.asarray(features, dtype=np.int64)
-    # each side of a cut needs n_min_leaf of every treatment (strict) or
-    # of some treatment (scarce); a node short of twice that cannot split
-    need = 2 * config.n_min_leaf
-    if config.scarce_mode:
-        if idx.size < need:
-            return None
-    elif np.bincount(ds.T[idx] - 1, minlength=ds.m).min() < need:
+    if not _may_split(np.bincount(ds.T[idx] - 1, minlength=ds.m)[None], config)[0]:
         return None
-    if _presorted is None:
-        rows = idx[np.argsort(ds.X[idx][:, features].T, axis=1, kind="stable")]
-    else:
-        rows = _presorted[features]
-    step = max(1, _SWEEP_BUDGET // idx.size)
-    best = None
-    for lo in range(0, features.size, step):
-        chunk = rows[lo:lo + step]
-        xs = ds.X[chunk, features[lo:lo + step, None]]
-        sweep = _sweep(xs, ds.T[chunk], ds.Y[chunk], ds.m, config.n_min_leaf, config.scarce_mode)
-        score = np.where(sweep["feasible"], sweep["impurity"], np.inf)
-        f, pos = divmod(int(np.argmin(score)), score.shape[1])
-        value = score[f, pos]
-        if np.isfinite(value) and (best is None or value < best.impurity):
-            best = Split(
-                feature=int(features[lo + f]),
-                threshold=float((xs[f, pos] + xs[f, pos + 1]) / 2.0),
-                impurity=float(value),
-            )
-    return best
+    rows = _presorted
+    if rows is None:
+        rows = np.empty((ds.d, idx.size), dtype=np.int64)
+        rows[features] = idx[_stable_argsort(ds.X[idx][:, features].T)]
+    return _best_splits(ds, [(features, rows)], config)[0]
 
 
 def _route(X, feature, threshold, left, right):
@@ -270,20 +392,20 @@ class PersonalizationTree(_BatchPolicy):
         return int(level.max())
 
 
-def _build(root, expand, m, d):
-    """Tree of the nodes `expand` gives, walked in pre-order from the root
-    item on an explicit stack. expand(item) returns a leaf (treatment,
-    counts, means) or a split (feature, threshold, left item, right item).
-    Nodes are numbered parents first and leaves left to right, and an item
-    waiting on the stack is held there alone. Each node records its
-    parent's link, and one scatter fills left and right.
+def _walk(root, m, d):
+    """The pre-order walk that builds a tree, from the root item on an
+    explicit stack. It is a generator: it yields each item and is sent
+    back its node, a leaf (treatment, counts, means) or a split (feature,
+    threshold, left item, right item), and it returns the tree. Nodes are
+    numbered parents first and leaves left to right. A waiting item is
+    held by the stack alone, and a yielded one by the walk no more. Each
+    node records its parent's link, and one scatter fills left and right.
     """
     feature, threshold, links, leaves = [], [], [], []
     stack, root = [(root, -1)], None
     while stack:
-        item, link = stack.pop()
-        node = expand(item)
-        links.append(link)
+        links.append(stack[-1][1])
+        node = yield stack.pop()[0]
         if len(node) == 3:
             leaves.append((len(feature), *node))
             node = (-1, np.nan)
@@ -303,38 +425,110 @@ def _build(root, expand, m, d):
     return PersonalizationTree(feature, np.array(threshold), *children, *columns, m=m, d=d)
 
 
-def _grower(ds, config, n_features):
-    """`_build`'s expand step for greedy growth, one per tree. An item is
-    (idx, rows, depth): a node's rows in ascending order, the d x k
-    presort `best_split` takes, and the node's depth. Each child gets the
-    rows of the presort on its side, a stable order of its own rows.
-    """
-    rng = make_rng(config.seed)
-    marks = np.zeros(ds.n, dtype=bool)  # all False between calls
+def _lockstep(walks, expand):
+    """Run `_walk`s side by side and return their trees in order. Each
+    round hands the current item of every unfinished walk to one
+    expand(items) call, which returns their nodes in the same order. The
+    list is expand's to empty: an item it drops is held nowhere else."""
+    trees = [None] * len(walks)
+    live = list(enumerate(walks))
+    items = [walk.send(None) for walk in walks]
+    while live:
+        nodes = expand(items)
+        items, going = [], []
+        for (j, walk), node in zip(live, nodes):
+            try:
+                items.append(walk.send(node))
+                going.append((j, walk))
+            except StopIteration as done:
+                trees[j] = done.value
+        live = going
+    return trees
 
-    def expand(item):
-        idx, rows, depth = item
-        split = None
-        if config.delta_max is None or depth < config.delta_max:
-            features = rng.choice(ds.d, size=n_features, replace=False)
-            split = best_split(ds, idx, features, config, _presorted=rows)
-        if split is None:
-            counts, sums = (a[0] for a in _counts_and_sums(ds.T[idx], ds.Y[idx], ds.m))
-            means = np.divide(sums, counts, out=np.full(ds.m, np.nan), where=counts > 0)
-            treatment, _ = _best_of_stats(counts, sums, config.scarce_mode, config.n_min_leaf)
-            return treatment, counts, means
-        mask = ds.X[idx, split.feature] <= split.threshold
-        left_idx, right_idx = idx[mask], idx[~mask]
-        marks[left_idx] = True
-        goes_left = marks[rows]
-        marks[left_idx] = False
-        return (
-            split.feature, split.threshold,
-            (left_idx, rows[goes_left].reshape(ds.d, left_idx.size), depth + 1),
-            (right_idx, rows[~goes_left].reshape(ds.d, right_idx.size), depth + 1),
-        )
+
+def _build(root, expand, m, d):
+    """Tree of the nodes expand(item) gives, walked from the root item."""
+    return _lockstep([_walk(root, m, d)], lambda items: map(expand, items))[0]
+
+
+def _grower(ds, config, n_features):
+    """`_lockstep`'s expand step for greedy growth. An item is (rng, idx,
+    rows, depth): the tree's feature-draw generator, the node's dataset
+    rows in the order of its replicate, the d x k presort `best_split`
+    takes, and the node's depth. Rows may repeat; the copies of a row
+    share its values, so every cut sends them the same way.
+
+    A round draws each node's features in turn, finds every node's
+    treatment counts and outcome sums with one bincount each, scores the
+    nodes that may split in one `_best_splits` call, and hands each child
+    the rows of the presort on its side, a stable order of its own rows.
+    """
+    def expand(items):
+        idx, slot = items[0][1], 0  # one tree's round needs no bins per node
+        if len(items) > 1:
+            idx = [item[1] for item in items]
+            slot = np.repeat(np.arange(len(idx)), [i.size for i in idx])
+            idx = np.concatenate(idx)
+        counts, sums = _counts_and_sums(ds.T[idx], ds.Y[idx], ds.m, slot, len(items))
+        del idx, slot
+        may = _may_split(counts, config)
+        scored, nodes = [], []
+        for i, (rng, _, rows, depth) in enumerate(items):
+            if config.delta_max is None or depth < config.delta_max:
+                features = rng.choice(ds.d, size=n_features, replace=False)
+                if may[i]:
+                    scored.append(i)
+                    nodes.append((features, rows))
+        splits = [None] * len(items)
+        for i, split in zip(scored, _best_splits(ds, nodes, config) if nodes else ()):
+            splits[i] = split
+        del nodes
+        leaves = [i for i, split in enumerate(splits) if split is None]
+        if leaves:
+            counts = counts[leaves]
+            means = _means(counts, sums[leaves])
+            chosen, _ = _best_of_stats(counts, means, config.scarce_mode, config.n_min_leaf)
+            leaves = dict(zip(leaves, zip(chosen.tolist(), counts, means)))
+        out = []
+        for i, split in enumerate(splits):
+            if split is None:
+                out.append(leaves[i])
+                continue
+            rng, idx, rows, depth = items[i]
+            items[i] = None  # the children replace it
+            mask = ds.X[idx, split.feature] <= split.threshold
+            left_idx, right_idx = idx[mask], idx[~mask]
+            goes_left = ds.X[rows, split.feature] <= split.threshold
+            out.append((
+                split.feature, split.threshold,
+                (rng, left_idx, rows[goes_left].reshape(ds.d, left_idx.size), depth + 1),
+                (rng, right_idx, rows[~goes_left].reshape(ds.d, right_idx.size), depth + 1),
+            ))
+        return out
 
     return expand
+
+
+def _grow(ds, config, n_features, replicates):
+    """Greedy trees grown in lockstep, one per (seed, rows) pair: the
+    seed of the tree's feature draws (config's own is not read) and the
+    dataset rows it is fit on, in order, repeats allowed. Each tree is
+    the one fit_pt(split(ds, rows), config with that seed) grows."""
+    # the rows of a replicate in stable order of a column are its positions
+    # in (rank, position) order, rank being the dense rank of the value
+    order, run = _tie_runs(ds.X.T)
+    rank = np.empty_like(run)
+    np.put_along_axis(rank, order, run, axis=-1)
+    del order, run
+    # presorts hold int32 row ids where they fit: every tree's rows are alive at once
+    index = np.int32 if ds.n <= np.iinfo(np.int32).max else np.int64
+    walks = [
+        _walk((make_rng(seed), rows, rows.astype(index)[_by_key(rank[:, rows], np.arange(rows.size))], 0),
+              ds.m, ds.d)
+        for seed, rows in replicates
+    ]
+    del rank
+    return _lockstep(walks, _grower(ds, config, n_features))
 
 
 def fit_pt(ds, config=None):
@@ -342,16 +536,14 @@ def fit_pt(ds, config=None):
 
     Feature draws consume the seeded generator in pre-order (node, left
     subtree, right subtree), so identical data and config reproduce the
-    tree exactly.
+    tree exactly. This is the one-tree case of the lockstep growth that
+    fits a forest.
     """
     config = config or PtConfig()
     if ds.n == 0:
         raise ConfigError("cannot fit a tree on an empty dataset")
     n_features = _check_int("n_features", config.n_features or ds.d, 1, maximum=ds.d)
-    return _build(  # the root item goes in unnamed, so the stack alone holds its presort
-        (np.arange(ds.n), np.argsort(ds.X.T, axis=1, kind="stable"), 0),
-        _grower(ds, config, n_features), ds.m, ds.d,
-    )
+    return _grow(ds, config, n_features, [(config.seed, np.arange(ds.n))])[0]
 
 
 def tree_to_doc(tree):

@@ -371,6 +371,24 @@ class TestCscArrays:
         assert A.indices.dtype == np.int32
         assert A.data.tobytes() == ref.data.tobytes()
 
+    @pytest.mark.parametrize("shape, chunk", [
+        ((37, 23), 7),  # packed 32-bit order, several chunks
+        ((70_000, 40_000), 1 << 20),  # keys past 31 bits: a 64-bit argsort
+        ((70_000, 40_000), 7),
+    ], ids=["packed", "wide", "wide-chunked"])
+    def test_each_sort_path_sorts_like_scipy(self, monkeypatch, shape, chunk):
+        monkeypatch.setattr(mip, "_CSC_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        key = rng.choice(shape[0] * shape[1], size=300, replace=False)
+        value = rng.normal(size=key.size)
+        cuts = np.sort(rng.choice(np.arange(1, key.size), size=6, replace=False))
+        pieces = list(zip(np.split(key, cuts), np.split(value, cuts)))
+        A = mip._csc(pieces, shape)
+        ref = sparse.csc_array((value, (key % shape[0], key // shape[0])), shape=shape)
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert A.data.tobytes() == ref.data.tobytes()
+
     @pytest.mark.parametrize("delta, seed, n_cuts", INSTANCES[:4])
     def test_product_equals_scipy(self, delta, seed, n_cuts):
         ds, sk, menu, cfg = mip_parts(delta, seed, n_cuts)

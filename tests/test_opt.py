@@ -136,6 +136,13 @@ class TestSkeleton:
             with pytest.raises(ConfigError, match="cut"):
                 sk.route_many(np.zeros((3, 1)), ((0, 0.0),) * n_cuts)
 
+    @pytest.mark.parametrize("feature", [-1, 2])
+    def test_route_many_refuses_a_feature_outside_the_columns(self, feature):
+        # -1 once routed on the last column and 2 died in an IndexError
+        X = np.array([[0.0, 1.0], [1.0, -1.0], [2.0, 0.5]])
+        with pytest.raises(ConfigError, match="cut feature"):
+            TreeSkeleton(1).route_many(X, ((feature, 0.0),))
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             TreeSkeleton(0)
@@ -297,6 +304,15 @@ class TestAssignmentChecks:
         a = TreeAssignment((cut or menu.for_node(1)[0],), treatments)
         with pytest.raises(ConfigError, match=named):
             READERS[reader](ds, sk, menu, a)
+
+    def test_solution_refuses_a_cut_off_the_menu(self):
+        # once a raw ValueError from tuple.index
+        ds = random_dataset(np.random.default_rng(17), 40, 2, 2, all_arms=True)
+        sk = TreeSkeleton(1)
+        menu = build_cut_menu(ds, sk, OptConfig(delta=1, n_min_leaf=1, n_cuts=3))
+        assert (0, 0.123) not in menu.for_node(1)
+        with pytest.raises(ConfigError, match="node 1"):
+            solution_from_assignment(ds, sk, menu, TreeAssignment(((0, 0.123),), (1, 2)))
 
     def test_solve_exact_refuses_a_warm_start_that_prescribes_0(self):
         ds = random_dataset(np.random.default_rng(17), 40, 2, 2, all_arms=True)

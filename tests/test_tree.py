@@ -13,6 +13,9 @@ from perstrees.opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact
 from perstrees.tree import (
     PtConfig,
     Split,
+    _best_splits,
+    _stable_argsort,
+    _sweep,
     best_split,
     fit_pt,
     sweep_feature,
@@ -20,6 +23,7 @@ from perstrees.tree import (
     tree_to_doc,
 )
 
+import oracles
 from helpers import random_dataset
 
 
@@ -183,6 +187,104 @@ class TestBestSplit:
         ds = Dataset(X=X, T=np.array([1, 2, 1, 2]), Y=np.array([0.0, 9.0, 9.0, 0.0]), m=2)
         assert best_split(ds, np.arange(4), [0], PtConfig()) is None
         assert brute_force_best(ds, np.arange(4), [0], PtConfig()) == np.inf
+
+
+def tie_heavy(rng, shape):
+    """Values from a handful of levels, -0.0 and +0.0 among them."""
+    levels = np.array([-1.5, -0.0, 0.0, 0.0, 2.0, 1e300, -1e-300])
+    return levels[rng.integers(0, levels.size, size=shape)]
+
+
+class TestStableArgsort:
+    def test_equals_numpy_stable_order(self):
+        rng = np.random.default_rng(70)
+        for trial in range(200):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(0, 60)))
+            X = tie_heavy(rng, shape) if trial % 3 else rng.normal(size=shape)
+            if trial % 4 == 0:
+                X = X[0]  # one-dimensional
+            assert _stable_argsort(X).tolist() == np.argsort(X, axis=-1, kind="stable").tolist()
+
+    def test_signed_zeros_keep_their_positions(self):
+        x = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
+        assert _stable_argsort(x).tolist() == [5, 0, 1, 3, 4, 2]
+
+
+def random_sweep_rows(rng, R, k, m):
+    """R presorted feature rows of k points: tie-heavy x, every outcome
+    kind the kernel must carry (negative, -0.0, huge), treatments 1..m."""
+    xs = np.sort(tie_heavy(rng, (R, k)) if rng.random() < 0.5 else rng.normal(size=(R, k)), axis=1)
+    kind = rng.integers(0, 4)
+    ys = [rng.normal(size=(R, k)), -np.abs(rng.normal(size=(R, k))),
+          tie_heavy(rng, (R, k)), rng.normal(size=(R, k)) * 1e150][kind]
+    ts = rng.integers(1, m + 1, size=(R, k))
+    return xs, ts, ys
+
+
+class TestSweepKernel:
+    """The padded, trimmed kernel against the kernel it replaced, kept in
+    tests/oracles.py: equal values at every position."""
+
+    @pytest.mark.parametrize("scarce", [False, True])
+    def test_equals_the_old_kernel_everywhere(self, scarce):
+        rng = np.random.default_rng(71 if scarce else 72)
+        for trial in range(300):
+            R, k, m = int(rng.integers(1, 5)), int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            n_min_leaf = int(rng.integers(1, 4))
+            xs, ts, ys = random_sweep_rows(rng, R, k, m)
+            want = oracles.sweep(xs, ts, ys, m, n_min_leaf, scarce)
+            got = _sweep(xs, ts, ys, k, m, n_min_leaf, scarce)
+            for key in ("sides", "gap", "feasible", "impurity"):
+                assert np.array_equal(got[key], want[key]), (trial, key)
+
+    @pytest.mark.parametrize("scarce", [False, True])
+    def test_pads_and_skipped_positions_change_no_value(self, scarce):
+        # rows padded to a common width, and positions skipped at either
+        # end, score every kept position as the row does alone
+        rng = np.random.default_rng(73 if scarce else 74)
+        for trial in range(100):
+            m, n_min_leaf = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            k = rng.integers(2, 25, size=int(rng.integers(1, 6)))
+            K, side = int(k.max()), int(rng.integers(1, 4))
+            xs, ts, ys = np.full((k.size, K), np.inf), np.zeros((k.size, K), dtype=np.int64), np.zeros((k.size, K))
+            rows = [random_sweep_rows(rng, 1, size, m) for size in k]
+            for r, (x, t, y) in enumerate(rows):
+                xs[r, :k[r]], ts[r, :k[r]], ys[r, :k[r]] = x[0], t[0], y[0]
+            got = _sweep(xs, ts, ys, k, m, n_min_leaf, scarce, side)
+            for r, (x, t, y) in enumerate(rows):
+                want = oracles.sweep(x, t, y, m, n_min_leaf, scarce)
+                real = slice(side - 1, max(side - 1, min(k[r] - 1, K - side)))  # both score these
+                at = slice(0, real.stop - real.start)
+                assert np.array_equal(got["impurity"][r, at], want["impurity"][0, real])
+                assert np.array_equal(got["feasible"][r, at], want["feasible"][0, real])
+                assert not got["feasible"][r, at.stop:].any()  # pads and past k[r]
+                if side == 1:
+                    assert np.array_equal(got["sides"][:, :, r, at], want["sides"][:, :, 0, real])
+
+
+class TestBatchedScoring:
+    @pytest.mark.parametrize("scarce", [False, True])
+    def test_a_batch_scores_each_node_as_best_split_alone(self, scarce):
+        # nodes of mixed sizes share padded sweeps, big ones are cut into
+        # feature chunks; duplicate columns make the tie rule matter
+        rng = np.random.default_rng(75 if scarce else 76)
+        for trial in range(20):
+            n, m = int(rng.integers(40, 3000)), int(rng.integers(2, 4))
+            ds = random_dataset(rng, n, 3, m, all_arms=True)
+            X = np.column_stack([ds.X, ds.X[:, 0], np.round(ds.X[:, 1]), np.round(ds.X[:, 1])])
+            ds = Dataset(X=X, T=ds.T, Y=ds.Y, m=m)
+            config = PtConfig(n_min_leaf=int(rng.integers(1, 4)), scarce_mode=scarce)
+            order = np.argsort(ds.X.T, axis=1, kind="stable")
+            nodes, want = [], []
+            for _ in range(int(rng.integers(1, 12))):
+                keep = np.zeros(n, dtype=bool)
+                keep[rng.choice(n, int(rng.integers(2, n + 1)), replace=False)] = True
+                idx = np.flatnonzero(keep)
+                rows = order[keep[order]].reshape(ds.d, idx.size)
+                features = rng.permutation(ds.d)[: int(rng.integers(1, ds.d + 1))]
+                nodes.append((features, rows))
+                want.append(best_split(ds, idx, features, config, _presorted=rows))
+            assert _best_splits(ds, nodes, config) == want
 
 
 def leaf_doc(treatment, counts, means):
