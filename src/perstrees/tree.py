@@ -7,22 +7,25 @@ feasible cut is taken. Splitting continues while feasible cuts exist and
 the depth bound allows; leaves prescribe the treatment with the smallest
 mean outcome among their eligible treatments.
 
-Each feature is sorted once per fit (`_stable_argsort` of every column).
-A node holds its rows in that order for every feature, a d x k index
-array; a split hands each child the rows of this array that fall on its
-side, and filtering a stable order keeps it stable, so no node sorts
-again. The sweep moves one point at a time from the right side to the
-left along each order, keeping per-treatment counts and outcome sums as
-prefix sums.
+Each column is sorted once per fit: one unstable sort ranks its values,
+and one sort of the unique keys rank * n + position puts a tree's rows
+in stable order of it (`_tie_runs`, `_by_key`). A node holds its rows in
+that order for every feature, a d x k index array; a split hands each
+child the rows of this array that fall on its side, and filtering a
+stable order keeps it stable, so no node sorts again. The sweep moves
+one point at a time from the right side to the left along each order,
+keeping per-treatment counts and outcome sums as prefix sums, and
+scores only the positions that leave both sides large enough.
 
 Trees are grown in lockstep (`_lockstep`): every tree keeps its own
 seeded generator and pre-order stack, and each round expands the next
-node of every unfinished tree together. The drawn features of all
-those nodes are swept in a few vectorised passes of similar-sized
-nodes, each pass padded to its largest node and held under a budget of
-feature-by-row cells; a node above the budget is swept one feature per
-pass, which bounds the sweep's memory. A forest's trees so come out
-identical to one-by-one fits, and `fit_pt` is the one-tree case.
+node of every unfinished tree. The drawn features of those nodes are
+swept in a few vectorised passes of similar-sized nodes, each padded to
+its largest node and held under a budget of feature-by-row cells; a
+node above the budget is swept in chunks of features, which bounds the
+sweep's memory. Feature draws and cuts are those of a tree grown alone,
+so a forest's trees are identical to one-by-one fits, and `fit_pt` is
+the one-tree case.
 
 A fitted tree is a set of parallel node arrays (`PersonalizationTree`)
 in pre-order: every parent precedes its children and the leaves appear
@@ -216,6 +219,12 @@ def _may_split(counts, config):
     return held >= 2 * config.n_min_leaf
 
 
+def _least_side(config, m):
+    """Fewest rows a side of a feasible cut holds: n_min_leaf of each of
+    the m treatments (strict) or of one (scarce)."""
+    return config.n_min_leaf * (1 if config.scarce_mode else m)
+
+
 def _batches(nodes):
     """The feature rows of `_best_splits`' nodes in sweep batches, each a
     list of (node, lo, hi): node i's features lo:hi. Nodes go in order
@@ -254,8 +263,7 @@ def _best_splits(ds, nodes, config):
     a later one replaces the best only when strictly lower.
     """
     best = [None] * len(nodes)
-    # the least side of a feasible cut: n_min_leaf of each treatment, or of one
-    side = config.n_min_leaf * (1 if config.scarce_mode else ds.m)
+    side = _least_side(config, ds.m)
     for batch in _batches(nodes):
         picks = [nodes[i][0][lo:hi] for i, lo, hi in batch]
         blocks = [nodes[i][1][f] for (i, _, _), f in zip(batch, picks)]
@@ -455,14 +463,19 @@ def _grower(ds, config, n_features):
     """`_lockstep`'s expand step for greedy growth. An item is (rng, idx,
     rows, depth): the tree's feature-draw generator, the node's dataset
     rows in the order of its replicate, the d x k presort `best_split`
-    takes, and the node's depth. Rows may repeat; the copies of a row
-    share its values, so every cut sends them the same way.
+    takes (int32 row ids where they fit), and the node's depth. Rows may
+    repeat; the copies of a row share its values, so every cut sends
+    them the same way.
 
     A round draws each node's features in turn, finds every node's
     treatment counts and outcome sums with one bincount each, scores the
     nodes that may split in one `_best_splits` call, and hands each child
     the rows of the presort on its side, a stable order of its own rows.
+    A child that will never be swept, too small for two sides or at the
+    depth bound, gets no presort (None).
     """
+    need = 2 * _least_side(config, ds.m)
+
     def expand(items):
         idx, slot = items[0][1], 0  # one tree's round needs no bins per node
         if len(items) > 1:
@@ -498,11 +511,18 @@ def _grower(ds, config, n_features):
             items[i] = None  # the children replace it
             mask = ds.X[idx, split.feature] <= split.threshold
             left_idx, right_idx = idx[mask], idx[~mask]
-            goes_left = ds.X[rows, split.feature] <= split.threshold
+            left_rows = right_rows = None
+            deeper = config.delta_max is None or depth + 1 < config.delta_max
+            if deeper and max(left_idx.size, right_idx.size) >= need:
+                goes_left = ds.X[rows, split.feature] <= split.threshold
+                if left_idx.size >= need:
+                    left_rows = rows[goes_left].reshape(ds.d, left_idx.size)
+                if right_idx.size >= need:
+                    right_rows = rows[~goes_left].reshape(ds.d, right_idx.size)
             out.append((
                 split.feature, split.threshold,
-                (rng, left_idx, rows[goes_left].reshape(ds.d, left_idx.size), depth + 1),
-                (rng, right_idx, rows[~goes_left].reshape(ds.d, right_idx.size), depth + 1),
+                (rng, left_idx, left_rows, depth + 1),
+                (rng, right_idx, right_rows, depth + 1),
             ))
         return out
 
@@ -510,23 +530,22 @@ def _grower(ds, config, n_features):
 
 
 def _grow(ds, config, n_features, replicates):
-    """Greedy trees grown in lockstep, one per (seed, rows) pair: the
+    """Greedy trees grown in lockstep, one per (seed, replicate) pair: the
     seed of the tree's feature draws (config's own is not read) and the
     dataset rows it is fit on, in order, repeats allowed. Each tree is
-    the one fit_pt(split(ds, rows), config with that seed) grows."""
-    # the rows of a replicate in stable order of a column are its positions
-    # in (rank, position) order, rank being the dense rank of the value
+    the one fit_pt(split(ds, replicate), config with that seed) grows."""
+    # a replicate's rows in stable order of a column are its positions in
+    # (rank, position) order, rank being the dense rank of the row's value
     order, run = _tie_runs(ds.X.T)
     rank = np.empty_like(run)
     np.put_along_axis(rank, order, run, axis=-1)
     del order, run
     # presorts hold int32 row ids where they fit: every tree's rows are alive at once
     index = np.int32 if ds.n <= np.iinfo(np.int32).max else np.int64
-    walks = [
-        _walk((make_rng(seed), rows, rows.astype(index)[_by_key(rank[:, rows], np.arange(rows.size))], 0),
-              ds.m, ds.d)
-        for seed, rows in replicates
-    ]
+    walks = []
+    for seed, rep in replicates:
+        presort = rep.astype(index)[_by_key(rank[:, rep], np.arange(rep.size))]
+        walks.append(_walk((make_rng(seed), rep, presort, 0), ds.m, ds.d))
     del rank
     return _lockstep(walks, _grower(ds, config, n_features))
 
