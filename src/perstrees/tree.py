@@ -93,6 +93,11 @@ _SWEEP_BUDGET = 4096
 # smallest's rows, so pads stay under a fifth of the cells.
 _PAD_RATIO = (5, 4)
 
+# Most row ids (d + 1 per row of a replicate) the trees grown together
+# may hold: past it a forest grows in groups of trees, one group after
+# another, so their presorts stay within 4 to 8 MB (int32 or int64 ids).
+_LOCKSTEP_BUDGET = 1 << 20
+
 
 def _tie_runs(X):
     """An unstable (SIMD) ascending argsort of X along the last axis, and
@@ -109,7 +114,8 @@ def _by_key(rank, position):
     """Positions in ascending (rank, position) order along the last axis,
     from one unstable sort of the unique keys rank * n + position."""
     n = rank.shape[-1]
-    key = rank * n + position
+    key = np.multiply(rank, n, dtype=np.int64)
+    key += position
     key.sort(axis=-1)
     return np.remainder(key, n, out=key)
 
@@ -533,21 +539,27 @@ def _grow(ds, config, n_features, replicates):
     """Greedy trees grown in lockstep, one per (seed, replicate) pair: the
     seed of the tree's feature draws (config's own is not read) and the
     dataset rows it is fit on, in order, repeats allowed. Each tree is
-    the one fit_pt(split(ds, replicate), config with that seed) grows."""
+    the one fit_pt(split(ds, replicate), config with that seed) grows.
+    Trees are grown together in groups of at most _LOCKSTEP_BUDGET row
+    ids (one tree at least)."""
     # a replicate's rows in stable order of a column are its positions in
     # (rank, position) order, rank being the dense rank of the row's value
+    # presorts and ranks hold int32 where they fit: a group's rows are alive at once
+    index = np.int32 if ds.n <= np.iinfo(np.int32).max else np.int64
     order, run = _tie_runs(ds.X.T)
-    rank = np.empty_like(run)
+    rank = np.empty(run.shape, dtype=index)
     np.put_along_axis(rank, order, run, axis=-1)
     del order, run
-    # presorts hold int32 row ids where they fit: every tree's rows are alive at once
-    index = np.int32 if ds.n <= np.iinfo(np.int32).max else np.int64
-    walks = []
-    for seed, rep in replicates:
-        presort = rep.astype(index)[_by_key(rank[:, rep], np.arange(rep.size))]
-        walks.append(_walk((make_rng(seed), rep, presort, 0), ds.m, ds.d))
-    del rank
-    return _lockstep(walks, _grower(ds, config, n_features))
+    expand = _grower(ds, config, n_features)
+    group = max(1, _LOCKSTEP_BUDGET // (ds.n * (ds.d + 1)))
+    trees = []
+    for lo in range(0, len(replicates), group):
+        walks = []
+        for seed, rep in replicates[lo:lo + group]:
+            presort = rep.astype(index)[_by_key(rank[:, rep], np.arange(rep.size))]
+            walks.append(_walk((make_rng(seed), rep, presort, 0), ds.m, ds.d))
+        trees += _lockstep(walks, expand)
+    return trees
 
 
 def fit_pt(ds, config=None):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from perstrees import tree
 from perstrees.data import Dataset, split
 from perstrees.errors import ConfigError, InfeasibleError, SchemaError
 from perstrees.forest import (
@@ -186,6 +187,17 @@ def lumpy_dataset(rng, n, m):
 
 
 class TestTreesAsSingleFits:
+    @pytest.mark.parametrize("per_group", [1, 3])
+    def test_trees_grown_in_groups_are_the_same(self, monkeypatch, per_group):
+        # a forest past the lockstep budget grows its trees a group at a time
+        rng = np.random.default_rng(51)
+        ds = lumpy_dataset(rng, 60, 3)
+        config = PfConfig(trees_count=7, base=PtConfig(n_min_leaf=2), seed=4)
+        together = forest_to_doc(fit_pf(ds, config))
+        monkeypatch.setattr(tree, "_LOCKSTEP_BUDGET", per_group * ds.n * (ds.d + 1))
+        assert forest_to_doc(fit_pf(ds, config)) == together
+
+
     @pytest.mark.parametrize("base", [
         PtConfig(n_min_leaf=2),
         PtConfig(n_min_leaf=3, scarce_mode=True),
