@@ -243,6 +243,8 @@ def _batches(nodes):
     for i in sorted(range(len(nodes)), key=lambda i: nodes[i][1].shape[1]):
         F, k = len(nodes[i][0]), nodes[i][1].shape[1]
         step = max(1, _SWEEP_BUDGET // k)
+        if not F:  # no feature drawn, nothing to sweep
+            continue
         if F > step:
             yield from ([(i, lo, min(lo + step, F))] for lo in range(0, F, step))
             continue

@@ -128,6 +128,10 @@ class TestBestSplit:
             assert best_split(ds, rows, [1, 0], PtConfig()).feature == 1
             assert best_split(ds, rows, [0, 1], PtConfig()).feature == 0
 
+    def test_none_without_features(self):
+        ds = Dataset(X=np.arange(8.0)[:, None], T=np.tile([1, 2], 4), Y=np.arange(8.0), m=2)
+        assert best_split(ds, np.arange(8), [], PtConfig()) is None
+
     def test_none_when_constant_feature(self):
         ds = Dataset(
             X=np.zeros((6, 1)),
