@@ -213,17 +213,52 @@ def _valid_labels(v):
     return np.isfinite(v) & (v == np.trunc(v)) & (v >= 1) & (v < 2.0**63)
 
 
+def _cell_floats(cells):
+    """The cells as a float array (as given if they are one already), or
+    None if float() refuses a cell."""
+    if isinstance(cells, np.ndarray):
+        return cells
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        return None
+
+
 def _column(cells, column, valid=np.isfinite, parse=_parse_float):
     """Parse one column with float(); on any bad cell, rescan the column
     with the per-cell `parse`, which raises for its first bad row."""
-    try:
-        v = np.array(list(map(float, cells)), dtype=np.float64)
-    except ValueError:
-        v = None
+    v = _cell_floats(cells)
     if v is None or not valid(v).all():
         for i, cell in enumerate(cells):
             parse(cell, i + 2, column)
     return v
+
+
+# characters loadtxt strips around a number as spaces and float() refuses
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _block(fh, width):
+    """The rest of the file as one float64 array of `width` columns,
+    parsed in C by loadtxt, or None for a body it might read otherwise
+    than csv and float() do: a cell loadtxt refuses (a quote, a word, an
+    empty cell, `1_000`, non-ASCII digits), a ragged row or one of another
+    width, a blank body, undecodable bytes, a character that only loadtxt
+    takes for a space, or a line past csv's field size limit. Blank lines
+    are skipped as csv skips them, so row i is the i-th non-blank row."""
+    try:
+        body = fh.read()
+    except ValueError:  # UnicodeDecodeError
+        return None
+    lines = body.split("\n")
+    if (not body.strip("\r\n") or any(c in body for c in _LOADTXT_ONLY_SPACES)
+            or max(map(len, lines)) >= csv.field_size_limit()):
+        return None
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return block if block.shape[1] == width else None
 
 
 def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=None, q_col=None):
@@ -255,7 +290,11 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header required") from None
-        rows = list(filter(None, reader))
+        block = _block(fh, len(header))
+        if block is None:
+            fh.seek(0)
+            next(reader)
+            rows = list(filter(None, reader))
 
     reserved = [treatment_col, outcome_col] + list(cf_cols or []) + ([q_col] if q_col else [])
     for col in reserved:
@@ -265,13 +304,16 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
         raise SchemaError(f"{path}: duplicate column names")
     feature_cols = [name for name in header if name not in reserved]
 
-    if set(map(len, rows)) - {len(header)}:
-        for i, r in enumerate(rows):
-            if len(r) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
-
-    n = len(rows)
-    cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
+    if block is not None:
+        n = len(block)
+        cells = dict(zip(header, np.ascontiguousarray(block.T)))
+    else:
+        if set(map(len, rows)) - {len(header)}:
+            for i, r in enumerate(rows):
+                if len(r) != len(header):
+                    raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
+        n = len(rows)
+        cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
     T = _column(cells[treatment_col], treatment_col, _valid_labels, _parse_label).astype(np.int64)
     Y = _column(cells[outcome_col], outcome_col)
 
@@ -288,9 +330,8 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
     encoded = []
     for name in feature_cols:
         column = cells[name]
-        try:
-            col = np.array(list(map(float, column)), dtype=np.float64)
-        except ValueError:
+        col = _cell_floats(column)
+        if col is None:
             levels = tuple(sorted(set(column)))
             features.append(Feature(name, levels=levels))
             pos = {lv: k for k, lv in enumerate(levels)}

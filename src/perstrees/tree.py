@@ -402,10 +402,12 @@ class PersonalizationTree(_BatchPolicy):
 
     @property
     def depth(self):
-        level = np.zeros(self.left.size, dtype=np.int64)
-        for i in np.flatnonzero(self.left >= 0):  # parents come first
-            level[self.left[i]] = level[self.right[i]] = level[i] + 1
-        return int(level.max())
+        left, right = self.left.tolist(), self.right.tolist()
+        level = [0] * len(left)
+        for i, child in enumerate(left):  # parents come first
+            if child >= 0:
+                level[child] = level[right[i]] = level[i] + 1
+        return max(level)
 
 
 def _walk(root, m, d):

@@ -9,12 +9,25 @@ sweep is the split kernel as it was before pads and the trimmed strict
 mode: a masked divide into an inf-filled plane and a plain min over
 treatments. perstrees.tree._sweep must give the same values at every
 real cut position.
+
+load_csv_reference and save_csv_reference are the per-cell CSV codec:
+csv.reader and float() on every cell, row by row. perstrees.data's
+load_csv must give the same arrays, bit for bit, or the same error, and
+save_csv the same bytes.
+
+dumps_reference is json.dumps(doc, indent=2), the pure-Python encoder
+that wrote model files before perstrees.model_io's own writer; that
+writer must produce the same text.
 """
 
+import csv
 import json
+import math
 
 import numpy as np
 
+from perstrees.data import Dataset, Feature, FeatureSchema
+from perstrees.errors import DomainError, ParseError, SchemaError
 from perstrees.opt.mps import names_path
 
 
@@ -137,3 +150,126 @@ def sweep(xs, ts, ys, m, n_min_leaf, scarce_mode):
         "feasible": defined[0] & defined[1] & gap,
         "impurity": k_left * side_min[0] + (k - k_left) * side_min[1],
     }
+
+
+def _parse_float_reference(cell, row, column):
+    try:
+        v = float(cell)
+    except ValueError:
+        raise ParseError("not a number", row=row, column=column) from None
+    if not math.isfinite(v):
+        raise ParseError("not a finite number", row=row, column=column)
+    return v
+
+
+def _parse_label_reference(cell, row, column):
+    v = _parse_float_reference(cell, row, column)
+    if not v.is_integer():
+        raise ParseError("treatment label must be an integer", row=row, column=column)
+    return int(v)
+
+
+def load_csv_reference(path, treatment_col="treatment", outcome_col="outcome", cf_cols=None,
+                       q_col=None):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, header required") from None
+        rows = [r for r in reader if r]
+
+    reserved = [treatment_col, outcome_col] + list(cf_cols or []) + ([q_col] if q_col else [])
+    for col in reserved:
+        if col not in header:
+            raise SchemaError(f"{path}: missing column {col!r}")
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate column names")
+    col_index = {name: j for j, name in enumerate(header)}
+    feature_cols = [name for name in header if name not in reserved]
+
+    for i, r in enumerate(rows):
+        if len(r) != len(header):
+            raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
+
+    n = len(rows)
+    T = np.empty(n, dtype=np.int64)
+    Y = np.empty(n, dtype=np.float64)
+    for i, r in enumerate(rows):
+        T[i] = _parse_label_reference(r[col_index[treatment_col]], i + 2, treatment_col)
+        if T[i] < 1:
+            raise DomainError(f"treatment label {T[i]} < 1 (row {i + 2})")
+        Y[i] = _parse_float_reference(r[col_index[outcome_col]], i + 2, outcome_col)
+
+    m = int(T.max()) if n else 1
+    CF = None
+    if cf_cols:
+        m = len(cf_cols)
+        if n and T.max() > m:
+            raise DomainError(f"label {T.max()} exceeds the {m} counterfactual columns")
+        CF = np.empty((n, m), dtype=np.float64)
+        for i, r in enumerate(rows):
+            for t, col in enumerate(cf_cols):
+                CF[i, t] = _parse_float_reference(r[col_index[col]], i + 2, col)
+    Q = None
+    if q_col:
+        Q = np.empty(n, dtype=np.float64)
+        for i, r in enumerate(rows):
+            Q[i] = _parse_float_reference(r[col_index[q_col]], i + 2, q_col)
+
+    features = []
+    encoded = []
+    for name in feature_cols:
+        j = col_index[name]
+        cells = [r[j] for r in rows]
+        try:
+            col = np.array([float(c) for c in cells], dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                raise ParseError("not a finite number", row=int(bad[0]) + 2, column=name)
+            features.append(Feature(name))
+            encoded.append(col.reshape(-1, 1))
+        except ValueError:
+            levels = tuple(sorted(set(cells)))
+            features.append(Feature(name, levels=levels))
+            block = np.zeros((n, len(levels)), dtype=np.float64)
+            pos = {lv: k for k, lv in enumerate(levels)}
+            for i, c in enumerate(cells):
+                block[i, pos[c]] = 1.0
+            encoded.append(block)
+
+    X = np.hstack(encoded) if encoded else np.empty((n, 0))
+    return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
+
+
+def _fmt_reference(v):
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    f = float(v)
+    if f.is_integer() and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+def save_csv_reference(ds, path):
+    header = list(ds.schema.encoded_names) + ["treatment", "outcome"]
+    if ds.CF is not None:
+        header += [f"y{t + 1}" for t in range(ds.m)]
+    if ds.Q is not None:
+        header += ["q"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ds.n):
+            row = [_fmt_reference(v) for v in ds.X[i]]
+            row.append(str(int(ds.T[i])))
+            row.append(_fmt_reference(ds.Y[i]))
+            if ds.CF is not None:
+                row.extend(_fmt_reference(v) for v in ds.CF[i])
+            if ds.Q is not None:
+                row.append(_fmt_reference(ds.Q[i]))
+            writer.writerow(row)
+
+
+def dumps_reference(doc):
+    return json.dumps(doc, indent=2)

@@ -7,11 +7,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import perstrees
+from perstrees import model_io
 from perstrees.cli import main
 from perstrees.data import load_csv
-from perstrees.model_io import load_model, save_model
+from perstrees.errors import SchemaError
+from perstrees.forest import PersonalizationForest
+from perstrees.model_io import load_model, model_from_doc, model_to_doc, save_model
 from perstrees.risk import oracle_metrics
 from perstrees.submatch import load_matched_csv
 
@@ -522,6 +528,134 @@ class TestExperiment:
 # an OLS regressor over the five columns quad_csv loads as features
 # without --cf-cols and --q-col
 OLS5 = {"type": "ols", "weights": [0.0, 1.0, -1.0, 0.5, 0.0, 2.0]}
+
+
+class TestModelWriter:
+    """save_model writes json.dumps(doc, indent=2) byte for byte; the
+    reference in tests/oracles.py is that call."""
+
+    @pytest.mark.parametrize("algo,params,kind", [
+        ("pt", '{"n_min_leaf": 3}', "pt"),
+        ("pf", '{"trees_count": 3, "n_min_leaf": 8}', "pf"),
+        ("rc-ols", "{}", "rc-ols"),
+        ("rc-knn", '{"k": 5}', "rc-knn"),
+        ("1va-knn", '{"k": 5}', "1va"),
+        ("1v1a-ols", "{}", "1v1a"),
+        ("1v1b-knn", '{"k": 5}', "1v1b"),
+    ])
+    def test_every_kind_writes_the_reference_bytes(self, tmp_path, quad_csv, algo, params, kind):
+        model = tmp_path / "model.json"
+        code = run(
+            "train", "--algo", algo, "--data", str(quad_csv), "--cf-cols", "y1,y2",
+            "--q-col", "q", "--params", params, "--out", str(model),
+        )
+        assert code == 0
+        doc = model_to_doc(load_model(model))
+        assert doc["kind"] == kind
+        assert model.read_text(encoding="utf-8") == oracles.dumps_reference(doc) + "\n"
+
+    EDGE_PT = {"kind": "pt", "m": 2, "d": 3, "root": {
+        "split": {"feature": 2, "threshold": -0.0},
+        "left": {"leaf": {"treatment": 2, "counts": [0, 2**53 + 1], "means": [None, 5e-324]}},
+        "right": {"split": {"feature": 0, "threshold": 1e308},
+                  "left": {"leaf": {"treatment": 1, "counts": [2**62, 1], "means": [-1e308, -0.0]}},
+                  "right": {"leaf": {"treatment": 1, "counts": [1, 0], "means": [2.5, None]}}}}}
+
+    @pytest.mark.parametrize("doc", [
+        EDGE_PT,
+        {"kind": "pt", "m": 1, "d": 1, "root": {"leaf": {"treatment": 1, "counts": [7],
+                                                         "means": [-0.0]}}},
+        {"kind": "rc-ols", "m": 2, "d": 0, "arms": [{"type": "ols", "weights": [5e-324]},
+                                                   {"type": "ols", "weights": [-0.0]}]},
+        {"kind": "rc-knn", "m": 1, "d": 2, "arms": [
+            {"type": "knn", "k": 1, "center": [0.0, -0.0], "scale": [1.0, 1e308],
+             "x": [[1.5, -0.0]], "y": [5e-324]}]},
+        {"kind": "rc-knn", "m": 1, "d": 0, "arms": [
+            {"type": "knn", "k": 2, "center": [], "scale": [], "x": [[], []], "y": [1.0, 2.0]}]},
+    ], ids=["pt-edges", "pt-one-leaf", "ols-one-weight", "knn-one-point", "knn-no-features"])
+    def test_edge_models_write_the_reference_bytes(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        save_model(model_from_doc(doc), path)
+        want = oracles.dumps_reference(model_to_doc(model_from_doc(doc)))
+        assert path.read_text(encoding="utf-8") == want + "\n"
+        assert json.loads(path.read_text(encoding="utf-8")) == doc
+
+    @pytest.mark.parametrize("doc", [
+        [], {}, [[]], [[], [1.0]], [[1.0]], [[1, 2], []], [0], [None], [-0.0], [5e-324],
+        [2**53 + 1, -(2**70)], [1e308, -1e308, 1e-7, 1e16, 123456789.0],
+        [float("nan"), float("inf"), -float("inf"), None, True, False],
+        list(range(20)), [0.5] * 9 + [None], [[0.5, None]] * 3, [[1, [2]], [3]],
+        [[[1.0, 2.0]], [[3.0]]], ["a, b", "[1, 2]"], [1, "a, b"], [1.0, {"a": [2]}],
+        {"a, b": [1, 2], "é ": "x\"y", "": {}}, {"k": (1, 2.5)},
+        [np.float64(0.1), np.float64(-0.0)], [[np.float64(1e-300)] * 2],
+    ])
+    def test_documents_write_the_reference_text(self, doc):
+        assert model_io._dumps(doc) == oracles.dumps_reference(doc)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(doc=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda children: (st.lists(children, max_size=10)
+                          | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+        max_leaves=40))
+    def test_generated_documents_write_the_reference_text(self, doc):
+        assert model_io._dumps(doc) == oracles.dumps_reference(doc)
+
+
+def chain_doc(depth):
+    """A pt document on m = 2, d = 1 whose splits form a right-leaning
+    chain `depth` splits deep; built without recursion."""
+    leaf = {"leaf": {"treatment": 1, "counts": [5, 5], "means": [0.0, 1.0]}}
+    node = leaf
+    for _ in range(depth):
+        node = {"split": {"feature": 0, "threshold": 0.5}, "left": leaf, "right": node}
+    return {"kind": "pt", "m": 2, "d": 1, "root": node}
+
+
+class TestModelDepthCap:
+    """A nested model file holds at most 988 levels: a pt tree of depth
+    984, a pf tree of depth 982. That is the deepest chain the json
+    encoder wrote from `python -m perstrees.cli`, and the deepest that
+    json.load reads back there at the default recursion limit. The
+    writer walks the document without recursion, so the cap is its own;
+    the reader enforces the same cap, and a file is written exactly when
+    a fresh CLI process reads it back."""
+
+    @staticmethod
+    def predict(tmp_path, model):
+        data = tmp_path / "x.csv"
+        data.write_text("x,treatment,outcome\n0,1,0\n1,2,1\n")
+        src = os.path.dirname(os.path.dirname(perstrees.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-m", "perstrees.cli", "predict", "--model", str(model),
+             "--data", str(data), "--out", str(tmp_path / "p.csv")],
+            env=env, capture_output=True, text=True, timeout=300)
+
+    @pytest.mark.parametrize("kind,depth", [("pt", 984), ("pf", 982)])
+    def test_deepest_tree_is_written_and_read_back(self, tmp_path, kind, depth):
+        tree = model_from_doc(chain_doc(depth))
+        policy = tree if kind == "pt" else PersonalizationForest(trees=(tree,), m=2, d=1)
+        model = tmp_path / "model.json"
+        save_model(policy, model)
+        assert model.read_text().startswith('{\n  "kind": "%s"' % kind)
+        done = self.predict(tmp_path, model)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("kind,depth", [("pt", 985), ("pf", 983)])
+    def test_one_level_deeper_is_neither_written_nor_read(self, tmp_path, kind, depth):
+        doc = chain_doc(depth)
+        tree = model_from_doc(doc)
+        policy = tree if kind == "pt" else PersonalizationForest(trees=(tree,), m=2, d=1)
+        model = tmp_path / "model.json"
+        with pytest.raises(SchemaError, match="too deep for a nested model file"):
+            save_model(policy, model)
+        assert not model.exists()
+        doc = doc if kind == "pt" else {"kind": "pf", "trees": [doc]}
+        model.write_text(model_io._dumps(doc))  # json.dumps cannot nest this deep here
+        done = self.predict(tmp_path, model)
+        assert done.returncode == 2
+        assert "too deep for a nested model file" in done.stderr
 
 
 def ols_pairs(m):

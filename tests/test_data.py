@@ -1,9 +1,12 @@
 import csv
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from perstrees.data import (
     Dataset,
@@ -21,6 +24,7 @@ from perstrees.errors import ConfigError, DomainError, ParseError, SchemaError
 from perstrees.experiment import PRESETS
 
 from helpers import random_dataset
+from oracles import load_csv_reference, save_csv_reference
 
 
 def write(path, text):
@@ -412,130 +416,6 @@ class TestSplitBootstrap:
         assert len(i1) == 30
 
 
-# Test-only copies of the per-cell CSV codec that the columnar one
-# replaced. They pin the columnar code to the same bytes, values and
-# errors.
-
-
-def _parse_float_reference(cell, row, column):
-    try:
-        v = float(cell)
-    except ValueError:
-        raise ParseError("not a number", row=row, column=column) from None
-    if not math.isfinite(v):
-        raise ParseError("not a finite number", row=row, column=column)
-    return v
-
-
-def _parse_label_reference(cell, row, column):
-    v = _parse_float_reference(cell, row, column)
-    if not v.is_integer():
-        raise ParseError("treatment label must be an integer", row=row, column=column)
-    return int(v)
-
-
-def load_csv_reference(path, treatment_col="treatment", outcome_col="outcome", cf_cols=None,
-                       q_col=None):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header required") from None
-        rows = [r for r in reader if r]
-
-    reserved = [treatment_col, outcome_col] + list(cf_cols or []) + ([q_col] if q_col else [])
-    for col in reserved:
-        if col not in header:
-            raise SchemaError(f"{path}: missing column {col!r}")
-    if len(set(header)) != len(header):
-        raise SchemaError(f"{path}: duplicate column names")
-    col_index = {name: j for j, name in enumerate(header)}
-    feature_cols = [name for name in header if name not in reserved]
-
-    for i, r in enumerate(rows):
-        if len(r) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
-
-    n = len(rows)
-    T = np.empty(n, dtype=np.int64)
-    Y = np.empty(n, dtype=np.float64)
-    for i, r in enumerate(rows):
-        T[i] = _parse_label_reference(r[col_index[treatment_col]], i + 2, treatment_col)
-        if T[i] < 1:
-            raise DomainError(f"treatment label {T[i]} < 1 (row {i + 2})")
-        Y[i] = _parse_float_reference(r[col_index[outcome_col]], i + 2, outcome_col)
-
-    m = int(T.max()) if n else 1
-    CF = None
-    if cf_cols:
-        m = len(cf_cols)
-        if n and T.max() > m:
-            raise DomainError(f"label {T.max()} exceeds the {m} counterfactual columns")
-        CF = np.empty((n, m), dtype=np.float64)
-        for i, r in enumerate(rows):
-            for t, col in enumerate(cf_cols):
-                CF[i, t] = _parse_float_reference(r[col_index[col]], i + 2, col)
-    Q = None
-    if q_col:
-        Q = np.empty(n, dtype=np.float64)
-        for i, r in enumerate(rows):
-            Q[i] = _parse_float_reference(r[col_index[q_col]], i + 2, q_col)
-
-    features = []
-    encoded = []
-    for name in feature_cols:
-        j = col_index[name]
-        cells = [r[j] for r in rows]
-        try:
-            col = np.array([float(c) for c in cells], dtype=np.float64)
-            bad = np.flatnonzero(~np.isfinite(col))
-            if bad.size:
-                raise ParseError("not a finite number", row=int(bad[0]) + 2, column=name)
-            features.append(Feature(name))
-            encoded.append(col.reshape(-1, 1))
-        except ValueError:
-            levels = tuple(sorted(set(cells)))
-            features.append(Feature(name, levels=levels))
-            block = np.zeros((n, len(levels)), dtype=np.float64)
-            pos = {lv: k for k, lv in enumerate(levels)}
-            for i, c in enumerate(cells):
-                block[i, pos[c]] = 1.0
-            encoded.append(block)
-
-    X = np.hstack(encoded) if encoded else np.empty((n, 0))
-    return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
-
-
-def _fmt_reference(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if f.is_integer() and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
-
-
-def save_csv_reference(ds, path):
-    header = list(ds.schema.encoded_names) + ["treatment", "outcome"]
-    if ds.CF is not None:
-        header += [f"y{t + 1}" for t in range(ds.m)]
-    if ds.Q is not None:
-        header += ["q"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [_fmt_reference(v) for v in ds.X[i]]
-            row.append(str(int(ds.T[i])))
-            row.append(_fmt_reference(ds.Y[i]))
-            if ds.CF is not None:
-                row.extend(_fmt_reference(v) for v in ds.CF[i])
-            if ds.Q is not None:
-                row.append(_fmt_reference(ds.Q[i]))
-            writer.writerow(row)
-
-
 EDGE_VALUES = [
     0.0, -0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 2.0**53 + 1.0, 5e-324, -5e-324,
     1.7e308, -1.7e308, 3.0, -7.0, 0.1, 1 / 3, 123456789.0, 2.5e-8, 1e16, 4503599627370497.0,
@@ -693,3 +573,132 @@ class TestOversizedLabel:
         # 2**63 - 1024 is the largest double below 2**63
         p = write(tmp_path / "edge.csv", "x1,treatment,outcome\n1,9223372036854774784,0\n")
         assert load_csv(p).T.tolist() == [2**63 - 1024]
+
+
+HEAD = "x1,treatment,outcome"
+CF_HEAD = "x1,treatment,outcome,y1,y2,q"
+LIMIT = csv.field_size_limit()
+
+# (id, file body, loader keywords): each file takes load_csv's one-block
+# path or its per-cell path, and must load as the per-cell reference does
+CORPUS = [
+    ("plain", HEAD + "\n1,1,0\n2.5,2,1\n", {}),
+    ("whitespace-line", HEAD + "\n1,1,0\n   \n2,2,1\n", {}),
+    ("tab-line", HEAD + "\n1,1,0\n\t\n2,2,1\n", {}),
+    ("empty-lines", HEAD + "\n\n1,1,0\n\n\n2,2,1\n\n", {}),
+    ("crlf", HEAD + "\r\n1,1,0\r\n2,2,1\r\n", {}),
+    ("bare-cr", HEAD + "\r1,1,0\r2,2,1\r", {}),
+    ("mixed-line-ends", HEAD + "\n1,1,0\r\n2,2,1\r3,1,4\n\r\n", {}),
+    ("cr-inside-row", HEAD + "\n1,1,0\r2,2\n", {}),
+    ("no-final-newline", HEAD + "\n1,1,0\n2,2,1", {}),
+    ("quoted-numbers", HEAD + '\n"1",1,"0"\n2,"2",1\n', {}),
+    ("underscores", HEAD + "\n1_000,1,0\n2,2,1_0\n", {}),
+    ("underscore-label", HEAD + "\n1,1_0,0\n", {}),
+    ("full-width-digits", HEAD + "\n１２,1,0\n2,2,1\n", {}),
+    ("hash-in-outcome", HEAD + "\n1,2#x\n", {}),
+    ("hash-cell", HEAD + "\n1,1,2#x\n2,2,1\n", {}),
+    ("hash-feature", HEAD + "\n1#x,1,0\n2,2,1\n", {}),
+    ("trailing-comma", HEAD + "\n1,1,0,\n2,2,1,\n", {}),
+    ("trailing-comma-header", HEAD + ",\n1,1,0,\n2,2,1,\n", {}),
+    ("nan-outcome", HEAD + "\n1,1,nan\n", {}),
+    ("minus-infinity-feature", HEAD + "\n-Infinity,1,0\n", {}),
+    ("nan-label", HEAD + "\n1,NaN,0\n", {}),
+    ("inf-cf", CF_HEAD + "\n1,1,0,0,inf,0.5\n", {"cf_cols": ["y1", "y2"], "q_col": "q"}),
+    ("minus-zero", HEAD + "\n-0,1,-0\n-0.0,2,0\n", {}),
+    ("minus-zero-label", HEAD + "\n1,-0,0\n", {}),
+    ("denormal", HEAD + "\n5e-324,1,-5e-324\n", {}),
+    ("17-digits", HEAD + "\n0.12345678901234567,1,12345678901234567\n"
+     "1.7976931348623157e308,2,-2.2250738585072014e-308\n", {}),
+    ("number-forms", HEAD + "\n.5,+1,5.\n1E+02,2,-1e-5\n  3 ,\t1\t, 7 \n", {}),
+    ("not-hex", HEAD + "\n0x10,1,0\n", {}),
+    ("bom-header", "﻿" + HEAD + "\n1,1,0\n", {}),
+    ("bom-on-treatment", "﻿treatment,outcome,x1\n1,0,1\n", {}),
+    ("bom-in-cell", HEAD + "\n1,1,﻿0\n", {}),
+    ("header-only", HEAD + "\n", {}),
+    ("header-only-no-newline", HEAD, {}),
+    ("blank-body", HEAD + "\n\n\r\n\r\n", {}),
+    ("whitespace-body", HEAD + "\n  \n", {}),
+    ("header-only-cf", CF_HEAD + "\n", {"cf_cols": ["y1", "y2"], "q_col": "q"}),
+    ("one-column", "t\n1\n2\n2\n", {"treatment_col": "t", "outcome_col": "t"}),
+    ("one-column-blank-cell", "t\n1\n\n \n", {"treatment_col": "t", "outcome_col": "t"}),
+    ("no-features", "treatment,outcome\n1,0\n2,1\n", {}),
+    ("categorical", "color,x1,treatment,outcome\nred,1,1,0\nblue,2,2,1\nred,3,1,1\n", {}),
+    ("categorical-numbers-and-words", "x1,treatment,outcome\n1,1,0\nabc,2,1\n", {}),
+    ("largest-label", HEAD + "\n1,9223372036854774784,0\n", {}),
+    ("fractional-label", HEAD + "\n1,1.5,0\n", {}),
+    ("label-exceeds-cf", CF_HEAD + "\n1,3,0,0,0,0.5\n", {"cf_cols": ["y1", "y2"], "q_col": "q"}),
+    ("ragged", HEAD + "\n1,1,0\n2,1\n", {}),
+    ("wider-rows", HEAD + "\n1,1,0,9\n2,1,0,9\n", {}),
+    ("empty-cell", HEAD + "\n1,,0\n", {}),
+    ("separator-spaces", HEAD + "\n\x1c1,1,0\n2,2,1\x1f\n", {}),
+    ("separator-space-feature", HEAD + "\n1\x1d,1,0\n2,2,1\n", {}),
+    ("unicode-spaces", HEAD + "\n\xa01 ,1,0\n\x0c2,2,1\x85\n", {}),
+    ("nul", HEAD + "\n1\x00,1,0\n", {}),
+    ("field-past-limit", HEAD + "\n" + "0" * LIMIT + "1,1,0\n", {}),
+    ("line-past-limit", HEAD + "\n" + "0" * (LIMIT // 2) + "1," + "0" * (LIMIT // 2) + "1,0\n", {}),
+    ("missing-column", "x1,outcome\n1,0\n", {}),
+    ("duplicate-column", "x1,x1,treatment,outcome\n1,1,1,0\n", {}),
+]
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+class TestLoadCsvAgainstReference:
+    """load_csv against the per-cell reference: the same array bits, or
+    the same exception type, message, row and column."""
+
+    @pytest.mark.parametrize("body,kwargs", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
+    def test_corpus(self, tmp_path, body, kwargs):
+        p = tmp_path / "c.csv"
+        p.write_bytes(body.encode("utf-8"))
+        _same_outcome(lambda: load_csv(str(p), **kwargs), lambda: load_csv_reference(str(p), **kwargs))
+
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_bytes(HEAD.encode() + b"\n1,1,0\n" * 5000 + b"2,2,\xff\n")
+        _same_outcome(lambda: load_csv(str(p)), lambda: load_csv_reference(str(p)))
+
+    @pytest.mark.parametrize("body", ["header-only", "header-only-no-newline", "blank-body"])
+    def test_empty_bodies_load_without_a_warning(self, tmp_path, body):
+        p = tmp_path / "c.csv"
+        p.write_text(dict((c[0], c[1]) for c in CORPUS)[body], encoding="utf-8")
+        ds = load_csv(str(p))
+        assert (ds.n, ds.d, ds.m) == (0, 1, 1)
+
+    def test_the_block_and_the_cells_agree_on_big_files(self, tmp_path):
+        ds = random_dataset(np.random.default_rng(5), 3000, 4, 3, with_cf=True, with_q=True)
+        p = tmp_path / "big.csv"
+        save_csv(ds, p)
+        kwargs = {"cf_cols": ["y1", "y2", "y3"], "q_col": "q"}
+        _same_outcome(lambda: load_csv(str(p), **kwargs), lambda: load_csv_reference(str(p), **kwargs))
+
+
+# the characters of the generated files: number syntax, separators, line
+# ends, quotes, comment marks, words, and the spaces and digits outside
+# ASCII on which loadtxt and float() disagree
+ALPHABET = "0123456789.-+eE_,\n\r \t\"#nafiNIy１\x1c\x1f\xa0﻿"
+
+
+@st.composite
+def csv_bodies(draw):
+    cell = st.one_of(
+        st.sampled_from(["1", "2", "3", "-0", "0.5", "1e3", "5e-324", "nan", "-Infinity", ""]),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.text(ALPHABET, max_size=6),
+    )
+    rows = draw(st.lists(st.lists(cell, min_size=2, max_size=4), max_size=6))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \n"]),
+                         min_size=len(rows) + 1, max_size=len(rows) + 1))
+    lines = ["x1,treatment,outcome"] + [",".join(r) for r in rows]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestLoadCsvProperty:
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=csv_bodies())
+    def test_generated_files_load_as_the_reference(self, tmp_path, body):
+        p = tmp_path / "g.csv"
+        p.write_bytes(body.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            _same_outcome(lambda: load_csv(str(p)), lambda: load_csv_reference(str(p)))
