@@ -242,13 +242,14 @@ def _block(fh, width):
     """The rest of the file as one float64 array of `width` columns,
     parsed in C by loadtxt, or None for a body it might read otherwise
     than csv and float() do: a cell loadtxt refuses (a quote, a word, an
-    empty cell, `1_000`, non-ASCII digits), a ragged row or one of another
-    width, a blank body, undecodable bytes, a character that only loadtxt
-    takes for a space, or a line past csv's field size limit. Blank lines
-    are skipped as csv skips them, so row i is the i-th non-blank row."""
+    empty cell, `1_000`, non-ASCII digits), a bare \\r line end (loadtxt
+    refuses one inside a line), a ragged row or one of another width, a
+    blank body, undecodable bytes, a character that only loadtxt takes for
+    a space, or a line past csv's field size limit. Blank lines are
+    skipped as csv skips them, so row i is the i-th non-blank row."""
     try:
         body = fh.read()
-    except ValueError:  # UnicodeDecodeError
+    except UnicodeDecodeError:
         return None
     lines = body.split("\n")
     if (not body.strip("\r\n") or any(c in body for c in _LOADTXT_ONLY_SPACES)
@@ -272,6 +273,8 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
     Columns are parsed whole, in the order treatment, outcome,
     counterfactuals, propensity, features, so with several bad cells the
     error names the first bad row of the first bad column in that order.
+    The body is parsed as one float block where `_block` can take it,
+    else cell by cell; both give the same arrays and the same errors.
 
     Args:
         path: CSV file with a header row.

@@ -173,6 +173,8 @@ class TestTrainPredictEvaluate:
         assert json.loads(model.read_text())["kind"] == kind
         save_model(load_model(model), again)
         assert again.read_bytes() == model.read_bytes()
+        want = oracles.dumps_reference(model_to_doc(load_model(model))) + "\n"
+        assert model.read_text(encoding="utf-8") == want
 
     def test_greedy_evaluation(self, tmp_path, quad_csv, capsys):
         model = tmp_path / "model.json"
@@ -532,27 +534,8 @@ OLS5 = {"type": "ols", "weights": [0.0, 1.0, -1.0, 0.5, 0.0, 2.0]}
 
 class TestModelWriter:
     """save_model writes json.dumps(doc, indent=2) byte for byte; the
-    reference in tests/oracles.py is that call."""
-
-    @pytest.mark.parametrize("algo,params,kind", [
-        ("pt", '{"n_min_leaf": 3}', "pt"),
-        ("pf", '{"trees_count": 3, "n_min_leaf": 8}', "pf"),
-        ("rc-ols", "{}", "rc-ols"),
-        ("rc-knn", '{"k": 5}', "rc-knn"),
-        ("1va-knn", '{"k": 5}', "1va"),
-        ("1v1a-ols", "{}", "1v1a"),
-        ("1v1b-knn", '{"k": 5}', "1v1b"),
-    ])
-    def test_every_kind_writes_the_reference_bytes(self, tmp_path, quad_csv, algo, params, kind):
-        model = tmp_path / "model.json"
-        code = run(
-            "train", "--algo", algo, "--data", str(quad_csv), "--cf-cols", "y1,y2",
-            "--q-col", "q", "--params", params, "--out", str(model),
-        )
-        assert code == 0
-        doc = model_to_doc(load_model(model))
-        assert doc["kind"] == kind
-        assert model.read_text(encoding="utf-8") == oracles.dumps_reference(doc) + "\n"
+    reference in tests/oracles.py is that call. Every trained kind is
+    checked in TestTrainPredictEvaluate::test_model_file_resaves_byte_identical."""
 
     EDGE_PT = {"kind": "pt", "m": 2, "d": 3, "root": {
         "split": {"feature": 2, "threshold": -0.0},
