@@ -10,6 +10,7 @@ log records to stderr; stdout and every written file stay the same.
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -167,7 +168,10 @@ def cmd_experiment(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    as it was."""
     parser = _Parser(prog="perstrees", description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log DEBUG records of the perstrees logger to stderr")

@@ -275,6 +275,8 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
     error names the first bad row of the first bad column in that order.
     The body is parsed as one float block where `_block` can take it,
     else cell by cell; both give the same arrays and the same errors.
+    Undecodable bytes and a cell past csv's field size limit raise
+    ParseError naming the file.
 
     Args:
         path: CSV file with a header row.
@@ -291,13 +293,18 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            block = _block(fh, len(header))
+            if block is None:
+                fh.seek(0)
+                reader = csv.reader(fh)  # line_num counts from the top again
+                next(reader)
+                rows = list(filter(None, reader))
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header required") from None
-        block = _block(fh, len(header))
-        if block is None:
-            fh.seek(0)
-            next(reader)
-            rows = list(filter(None, reader))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not {fh.encoding} text: {exc.reason}") from exc
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
 
     reserved = [treatment_col, outcome_col] + list(cf_cols or []) + ([q_col] if q_col else [])
     for col in reserved:

@@ -175,9 +175,13 @@ def load_csv_reference(path, treatment_col="treatment", outcome_col="outcome", c
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = [r for r in reader if r]
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header required") from None
-        rows = [r for r in reader if r]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not {fh.encoding} text: {exc.reason}") from exc
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
 
     reserved = [treatment_col, outcome_col] + list(cf_cols or []) + ([q_col] if q_col else [])
     for col in reserved:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import perstrees
 from perstrees import model_io
-from perstrees.cli import main
+from perstrees.cli import build_parser, main
 from perstrees.data import load_csv
 from perstrees.errors import SchemaError
 from perstrees.forest import PersonalizationForest
@@ -461,6 +461,21 @@ class TestExperiment:
         assert len(lines) == 2
         assert np.isfinite(float(lines[1].split(",")[3]))
 
+    def test_verbose_logs_one_record_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.config_doc(tmp_path, out)))
+        outputs = {}
+        for flag in ((), ("-v",)):
+            assert run(*flag, "experiment", "--config", str(cfg)) == 0
+            captured = capsys.readouterr()
+            outputs[flag] = (captured.out, out.read_bytes(), captured.err)
+        assert outputs[()][:2] == outputs[("-v",)][:2]
+        assert outputs[()][2] == ""
+        cells = re.findall(r"^experiment cell n=(\d+) replication=(\d+): tree fit .*; rc-ols fit ",
+                           outputs[("-v",)][2], re.M)
+        assert cells == [("60", "1"), ("60", "2"), ("90", "1"), ("90", "2")]
+
     def test_bad_config_exits_1(self, tmp_path):
         cfg = tmp_path / "config.json"
         doc = self.config_doc(tmp_path, tmp_path / "curve.csv")
@@ -666,6 +681,11 @@ class TestExitCodes:
             "--out", str(tmp_path / "m.json"),
         ) == 1
 
+    def test_the_parser_is_built_once(self, tmp_path):
+        parser = build_parser()
+        assert run("-v", "no-such-command") == 1
+        assert build_parser() is parser
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run(
             "train", "--algo", "pt", "--data", str(tmp_path / "nope.csv"),
@@ -679,6 +699,20 @@ class TestExitCodes:
             "train", "--algo", "pt", "--data", str(bad),
             "--out", str(tmp_path / "m.json"),
         ) == 2
+
+    @pytest.mark.parametrize("cell, named", [
+        (b"\xff", " text: invalid start byte"),
+        (b"1" * 131_074, "line 3: field larger than field limit (131072)"),
+    ], ids=["undecodable-byte", "over-long-cell"])
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, cell, named):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x1,treatment,outcome\n1,1,0\n" + cell + b",2,1\n")
+        assert run(
+            "train", "--algo", "pt", "--data", str(bad), "--out", str(tmp_path / "m.json"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"perstrees: error: {bad}: ") and err.endswith(f"{named}\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_invalid_spec_json_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"
