@@ -329,22 +329,24 @@ def _map_cells(config, cells):
     """_run_cell over cells, the results in the order of cells, the
     first failing cell in that order raising its error.
 
-    A fork pool of min(cells, usable CPUs) workers takes the cells one
-    at a time, largest n first so that no long cell starts last. A
+    A pool of min(cells, usable CPUs) forked workers takes the cells
+    one at a time, largest n first so that no long cell starts last. A
     worker's error comes back with its traceback chained as the cause,
-    and leaving the `with` block ends every worker. With one worker,
-    without `fork`, or in a daemon process, which may start no
-    children, the cells run in process and lazily instead."""
+    a worker that dies raises BrokenProcessPool, and leaving the `with`
+    block waits for every worker to end. With one worker, without
+    `fork`, or in a daemon process, which may start no children, the
+    cells run in process and lazily instead."""
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     workers = min(len(cells), _usable_cpus())
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         return map(partial(_run_cell, config), cells)
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        pending = {cell: pool.apply_async(_run_cell, (config, cell))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {cell: pool.submit(_run_cell, config, cell)
                    for cell in sorted(cells, key=lambda cell: -cell[0])}
-        return [pending[cell].get() for cell in cells]
+        return [futures[cell].result() for cell in cells]
 
 
 def run_experiment(config):

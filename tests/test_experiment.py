@@ -4,7 +4,10 @@ a fork pool, and no worker left behind."""
 
 import logging
 import multiprocessing
+import os
 import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -93,6 +96,32 @@ def test_the_first_failing_cell_in_grid_order_raises(tmp_path, monkeypatch, work
     if workers > 1:
         cause = str(err.__cause__)
         assert re.search(r"raise ParseError.*\nperstrees.errors.ParseError: cell 60 2", cause)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_a_worker_that_dies_raises_instead_of_hanging(tmp_path, monkeypatch):
+    cell = experiment._cell
+
+    def dying_cell(cfg, n, rep):
+        if (n, rep) == (90, 2):
+            assert multiprocessing.parent_process() is not None, "the cell ran in the test process"
+            os._exit(1)
+        return cell(cfg, n, rep)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_experiment still waits for a dead worker")
+
+    monkeypatch.setattr(experiment, "_cell", dying_cell)
+    with_workers(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(config(ORACLE, tmp_path / "curve.csv"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "curve.csv").exists()
 
