@@ -60,7 +60,10 @@ pass MEMO_BYTES in total. A left child value alone already bounds a
 cut's total from below, which allows skipping right children; a
 warm-start incumbent tightens the root scan the same way. Ties break
 toward the lexicographically first assignment in node order (lowest
-cut index, then lowest treatment).
+cut index, then lowest treatment). Each value carries its best
+subtree, nested (cut, left, right) tuples with the leaf treatments at
+the bottom level, and the answer is read off the root's: nothing is
+solved again after the search.
 """
 
 import logging
@@ -125,6 +128,16 @@ def _leaves(ds, skeleton, assignment):
 
 class _TimeUp(Exception):
     pass
+
+
+def _assignment(tree):
+    """The TreeAssignment of a nested (cut, left, right) subtree whose
+    bottom level holds leaf treatments, read level by level."""
+    cuts, level = [], [tree]
+    while isinstance(level[0], tuple):
+        cuts += [cut for cut, _, _ in level]
+        level = [child for _, left, right in level for child in (left, right)]
+    return TreeAssignment(tuple(cuts), tuple(level))
 
 
 def _side_table(X, arm, cuts, m):
@@ -241,10 +254,12 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
     table once, then searches: bottom nodes score their menu in one
     table pass, nodes just above them screen their menu and settle the
     close calls exactly, and higher nodes scan cut by cut (see the
-    module docstring). One DEBUG record on the "perstrees" logger gives
-    the scans and cuts screened, the cuts settled exactly, the bottom
-    passes, the memo's hits, misses and evictions, and whether
-    optimality was proved.
+    module docstring). Every value carries its best subtree, and the
+    answer is read off the root's, so a time limit ends the solve:
+    nothing is solved again after the search. One DEBUG record on the
+    "perstrees" logger gives the scans and cuts screened, the cuts
+    settled exactly, the bottom passes, the memo's hits, misses and
+    evictions, and whether optimality was proved.
 
     Args:
         ds: dataset.
@@ -304,7 +319,7 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         if total[ci] == np.inf:
             return float("inf"), None
         arm = means[:, :, ci].argmin(axis=0) + 1
-        return float(total[ci]), (ci, int(arm[0]), int(arm[1]))
+        return float(total[ci]), (menu.for_node(p)[ci], int(arm[0]), int(arm[1]))
 
     def screen(p, idx, bound):
         """Menu indices, ascending, of the cuts at p (whose children are
@@ -374,35 +389,23 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         return val
 
     def scan(p, idx, bound=float("inf"), best=None):
-        """(value, cut) of the first cut of least total at p, skipping
+        """(value, subtree) of the first cut of least total at p, skipping
         cuts whose left child alone exceeds the best so far or bound.
         A given best list is updated as each cut completes."""
         best = [float("inf"), None] if best is None else best
         options = menu.for_node(p)
         for ci in screen(p, idx, bound) if 4 * p >= top else range(len(options)):
             check_time()
-            f, theta = options[ci]
+            f, theta = cut = options[ci]
             mask = ds.X[idx, f] <= theta
-            left, _ = node_value(2 * p, idx[mask])
+            left, left_tree = node_value(2 * p, idx[mask])
             if left > min(best[0], bound):
                 continue  # right child value is non-negative
-            right, _ = node_value(2 * p + 1, idx[~mask])
+            right, right_tree = node_value(2 * p + 1, idx[~mask])
             total = left + right
             if total < best[0]:
-                best[:] = total, int(ci)
+                best[:] = total, (cut, left_tree, right_tree)
         return tuple(best)
-
-    pick = [None] * (2 * top)  # heap-indexed: node p's cut, then leaf p's treatment
-
-    def reconstruct(p, idx, choice):
-        if 2 * p >= top:
-            ci, pick[2 * p], pick[2 * p + 1] = choice
-            pick[p] = menu.for_node(p)[ci]
-            return
-        pick[p] = f, theta = menu.for_node(p)[choice]
-        mask = ds.X[idx, f] <= theta
-        for child, sub in ((2 * p, idx[mask]), (2 * p + 1, idx[~mask])):
-            reconstruct(child, sub, node_value(child, sub)[1])
 
     warm_value = float("inf")
     if warm is not None:
@@ -426,12 +429,9 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         "optimality proved" if proved else "time limit reached",
     )
 
-    deadline = None  # reconstruction must not be interrupted
-    (best_val, best_cut), assignment, objective = best, None, best[0]
-    if best_cut is not None:
-        reconstruct(1, all_rows, best_cut)
-        assignment = TreeAssignment(tuple(pick[1:top]), tuple(pick[top:]))
-    if warm_value < best_val:
+    objective, tree = best
+    assignment = None if tree is None else _assignment(tree)
+    if warm_value < objective:
         assignment, objective = warm, warm_value
     if assignment is None:
         if proved:
@@ -471,7 +471,6 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
         ),
     )
     top = 2**skeleton.delta
-    pick = [None] * (2 * top)  # heap-indexed, as in solve_exact
 
     def candidates(p, node):
         """Cut candidates at skeleton node p, preferred first."""
@@ -483,23 +482,20 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
         return snapped + [rest[i] for i in order]
 
     def place(p, idx, node):
-        """Fill skeleton node p over rows idx after greedy node `node`,
-        which is a leaf once p is: the greedy tree is no deeper."""
+        """Subtree of skeleton node p over rows idx after greedy node
+        `node` (a leaf once p is: the greedy tree is no deeper), or None."""
         if p >= top:
             if np.bincount(ds.T[idx], minlength=ds.m + 1)[1:].min() < config.n_min_leaf:
-                return False
-            pick[p] = int(pt.treatment[node])
-            return True
+                return None
+            return int(pt.treatment[node])
         children = (pt.left[node], pt.right[node]) if pt.left[node] >= 0 else (node, node)
         for f, theta in candidates(p, node):
             mask = ds.X[idx, f] <= theta
-            if place(2 * p, idx[mask], children[0]) and place(
-                2 * p + 1, idx[~mask], children[1]
-            ):
-                pick[p] = (f, theta)
-                return True
-        return False
-
-    if not place(1, np.arange(ds.n), 0):
+            left = place(2 * p, idx[mask], children[0])
+            right = None if left is None else place(2 * p + 1, idx[~mask], children[1])
+            if right is not None:
+                return (f, theta), left, right
         return None
-    return TreeAssignment(tuple(pick[1:top]), tuple(pick[top:]))
+
+    tree = place(1, np.arange(ds.n), 0)
+    return None if tree is None else _assignment(tree)

@@ -120,16 +120,6 @@ def _by_key(rank, position):
     return np.remainder(key, n, out=key)
 
 
-def _stable_argsort(X):
-    """np.argsort(X, axis=-1, kind="stable") from two unstable sorts: the
-    values, then the keys tie run * n + position. Without ties the first
-    sort is the answer."""
-    order, run = _tie_runs(X)
-    if (run[..., -1:] == X.shape[-1] - 1).all():
-        return order
-    return _by_key(run, order)
-
-
 def _sweep(xs, ts, ys, k, m, n_min_leaf, scarce_mode, side=1):
     """Score cut positions side..K-side of R presorted feature rows at once.
 
@@ -197,7 +187,7 @@ def sweep_feature(x, t, y, m, n_min_leaf, scarce_mode=False):
     runs on presorted rows, exposed for instrumentation and tests.
     """
     x = np.asarray(x, dtype=np.float64)
-    order = _stable_argsort(x)
+    order = np.argsort(x, kind="stable")
     xs = x[order]
     ts = np.asarray(t, dtype=np.int64)[order]
     ys = np.asarray(y, dtype=np.float64)[order]
@@ -310,7 +300,7 @@ def _best_splits(ds, nodes, config):
     return best
 
 
-def best_split(ds, indices, features, config, _presorted=None):
+def best_split(ds, indices, features, config):
     """Best feasible cut for a node subsample, or None.
 
     Features are scanned in the given order, positions in ascending
@@ -322,9 +312,6 @@ def best_split(ds, indices, features, config, _presorted=None):
         indices: rows belonging to the node.
         features: feature ids to consider, in draw order.
         config: PtConfig.
-        _presorted: a d x k array whose row f holds the node's rows in
-            stable ascending order of feature f. Without it the drawn
-            features are sorted here.
 
     Returns:
         Split or None when no feasible cut exists.
@@ -333,10 +320,8 @@ def best_split(ds, indices, features, config, _presorted=None):
     features = np.asarray(features, dtype=np.int64)
     if not _may_split(np.bincount(ds.T[idx] - 1, minlength=ds.m)[None], config)[0]:
         return None
-    rows = _presorted
-    if rows is None:
-        rows = np.empty((ds.d, idx.size), dtype=np.int64)
-        rows[features] = idx[_stable_argsort(ds.X[idx][:, features].T)]
+    rows = np.empty((ds.d, idx.size), dtype=np.int64)
+    rows[features] = idx[np.argsort(ds.X[idx][:, features].T, axis=-1, kind="stable")]
     return _best_splits(ds, [(features, rows)], config)[0]
 
 

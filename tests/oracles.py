@@ -18,17 +18,28 @@ save_csv the same bytes.
 dumps_reference is json.dumps(doc, indent=2), the pure-Python encoder
 that wrote model files before perstrees.model_io's own writer; that
 writer must produce the same text.
+
+reference_solve is the exact search as it was before bottom-node passes
+and screens: a per-leaf recursion with its own memo, which re-walks the
+chosen tree once the search ends. perstrees.opt.solve_exact must give
+the same tree, the same objective bits and the same outcome.
+
+greedy_reference is row-at-a-time greedy matching, and knn_row is the
+kNN prediction of one row; perstrees.submatch.greedy_submatch and
+perstrees.baselines.KnnRegressor.predict must give the same bits.
 """
 
 import csv
 import json
 import math
+import time
 
 import numpy as np
 
 from perstrees.data import Dataset, Feature, FeatureSchema
-from perstrees.errors import DomainError, ParseError, SchemaError
+from perstrees.errors import DomainError, InfeasibleError, ParseError, SchemaError, SolveTimeout
 from perstrees.opt.mps import names_path
+from perstrees.seeding import make_rng
 
 
 def _num(x):
@@ -277,3 +288,97 @@ def save_csv_reference(ds, path):
 
 def dumps_reference(doc):
     return json.dumps(doc, indent=2)
+
+
+def reference_solve(ds, skeleton, menu, config):
+    """The per-leaf recursion that the bottom-node pass replaced: each cut
+    scores its two children with one bincount over each child's rows.
+    Returns (cuts, treatments, objective, proved); a time limit is
+    honoured only as 0.0, where no cut completes."""
+    ybar = ds.Y - ds.Y.min()
+    tvec = ds.T - 1
+    top = 2**skeleton.delta
+    deadline = None
+    if config.time_limit is not None:
+        deadline = time.monotonic() + config.time_limit
+    memo = {}
+
+    def leaf_value(idx):
+        counts = np.bincount(tvec[idx], minlength=ds.m)
+        if counts.min() < config.n_min_leaf:
+            return float("inf"), None
+        sums = np.bincount(tvec[idx], weights=ybar[idx], minlength=ds.m)
+        means = sums / counts
+        best = int(np.argmin(means))
+        return idx.size * float(means[best]), best + 1
+
+    def node_value(p, idx):
+        key = (p, idx.tobytes())
+        if key not in memo:
+            memo[key] = leaf_value(idx) if p >= top else scan(p, idx)
+        return memo[key]
+
+    def scan(p, idx):
+        best_val, best_cut = float("inf"), None
+        for ci, (f, theta) in enumerate(menu.for_node(p)):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SolveTimeout("time limit")
+            mask = ds.X[idx, f] <= theta
+            left, _ = node_value(2 * p, idx[mask])
+            if left > best_val:
+                continue
+            right, _ = node_value(2 * p + 1, idx[~mask])
+            if left + right < best_val:
+                best_val, best_cut = left + right, ci
+        return best_val, best_cut
+
+    cuts, treats = {}, {}
+
+    def reconstruct(p, idx, choice):
+        if p >= top:
+            treats[p] = choice
+            return
+        cuts[p] = f, theta = menu.for_node(p)[choice]
+        mask = ds.X[idx, f] <= theta
+        for child, sub in ((2 * p, idx[mask]), (2 * p + 1, idx[~mask])):
+            reconstruct(child, sub, node_value(child, sub)[1])
+
+    rows = np.arange(ds.n)
+    objective, choice = scan(1, rows)
+    if choice is None:
+        raise InfeasibleError("no feasible assignment")
+    reconstruct(1, rows, choice)
+    return (
+        tuple(cuts[p] for p in skeleton.internal_nodes),
+        tuple(treats[p] for p in skeleton.leaves),
+        objective.hex(),
+        True,
+    )
+
+
+def greedy_reference(ds, n_test, metric, seed):
+    """The row-at-a-time greedy loop: one `Metric.distances` pass and
+    argmin per drawn subject and missing arm. Returns drawn, yhat and
+    removed."""
+    drawn = make_rng(seed).choice(ds.n, size=n_test, replace=False)
+    arms = [np.flatnonzero(ds.T == t) for t in range(1, ds.m + 1)]
+    yhat = np.empty((n_test, ds.m), dtype=np.float64)
+    flagged = set()
+    for j, i in enumerate(drawn):
+        for t in range(1, ds.m + 1):
+            if t == ds.T[i]:
+                yhat[j, t - 1] = ds.Y[i]
+                continue
+            cands = arms[t - 1]
+            match = int(cands[np.argmin(metric.distances(ds.X[i], ds.X[cands]))])
+            yhat[j, t - 1] = ds.Y[match]
+            flagged.add(match)
+    return drawn, yhat, np.array(sorted(set(drawn.tolist()) | flagged), dtype=np.int64)
+
+
+def knn_row(reg, x):
+    """kNN prediction for one row: mean outcome of every training point
+    no farther than the k-th nearest."""
+    z = (np.asarray(x, dtype=np.float64) - reg.center) / reg.scale
+    dist = np.sqrt(((reg.x - z) ** 2).sum(axis=1))
+    return reg.y[dist <= np.sort(dist)[reg.k - 1]].mean()

@@ -25,6 +25,7 @@ from perstrees.errors import ConfigError, DomainError, SchemaError
 from perstrees.risk import prescriptions
 
 from helpers import random_dataset
+from oracles import knn_row
 
 
 class TestOls:
@@ -349,14 +350,6 @@ class TestRelabelSerialization:
         doc = relabel_to_doc(fit_1va(ds))
         with pytest.raises(SchemaError):
             relabel_from_doc({**doc, **change})
-
-
-def knn_row(reg, x):
-    """kNN prediction for one row: mean outcome of every training point
-    no farther than the k-th nearest."""
-    z = (np.asarray(x, dtype=np.float64) - reg.center) / reg.scale
-    dist = np.sqrt(((reg.x - z) ** 2).sum(axis=1))
-    return reg.y[dist <= np.sort(dist)[reg.k - 1]].mean()
 
 
 def grid_sample(n, seed):

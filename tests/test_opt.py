@@ -3,6 +3,7 @@ import itertools
 import logging
 import re
 import time
+import types
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from perstrees.opt import (
 from perstrees.tree import PtConfig, fit_pt
 
 from helpers import random_dataset, to_scipy
+from oracles import reference_solve
 
 
 def toy_1d():
@@ -522,72 +524,6 @@ class TestSolveExact:
                 warm_start_from_pt(ds, cfg, sk, menu)
 
 
-def reference_solve(ds, skeleton, menu, config):
-    """The per-leaf recursion that the bottom-node pass replaced: each cut
-    scores its two children with one bincount over each child's rows.
-    Returns (cuts, treatments, objective, proved); a time limit is
-    honoured only as 0.0, where no cut completes."""
-    ybar = ds.Y - ds.Y.min()
-    tvec = ds.T - 1
-    top = 2**skeleton.delta
-    deadline = None
-    if config.time_limit is not None:
-        deadline = time.monotonic() + config.time_limit
-    memo = {}
-
-    def leaf_value(idx):
-        counts = np.bincount(tvec[idx], minlength=ds.m)
-        if counts.min() < config.n_min_leaf:
-            return float("inf"), None
-        sums = np.bincount(tvec[idx], weights=ybar[idx], minlength=ds.m)
-        means = sums / counts
-        best = int(np.argmin(means))
-        return idx.size * float(means[best]), best + 1
-
-    def node_value(p, idx):
-        key = (p, idx.tobytes())
-        if key not in memo:
-            memo[key] = leaf_value(idx) if p >= top else scan(p, idx)
-        return memo[key]
-
-    def scan(p, idx):
-        best_val, best_cut = float("inf"), None
-        for ci, (f, theta) in enumerate(menu.for_node(p)):
-            if deadline is not None and time.monotonic() > deadline:
-                raise SolveTimeout("time limit")
-            mask = ds.X[idx, f] <= theta
-            left, _ = node_value(2 * p, idx[mask])
-            if left > best_val:
-                continue
-            right, _ = node_value(2 * p + 1, idx[~mask])
-            if left + right < best_val:
-                best_val, best_cut = left + right, ci
-        return best_val, best_cut
-
-    cuts, treats = {}, {}
-
-    def reconstruct(p, idx, choice):
-        if p >= top:
-            treats[p] = choice
-            return
-        cuts[p] = f, theta = menu.for_node(p)[choice]
-        mask = ds.X[idx, f] <= theta
-        for child, sub in ((2 * p, idx[mask]), (2 * p + 1, idx[~mask])):
-            reconstruct(child, sub, node_value(child, sub)[1])
-
-    rows = np.arange(ds.n)
-    objective, choice = scan(1, rows)
-    if choice is None:
-        raise InfeasibleError("no feasible assignment")
-    reconstruct(1, rows, choice)
-    return (
-        tuple(cuts[p] for p in skeleton.internal_nodes),
-        tuple(treats[p] for p in skeleton.leaves),
-        objective.hex(),
-        True,
-    )
-
-
 def solve_outcome(solve, *args):
     try:
         return solve(*args)
@@ -750,6 +686,61 @@ class TestBottomPassEquivalence:
         assert screened == len(menu.for_node(1))
         assert 1 <= settled < screened
         assert passes == misses  # at depth two only bottom nodes reach the memo
+
+
+def spy_on_passes(monkeypatch, caplog):
+    """Wrap solver._tally so that each pass records whether solve_exact
+    had already logged its DEBUG record; returns that list."""
+    tally, late = solver._tally, []
+
+    def spy(chunks, size):
+        late.append(any(r.name == "perstrees.opt.solver" for r in caplog.records))
+        return tally(chunks, size)
+
+    monkeypatch.setattr(solver, "_tally", spy)
+    return late
+
+
+class TestSearchEnd:
+    """A memo that keeps nothing makes any second walk of the chosen tree
+    solve its nodes again, so passes after the DEBUG record would show it."""
+
+    @pytest.mark.parametrize("delta,n_cuts", [(2, 6), (3, 4), (4, 4)])
+    def test_no_pass_runs_after_the_search(self, delta, n_cuts, monkeypatch, caplog):
+        ds = random_dataset(np.random.default_rng(delta), 150, 2, 2, all_arms=True)
+        sk = TreeSkeleton(delta)
+        cfg = OptConfig(delta=delta, n_min_leaf=1, n_cuts=n_cuts)
+        menu = build_cut_menu(ds, sk, cfg)
+        monkeypatch.setattr(solver, "MEMO_BYTES", 0)
+        late = spy_on_passes(monkeypatch, caplog)
+        with caplog.at_level(logging.DEBUG, logger="perstrees"):
+            result = solve_exact(ds, sk, menu, cfg)
+        assert result.proved
+        assert late and not any(late)
+
+    def test_time_limit_ends_the_solve(self, monkeypatch, caplog):
+        # the clock reads inf once half of an untimed solve's passes ran
+        ds = random_dataset(np.random.default_rng(4), 150, 2, 2, all_arms=True)
+        sk = TreeSkeleton(4)
+        cfg = OptConfig(delta=4, n_min_leaf=1, n_cuts=4)
+        menu = build_cut_menu(ds, sk, cfg)
+        monkeypatch.setattr(solver, "MEMO_BYTES", 0)
+        late = spy_on_passes(monkeypatch, caplog)
+        solve_exact(ds, sk, menu, cfg)
+        half = len(late) // 2
+        late.clear()
+
+        def clock():
+            return float("inf") if len(late) >= half else time.monotonic()
+
+        monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=clock))
+        timed = dataclasses.replace(cfg, time_limit=3600.0)
+        with caplog.at_level(logging.DEBUG, logger="perstrees"):
+            result = solve_exact(ds, sk, menu, timed)
+        assert not result.proved
+        assert result.objective == evaluate_assignment(ds, sk, result.assignment, cfg)
+        assert not any(late)
+        assert len(late) == half  # the clock ended the search
 
 
 class TestWarmStart:

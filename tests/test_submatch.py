@@ -9,7 +9,6 @@ from perstrees import _nearest
 from perstrees.data import Dataset
 from perstrees.errors import DomainError, ParseError, SchemaError
 from perstrees.risk import FunctionPolicy
-from perstrees.seeding import make_rng
 from perstrees.submatch import (
     MatchedTestSet,
     Metric,
@@ -25,6 +24,7 @@ from perstrees.submatch import (
 )
 
 from helpers import random_dataset
+from oracles import greedy_reference
 
 IDENTITY_1D = Metric(inverse=np.eye(1))
 
@@ -148,26 +148,6 @@ class TestGreedy:
         ds_one_arm = Dataset(X=np.zeros((3, 1)), T=np.ones(3, dtype=int), Y=np.zeros(3), m=2)
         with pytest.raises(DomainError, match="treatment 2"):
             greedy_submatch(ds_one_arm, 1, IDENTITY_1D, seed=0)
-
-
-def greedy_reference(ds, n_test, metric, seed):
-    """The row-at-a-time greedy loop: one `Metric.distances` pass and
-    argmin per drawn subject and missing arm. Returns drawn, yhat and
-    removed."""
-    drawn = make_rng(seed).choice(ds.n, size=n_test, replace=False)
-    arms = [np.flatnonzero(ds.T == t) for t in range(1, ds.m + 1)]
-    yhat = np.empty((n_test, ds.m), dtype=np.float64)
-    flagged = set()
-    for j, i in enumerate(drawn):
-        for t in range(1, ds.m + 1):
-            if t == ds.T[i]:
-                yhat[j, t - 1] = ds.Y[i]
-                continue
-            cands = arms[t - 1]
-            match = int(cands[np.argmin(metric.distances(ds.X[i], ds.X[cands]))])
-            yhat[j, t - 1] = ds.Y[match]
-            flagged.add(match)
-    return drawn, yhat, np.array(sorted(set(drawn.tolist()) | flagged), dtype=np.int64)
 
 
 def screen_dataset(X, m=2, seed=0):
