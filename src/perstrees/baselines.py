@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._nearest import row_norms, screen
-from .errors import (
-    ConfigError, DomainError, SchemaError, _check_floats, _check_int, _check_keys, _check_shape,
-)
+from .errors import ConfigError, DomainError, _check_int, _check_keys
 from .risk import _BatchPolicy
 
 logger = logging.getLogger(__name__)
@@ -69,17 +67,6 @@ class OlsRegressor:
 
     def predict(self, X):
         return self.weights[0] + _matrix(X) @ self.weights[1:]
-
-    def to_doc(self):
-        return {"type": "ols", "weights": [float(w) for w in self.weights]}
-
-    @staticmethod
-    def from_doc(doc, d=None):
-        """The regressor of a document; d, when given, fixes the feature
-        count, so the weights must be d + 1 numbers."""
-        r = OlsRegressor()
-        r.weights = _check_floats("weights", doc["weights"], (None if d is None else d + 1,))
-        return r
 
 
 def _masked_means(y, near):
@@ -155,22 +142,6 @@ class KnnRegressor:
             near[lo : lo + len(dist)] = dist <= boundary
         return near
 
-    def to_doc(self):
-        return {"type": "knn", "k": int(self.k), "center": self.center.tolist(),
-                "scale": self.scale.tolist(), "x": self.x.tolist(), "y": self.y.tolist()}
-
-    @staticmethod
-    def from_doc(doc, d=None):
-        """The regressor of a document; d, when given, fixes the feature
-        count. k may not exceed the number of stored points."""
-        r = KnnRegressor()
-        r.center = _check_floats("center", doc["center"], (d,))
-        r.scale = _check_floats("scale", doc["scale"], r.center.shape)
-        r.x = _check_floats("x", doc["x"], (None,) + r.center.shape)
-        r.y = _check_floats("y", doc["y"], (len(r.x),))
-        r.k = _check_int("k", doc["k"], 1, maximum=len(r.x))
-        return r
-
 
 _REGRESSORS = {"ols": OlsRegressor, "knn": KnnRegressor}
 
@@ -189,13 +160,6 @@ def make_regressor(base, params=None):
     cls = _REGRESSORS[base]
     cls(**params)
     return lambda: cls(**params)
-
-
-def regressor_from_doc(doc, d):
-    kind = doc.get("type")
-    if kind not in _REGRESSORS:
-        raise SchemaError(f"unknown regressor type {kind!r}")
-    return _REGRESSORS[kind].from_doc(doc, d)
 
 
 @dataclass(frozen=True)
@@ -342,72 +306,3 @@ def fit_1v1(ds, cate_factory=None, base="ols", variant="A"):
             ests[(t, s)] = factory(t, s).fit(ds.X[rows], labels, ds.Y[rows])
     return OneVsOnePolicy(estimators=ests, m=ds.m, d=ds.d, variant=variant, base=base)
 
-
-def rc_to_doc(policy):
-    return {
-        "kind": f"rc-{policy.base}",
-        "m": int(policy.m),
-        "d": int(policy.d),
-        "arms": [r.to_doc() for r in policy.regressors],
-    }
-
-
-def rc_from_doc(doc):
-    kind = doc.get("kind")
-    if kind not in ("rc-ols", "rc-knn"):
-        raise SchemaError(f"expected an rc document, got kind {kind!r}")
-    try:
-        m, d = _check_shape(doc)
-        regs = tuple(regressor_from_doc(arm, d) for arm in doc["arms"])
-    except ConfigError as exc:
-        raise SchemaError(str(exc)) from exc
-    if len(regs) != m:
-        raise SchemaError(f"rc document must hold one regressor per treatment, got {len(regs)}")
-    return RcPolicy(regressors=regs, m=m, d=d, base=kind[3:])
-
-
-def _cate_to_doc(est):
-    return {"pos": est.hi.to_doc(), "neg": est.lo.to_doc()}
-
-
-def _cate_from_doc(doc, d):
-    est = RegressionCate(None)
-    est.hi = regressor_from_doc(doc["pos"], d)
-    est.lo = regressor_from_doc(doc["neg"], d)
-    return est
-
-
-def relabel_to_doc(policy):
-    if isinstance(policy, OneVsAllPolicy):
-        kind, ests = "1va", [_cate_to_doc(e) for e in policy.estimators]
-    else:
-        kind = f"1v1{policy.variant.lower()}"
-        pairs = sorted(policy.estimators.items())
-        ests = [{"t": t, "s": s, **_cate_to_doc(e)} for (t, s), e in pairs]
-    return {"kind": kind, "base": policy.base, "m": int(policy.m), "d": int(policy.d),
-            "estimators": ests}
-
-
-def relabel_from_doc(doc):
-    kind, base = doc.get("kind"), doc.get("base", "ols")
-    if kind not in ("1va", "1v1a", "1v1b"):
-        raise SchemaError(f"unknown relabeling document kind {kind!r}")
-    if base not in ("ols", "knn"):
-        raise SchemaError(f"relabeling base must be 'ols' or 'knn', got {base!r}")
-    try:
-        m, d = _check_shape(doc)
-        if kind == "1va":
-            ests = tuple(_cate_from_doc(e, d) for e in doc["estimators"])
-        else:
-            ests = {(_check_int("t", e["t"], 1), _check_int("s", e["s"], 1)): _cate_from_doc(e, d)
-                    for e in doc["estimators"]}
-    except ConfigError as exc:
-        raise SchemaError(str(exc)) from exc
-    if kind == "1va":
-        if len(ests) != m:
-            raise SchemaError("1va document must hold one estimator per treatment")
-        return OneVsAllPolicy(estimators=ests, m=m, d=d, base=base)
-    pairs = {(t, s) for t in range(1, m + 1) for s in range(1, m + 1) if s != t}
-    if len(doc["estimators"]) != len(pairs) or ests.keys() != pairs:
-        raise SchemaError(f"{kind} document must hold one estimator per ordered pair of arms")
-    return OneVsOnePolicy(estimators=ests, m=m, d=d, variant=kind[-1].upper(), base=base)

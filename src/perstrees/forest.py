@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError, SchemaError, _check_int
+from .errors import ConfigError, InfeasibleError, _check_int
 from .risk import _BatchPolicy
 from .seeding import derive_seed, make_rng
 # fit_pt is kept as a name here, bound to the tree module's, as the one
 # fit each forest tree equals; perfbench's tracer wraps every binding
-from .tree import PtConfig, _grow, fit_pt, tree_from_doc, tree_to_doc  # noqa: F401
+from .tree import PtConfig, _grow, fit_pt  # noqa: F401
 
 MAX_REDRAWS = 100
 
@@ -113,18 +113,3 @@ class PersonalizationForest(_BatchPolicy):
     def predict_many(self, X):
         return np.argmax(self.votes(X), axis=1) + 1
 
-
-def forest_to_doc(forest):
-    return {"kind": "pf", "trees": [tree_to_doc(t) for t in forest.trees]}
-
-
-def forest_from_doc(doc):
-    if doc.get("kind") != "pf":
-        raise SchemaError(f"expected a pf document, got kind {doc.get('kind')!r}")
-    trees = tuple(tree_from_doc(t) for t in doc["trees"])
-    if not trees:
-        raise SchemaError("a forest document must contain at least one tree")
-    m, d = trees[0].m, trees[0].d
-    if any(t.m != m or t.d != d for t in trees):
-        raise SchemaError("all trees in a forest must agree on m and d")
-    return PersonalizationForest(trees=trees, m=m, d=d)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, _check_int, _check_number, _check_shape
+from .errors import ConfigError, _check_int
 from .risk import _BatchPolicy, _best_of_stats, _counts_and_sums, _means
 from .seeding import make_rng
 
@@ -565,43 +565,3 @@ def fit_pt(ds, config=None):
     n_features = _check_int("n_features", config.n_features or ds.d, 1, maximum=ds.d)
     return _grow(ds, config, n_features, [(config.seed, np.arange(ds.n))])[0]
 
-
-def tree_to_doc(tree):
-    """JSON-ready document for a fitted tree."""
-    docs = [None] * tree.left.size
-    for i in reversed(range(tree.left.size)):  # children come after parents
-        if tree.left[i] < 0:
-            means = [None if math.isnan(v) else v for v in tree.means[i].tolist()]
-            leaf = {"treatment": int(tree.treatment[i]), "counts": tree.counts[i].tolist()}
-            docs[i] = {"leaf": {**leaf, "means": means}}
-        else:
-            split = {"feature": int(tree.feature[i]), "threshold": float(tree.threshold[i])}
-            docs[i] = {"split": split, "left": docs[tree.left[i]], "right": docs[tree.right[i]]}
-    return {"kind": "pt", "m": int(tree.m), "d": int(tree.d), "root": docs[0]}
-
-
-def tree_from_doc(doc):
-    if doc.get("kind") != "pt":
-        raise SchemaError(f"expected a pt document, got kind {doc.get('kind')!r}")
-    most = int(np.iinfo(np.int64).max)  # leaf counts are held as int64
-
-    def expand(node):
-        """A node document as `_build` takes it; ConfigError for a bad field."""
-        if "leaf" in node:
-            leaf = node["leaf"]
-            counts = [_check_int("leaf counts", c, 0, maximum=most) for c in leaf["counts"]]
-            means = [np.nan if v is None else _check_number("leaf means", v) for v in leaf["means"]]
-            if len(counts) != m or len(means) != m:
-                raise SchemaError("leaf counts/means must have one entry per treatment")
-            return _check_int("leaf treatment", leaf["treatment"], 1, maximum=m), counts, means
-        if "split" not in node:
-            raise SchemaError("tree node must hold either a split or a leaf")
-        sp = node["split"]
-        feature = _check_int("split feature", sp["feature"], 0, maximum=d - 1)
-        return feature, _check_number("split threshold", sp["threshold"]), node["left"], node["right"]
-
-    try:
-        m, d = _check_shape(doc)
-        return _build(doc["root"], expand, m, d)
-    except ConfigError as exc:
-        raise SchemaError(str(exc)) from exc

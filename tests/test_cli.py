@@ -656,6 +656,11 @@ class TestModelDepthCap:
         assert "too deep for a nested model file" in done.stderr
 
 
+# a kNN regressor on the five columns of quad_csv, as OLS5 is an OLS one
+KNN5 = {"type": "knn", "k": 1, "center": [0.0] * 5, "scale": [1.0] * 5,
+        "x": [[0.0] * 5, [1.0] * 5], "y": [0.0, 1.0]}
+
+
 def ols_pairs(m):
     """1v1 estimators of every ordered pair of m arms."""
     arms = range(1, m + 1)
@@ -852,12 +857,19 @@ class TestExitCodes:
         {"kind": "pf", "trees": [pt5(), pt5(split={"feature": 1.7})]},
         pt5(leaf={"counts": [10**30, 1]}),
         {"kind": "1va", "base": 7, "m": 2, "d": 5, "estimators": [{"pos": OLS5, "neg": OLS5}] * 2},
+        {"kind": "rc-knn", "m": 2, "d": 5, "arms": [KNN5, {**KNN5, "scale": [1.0, 0.0, 1.0, 1.0, 1.0]}]},
+        {"kind": "rc-ols", "m": 2, "d": 5, "arms": [OLS5, KNN5]},
+        {"kind": "rc-knn", "m": 2, "d": 5, "arms": [OLS5, OLS5]},
+        {"kind": "1v1b", "base": "ols", "m": 2, "d": 5, "estimators": [
+            {"t": t, "s": 3 - t, "pos": KNN5, "neg": KNN5} for t in (1, 2)]},
+        {"kind": "pf", "trees": [{**pt5(), "kind": "rc-ols"}]},
     ], ids=["rc-no-arms", "knn-k-text", "knn-k-0", "knn-k-negative", "1va-no-weights",
             "1v1-no-s", "pf-no-trees", "pt-m-null", "pt-no-children", "kind-list",
             "rc-arm-missing", "1v1-m-short", "ols-weights-short", "1v1-pair-missing",
             "pt-feature-1.7", "pt-treatment-1.9", "pt-counts-2.5-and-negative",
             "pt-threshold-true", "pt-m-d-strings", "pt-mean-1e400", "pf-tree-feature-1.7",
-            "pt-counts-past-int64", "1va-base-7"])
+            "pt-counts-past-int64", "1va-base-7", "knn-scale-0", "rc-ols-knn-arm",
+            "rc-knn-ols-arms", "1v1-ols-base-knn-estimators", "pf-tree-kind-rc-ols"])
     def test_malformed_model_exits_2(self, tmp_path, quad_csv, doc, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))

@@ -11,21 +11,19 @@ from perstrees.forest import (
     PersonalizationForest,
     PfConfig,
     fit_pf,
-    forest_from_doc,
-    forest_to_doc,
     replicate_seed,
     tree_fit_seed,
 )
-from perstrees.model_io import load_model, save_model
+from perstrees.model_io import load_model, model_from_doc, model_to_doc, save_model
 from perstrees.seeding import make_rng
-from perstrees.tree import PtConfig, fit_pt, tree_from_doc, tree_to_doc
+from perstrees.tree import PtConfig, fit_pt
 
 from helpers import random_dataset
 
 
 def stump(treatment, m=2):
     leaf = {"treatment": treatment, "counts": [1] * m, "means": [0.0] * m}
-    return tree_from_doc({"kind": "pt", "m": m, "d": 1, "root": {"leaf": leaf}})
+    return model_from_doc({"kind": "pt", "m": m, "d": 1, "root": {"leaf": leaf}})
 
 
 class TestSeeds:
@@ -45,13 +43,13 @@ class TestSeeds:
         small = fit_pf(ds, PfConfig(trees_count=3, base=base, seed=9))
         large = fit_pf(ds, PfConfig(trees_count=6, base=base, seed=9))
         for a, b in zip(small.trees, large.trees):
-            assert tree_to_doc(a) == tree_to_doc(b)
+            assert model_to_doc(a) == model_to_doc(b)
 
     def test_determinism(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, 100, 3, 2, all_arms=True)
         cfg = PfConfig(trees_count=4, base=PtConfig(n_min_leaf=5), seed=3)
-        assert forest_to_doc(fit_pf(ds, cfg)) == forest_to_doc(fit_pf(ds, cfg))
+        assert model_to_doc(fit_pf(ds, cfg)) == model_to_doc(fit_pf(ds, cfg))
 
 
 class TestFit:
@@ -91,7 +89,7 @@ class TestFit:
         for j, tree in enumerate(forest.trees):
             seed = tree_fit_seed(replicate_seed(7, j))
             want = fit_pt(ds, PtConfig(n_min_leaf=5, n_features=2, seed=seed))
-            assert tree_to_doc(tree) == tree_to_doc(want)
+            assert model_to_doc(tree) == model_to_doc(want)
 
     def test_default_feature_count_is_root_d(self):
         # leaving n_features unset on d=9 must behave like n_features=3
@@ -102,7 +100,7 @@ class TestFit:
         assert len(forest.trees) == 2
         # indirect check: same data refit with n_features=3 matches
         twin = PfConfig(trees_count=2, base=PtConfig(n_min_leaf=5, n_features=3))
-        assert forest_to_doc(fit_pf(ds, twin)) == forest_to_doc(forest)
+        assert model_to_doc(fit_pf(ds, twin)) == model_to_doc(forest)
 
     def test_empty_dataset_rejected(self):
         from perstrees.data import Dataset
@@ -154,22 +152,22 @@ class TestSerialization:
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(SchemaError):
-            forest_from_doc({"kind": "pt", "trees": []})
+            model_from_doc({"kind": "pt", "trees": []})
 
     def test_rejects_empty_forest(self):
         with pytest.raises(SchemaError):
-            forest_from_doc({"kind": "pf", "trees": []})
+            model_from_doc({"kind": "pf", "trees": []})
 
     def test_rejects_a_bad_tree_field(self):
-        bad = tree_to_doc(stump(1))
+        bad = model_to_doc(stump(1))
         bad["root"]["leaf"]["counts"] = [2.5, 1]
         with pytest.raises(SchemaError):
-            forest_from_doc({"kind": "pf", "trees": [tree_to_doc(stump(1)), bad]})
+            model_from_doc({"kind": "pf", "trees": [model_to_doc(stump(1)), bad]})
 
     def test_rejects_mismatched_trees(self):
-        docs = [tree_to_doc(stump(1, m)) for m in (2, 3)]
+        docs = [model_to_doc(stump(1, m)) for m in (2, 3)]
         with pytest.raises(SchemaError):
-            forest_from_doc({"kind": "pf", "trees": docs})
+            model_from_doc({"kind": "pf", "trees": docs})
 
 
 def lumpy_dataset(rng, n, m):
@@ -193,9 +191,9 @@ class TestTreesAsSingleFits:
         rng = np.random.default_rng(51)
         ds = lumpy_dataset(rng, 60, 3)
         config = PfConfig(trees_count=7, base=PtConfig(n_min_leaf=2), seed=4)
-        together = forest_to_doc(fit_pf(ds, config))
+        together = model_to_doc(fit_pf(ds, config))
         monkeypatch.setattr(tree, "_LOCKSTEP_BUDGET", per_group * ds.n * (ds.d + 1))
-        assert forest_to_doc(fit_pf(ds, config)) == together
+        assert model_to_doc(fit_pf(ds, config)) == together
 
 
     @pytest.mark.parametrize("base", [
@@ -221,4 +219,4 @@ class TestTreesAsSingleFits:
                     if np.unique(ds.T[idx]).size == m:
                         break
                 config = replace(base, seed=tree_fit_seed(rep_seed), n_features=n_features)
-                assert tree_to_doc(tree) == tree_to_doc(fit_pt(split(ds, idx), config))
+                assert model_to_doc(tree) == model_to_doc(fit_pt(split(ds, idx), config))

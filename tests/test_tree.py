@@ -7,8 +7,8 @@ import pytest
 from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
 from perstrees.errors import ConfigError, SchemaError
 from perstrees.experiment import PRESETS
-from perstrees.forest import PfConfig, fit_pf, forest_to_doc
-from perstrees.model_io import load_model, save_model
+from perstrees.forest import PfConfig, fit_pf
+from perstrees.model_io import load_model, model_from_doc, model_to_doc, save_model
 from perstrees.opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact
 from perstrees.tree import (
     PtConfig,
@@ -21,8 +21,6 @@ from perstrees.tree import (
     best_split,
     fit_pt,
     sweep_feature,
-    tree_from_doc,
-    tree_to_doc,
 )
 
 import oracles
@@ -321,7 +319,7 @@ def tree_doc(root, m, d):
 
 
 def two_leaf_tree():
-    return tree_from_doc(tree_doc(
+    return model_from_doc(tree_doc(
         split_doc(0, 2.0, leaf_doc(1, [1, 1], [0.0, 1.0]), leaf_doc(2, [1, 1], [1.0, 0.0])),
         m=2,
         d=1,
@@ -341,7 +339,7 @@ class TestRouting:
 
     def test_leaf_ids_left_to_right(self):
         stump = leaf_doc(1, [1], [0.0])
-        tree = tree_from_doc(tree_doc(
+        tree = model_from_doc(tree_doc(
             split_doc(0, 0.0, split_doc(0, -1.0, stump, stump), stump), m=1, d=1
         ))
         X = [[-2.0], [-0.5], [1.0]]
@@ -512,13 +510,13 @@ class TestFitPt:
         rng = np.random.default_rng(21)
         ds = random_dataset(rng, 150, 6, 2, all_arms=True)
         config = PtConfig(n_min_leaf=3, n_features=2, seed=5)
-        assert tree_to_doc(fit_pt(ds, config)) == tree_to_doc(fit_pt(ds, config))
+        assert model_to_doc(fit_pt(ds, config)) == model_to_doc(fit_pt(ds, config))
 
     def test_seed_changes_feature_draws(self):
         rng = np.random.default_rng(22)
         ds = random_dataset(rng, 150, 8, 2, all_arms=True)
         docs = {
-            str(tree_to_doc(fit_pt(ds, PtConfig(n_features=1, seed=s))))
+            str(model_to_doc(fit_pt(ds, PtConfig(n_features=1, seed=s))))
             for s in range(6)
         }
         assert len(docs) > 1
@@ -568,14 +566,14 @@ class TestSerialization:
         back = load_model(path)
         assert back.m == tree.m and back.d == tree.d
         assert back.predict_many(ds.X).tolist() == tree.predict_many(ds.X).tolist()
-        assert tree_to_doc(back) == tree_to_doc(tree)
+        assert model_to_doc(back) == model_to_doc(tree)
 
     def test_nan_means_become_null(self):
-        tree = tree_from_doc(tree_doc(leaf_doc(1, [2, 0], [1.5, None]), m=2, d=1))
+        tree = model_from_doc(tree_doc(leaf_doc(1, [2, 0], [1.5, None]), m=2, d=1))
         assert np.isnan(tree.means[0, 1])
-        doc = tree_to_doc(tree)
+        doc = model_to_doc(tree)
         assert doc["root"]["leaf"]["means"] == [1.5, None]
-        back = tree_from_doc(doc)
+        back = model_from_doc(doc)
         assert np.isnan(back.means[0, 1])
 
     @pytest.mark.parametrize(
@@ -591,22 +589,24 @@ class TestSerialization:
         stump = leaf_doc(1, [1, 1], [0.0, 0.0])
         doc = tree_doc(split_doc(feature, threshold, stump, stump), m=2, d=2)
         with pytest.raises(SchemaError):
-            tree_from_doc(doc)
+            model_from_doc(doc)
 
     def test_rejects_wrong_kind(self):
-        with pytest.raises(SchemaError):
-            tree_from_doc({"kind": "pf", "m": 1, "d": 1, "root": {}})
+        # the pt reader checks the kind of each tree a forest document holds
+        tree = {"kind": "pf", "m": 1, "d": 1, "root": {}}
+        with pytest.raises(SchemaError, match="expected a pt document, got kind 'pf'"):
+            model_from_doc({"kind": "pf", "trees": [tree]})
 
     def test_rejects_malformed_nodes(self):
         base = {"kind": "pt", "m": 2, "d": 1}
         bad_counts = {"leaf": {"treatment": 1, "counts": [1], "means": [0.0]}}
         bad_treatment = {"leaf": {"treatment": 3, "counts": [1, 1], "means": [0.0, 0.0]}}
         with pytest.raises(SchemaError):
-            tree_from_doc({**base, "root": bad_counts})
+            model_from_doc({**base, "root": bad_counts})
         with pytest.raises(SchemaError):
-            tree_from_doc({**base, "root": bad_treatment})
+            model_from_doc({**base, "root": bad_treatment})
         with pytest.raises(SchemaError):
-            tree_from_doc({**base, "root": {"neither": 1}})
+            model_from_doc({**base, "root": {"neither": 1}})
 
     @pytest.mark.parametrize("leaf,shape", [
         ({"treatment": 1.9}, {}),
@@ -624,7 +624,7 @@ class TestSerialization:
         fields = {"treatment": 1, "counts": [1, 1], "means": [0.0, None], **leaf}
         root = split_doc(0, 0.5, leaf_doc(**fields), leaf_doc(2, [1, 1], [1.0, 0.0]))
         with pytest.raises(SchemaError):
-            tree_from_doc({**tree_doc(root, m=2, d=2), **shape})
+            model_from_doc({**tree_doc(root, m=2, d=2), **shape})
 
 
 GRID = {"name": "discrete_grid", "values": [-1.0, -0.5, 0.0, 0.5, 1.0]}
@@ -636,7 +636,7 @@ PINNED_CONFIGS = {
     "one_feature": PtConfig(n_min_leaf=3, n_features=1, seed=4),
 }
 
-# sha256 of json.dumps(tree_to_doc(...), sort_keys=True) for trees grown
+# sha256 of json.dumps(model_to_doc(...), sort_keys=True) for trees grown
 # by a sweep that argsorts every feature at every node; a change to split
 # choice, thresholds or leaf statistics moves them
 PINNED_TREES = {
@@ -709,15 +709,15 @@ class TestPinnedTrees:
     @pytest.mark.parametrize("covariates, name", sorted(PINNED_TREES))
     def test_fit_pt_digest(self, covariates, name):
         tree = fit_pt(pinned_data(covariates), PINNED_CONFIGS[name])
-        assert doc_digest(tree_to_doc(tree)) == PINNED_TREES[covariates, name]
+        assert doc_digest(model_to_doc(tree)) == PINNED_TREES[covariates, name]
 
     @pytest.mark.parametrize("covariates", sorted(PINNED_FORESTS))
     def test_fit_pf_digest(self, covariates):
         forest = fit_pf(pinned_data(covariates), PfConfig(trees_count=10, seed=6))
-        assert doc_digest(forest_to_doc(forest)) == PINNED_FORESTS[covariates]
+        assert doc_digest(model_to_doc(forest)) == PINNED_FORESTS[covariates]
 
     @pytest.mark.parametrize("covariates, name", sorted(PINNED_FOREST_BASES))
     def test_fit_pf_digest_on_base(self, covariates, name):
         config = PfConfig(trees_count=10, base=PINNED_CONFIGS[name], seed=6)
         forest = fit_pf(pinned_data(covariates), config)
-        assert doc_digest(forest_to_doc(forest)) == PINNED_FOREST_BASES[covariates, name]
+        assert doc_digest(model_to_doc(forest)) == PINNED_FOREST_BASES[covariates, name]
