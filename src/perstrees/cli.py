@@ -16,7 +16,7 @@ import logging
 import math
 import sys
 
-from .data import generate_synthetic, load_csv, save_csv
+from .data import _json_file, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, PerstreesError
 from .experiment import (
     ALGORITHMS,
@@ -64,17 +64,12 @@ def _load_data(args):
     )
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _metric_value(v):
     return None if math.isnan(v) else v
 
 
 def cmd_gen_data(args):
-    spec = synthetic_spec_from_doc(_read_json(args.spec))
+    spec = synthetic_spec_from_doc(_json_file(args.spec))
     ds = generate_synthetic(spec)
     save_csv(ds, args.out)
     print(f"wrote {ds.n} rows ({ds.d} features, {ds.m} treatments) to {args.out}")
@@ -162,7 +157,7 @@ def cmd_export_mip(args):
 
 
 def cmd_experiment(args):
-    config = experiment_config_from_doc(_read_json(args.config))
+    config = experiment_config_from_doc(_json_file(args.config))
     rows = run_experiment(config)
     print(f"wrote {len(rows)} rows to {config.output}")
     return 0

@@ -8,6 +8,7 @@ assignment probabilities Q of the received treatments.
 
 import csv
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -260,6 +261,18 @@ def _block(fh, width):
     except ValueError:
         return None
     return block if block.shape[1] == width else None
+
+
+def _json_file(path, too_deep=None):
+    """The document in a JSON file; ParseError naming the file for bytes that
+    are not UTF-8 text or nesting past json's recursion (too_deep if given)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.loads(fh.read())  # json.load's body minus a frame: model_io._MAX_NESTING
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not {fh.encoding} text: {exc.reason}") from exc
+        except RecursionError as exc:
+            raise too_deep or ParseError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=None, q_col=None):

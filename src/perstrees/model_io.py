@@ -17,20 +17,24 @@ import numpy as np
 from .baselines import (
     KnnRegressor, OlsRegressor, OneVsAllPolicy, OneVsOnePolicy, RcPolicy, RegressionCate,
 )
+from .data import _json_file
 from .errors import ConfigError, SchemaError, _check_floats, _check_int, _check_number, _check_shape
 from .forest import PersonalizationForest
 from .tree import PersonalizationTree, _build
 
 
-def _regressor_doc(r):
-    if isinstance(r, OlsRegressor):
+def _regressor_doc(r, base):
+    """A regressor's document; SchemaError unless its type is base, as `_regressor` reads."""
+    if base == "ols" and isinstance(r, OlsRegressor):
         return {"type": "ols", "weights": [float(w) for w in r.weights]}
-    return {"type": "knn", "k": int(r.k), "center": r.center.tolist(),
-            "scale": r.scale.tolist(), "x": r.x.tolist(), "y": r.y.tolist()}
+    if base == "knn" and isinstance(r, KnnRegressor):
+        return {"type": "knn", "k": int(r.k), "center": r.center.tolist(),
+                "scale": r.scale.tolist(), "x": r.x.tolist(), "y": r.y.tolist()}
+    raise SchemaError(f"regressor type must be {base!r}, got a {type(r).__name__}")
 
 
-def _cate_doc(est):
-    return {"pos": _regressor_doc(est.hi), "neg": _regressor_doc(est.lo)}
+def _cate_doc(est, base):
+    return {"pos": _regressor_doc(est.hi, base), "neg": _regressor_doc(est.lo, base)}
 
 
 def model_to_doc(policy):
@@ -41,13 +45,13 @@ def model_to_doc(policy):
         return {"kind": "pf", "trees": [_tree_doc(t) for t in policy.trees]}
     if isinstance(policy, RcPolicy):
         return {"kind": f"rc-{policy.base}", "m": int(policy.m), "d": int(policy.d),
-                "arms": [_regressor_doc(r) for r in policy.regressors]}
+                "arms": [_regressor_doc(r, policy.base) for r in policy.regressors]}
     if isinstance(policy, OneVsAllPolicy):
-        kind, ests = "1va", [_cate_doc(e) for e in policy.estimators]
+        kind, ests = "1va", [_cate_doc(e, policy.base) for e in policy.estimators]
     elif isinstance(policy, OneVsOnePolicy):
         kind = f"1v1{policy.variant.lower()}"
         pairs = sorted(policy.estimators.items())
-        ests = [{"t": t, "s": s, **_cate_doc(e)} for (t, s), e in pairs]
+        ests = [{"t": t, "s": s, **_cate_doc(e, policy.base)} for (t, s), e in pairs]
     else:
         raise SchemaError(f"cannot serialize a {type(policy).__name__}")
     return {"kind": kind, "base": policy.base, "m": int(policy.m), "d": int(policy.d),
@@ -182,9 +186,10 @@ def _tree_doc(tree):
     return {"kind": "pt", "m": int(tree.m), "d": int(tree.d), "root": docs[0]}
 
 
-# json.load takes one call per nesting level, and in a fresh
-# `python -m perstrees.cli` process at the default recursion limit it
-# reads 988 levels: `_tree_doc` nests a tree's depth + 4 levels
+# json.loads takes one call per nesting level, and called by `load_model`
+# through `_json_file` in a fresh `python -m perstrees.cli` process at the
+# default recursion limit it reads 988 levels (one frame more on that
+# stack, one level less): `_tree_doc` nests a tree's depth + 4 levels
 # (document, nodes, leaf, counts), so a tree of depth 984, and a pf
 # document 2 more. A policy nested deeper is neither written nor read.
 _MAX_NESTING = 988
@@ -289,12 +294,7 @@ def save_model(policy, path):
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError as exc:
-            raise SchemaError(_TOO_DEEP) from exc
-    policy = model_from_doc(doc)
+    policy = model_from_doc(_json_file(path, SchemaError(_TOO_DEEP)))
     if _nesting(policy) > _MAX_NESTING:
         raise SchemaError(_TOO_DEEP)
     return policy

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, InfeasibleError, ParseError
-from ..risk import _counts_and_sums
 from .solver import _leaves
 
 
@@ -350,9 +349,8 @@ def solution_from_assignment(ds, skeleton, menu, assignment):
     its node's menu.
     """
     skeleton._check_nodes("menu", menu.cuts)
-    top = 2**skeleton.delta
-    leaf = _leaves(ds, skeleton, assignment)
-    counts, sums = _counts_and_sums(ds.T, ds.Y - ds.Y.min(), ds.m, leaf, top)
+    leaf, counts, sums = _leaves(ds, skeleton, assignment, ds.Y - ds.Y.min())
+    top = len(counts)
     blocks = _column_blocks(ds.n, ds.m, skeleton, menu)
     col = _starts(blocks)
     x = np.zeros(col[-1])

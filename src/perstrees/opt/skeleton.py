@@ -8,9 +8,9 @@ index p - 1: a row at p moves to 2p when x[feature] <= threshold and to
 2p + 1 otherwise (so NaN goes right), as in fitted trees.
 
 Each internal node gets a finite menu of candidate cuts: for each of
-n_features randomly drawn features, midpoints of consecutive distinct
-values of the full-data sorted order at roughly n_cuts evenly spaced
-positions.
+n_features randomly drawn features, the cuts between consecutive
+distinct values of the full-data sorted order at roughly n_cuts evenly
+spaced positions, with the thresholds greedy trees use (`tree._cut`).
 """
 
 import math
@@ -21,6 +21,7 @@ import numpy as np
 
 from ..errors import ConfigError, EmptyMenuError, _check_int
 from ..seeding import make_rng
+from ..tree import _cut
 
 
 @dataclass(frozen=True)
@@ -140,34 +141,27 @@ def build_cut_menu(ds, skeleton, config):
     """Draw per-node features and build each node's cut menu.
 
     Features are drawn node by node in ascending node order from one
-    generator seeded by config.seed. Thresholds are midpoints between
-    consecutive distinct sorted values at the grid positions; a feature
-    whose straddling values coincide at a position contributes no cut
-    there, and duplicate (feature, threshold) pairs are dropped.
+    generator seeded by config.seed. At each grid position the straddling
+    sorted values lo < hi of feature f give the cut (f, `_cut(lo, hi)`),
+    and equal ones none; f's thresholds ascend strictly, so none repeats.
 
     Raises:
         EmptyMenuError: some node ends up with no candidate cuts.
     """
     n_features = _check_int("n_features", config.n_features or ds.d, 1, maximum=ds.d)
-    positions = cut_positions(ds.n, config.n_cuts)
-    sorted_cols = {}
+    positions = np.array(cut_positions(ds.n, config.n_cuts), dtype=np.intp)
+    thresholds = {}
     rng = make_rng(config.seed)
     menus = []
     for p in skeleton.internal_nodes:
         feats = rng.choice(ds.d, size=n_features, replace=False)
         cuts = []
-        seen = set()
-        for f in feats:
-            f = int(f)
-            if f not in sorted_cols:
-                sorted_cols[f] = np.sort(ds.X[:, f])
-            xs = sorted_cols[f]
-            for j in positions:
-                if xs[j - 1] < xs[j]:
-                    theta = float((xs[j - 1] + xs[j]) / 2.0)
-                    if (f, theta) not in seen:
-                        seen.add((f, theta))
-                        cuts.append((f, theta))
+        for f in feats.tolist():
+            if f not in thresholds:
+                xs = np.sort(ds.X[:, f])
+                lo, hi = xs[positions - 1], xs[positions]
+                thresholds[f] = _cut(lo, hi)[lo < hi].tolist()
+            cuts += [(f, theta) for theta in thresholds[f]]
         if not cuts:
             raise EmptyMenuError(f"node {p}: no candidate cuts (features {feats.tolist()})")
         menus.append(tuple(cuts))

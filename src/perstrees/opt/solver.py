@@ -55,20 +55,19 @@ completes.
 
 Levels above scan their menu cut by cut. Subtree values are memoized
 on (node, row set); a row set is keyed by its packed bit mask, n/8
-bytes, and the least recently used entries are dropped once the keys
-pass MEMO_BYTES in total. A left child value alone already bounds a
-cut's total from below, which allows skipping right children; a
-warm-start incumbent tightens the root scan the same way. Ties break
-toward the lexicographically first assignment in node order (lowest
-cut index, then lowest treatment). Each value carries its best
-subtree, nested (cut, left, right) tuples with the leaf treatments at
-the bottom level, and the answer is read off the root's: nothing is
-solved again after the search.
+bytes, and the oldest entries are dropped once the keys pass MEMO_BYTES
+in total. A left child value alone already bounds a cut's total from
+below, which allows skipping right children; a warm-start incumbent
+tightens the root scan the same way. Ties break toward the
+lexicographically first assignment in node order (lowest cut index,
+then lowest treatment). Each value carries its best subtree, nested
+(cut, left, right) tuples with the leaf treatments at the bottom level,
+and the answer is read off the root's: nothing is solved again after
+the search.
 """
 
 import logging
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +80,7 @@ from .skeleton import TreeSkeleton, build_cut_menu
 
 logger = logging.getLogger(__name__)
 
-# total bytes of memo keys held before the least recently used entries go
+# total bytes of memo keys held before the oldest entries go
 MEMO_BYTES = 1 << 25
 
 # Most key cells (rows x cuts) one pass tallies at once, and most bins a
@@ -107,11 +106,11 @@ class TreeAssignment:
     treatments: tuple
 
 
-def _leaves(ds, skeleton, assignment):
-    """Each row's 0-based leaf under the assignment; ConfigError unless its
-    cut and treatment counts fit the skeleton, its thresholds are finite,
-    its treatments lie in 1..m and (checked by the routing) its cut
-    features lie in 0..d-1."""
+def _leaves(ds, skeleton, assignment, y):
+    """Each row's 0-based leaf under the assignment, and per-(leaf, arm)
+    counts and sums of y; ConfigError unless its cut and treatment counts
+    fit the skeleton, its thresholds are finite, its treatments lie in
+    1..m and (checked by the routing) its cut features lie in 0..d-1."""
     top = 2**skeleton.delta
     cuts, treatments = assignment.cuts, assignment.treatments
     if len(cuts) != top - 1 or len(treatments) != top:
@@ -123,7 +122,8 @@ def _leaves(ds, skeleton, assignment):
         _check_number("cut threshold", theta)
     for t in treatments:
         _check_int("treatment", t, 1, maximum=ds.m)
-    return skeleton.route_many(ds.X, cuts) - top
+    leaf = skeleton.route_many(ds.X, cuts) - top
+    return (leaf, *_counts_and_sums(ds.T, y, ds.m, leaf, top))
 
 
 class _TimeUp(Exception):
@@ -208,12 +208,10 @@ def evaluate_assignment(ds, skeleton, assignment, config):
     Raises:
         ConfigError: the assignment does not fit the skeleton or the data.
     """
-    top = 2**skeleton.delta
-    leaf = _leaves(ds, skeleton, assignment)
-    counts, sums = _counts_and_sums(ds.T, ds.Y - ds.Y.min(), ds.m, leaf, top)
+    _, counts, sums = _leaves(ds, skeleton, assignment, ds.Y - ds.Y.min())
     if counts.min() < config.n_min_leaf:
         return float("inf")
-    chosen = (np.arange(top), np.asarray(assignment.treatments) - 1)
+    chosen = (np.arange(len(counts)), np.asarray(assignment.treatments) - 1)
     value = counts.sum(axis=1) * (sums[chosen] / counts[chosen])
     while value.size > 1:  # sibling pairs first, as the search adds left + right
         value = value[0::2] + value[1::2]
@@ -234,10 +232,8 @@ def assignment_to_tree(ds, skeleton, assignment):
     """Materialize an assignment as a tree policy, skeleton node p as item p
     of `_build`, with leaf statistics recomputed by routing the dataset;
     ConfigError when the assignment does not fit the skeleton or the data."""
-    top = 2**skeleton.delta
-    leaf = _leaves(ds, skeleton, assignment)
-    counts, sums = _counts_and_sums(ds.T, ds.Y, ds.m, leaf, top)
-    means = _means(counts, sums)
+    _, counts, sums = _leaves(ds, skeleton, assignment, ds.Y)
+    means, top = _means(counts, sums), len(counts)
 
     def expand(p):
         if p >= top:
@@ -294,8 +290,8 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
     tables = {p: _side_table(ds.X, tvec, menu.for_node(p), m) for p in range(top // 2, top)}
     blocks = {p: _block_table(ds.X, menu.for_node(p)) for p in range(max(1, top // 4), top // 2)}
     stats = dict.fromkeys(("scans", "screened", "settled", "passes", "hits", "misses", "evicted"), 0)
-    memo = OrderedDict()
-    memo_bytes = 0
+    memo = {}
+    memo_cap = MEMO_BYTES // max(1, (ds.n + 7) // 8)  # entries: every key is ceil(n/8) bytes
 
     def check_time():
         if deadline is not None and time.monotonic() > deadline:
@@ -369,22 +365,18 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         return values
 
     def node_value(p, idx):
-        nonlocal memo_bytes
         member = np.zeros(ds.n, dtype=bool)
         member[idx] = True
         key = (p, np.packbits(member).tobytes())
         hit = memo.get(key)
         if hit is not None:
             stats["hits"] += 1
-            memo.move_to_end(key)
             return hit
         stats["misses"] += 1
         val = bottom(p, idx) if 2 * p >= top else scan(p, idx)
         memo[key] = val
-        memo_bytes += len(key[1])
-        while memo_bytes > MEMO_BYTES:
-            (_, old), _ = memo.popitem(last=False)
-            memo_bytes -= len(old)
+        if len(memo) > memo_cap:
+            del memo[next(iter(memo))]
             stats["evicted"] += 1
         return val
 

@@ -1,11 +1,12 @@
 """Greedy personalization trees.
 
 A tree is grown by recursive partitioning: at each node a random subset
-of features is drawn, every strict-gap cut position along each drawn
-feature is scored by the summed impurity of the two sides, and the best
-feasible cut is taken. Splitting continues while feasible cuts exist and
-the depth bound allows; leaves prescribe the treatment with the smallest
-mean outcome among their eligible treatments.
+of features is drawn, every cut between consecutive distinct values
+lo < hi of each is scored by the summed impurity of the two sides, and
+the best feasible cut is taken; it sends x <= `_cut(lo, hi)` left, the
+midpoint or lo where that rounds onto hi. Splitting continues while
+feasible cuts exist and the depth bound allows; leaves prescribe the
+treatment with the smallest mean outcome among their eligible treatments.
 
 Each column is sorted once per fit: one unstable sort ranks its values,
 and one sort of the unique keys rank * n + position puts a tree's rows
@@ -176,6 +177,14 @@ def _sweep(xs, ts, ys, k, m, n_min_leaf, scarce_mode, side=1):
     }
 
 
+def _cut(lo, hi):
+    """Thresholds between finite values lo < hi, elementwise: lo * 0.5 + hi * 0.5
+    where that is below hi, else lo. The midpoint meets hi only when lo is its
+    neighbour, where lo - mid is exact; a blend, so two floats need no numpy call."""
+    mid = lo * 0.5 + hi * 0.5
+    return mid + (mid >= hi) * (lo - mid)
+
+
 def sweep_feature(x, t, y, m, n_min_leaf, scarce_mode=False):
     """Score every cut position along one feature.
 
@@ -183,7 +192,7 @@ def sweep_feature(x, t, y, m, n_min_leaf, scarce_mode=False):
     the left. Returns a dict of arrays over positions: the sort order,
     left/right per-treatment counts and outcome sums, the strict-gap
     mask, the feasibility mask, the candidate impurity I, and the
-    midpoint thresholds. A one-feature view of the kernel `best_split`
+    thresholds (`_cut`). A one-feature view of the kernel `best_split`
     runs on presorted rows, exposed for instrumentation and tests.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -203,7 +212,7 @@ def sweep_feature(x, t, y, m, n_min_leaf, scarce_mode=False):
         "gap": sweep["gap"][0],
         "feasible": sweep["feasible"][0],
         "impurity": sweep["impurity"][0],
-        "threshold": (xs[:-1] + xs[1:]) / 2.0,
+        "threshold": _cut(xs[:-1], xs[1:]),
     }
 
 
@@ -291,11 +300,8 @@ def _best_splits(ds, nodes, config):
             f += top
             value = score[f, pos]
             if math.isfinite(value) and (best[i] is None or value < best[i].impurity):
-                best[i] = Split(
-                    feature=int(features[f]),
-                    threshold=float((xs[f, side - 1 + pos] + xs[f, side + pos]) / 2.0),
-                    impurity=float(value),
-                )
+                theta = _cut(*xs[f, side - 1 + pos:side + 1 + pos].tolist())
+                best[i] = Split(int(features[f]), theta, float(value))
             top += hi - lo
     return best
 

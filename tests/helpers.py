@@ -25,6 +25,23 @@ def random_dataset(rng, n, d, m, with_cf=False, with_q=False, all_arms=False):
     return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q)
 
 
+# 1 + 2**-52 and its upper neighbour: their midpoint (lo + hi) / 2 rounds
+# onto hi, so a cut there must take lo as its threshold
+ADJACENT = (1.0000000000000002, 1.0000000000000004)
+
+
+def adjacent_floats():
+    """Four rows, one of each of two arms at each of the ADJACENT values;
+    the one cut between the values leaves both arms on each side."""
+    lo, hi = ADJACENT
+    return Dataset(
+        X=np.array([[lo], [lo], [hi], [hi]]),
+        T=np.array([1, 2, 1, 2]),
+        Y=np.array([1.0, 2.0, 3.0, 4.0]),
+        m=2,
+    )
+
+
 def leaf_argmin_policy(ds, leaf_of):
     """Per-leaf argmin-mean prescriptions for a fixed leaf labeling."""
     n_leaves = int(leaf_of.max())

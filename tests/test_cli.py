@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import ADJACENT
 import perstrees
 from perstrees import model_io
 from perstrees.cli import build_parser, main
@@ -337,6 +338,31 @@ objective_value(model, values)"""
             stdout.append(done.stdout)
         assert json.loads(stdout[0])["protocol"] == "optimal-submatch"
         assert (tmp_path / "tree.mps").read_text().rstrip().endswith("ENDATA")
+
+
+class TestAdjacentValues:
+    """Two x values one float apart, whose midpoint rounds onto the upper."""
+
+    def write_csv(self, tmp_path):
+        data = tmp_path / "adjacent.csv"
+        rows = (f"{x!r},{t},{y!r}\n" for x, t, y in zip(ADJACENT * 2, (1, 1, 2, 2), range(4)))
+        data.write_text("x,treatment,outcome\n" + "".join(rows))
+        return data
+
+    def test_greedy_tree_trains(self, tmp_path):
+        # a fresh process, so a fit that never ends is cut by the timeout
+        data, model = self.write_csv(tmp_path), tmp_path / "pt.json"
+        argv = ["train", "--algo", "pt", "--data", str(data), "--out", str(model)]
+        done = subprocess.run([sys.executable, "-m", "perstrees.cli", *argv],
+                              env=TestColdStart().env(), capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(model.read_text())["root"]["split"]["threshold"] == ADJACENT[0]
+
+    def test_optimal_tree_trains(self, tmp_path):
+        data, model = self.write_csv(tmp_path), tmp_path / "opt.json"
+        assert run("train", "--algo", "opt", "--data", str(data), "--params",
+                   '{"delta": 1, "n_min_leaf": 1}', "--out", str(model)) == 0
+        assert json.loads(model.read_text())["root"]["split"]["threshold"] == ADJACENT[0]
 
 
 class TestSubmatchCommand:
@@ -718,6 +744,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"perstrees: error: {bad}: ") and err.endswith(f"{named}\n")
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (("gen-data", "--out", "d.csv"), "--spec"),
+        (("experiment",), "--config"),
+        (("predict", "--data", "d.csv", "--out", "p.csv"), "--model"),
+    ], ids=["spec", "config", "model"])
+    def test_undecodable_json_exits_2(self, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00{}")
+        assert run(*command, flag, str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err == f"perstrees: error: {bad}: not utf-8 text: invalid start byte\n"
+
+    def test_json_nested_past_the_recursion_limit_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[" * 100_000 + "]" * 100_000)
+        assert run("gen-data", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 2
+        assert capsys.readouterr().err == f"perstrees: error: {spec}: JSON nested too deeply to read\n"
 
     def test_invalid_spec_json_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"

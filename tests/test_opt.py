@@ -4,6 +4,7 @@ import logging
 import re
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from perstrees.opt import (
 )
 from perstrees.tree import PtConfig, fit_pt
 
-from helpers import random_dataset, to_scipy
+from helpers import ADJACENT, adjacent_floats, random_dataset, to_scipy
 from oracles import reference_solve
 
 
@@ -208,6 +209,20 @@ class TestBuildMenu:
         )
         menu = build_cut_menu(ds, TreeSkeleton(1), OptConfig(delta=1, n_min_leaf=1))
         assert menu.for_node(1) == ((0, 1.5),)
+
+    def test_adjacent_values_cut_at_the_lower(self):
+        menu = build_cut_menu(adjacent_floats(), TreeSkeleton(1), OptConfig(delta=1, n_min_leaf=1))
+        assert menu.for_node(1) == ((0, ADJACENT[0]),)
+
+    def test_thresholds_near_the_float_range_ends_stay_finite(self):
+        X = np.array([[-1.7e308], [-1.6e308], [1.6e308], [1.7e308]])
+        ds = Dataset(X=X, T=np.array([1, 2, 1, 2]), Y=np.zeros(4), m=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            menu = build_cut_menu(ds, TreeSkeleton(1), OptConfig(delta=1, n_min_leaf=1))
+        thresholds = [theta for _, theta in menu.for_node(1)]
+        assert len(thresholds) == 3
+        assert all(lo < theta < hi for lo, theta, hi in zip(X[:-1, 0], thresholds, X[1:, 0]))
 
     def test_constant_feature_empties_the_menu(self):
         ds = Dataset(
@@ -686,6 +701,23 @@ class TestBottomPassEquivalence:
         assert screened == len(menu.for_node(1))
         assert 1 <= settled < screened
         assert passes == misses  # at depth two only bottom nodes reach the memo
+
+
+def test_a_capped_memo_evicts_and_finds_the_same_tree(monkeypatch, caplog):
+    # every memo key holds ceil(n/8) bytes, so this MEMO_BYTES keeps three entries
+    ds = random_dataset(np.random.default_rng(4), 150, 2, 2, all_arms=True)
+    sk = TreeSkeleton(4)
+    cfg = OptConfig(delta=4, n_min_leaf=1, n_cuts=4)
+    menu = build_cut_menu(ds, sk, cfg)
+    want = solve_exact(ds, sk, menu, cfg)
+    monkeypatch.setattr(solver, "MEMO_BYTES", 3 * -(-ds.n // 8))
+    with caplog.at_level(logging.DEBUG, logger="perstrees"):
+        got = solve_exact(ds, sk, menu, cfg)
+    assert (got.assignment, got.objective, got.proved) == (want.assignment, want.objective, True)
+    for name in ("feature", "threshold", "left", "right", "treatment", "counts", "means"):
+        np.testing.assert_array_equal(getattr(got.tree, name), getattr(want.tree, name))
+    (record,) = [r.getMessage() for r in caplog.records if r.name == "perstrees.opt.solver"]
+    assert int(re.search(r"(\d+) evictions", record).group(1)) > 0
 
 
 def spy_on_passes(monkeypatch, caplog):

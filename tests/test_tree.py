@@ -1,8 +1,11 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
 from perstrees.errors import ConfigError, SchemaError
@@ -15,6 +18,7 @@ from perstrees.tree import (
     Split,
     _best_splits,
     _by_key,
+    _cut,
     _may_split,
     _sweep,
     _tie_runs,
@@ -24,7 +28,7 @@ from perstrees.tree import (
 )
 
 import oracles
-from helpers import random_dataset
+from helpers import ADJACENT, adjacent_floats, random_dataset
 
 
 def brute_force_best(ds, indices, features, config):
@@ -192,6 +196,59 @@ class TestBestSplit:
         ds = Dataset(X=X, T=np.array([1, 2, 1, 2]), Y=np.array([0.0, 9.0, 9.0, 0.0]), m=2)
         assert best_split(ds, np.arange(4), [0], PtConfig()) is None
         assert brute_force_best(ds, np.arange(4), [0], PtConfig()) == np.inf
+
+
+TINY = np.finfo(np.float64).tiny
+
+
+@st.composite
+def straddling_pairs(draw):
+    """Finite lo < hi: any two floats, or a value and one of its next few
+    neighbours above, drawn also from near the float range's ends and
+    from the subnormals."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    value = draw(st.one_of(
+        finite,
+        st.floats(min_value=-4 * TINY, max_value=4 * TINY),
+        st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324, 0.0, -0.0, TINY, 1.0]),
+    ))
+    other = draw(st.one_of(finite, st.integers(1, 3)))
+    if isinstance(other, int):  # a neighbour `other` steps above value
+        other = value
+        for _ in range(draw(st.integers(1, 3))):
+            other = float(np.nextafter(other, np.inf))
+    lo, hi = sorted((value, other))
+    assume(lo < hi and math.isfinite(hi))
+    return lo, hi
+
+
+class TestCut:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(pair=straddling_pairs())
+    def test_threshold_separates_the_straddling_values(self, pair):
+        """lo goes left and hi right, with no overflow (RuntimeWarnings
+        fail the suite); the threshold is the midpoint lo * 0.5 + hi * 0.5
+        where that is below hi, and else lo; and it is (lo + hi) / 2 bit for
+        bit wherever that is finite and below hi and lo and hi halve exactly,
+        which every value does but odd multiples of 2**-1074 under 2**-1021."""
+        lo, hi = pair
+        theta = _cut(lo, hi)
+        assert math.isfinite(theta) and lo <= theta < hi
+        mid = lo * 0.5 + hi * 0.5
+        assert theta.hex() == (mid if mid < hi else lo).hex()
+        assert _cut(np.array([lo]), np.array([hi]))[0].hex() == theta.hex()
+        midpoint = (lo + hi) / 2
+        halve = lo * 0.5 * 2 == lo and hi * 0.5 * 2 == hi
+        if halve and math.isfinite(midpoint) and midpoint < hi:
+            assert theta.hex() == midpoint.hex()
+
+    def test_adjacent_floats_split_at_the_lower_value(self):
+        lo, hi = ADJACENT
+        assert (lo + hi) / 2 == hi
+        tree = fit_pt(adjacent_floats())
+        assert tree.left.size == 3
+        assert tree.threshold[0] == lo
+        assert tree.counts[1:].sum(axis=1).tolist() == [2, 2]
 
 
 def may_split(ds, idx, config):
