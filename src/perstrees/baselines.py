@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._nearest import row_norms, screen
+from .data import _arms
 from .errors import ConfigError, DomainError, _check_int, _check_keys
 from .risk import _BatchPolicy
 
@@ -185,12 +186,7 @@ def fit_rc(ds, regressor_factory=None, base="ols"):
     regressor_factory: optional hook () -> regressor whose `fit(X, y)`
     returns itself and whose `predict(X)` gives one value per row."""
     factory = regressor_factory or make_regressor(base)
-    regs = []
-    for t in range(1, ds.m + 1):
-        rows = np.flatnonzero(ds.T == t)
-        if rows.size == 0:
-            raise DomainError(f"treatment {t} has no subjects")
-        regs.append(factory().fit(ds.X[rows], ds.Y[rows]))
+    regs = [factory().fit(ds.X[rows], ds.Y[rows]) for rows in _arms(ds)]
     return RcPolicy(regressors=tuple(regs), m=ds.m, d=ds.d, base=base)
 
 
@@ -296,6 +292,7 @@ def fit_1v1(ds, cate_factory=None, base="ols", variant="A"):
     if variant not in ("A", "B"):
         raise ConfigError("variant must be 'A' or 'B'")
     factory = cate_factory or make_cate(base)
+    _arms(ds)  # every arm has subjects, even where m = 1 leaves no pair to fit
     ests = {}
     for t in range(1, ds.m + 1):
         for s in range(1, ds.m + 1):

@@ -17,7 +17,7 @@ import math
 import sys
 
 from .data import _json_file, generate_synthetic, load_csv, save_csv
-from .errors import ConfigError, PerstreesError
+from .errors import ConfigError, ParseError, PerstreesError
 from .experiment import (
     ALGORITHMS,
     experiment_config_from_doc,
@@ -78,7 +78,10 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     ds = _load_data(args)
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"--params: invalid JSON: {exc}") from None
     if not isinstance(params, dict):
         raise ConfigError("--params must be a JSON object")
     policy = fit_algorithm(args.algo, ds, params, args.seed)
@@ -242,14 +245,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"perstrees: error: {exc}", file=sys.stderr)
         return 1
-    except PerstreesError as exc:
+    except (PerstreesError, OSError) as exc:
         print(f"perstrees: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"perstrees: error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"perstrees: error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     finally:
         logger.removeHandler(handler)

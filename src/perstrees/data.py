@@ -165,6 +165,15 @@ class Dataset:
         return self.Q
 
 
+def _arms(ds):
+    """The rows of each treatment 1..m; DomainError if one has none."""
+    arms = [np.flatnonzero(ds.T == t) for t in range(1, ds.m + 1)]
+    for t, rows in enumerate(arms, start=1):
+        if rows.size == 0:
+            raise DomainError(f"treatment {t} has no subjects")
+    return arms
+
+
 def split(ds, indices):
     """Row subset (any order, repeats allowed); m and schema are preserved."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -263,14 +272,18 @@ def _block(fh, width):
     return block if block.shape[1] == width else None
 
 
-def _json_file(path, too_deep=None):
-    """The document in a JSON file; ParseError naming the file for bytes that
-    are not UTF-8 text or nesting past json's recursion (too_deep if given)."""
+def _json_file(path, too_deep=None, parse_int=None):
+    """The document in a JSON file, integers read by parse_int if given;
+    ParseError naming the file for bytes that are not UTF-8 text, invalid
+    JSON, or nesting past json's recursion (too_deep if given)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.loads(fh.read())  # json.load's body minus a frame: model_io._MAX_NESTING
+            # json.load's body minus a frame: model_io._MAX_NESTING
+            return json.loads(fh.read(), parse_int=parse_int)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not {fh.encoding} text: {exc.reason}") from exc
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise too_deep or ParseError(f"{path}: JSON nested too deeply to read") from exc
 
@@ -362,9 +375,7 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
             block[np.arange(n), [pos[c] for c in column]] = 1.0
             encoded.append(block)
             continue
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
-            raise ParseError("not a finite number", row=int(bad[0]) + 2, column=name)
+        _column(col, name)
         features.append(Feature(name))
         encoded.append(col.reshape(-1, 1))
 

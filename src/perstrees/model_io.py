@@ -294,7 +294,7 @@ def save_model(policy, path):
 
 
 def load_model(path):
-    policy = model_from_doc(_json_file(path, SchemaError(_TOO_DEEP)))
+    policy = model_from_doc(_json_file(path, SchemaError(f"{path}: {_TOO_DEEP}")))
     if _nesting(policy) > _MAX_NESTING:
         raise SchemaError(_TOO_DEEP)
     return policy

@@ -39,12 +39,12 @@ whenever delta is integral. Subjects are numbered from 1 in names.
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..data import _json_file
 from ..errors import ConfigError, InfeasibleError, ParseError
 from .solver import _leaves
 
@@ -427,9 +427,10 @@ def check_solution(model, values, tol=1e-9):
 
 
 def load_solution_json(path):
-    """Read a flat JSON object mapping variable names to finite numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_int=float)  # an integer past the float range is inf
+    """Read a flat JSON object mapping variable names to finite numbers,
+    through `data._json_file` with integers read as floats (one past the
+    float range is inf, and refused)."""
+    doc = _json_file(path, parse_int=float)
     if not isinstance(doc, dict):
         raise ParseError("solution file must be a JSON object")
     out = {}

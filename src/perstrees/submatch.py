@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._nearest import screen, whiten
+from .data import _arms, _column, load_csv
 from .errors import DomainError, ParseError, SchemaError
 from .risk import PolicyScore, _coefficient, _outcomes_under
 from .seeding import make_rng
@@ -98,14 +99,6 @@ class MatchedTestSet:
         return len(self.drawn)
 
 
-def _arm_indices(ds):
-    arms = [np.flatnonzero(ds.T == t) for t in range(1, ds.m + 1)]
-    for t, rows in enumerate(arms, start=1):
-        if rows.size == 0:
-            raise DomainError(f"treatment {t} has no subjects to match against")
-    return arms
-
-
 def _nearest_matches(ds, drawn, arms, metric):
     """match[j, t - 1]: the row of arm t nearest to subject drawn[j] by
     `Metric.distances`, ties to the lowest row; -1 on the subject's own
@@ -142,7 +135,7 @@ def greedy_submatch(ds, n_test, metric, seed):
     """
     if not 1 <= n_test <= ds.n:
         raise DomainError(f"n_test must lie in 1..{ds.n}")
-    arms = _arm_indices(ds)
+    arms = _arms(ds)
     drawn = make_rng(seed).choice(ds.n, size=n_test, replace=False)
     match = _nearest_matches(ds, drawn, arms, metric)
     match[np.arange(n_test), ds.T[drawn] - 1] = drawn
@@ -173,7 +166,7 @@ def optimal_submatch(ds, n_pair, metric):
 
     if ds.m != 2:
         raise DomainError("optimal submatching is defined for two treatments only")
-    arm1, arm2 = _arm_indices(ds)
+    arm1, arm2 = _arms(ds)
     n1, n2 = arm1.size, arm2.size
     if not 1 <= n_pair <= min(n1, n2):
         raise DomainError(f"n_pair must lie in 1..{min(n1, n2)}")
@@ -240,31 +233,31 @@ def save_matched_csv(mts, path):
 def load_matched_csv(path):
     """Read back a matched test set CSV as a dict of arrays.
 
+    The header must be subject_index, factual_t, factual_y, yhat_1..yhat_m.
+    The body goes through `load_csv` (factual_t the treatment, factual_y
+    the outcome, the yhats counterfactuals), so it refuses what load_csv
+    and Dataset refuse; a subject index must be a whole number >= 0.
     The covariates of the drawn subjects are not stored in the CSV, so
     the result supports inspection but not policy evaluation.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, header required")
-        expected = ["subject_index", "factual_t", "factual_y"]
-        if header[: len(expected)] != expected or len(header) == len(expected):
-            raise SchemaError(f"{path}: not a matched test set file")
-        rows = [r for r in reader if r]
-    m = len(header) - 3
-    out = {
-        "drawn": np.empty(len(rows), dtype=np.int64),
-        "factual_t": np.empty(len(rows), dtype=np.int64),
-        "factual_y": np.empty(len(rows), dtype=np.float64),
-        "yhat": np.empty((len(rows), m), dtype=np.float64),
-    }
-    for i, r in enumerate(rows):
-        try:
-            out["drawn"][i] = int(r[0])
-            out["factual_t"][i] = int(r[1])
-            out["factual_y"][i] = float(r[2])
-            out["yhat"][i] = [float(v) for v in r[3:]]
-        except ValueError:
-            raise ParseError("malformed matched test set row", row=i + 2, column="") from None
-    return out
+    # bytes that do not decode fail the header check here, or load_csv below
+    with open(path, newline="", errors="replace") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+    yhat = [f"yhat_{t}" for t in range(1, len(header) - 2)]
+    if not yhat or header != ["subject_index", "factual_t", "factual_y", *yhat]:
+        raise SchemaError(f"{path}: not a matched test set file: header must be "
+                          "subject_index,factual_t,factual_y,yhat_1..yhat_m")
+    try:
+        ds = load_csv(path, "factual_t", "factual_y", cf_cols=yhat)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    index, = ds.schema.features
+    if index.is_categorical:  # a cell float() refuses: _column names its row
+        _column(np.asarray(index.levels)[ds.X.argmax(axis=1)].tolist(), index.name)
+    drawn = ds.X[:, 0]
+    bad = np.flatnonzero((drawn < 0) | (drawn != np.trunc(drawn)) | (drawn >= 2.0**63))
+    if bad.size:
+        raise ParseError("subject index must be a whole number >= 0", row=int(bad[0]) + 2,
+                         column=index.name)
+    return {"drawn": drawn.astype(np.int64), "factual_t": np.array(ds.T),
+            "factual_y": np.array(ds.Y), "yhat": np.array(ds.CF)}

@@ -289,6 +289,15 @@ class TestOneVsOne:
         _, _, pol = self.fit("A")
         assert pol.contrast(2, 3, [[0.0]])[0] == -3.0
 
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("T, m, empty", [([], 1, 1), ([1, 1, 3, 3], 3, 2)],
+                             ids=["no-rows", "middle-arm"])
+    def test_an_arm_without_subjects_is_refused(self, variant, T, m, empty):
+        ds = Dataset(X=np.zeros((len(T), 1)), T=np.array(T, dtype=np.int64),
+                     Y=np.zeros(len(T)), m=m)
+        with pytest.raises(DomainError, match=f"treatment {empty} has no subjects"):
+            fit_1v1(ds, variant=variant)
+
     def test_variant_validated(self):
         ds = Dataset(X=np.zeros((2, 1)), T=np.array([1, 2]), Y=np.zeros(2), m=2)
         with pytest.raises(ConfigError):

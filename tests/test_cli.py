@@ -745,6 +745,14 @@ class TestExitCodes:
         assert err.startswith(f"perstrees: error: {bad}: ") and err.endswith(f"{named}\n")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("algo", ["1v1a-ols", "1v1b-ols"])
+    def test_one_vs_one_on_a_header_only_csv_exits_2(self, tmp_path, capsys, algo):
+        data, model = tmp_path / "h.csv", tmp_path / "m.json"
+        data.write_text("x1,treatment,outcome\n")
+        assert run("train", "--algo", algo, "--data", str(data), "--out", str(model)) == 2
+        assert capsys.readouterr().err == "perstrees: error: treatment 1 has no subjects\n"
+        assert not model.exists()
+
     @pytest.mark.parametrize("command, flag", [
         (("gen-data", "--out", "d.csv"), "--spec"),
         (("experiment",), "--config"),
