@@ -123,18 +123,22 @@ class Dataset:
             raise SchemaError("T and Y must have one entry per row of X")
         if self.m < 1:
             raise DomainError("m must be at least 1")
-        if n and (T.min() < 1 or T.max() > self.m):
-            raise DomainError(f"treatment labels must lie in 1..{self.m}")
+        bad = (T < 1) | (T > self.m)
+        if bad.any():
+            raise DomainError(f"treatment labels must lie in 1..{self.m} (subject {bad.argmax()})")
         if CF is not None:
             if CF.shape != (n, self.m):
                 raise SchemaError("CF must have shape (n, m)")
-            if n and not np.array_equal(CF[np.arange(n), T - 1], Y):
-                raise DomainError("Y must equal the counterfactual of the received treatment")
+            bad = CF[np.arange(n), T - 1] != Y
+            if bad.any():
+                raise DomainError("Y must equal the counterfactual of the received treatment"
+                                  f" (subject {bad.argmax()})")
         if Q is not None:
             if Q.shape != (n,):
                 raise SchemaError("Q must have one entry per row")
-            if n and (Q.min() <= 0.0 or Q.max() > 1.0):
-                raise DomainError("propensities must lie in (0, 1]")
+            bad = (Q <= 0.0) | (Q > 1.0)
+            if bad.any():
+                raise DomainError(f"propensities must lie in (0, 1] (subject {bad.argmax()})")
         schema = self.schema
         if schema is None:
             schema = FeatureSchema.numeric([f"x{j + 1}" for j in range(X.shape[1])])
@@ -302,7 +306,7 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
     The body is parsed as one float block where `_block` can take it,
     else cell by cell; both give the same arrays and the same errors.
     Undecodable bytes and a cell past csv's field size limit raise
-    ParseError naming the file.
+    ParseError naming the file, and every DomainError names it too.
 
     Args:
         path: CSV file with a header row.
@@ -350,37 +354,41 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
                     raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
         n = len(rows)
         cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
-    T = _column(cells[treatment_col], treatment_col, _valid_labels, _parse_label).astype(np.int64)
-    Y = _column(cells[outcome_col], outcome_col)
+    try:
+        T = _column(cells[treatment_col], treatment_col, _valid_labels, _parse_label).astype(np.int64)
+        Y = _column(cells[outcome_col], outcome_col)
 
-    m = int(T.max()) if n else 1
-    CF = None
-    if cf_cols:
-        m = len(cf_cols)
-        if n and T.max() > m:
-            raise DomainError(f"label {T.max()} exceeds the {m} counterfactual columns")
-        CF = np.column_stack([_column(cells[col], col) for col in cf_cols])
-    Q = _column(cells[q_col], q_col) if q_col else None
+        m = int(T.max()) if n else 1
+        CF = None
+        if cf_cols:
+            m = len(cf_cols)
+            if n and T.max() > m:
+                i = int(np.argmax(T > m))
+                raise DomainError(f"label {T[i]} exceeds the {m} counterfactual columns (row {i + 2})")
+            CF = np.column_stack([_column(cells[col], col) for col in cf_cols])
+        Q = _column(cells[q_col], q_col) if q_col else None
 
-    features = []
-    encoded = []
-    for name in feature_cols:
-        column = cells[name]
-        col = _cell_floats(column)
-        if col is None:
-            levels = tuple(sorted(set(column)))
-            features.append(Feature(name, levels=levels))
-            pos = {lv: k for k, lv in enumerate(levels)}
-            block = np.zeros((n, len(levels)), dtype=np.float64)
-            block[np.arange(n), [pos[c] for c in column]] = 1.0
-            encoded.append(block)
-            continue
-        _column(col, name)
-        features.append(Feature(name))
-        encoded.append(col.reshape(-1, 1))
+        features = []
+        encoded = []
+        for name in feature_cols:
+            column = cells[name]
+            col = _cell_floats(column)
+            if col is None:
+                levels = tuple(sorted(set(column)))
+                features.append(Feature(name, levels=levels))
+                pos = {lv: k for k, lv in enumerate(levels)}
+                block = np.zeros((n, len(levels)), dtype=np.float64)
+                block[np.arange(n), [pos[c] for c in column]] = 1.0
+                encoded.append(block)
+                continue
+            _column(col, name)
+            features.append(Feature(name))
+            encoded.append(col.reshape(-1, 1))
 
-    X = np.hstack(encoded) if encoded else np.empty((n, 0))
-    return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
+        X = np.hstack(encoded) if encoded else np.empty((n, 0))
+        return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 _SAVE_BLOCK = 8192  # rows formatted per write, so memory stays bounded

@@ -124,4 +124,4 @@ class InfeasibleError(PerstreesError):
 
 
 class SolveTimeout(PerstreesError):
-    """The time limit expired before any incumbent solution existed."""
+    """The work limit was reached before any incumbent solution existed."""

@@ -183,8 +183,10 @@ class Protocol:
         if self.kind not in ("oracle", "greedy-submatch", "optimal-submatch"):
             raise ConfigError("protocol kind must be oracle, greedy-submatch, or optimal-submatch")
         optimal = self.kind == "optimal-submatch"
-        _check_int("n_test", self.n_test, 1, none_ok=optimal)
-        _check_int("n_pair", self.n_pair, 1, none_ok=not optimal)
+        own, other = ("n_pair", "n_test") if optimal else ("n_test", "n_pair")
+        _check_int(own, getattr(self, own), 1)
+        if getattr(self, other) is not None:  # an optimal test set holds 2 * n_pair subjects
+            raise ConfigError(f"{other} is not a setting of the {self.kind} protocol")
 
 
 @dataclass(frozen=True)

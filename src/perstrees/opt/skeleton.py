@@ -14,7 +14,6 @@ spaced positions, with the thresholds greedy trees use (`tree._cut`).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,8 @@ class OptConfig:
         n_min_leaf: minimum subjects of every treatment in every leaf.
         n_features: features drawn per node menu; None means all.
         n_cuts: target number of cut positions per feature.
-        time_limit: wall-clock budget in seconds for solve_exact, a
-            number >= 0 (not NaN); None means unlimited.
+        work_limit: most bottom-node passes solve_exact runs, an integer
+            >= 0; None means unlimited. Screens are not counted.
         seed: seed for menu feature draws and warm-start padding.
     """
 
@@ -42,7 +41,7 @@ class OptConfig:
     n_min_leaf: int = 20
     n_features: int = None
     n_cuts: int = 10
-    time_limit: float = None
+    work_limit: int = None
     seed: int = 0
 
     def __post_init__(self):
@@ -50,11 +49,7 @@ class OptConfig:
         _check_int("n_min_leaf", self.n_min_leaf, 1)
         _check_int("n_features", self.n_features, 1, none_ok=True)
         _check_int("n_cuts", self.n_cuts, 1)
-        limit = self.time_limit
-        if limit is not None and (
-            isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit >= 0
-        ):
-            raise ConfigError(f"time_limit must be None or a number >= 0, got {limit!r}")
+        _check_int("work_limit", self.work_limit, 0, none_ok=True)
         _check_int("seed", self.seed, 0)
 
 

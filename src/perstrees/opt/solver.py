@@ -49,7 +49,7 @@ bound T~ + M (or the caller's bound, when smaller) are settled, by the
 exact node_value, in ascending menu index with a strict <, as a
 cut-by-cut scan would. Every cut that could tie or beat the best is
 among them, so the chosen cut, its value, the warm-start rule and the
-tie-break are those of scanning the whole menu. Under a time limit a
+tie-break are those of scanning the whole menu. Under a work limit a
 screened scan yields an incumbent only once its first settled cut
 completes.
 
@@ -67,7 +67,6 @@ the search.
 """
 
 import logging
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +125,7 @@ def _leaves(ds, skeleton, assignment, y):
     return (leaf, *_counts_and_sums(ds.T, y, ds.m, leaf, top))
 
 
-class _TimeUp(Exception):
+class _LimitReached(Exception):
     pass
 
 
@@ -251,7 +250,7 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
     table pass, nodes just above them screen their menu and settle the
     close calls exactly, and higher nodes scan cut by cut (see the
     module docstring). Every value carries its best subtree, and the
-    answer is read off the root's, so a time limit ends the solve:
+    answer is read off the root's, so a work limit ends the solve:
     nothing is solved again after the search. One DEBUG record on the
     "perstrees" logger gives the scans and cuts screened, the cuts
     settled exactly, the bottom passes, the memo's hits, misses and
@@ -261,11 +260,13 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         ds: dataset.
         skeleton: TreeSkeleton of depth config.delta.
         menu: CutMenu for the skeleton.
-        config: OptConfig; time_limit bounds the search.
+        config: OptConfig; work_limit bounds the bottom passes. A
+            solve with work_limit k runs min(k, P) of them, P the count
+            of the unlimited solve, on any host and under any load.
         warm: optional feasible TreeAssignment used as the incumbent.
 
     Returns:
-        OptResult; proved is False when the time limit cut the search
+        OptResult; proved is False when the work limit cut the search
         short, in which case the best incumbent found so far (or the
         warm start) is returned. A screened root scan has an incumbent
         only once its first settled cut completes. A warm start that
@@ -276,7 +277,8 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         ConfigError: the menu or the warm start does not fit the skeleton,
             or the warm start does not fit the data.
         InfeasibleError: no feasible assignment exists.
-        SolveTimeout: time expired with no incumbent available.
+        SolveTimeout: the work limit was reached with no incumbent
+            available.
     """
     skeleton._check_nodes("menu", menu.cuts)
     top = 2**skeleton.delta
@@ -284,24 +286,18 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
     tvec = ds.T - 1
     m = ds.m
     nm = config.n_min_leaf
-    deadline = None
-    if config.time_limit is not None:
-        deadline = time.monotonic() + config.time_limit
     tables = {p: _side_table(ds.X, tvec, menu.for_node(p), m) for p in range(top // 2, top)}
     blocks = {p: _block_table(ds.X, menu.for_node(p)) for p in range(max(1, top // 4), top // 2)}
     stats = dict.fromkeys(("scans", "screened", "settled", "passes", "hits", "misses", "evicted"), 0)
     memo = {}
     memo_cap = MEMO_BYTES // max(1, (ds.n + 7) // 8)  # entries: every key is ceil(n/8) bytes
 
-    def check_time():
-        if deadline is not None and time.monotonic() > deadline:
-            raise _TimeUp()
-
     def bottom(p, idx):
         """Best cut and leaf treatments of a node whose children are
         leaves, as (value, (cut, left treatment, right treatment)), from
         one pass over the rows' side-table keys."""
-        check_time()
+        if stats["passes"] == config.work_limit:
+            raise _LimitReached()
         stats["passes"] += 1
         keys = tables[p][idx]
         c = keys.shape[1]
@@ -350,7 +346,6 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
                 ((block[rows, g0:g1, None] - g0 * k1) * width + table[rows][:, None, :], ybar[rows])
                 for rows in (idx[lo : lo + r_step] for lo in range(0, idx.size, r_step))
             )
-            check_time()
             counts, sums = _tally(chunks, (g1 - g0) * k1 * width)
             shape = (g1 - g0, k1, m, 2, c)
             counts, sums = counts.reshape(shape), sums.reshape(shape)
@@ -387,7 +382,6 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         best = [float("inf"), None] if best is None else best
         options = menu.for_node(p)
         for ci in screen(p, idx, bound) if 4 * p >= top else range(len(options)):
-            check_time()
             f, theta = cut = options[ci]
             mask = ds.X[idx, f] <= theta
             left, left_tree = node_value(2 * p, idx[mask])
@@ -405,20 +399,20 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
 
     all_rows = np.arange(ds.n)
     proved = True
-    best = [float("inf"), None]  # the root's incumbent, kept if time runs out
+    best = [float("inf"), None]  # the root's incumbent, kept if the work limit is reached
     try:
         if top == 2:
             best[:] = bottom(1, all_rows)
         else:
             scan(1, all_rows, warm_value, best)
-    except _TimeUp:
+    except _LimitReached:
         proved = False
     logger.debug(
         "solve_exact: %d scans screened %d cuts, %d settled exactly; %d bottom passes; "
         "memo %d hits, %d misses, %d evictions; %s",
         stats["scans"], stats["screened"], stats["settled"], stats["passes"],
         stats["hits"], stats["misses"], stats["evicted"],
-        "optimality proved" if proved else "time limit reached",
+        "optimality proved" if proved else "work limit reached",
     )
 
     objective, tree = best
@@ -428,7 +422,7 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
     if assignment is None:
         if proved:
             raise InfeasibleError("no assignment satisfies the per-leaf treatment minimums")
-        raise SolveTimeout("time limit expired before any incumbent was found")
+        raise SolveTimeout("work limit reached before any incumbent was found")
     return OptResult(
         assignment=assignment,
         objective=objective,

@@ -247,10 +247,7 @@ def load_matched_csv(path):
     if not yhat or header != ["subject_index", "factual_t", "factual_y", *yhat]:
         raise SchemaError(f"{path}: not a matched test set file: header must be "
                           "subject_index,factual_t,factual_y,yhat_1..yhat_m")
-    try:
-        ds = load_csv(path, "factual_t", "factual_y", cf_cols=yhat)
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from None
+    ds = load_csv(path, "factual_t", "factual_y", cf_cols=yhat)
     index, = ds.schema.features
     if index.is_categorical:  # a cell float() refuses: _column names its row
         _column(np.asarray(index.levels)[ds.X.argmax(axis=1)].tolist(), index.name)

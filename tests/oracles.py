@@ -13,7 +13,8 @@ real cut position.
 load_csv_reference and save_csv_reference are the per-cell CSV codec:
 csv.reader and float() on every cell, row by row. perstrees.data's
 load_csv must give the same arrays, bit for bit, or the same error, and
-save_csv the same bytes.
+save_csv the same bytes. A domain fault names the file, then the row
+(or, from Dataset, the 0-based subject).
 
 dumps_reference is json.dumps(doc, indent=2), the pure-Python encoder
 that wrote model files before perstrees.model_io's own writer; that
@@ -32,7 +33,6 @@ perstrees.baselines.KnnRegressor.predict must give the same bits.
 import csv
 import json
 import math
-import time
 
 import numpy as np
 
@@ -207,54 +207,58 @@ def load_csv_reference(path, treatment_col="treatment", outcome_col="outcome", c
         if len(r) != len(header):
             raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
 
-    n = len(rows)
-    T = np.empty(n, dtype=np.int64)
-    Y = np.empty(n, dtype=np.float64)
-    for i, r in enumerate(rows):
-        T[i] = _parse_label_reference(r[col_index[treatment_col]], i + 2, treatment_col)
-        if T[i] < 1:
-            raise DomainError(f"treatment label {T[i]} < 1 (row {i + 2})")
-        Y[i] = _parse_float_reference(r[col_index[outcome_col]], i + 2, outcome_col)
-
-    m = int(T.max()) if n else 1
-    CF = None
-    if cf_cols:
-        m = len(cf_cols)
-        if n and T.max() > m:
-            raise DomainError(f"label {T.max()} exceeds the {m} counterfactual columns")
-        CF = np.empty((n, m), dtype=np.float64)
+    try:
+        n = len(rows)
+        T = np.empty(n, dtype=np.int64)
+        Y = np.empty(n, dtype=np.float64)
         for i, r in enumerate(rows):
-            for t, col in enumerate(cf_cols):
-                CF[i, t] = _parse_float_reference(r[col_index[col]], i + 2, col)
-    Q = None
-    if q_col:
-        Q = np.empty(n, dtype=np.float64)
-        for i, r in enumerate(rows):
-            Q[i] = _parse_float_reference(r[col_index[q_col]], i + 2, q_col)
+            T[i] = _parse_label_reference(r[col_index[treatment_col]], i + 2, treatment_col)
+            if T[i] < 1:
+                raise DomainError(f"treatment label {T[i]} < 1 (row {i + 2})")
+            Y[i] = _parse_float_reference(r[col_index[outcome_col]], i + 2, outcome_col)
 
-    features = []
-    encoded = []
-    for name in feature_cols:
-        j = col_index[name]
-        cells = [r[j] for r in rows]
-        try:
-            col = np.array([float(c) for c in cells], dtype=np.float64)
-            bad = np.flatnonzero(~np.isfinite(col))
-            if bad.size:
-                raise ParseError("not a finite number", row=int(bad[0]) + 2, column=name)
-            features.append(Feature(name))
-            encoded.append(col.reshape(-1, 1))
-        except ValueError:
-            levels = tuple(sorted(set(cells)))
-            features.append(Feature(name, levels=levels))
-            block = np.zeros((n, len(levels)), dtype=np.float64)
-            pos = {lv: k for k, lv in enumerate(levels)}
-            for i, c in enumerate(cells):
-                block[i, pos[c]] = 1.0
-            encoded.append(block)
+        m = int(T.max()) if n else 1
+        CF = None
+        if cf_cols:
+            m = len(cf_cols)
+            for i in range(n):
+                if T[i] > m:
+                    raise DomainError(f"label {T[i]} exceeds the {m} counterfactual columns (row {i + 2})")
+            CF = np.empty((n, m), dtype=np.float64)
+            for i, r in enumerate(rows):
+                for t, col in enumerate(cf_cols):
+                    CF[i, t] = _parse_float_reference(r[col_index[col]], i + 2, col)
+        Q = None
+        if q_col:
+            Q = np.empty(n, dtype=np.float64)
+            for i, r in enumerate(rows):
+                Q[i] = _parse_float_reference(r[col_index[q_col]], i + 2, q_col)
 
-    X = np.hstack(encoded) if encoded else np.empty((n, 0))
-    return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
+        features = []
+        encoded = []
+        for name in feature_cols:
+            j = col_index[name]
+            cells = [r[j] for r in rows]
+            try:
+                col = np.array([float(c) for c in cells], dtype=np.float64)
+                bad = np.flatnonzero(~np.isfinite(col))
+                if bad.size:
+                    raise ParseError("not a finite number", row=int(bad[0]) + 2, column=name)
+                features.append(Feature(name))
+                encoded.append(col.reshape(-1, 1))
+            except ValueError:
+                levels = tuple(sorted(set(cells)))
+                features.append(Feature(name, levels=levels))
+                block = np.zeros((n, len(levels)), dtype=np.float64)
+                pos = {lv: k for k, lv in enumerate(levels)}
+                for i, c in enumerate(cells):
+                    block[i, pos[c]] = 1.0
+                encoded.append(block)
+
+        X = np.hstack(encoded) if encoded else np.empty((n, 0))
+        return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def _fmt_reference(v):
@@ -293,14 +297,11 @@ def dumps_reference(doc):
 def reference_solve(ds, skeleton, menu, config):
     """The per-leaf recursion that the bottom-node pass replaced: each cut
     scores its two children with one bincount over each child's rows.
-    Returns (cuts, treatments, objective, proved); a time limit is
-    honoured only as 0.0, where no cut completes."""
+    Returns (cuts, treatments, objective, proved); a work limit is
+    honoured only as 0, where no cut completes."""
     ybar = ds.Y - ds.Y.min()
     tvec = ds.T - 1
     top = 2**skeleton.delta
-    deadline = None
-    if config.time_limit is not None:
-        deadline = time.monotonic() + config.time_limit
     memo = {}
 
     def leaf_value(idx):
@@ -321,8 +322,8 @@ def reference_solve(ds, skeleton, menu, config):
     def scan(p, idx):
         best_val, best_cut = float("inf"), None
         for ci, (f, theta) in enumerate(menu.for_node(p)):
-            if deadline is not None and time.monotonic() > deadline:
-                raise SolveTimeout("time limit")
+            if config.work_limit == 0:
+                raise SolveTimeout("work limit")
             mask = ds.X[idx, f] <= theta
             left, _ = node_value(2 * p, idx[mask])
             if left > best_val:

@@ -510,8 +510,8 @@ class TestExperiment:
         assert run("experiment", "--config", str(cfg)) == 1
 
     @pytest.mark.parametrize(
-        "params", [{"time_limit": float("nan")}, {"time_limit": "10"}, {"delta": 1.0},
-                   {"n_features": 1.5}, {"warm": "no"}]
+        "params", [{"work_limit": float("nan")}, {"work_limit": "10"}, {"work_limit": 2.5},
+                   {"delta": 1.0}, {"n_features": 1.5}, {"warm": "no"}]
     )
     def test_malformed_opt_params_exit_1(self, tmp_path, params, capsys):
         cfg = tmp_path / "config.json"
@@ -552,6 +552,15 @@ class TestExperiment:
         ("algorithms", [{"name": "pt", "label": "a,b"}], "label must be null or a CSV-safe string"),
         ("algorithms", [{"name": "pt", "label": ""}], "label must be null or a CSV-safe string"),
         ("output", 7, "output must be a path, got 7"),
+        ("protocol", {"kind": "oracle", "n_test": 40, "n_pair": 5},
+         "n_pair is not a setting of the oracle protocol"),
+        ("protocol", {"kind": "greedy-submatch", "n_test": 40, "n_pair": 7},
+         "n_pair is not a setting of the greedy-submatch protocol"),
+        ("protocol", {"kind": "optimal-submatch", "n_test": 99, "n_pair": 5},
+         "n_test is not a setting of the optimal-submatch protocol"),
+        ("algorithms", ["pt", {"name": "opt", "params": {"time_limit": 1}}],
+         "unknown opt parameter 'time_limit'; valid keys: delta, n_min_leaf, n_features, n_cuts, "
+         "work_limit, warm"),
     ])
     def test_malformed_config_exits_1_before_any_cell(
         self, tmp_path, monkeypatch, capsys, key, value, named
@@ -851,6 +860,9 @@ class TestExitCodes:
         ("1v1a-knn", {"k": 0}, (), "k must be"),
         ("rc-ols", {"k": 5}, (), "unknown ols parameter 'k'; valid keys: none"),
         ("1v1a-ols", {"k": 5}, (), "unknown ols parameter 'k'"),
+        ("opt", {"work_limit": -1}, (), "work_limit must be"),
+        ("opt", {"time_limit": 1}, (), "unknown opt parameter 'time_limit'; valid keys: delta, "
+         "n_min_leaf, n_features, n_cuts, work_limit, warm"),
     ])
     def test_malformed_params_exit_1(self, tmp_path, quad_csv, algo, params, extra, named, capsys):
         code = run(

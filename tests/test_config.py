@@ -135,6 +135,12 @@ def test_experiment_config_checks_its_fields(tmp_path, field, value, named):
     (Protocol, {"kind": "holdout"}, "protocol kind must be"),
     (Protocol, {"kind": "oracle"}, "n_test must be"),
     (Protocol, {"kind": "optimal-submatch", "n_pair": 0}, "n_pair must be"),
+    (Protocol, {"kind": "oracle", "n_test": 40, "n_pair": 5},
+     "n_pair is not a setting of the oracle protocol"),
+    (Protocol, {"kind": "greedy-submatch", "n_test": 40, "n_pair": 7},
+     "n_pair is not a setting of the greedy-submatch protocol"),
+    (Protocol, {"kind": "optimal-submatch", "n_test": 99, "n_pair": 5},
+     "n_test is not a setting of the optimal-submatch protocol"),
 ])
 def test_algo_spec_and_protocol_check_their_fields(cls, kwargs, named):
     with pytest.raises(ConfigError, match=re.escape(named)):

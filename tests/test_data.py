@@ -77,6 +77,17 @@ class TestDatasetInvariants:
                 Q=np.array([0.0]),
             )
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"T": [1, 2, 3, 0]}, r"treatment labels must lie in 1\.\.2 \(subject 2\)"),
+        ({"CF": [[0, 0], [0, 0], [1, 0], [0, 2]]}, r"received treatment \(subject 2\)"),
+        ({"Q": [0.5, 1.0, 0.0, 2.0]}, r"\(0, 1\] \(subject 2\)"),
+    ])
+    def test_a_fault_names_its_first_subject(self, fields, named):
+        arrays = {"X": np.zeros((4, 1)), "T": [1, 2, 1, 2], "Y": np.zeros(4), "m": 2,
+                  "CF": np.zeros((4, 2)), "Q": np.full(4, 0.5)}
+        with pytest.raises(DomainError, match=named):
+            Dataset(**dict(arrays, **fields))
+
     @pytest.mark.parametrize("field", ["X", "Y", "CF", "Q"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, field, bad):

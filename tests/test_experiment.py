@@ -1,16 +1,20 @@
 """run_experiment across worker counts: the same rows, the same CSV
 bytes and the same first error whether its cells run in process or in
-a fork pool, and no worker left behind."""
+a fork pool, and no worker left behind. No layer below the harness
+reads a clock, so no output can depend on the host's speed."""
 
+import ast
 import logging
 import multiprocessing
 import os
+import pathlib
 import re
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import perstrees
 from perstrees import experiment
 from perstrees.errors import ParseError, UndefinedImpurityError
 from perstrees.experiment import experiment_config_from_doc, run_experiment
@@ -33,6 +37,12 @@ GREEDY = {
     "master_seed": 2,
     "data": {"preset": "warfarin-like"},
 }
+# 10 bottom passes end every cell's depth-three solve short of its proof
+LIMITED = dict(
+    ORACLE, n_grid=[80, 120],
+    algorithms=[{"name": "opt", "params": {"delta": 3, "n_min_leaf": 1, "n_cuts": 6,
+                                           "work_limit": 10}}],
+)
 # greedy-submatching 50 of 100 subjects leaves a cell without arm 2
 FAILING = dict(GREEDY, algorithms=["pt"], n_grid=[100, 200], replications=3, master_seed=19,
                protocol={"kind": "greedy-submatch", "n_test": 50})
@@ -52,15 +62,37 @@ def raised(cfg):
     return err.value
 
 
-@pytest.mark.parametrize("doc", [ORACLE, GREEDY], ids=["oracle", "greedy-submatch"])
-def test_rows_and_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, doc):
+@pytest.mark.parametrize("doc", [ORACLE, GREEDY, LIMITED],
+                         ids=["oracle", "greedy-submatch", "limited-opt"])
+def test_rows_and_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, caplog, doc):
     outputs = {}
     for workers in (1, 2, 3):
         with_workers(monkeypatch, workers)
         cfg = config(doc, tmp_path / f"curve{workers}.csv")
-        outputs[workers] = (run_experiment(cfg), (tmp_path / f"curve{workers}.csv").read_bytes())
+        with caplog.at_level(logging.DEBUG, logger="perstrees.opt"):
+            outputs[workers] = (run_experiment(cfg), (tmp_path / f"curve{workers}.csv").read_bytes())
         assert multiprocessing.active_children() == []
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    if doc is LIMITED:  # the serial run solves in this process, so its records show the limit
+        solves = [r.getMessage() for r in caplog.records if r.name == "perstrees.opt.solver"]
+        assert any(record.endswith("work limit reached") for record in solves)
+
+
+def test_only_the_experiment_harness_imports_time():
+    # its per-cell seconds go to DEBUG records and never reach the CSV
+    package = pathlib.Path(perstrees.__file__).parent
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "time" in modules:
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"experiment.py"}
 
 
 def test_the_serial_error_at_every_worker_count(tmp_path, monkeypatch):

@@ -2,8 +2,6 @@ import dataclasses
 import itertools
 import logging
 import re
-import time
-import types
 import warnings
 
 import numpy as np
@@ -161,10 +159,12 @@ class TestSkeleton:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"time_limit": float("nan")},  # the deadline would never pass
-            {"time_limit": "10"},
-            {"time_limit": -1.0},
-            {"time_limit": True},
+            {"work_limit": float("nan")},
+            {"work_limit": "10"},
+            {"work_limit": -1},
+            {"work_limit": True},
+            {"work_limit": 2.5},
+            {"work_limit": 1.0},
             {"delta": 1.0},
             {"delta": "2"},
             {"delta": True},
@@ -177,16 +177,20 @@ class TestSkeleton:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"time_limit": None},
-            {"time_limit": 0},
-            {"time_limit": 2.5},
-            {"time_limit": float("inf")},
-            {"time_limit": np.float64(1.0)},
+            {"work_limit": None},
+            {"work_limit": 0},
+            {"work_limit": 1},
+            {"work_limit": 10**30},
+            {"work_limit": np.int64(1)},
             {"delta": np.int64(3)},
         ],
     )
     def test_accepts_numbers(self, kwargs):
         OptConfig(**kwargs)
+
+    def test_time_limit_is_not_a_field(self):
+        with pytest.raises(TypeError, match="time_limit"):
+            OptConfig(time_limit=1.0)
 
 
 class TestBuildMenu:
@@ -443,14 +447,14 @@ class TestSolveExact:
     def test_timeout_without_incumbent(self):
         ds = toy_1d()
         sk = TreeSkeleton(1)
-        cfg = OptConfig(delta=1, n_min_leaf=1, time_limit=0.0)
-        with pytest.raises(SolveTimeout):
+        cfg = OptConfig(delta=1, n_min_leaf=1, work_limit=0)
+        with pytest.raises(SolveTimeout, match="work limit"):
             solve_exact(ds, sk, build_cut_menu(ds, sk, cfg), cfg)
 
     def test_timeout_returns_warm_incumbent(self):
         ds = toy_1d()
         sk = TreeSkeleton(1)
-        cfg = OptConfig(delta=1, n_min_leaf=1, time_limit=0.0)
+        cfg = OptConfig(delta=1, n_min_leaf=1, work_limit=0)
         menu = build_cut_menu(ds, sk, cfg)
         warm = TreeAssignment(cuts=((0, 0.5),), treatments=(1, 1))
         result = solve_exact(ds, sk, menu, cfg, warm=warm)
@@ -561,8 +565,8 @@ class TestBottomPassEquivalence:
         rng = np.random.default_rng(40 + 2 * delta + grid)
         sk = TreeSkeleton(delta)
         outcomes = set()
-        for trial, (n_min_leaf, time_limit) in enumerate(
-            [(1, None), (2, None), (4, None), (40, None), (1, 0.0)]
+        for trial, (n_min_leaf, work_limit) in enumerate(
+            [(1, None), (2, None), (4, None), (40, None), (1, 0)]
         ):
             spec = SyntheticSpec(
                 n=90,
@@ -587,7 +591,7 @@ class TestBottomPassEquivalence:
                 n_min_leaf=n_min_leaf,
                 n_features=2,
                 n_cuts=spec.n if grid else 4,  # a grid has 3 cuts per feature
-                time_limit=time_limit,
+                work_limit=work_limit,
                 seed=trial,
             )
             menu = build_cut_menu(ds, sk, cfg)
@@ -750,29 +754,38 @@ class TestSearchEnd:
         assert result.proved
         assert late and not any(late)
 
-    def test_time_limit_ends_the_solve(self, monkeypatch, caplog):
-        # the clock reads inf once half of an untimed solve's passes ran
+    @pytest.mark.parametrize("delta", [3, 4])
+    def test_a_work_limit_of_k_runs_k_passes_and_no_more(self, delta, caplog):
+        # a limited run is a prefix of the unlimited one, so its incumbent
+        # only improves with k, and at k >= P it is the unlimited answer
         ds = random_dataset(np.random.default_rng(4), 150, 2, 2, all_arms=True)
-        sk = TreeSkeleton(4)
-        cfg = OptConfig(delta=4, n_min_leaf=1, n_cuts=4)
+        sk = TreeSkeleton(delta)
+        cfg = OptConfig(delta=delta, n_min_leaf=1, n_cuts=4)
         menu = build_cut_menu(ds, sk, cfg)
-        monkeypatch.setattr(solver, "MEMO_BYTES", 0)
-        late = spy_on_passes(monkeypatch, caplog)
-        solve_exact(ds, sk, menu, cfg)
-        half = len(late) // 2
-        late.clear()
+        warm = warm_start_from_pt(ds, cfg, sk, menu)
 
-        def clock():
-            return float("inf") if len(late) >= half else time.monotonic()
+        def solve(limit):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="perstrees"):
+                result = solve_exact(ds, sk, menu, dataclasses.replace(cfg, work_limit=limit), warm)
+            (record,) = [r.getMessage() for r in caplog.records if r.name == "perstrees.opt.solver"]
+            return result, int(re.search(r"(\d+) bottom passes", record).group(1)), record
 
-        monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=clock))
-        timed = dataclasses.replace(cfg, time_limit=3600.0)
-        with caplog.at_level(logging.DEBUG, logger="perstrees"):
-            result = solve_exact(ds, sk, menu, timed)
-        assert not result.proved
-        assert result.objective == evaluate_assignment(ds, sk, result.assignment, cfg)
-        assert not any(late)
-        assert len(late) == half  # the clock ended the search
+        want, passes, record = solve(None)
+        assert want.proved and record.endswith("optimality proved")
+        objectives = []
+        for k in range(passes + 2):
+            got, ran, record = solve(k)
+            assert ran == min(k, passes)
+            if k < passes:
+                assert not got.proved and record.endswith("work limit reached")
+                assert got.objective == evaluate_assignment(ds, sk, got.assignment, cfg)
+            else:
+                assert (got.assignment, got.objective.hex(), got.proved) == (
+                    want.assignment, want.objective.hex(), True)
+            objectives.append(got.objective)
+        assert objectives == sorted(objectives, reverse=True)
+        assert objectives[0] > objectives[-1]  # the limit changed the answer
 
 
 class TestWarmStart:

@@ -96,6 +96,23 @@ def test_unparsable_params_exit_2_with_one_line_naming_the_flag(tmp_path, capsys
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("row, named", [
+    ("0,0,1,1,2,0.5", "treatment label 0 < 1 (row 3)"),
+    ("0,3,1,1,2,0.5", "label 3 exceeds the 2 counterfactual columns (row 3)"),
+    ("0,1,1,5,2,0.5", "Y must equal the counterfactual of the received treatment (subject 1)"),
+    ("0,1,1,1,2,1.5", "propensities must lie in (0, 1] (subject 1)"),
+])
+def test_a_cli_domain_fault_exits_2_with_one_line_naming_the_file(tmp_path, capsys, row, named):
+    # CSV row r holds subject r - 2: row 1 is the header
+    data, out = tmp_path / "d.csv", tmp_path / "m.json"
+    data.write_text("x1,treatment,outcome,y1,y2,q\n0,1,0,0,3,0.5\n" + row + "\n")
+    code = main(["train", "--algo", "pt", "--data", str(data), "--cf-cols", "y1,y2",
+                 "--q-col", "q", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"perstrees: error: {data}: {named}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("protocol", ["greedy", "optimal"])
 def test_matched_sets_load_back_as_written(tmp_path, protocol):
     ds = random_dataset(np.random.default_rng(4), 60, 2, 2, all_arms=True)
