@@ -305,8 +305,7 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
     error names the first bad row of the first bad column in that order.
     The body is parsed as one float block where `_block` can take it,
     else cell by cell; both give the same arrays and the same errors.
-    Undecodable bytes and a cell past csv's field size limit raise
-    ParseError naming the file, and every DomainError names it too.
+    Every ParseError and DomainError names the file.
 
     Args:
         path: CSV file with a header row.
@@ -351,7 +350,8 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
         if set(map(len, rows)) - {len(header)}:
             for i, r in enumerate(rows):
                 if len(r) != len(header):
-                    raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
+                    raise ParseError(f"{path}: expected {len(header)} cells, got {len(r)}", row=i + 2,
+                                     column="")
         n = len(rows)
         cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
     try:
@@ -387,8 +387,9 @@ def load_csv(path, treatment_col="treatment", outcome_col="outcome", cf_cols=Non
 
         X = np.hstack(encoded) if encoded else np.empty((n, 0))
         return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from None
+    except (DomainError, ParseError) as exc:
+        exc.args = (f"{path}: {exc}",)  # a ParseError keeps its row and column
+        raise
 
 
 _SAVE_BLOCK = 8192  # rows formatted per write, so memory stays bounded

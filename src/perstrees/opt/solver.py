@@ -469,10 +469,13 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
 
     def place(p, idx, node):
         """Subtree of skeleton node p over rows idx after greedy node
-        `node` (a leaf once p is: the greedy tree is no deeper), or None."""
+        `node` (a leaf once p is: the greedy tree is no deeper), or None.
+        Each leaf below p needs n_min_leaf of every arm, so rows short of
+        that many times the leaves cannot fill any subtree."""
+        leaves = top >> (p.bit_length() - 1)
+        if np.bincount(ds.T[idx], minlength=ds.m + 1)[1:].min() < config.n_min_leaf * leaves:
+            return None
         if p >= top:
-            if np.bincount(ds.T[idx], minlength=ds.m + 1)[1:].min() < config.n_min_leaf:
-                return None
             return int(pt.treatment[node])
         children = (pt.left[node], pt.right[node]) if pt.left[node] >= 0 else (node, node)
         for f, theta in candidates(p, node):

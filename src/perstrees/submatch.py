@@ -249,12 +249,16 @@ def load_matched_csv(path):
                           "subject_index,factual_t,factual_y,yhat_1..yhat_m")
     ds = load_csv(path, "factual_t", "factual_y", cf_cols=yhat)
     index, = ds.schema.features
-    if index.is_categorical:  # a cell float() refuses: _column names its row
-        _column(np.asarray(index.levels)[ds.X.argmax(axis=1)].tolist(), index.name)
-    drawn = ds.X[:, 0]
-    bad = np.flatnonzero((drawn < 0) | (drawn != np.trunc(drawn)) | (drawn >= 2.0**63))
-    if bad.size:
-        raise ParseError("subject index must be a whole number >= 0", row=int(bad[0]) + 2,
-                         column=index.name)
+    try:
+        if index.is_categorical:  # a cell float() refuses: _column names its row
+            _column(np.asarray(index.levels)[ds.X.argmax(axis=1)].tolist(), index.name)
+        drawn = ds.X[:, 0]
+        bad = np.flatnonzero((drawn < 0) | (drawn != np.trunc(drawn)) | (drawn >= 2.0**63))
+        if bad.size:
+            raise ParseError("subject index must be a whole number >= 0", row=int(bad[0]) + 2,
+                             column=index.name)
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)  # as load_csv names the file
+        raise
     return {"drawn": drawn.astype(np.int64), "factual_t": np.array(ds.T),
             "factual_y": np.array(ds.Y), "yhat": np.array(ds.CF)}

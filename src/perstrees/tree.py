@@ -20,13 +20,11 @@ scores only the positions that leave both sides large enough.
 
 Trees are grown in lockstep (`_lockstep`): every tree keeps its own
 seeded generator and pre-order stack, and each round expands the next
-node of every unfinished tree. The drawn features of those nodes are
-swept in a few vectorised passes of similar-sized nodes, each padded to
-its largest node and held under a budget of feature-by-row cells; a
-node above the budget is swept in chunks of features, which bounds the
-sweep's memory. Feature draws and cuts are those of a tree grown alone,
-so a forest's trees are identical to one-by-one fits, and `fit_pt` is
-the one-tree case.
+node of every unfinished tree. Each node's drawn features are swept
+on their own, in chunks held under a budget of feature-by-row cells,
+which bounds the sweep's memory. Feature draws and cuts are those of a
+tree grown alone, so a forest's trees are identical to one-by-one fits,
+and `fit_pt` is the one-tree case.
 
 A fitted tree is a set of parallel node arrays (`PersonalizationTree`)
 in pre-order: every parent precedes its children and the leaves appear
@@ -84,15 +82,10 @@ class Split:
     impurity: float
 
 
-# Most feature-by-row cells one vectorised sweep may hold. Nodes of
-# similar size share a sweep up to the budget; a node above it is swept
-# in chunks of as many features as fit, at least one, which bounds the
-# sweep's memory.
+# Most feature-by-row cells one vectorised sweep may hold: a node is
+# swept in chunks of as many features as fit, at least one, which bounds
+# the sweep's memory.
 _SWEEP_BUDGET = 4096
-
-# Nodes share a padded sweep while the largest holds at most 5/4 of the
-# smallest's rows, so pads stay under a fifth of the cells.
-_PAD_RATIO = (5, 4)
 
 # Most row ids (d + 1 per row of a replicate) the trees grown together
 # may hold: past it a forest grows in groups of trees, one group after
@@ -125,14 +118,11 @@ def _sweep(xs, ts, ys, k, m, n_min_leaf, scarce_mode, side=1):
     """Score cut positions side..K-side of R presorted feature rows at once.
 
     xs, ts, ys are (R, K) arrays: covariate, treatment and outcome of a
-    node's rows, each row of the arrays in ascending order of its
-    feature. Row r holds k[r] real points, then pads (treatment 0,
-    outcome +0.0, x = +inf), which count for no treatment and add zero
-    to every sum; k may be one size for all rows. Position j puts the
-    first j points on the left, and positions at or past k[r] are never
-    feasible. Each side of a feasible cut holds at least `side` points,
-    so callers pass that bound to skip positions that cannot be feasible,
-    or 1 to score them all.
+    node's k = K rows, each row of the arrays in ascending order of its
+    feature. Position j puts the first j points on the left. Each side
+    of a feasible cut holds at least `side` points, so callers pass that
+    bound to skip positions that cannot be feasible, or 1 to score them
+    all.
 
     Returns a dict: "sides", a (2, 2m, R, P) array over the P positions
     holding, for the left then the right side of each cut, the
@@ -156,8 +146,7 @@ def _sweep(xs, ts, ys, k, m, n_min_leaf, scarce_mode, side=1):
     np.subtract(total, sides[0], out=sides[1])
     counts, sums = sides[:, :m], sides[:, m:]
     k_left = np.arange(side, K - side + 1, dtype=np.float64)
-    # an absent treatment's 0/0 is NaN, which fmin skips; on pads an empty
-    # right side can meet a zero or negative size
+    # an absent treatment's 0/0 is NaN, which fmin skips
     with np.errstate(invalid="ignore"):
         if scarce_mode:  # a side's minimum over its eligible treatments only
             valid = counts >= n_min_leaf
@@ -167,7 +156,7 @@ def _sweep(xs, ts, ys, k, m, n_min_leaf, scarce_mode, side=1):
         else:
             side_min = np.fmin.reduce(sums / counts, axis=1)
             defined = np.minimum.reduce(counts, axis=1) >= n_min_leaf
-        impurity = k_left * side_min[0] + np.subtract.outer(k, k_left) * side_min[1]
+        impurity = k_left * side_min[0] + (k - k_left) * side_min[1]
     gap = xs[:, side - 1:K - side] < xs[:, side:K - side + 1]
     return {
         "sides": sides,
@@ -230,79 +219,39 @@ def _least_side(config, m):
     return config.n_min_leaf * (1 if config.scarce_mode else m)
 
 
-def _batches(nodes):
-    """The feature rows of `_best_splits`' nodes in sweep batches, each a
-    list of (node, lo, hi): node i's features lo:hi. Nodes go in order
-    of k. A batch takes whole nodes while its largest k is within
-    _PAD_RATIO of its smallest and its cells stay within _SWEEP_BUDGET;
-    a node over the budget alone is swept in chunks of features that fit
-    (at least one each)."""
-    batch, first, rows = [], 0, 0
-    wide, tall = _PAD_RATIO
-    for i in sorted(range(len(nodes)), key=lambda i: nodes[i][1].shape[1]):
-        F, k = len(nodes[i][0]), nodes[i][1].shape[1]
-        step = max(1, _SWEEP_BUDGET // k)
-        if not F:  # no feature drawn, nothing to sweep
-            continue
-        if F > step:
-            yield from ([(i, lo, min(lo + step, F))] for lo in range(0, F, step))
-            continue
-        if batch and (k * tall > first * wide or (rows + F) * k > _SWEEP_BUDGET):
-            yield batch
-            batch = []
-        if not batch:
-            first, rows = k, 0
-        batch.append((i, 0, F))
-        rows += F
-    if batch:
-        yield batch
-
-
 def _best_splits(ds, nodes, config):
-    """`best_split` for many nodes at once: a Split or None per node.
+    """`best_split` for many nodes: a Split or None per node.
 
     A node is (features, rows): its feature ids in draw order and a
     d x k array whose row f holds its rows in stable ascending order of
-    feature f (only the drawn rows are read). Each batch of `_batches`
-    is one sweep, its nodes padded to its largest k, of the positions a
-    feasible cut can take. A node keeps the first minimum over (feature,
-    position), as `best_split` does: its chunks come in draw order, and
-    a later one replaces the best only when strictly lower.
+    feature f (only the drawn rows are read). Each node is swept on its
+    own, one sweep per chunk of as many features as fit in _SWEEP_BUDGET
+    cells (at least one), over the positions a feasible cut can take. A
+    node keeps the first minimum over (feature, position), as
+    `best_split` does: its chunks come in draw order, and a later one
+    replaces the best only when strictly lower.
     """
-    best = [None] * len(nodes)
+    best = []
     side = _least_side(config, ds.m)
-    for batch in _batches(nodes):
-        picks = [nodes[i][0][lo:hi] for i, lo, hi in batch]
-        blocks = [nodes[i][1][f] for (i, _, _), f in zip(batch, picks)]
-        features = picks[0] if len(picks) == 1 else np.concatenate(picks)
-        k = blocks[-1].shape[1]
+    for features, rows in nodes:
+        k, split = rows.shape[1], None
         if k < 2 * side:  # no cut leaves `side` points on both sides
+            best.append(None)
             continue
-        if blocks[0].shape[1] == k:
+        step = max(1, _SWEEP_BUDGET // k)
+        for lo in range(0, len(features), step):
+            chunk = features[lo:lo + step]
             # int32 row ids gather fastest once widened
-            block = np.concatenate(blocks, dtype=np.intp, casting="same_kind")
-            xs, ts, ys = ds.X[block, features[:, None]], ds.T[block], ds.Y[block]
-        else:
-            k = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
-            flat = np.concatenate([b.ravel() for b in blocks], dtype=np.intp, casting="same_kind")
-            real = np.arange(k[-1]) < k[:, None]
-            xs = np.full(real.shape, np.inf)
-            xs[real] = ds.X[flat, features.repeat(k)]
-            ts = np.zeros(real.shape, dtype=ds.T.dtype)
-            ts[real] = ds.T[flat]
-            ys = np.zeros(real.shape)
-            ys[real] = ds.Y[flat]
-        sweep = _sweep(xs, ts, ys, k, ds.m, config.n_min_leaf, config.scarce_mode, side)
-        score = np.where(sweep["feasible"], sweep["impurity"], np.inf)
-        top = 0
-        for i, lo, hi in batch:
-            f, pos = divmod(int(score[top:top + hi - lo].argmin()), score.shape[1])
-            f += top
+            block = rows[chunk].astype(np.intp, copy=False)
+            xs, ts, ys = ds.X[block, chunk[:, None]], ds.T[block], ds.Y[block]
+            sweep = _sweep(xs, ts, ys, k, ds.m, config.n_min_leaf, config.scarce_mode, side)
+            score = np.where(sweep["feasible"], sweep["impurity"], np.inf)
+            f, pos = divmod(int(score.argmin()), score.shape[1])
             value = score[f, pos]
-            if math.isfinite(value) and (best[i] is None or value < best[i].impurity):
+            if math.isfinite(value) and (split is None or value < split.impurity):
                 theta = _cut(*xs[f, side - 1 + pos:side + 1 + pos].tolist())
-                best[i] = Split(int(features[f]), theta, float(value))
-            top += hi - lo
+                split = Split(int(chunk[f]), theta, float(value))
+        best.append(split)
     return best
 
 

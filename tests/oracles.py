@@ -5,16 +5,17 @@ export_mps is the line-at-a-time MPS writer: one f-string per line and
 json.dump for the name map. The columnar writer in perstrees.opt.mps
 must produce the same bytes.
 
-sweep is the split kernel as it was before pads and the trimmed strict
-mode: a masked divide into an inf-filled plane and a plain min over
-treatments. perstrees.tree._sweep must give the same values at every
-real cut position.
+sweep is the split kernel as it was before the trimmed strict mode: a
+masked divide into an inf-filled plane and a plain min over treatments.
+perstrees.tree._sweep must give the same values at every cut position
+it scores.
 
 load_csv_reference and save_csv_reference are the per-cell CSV codec:
 csv.reader and float() on every cell, row by row. perstrees.data's
 load_csv must give the same arrays, bit for bit, or the same error, and
-save_csv the same bytes. A domain fault names the file, then the row
-(or, from Dataset, the 0-based subject).
+save_csv the same bytes. Every parse and domain fault names the file;
+a domain fault then names the row (or, from Dataset, the 0-based
+subject).
 
 dumps_reference is json.dumps(doc, indent=2), the pure-Python encoder
 that wrote model files before perstrees.model_io's own writer; that
@@ -205,7 +206,7 @@ def load_csv_reference(path, treatment_col="treatment", outcome_col="outcome", c
 
     for i, r in enumerate(rows):
         if len(r) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
+            raise ParseError(f"{path}: expected {len(header)} cells, got {len(r)}", row=i + 2, column="")
 
     try:
         n = len(rows)
@@ -259,6 +260,9 @@ def load_csv_reference(path, treatment_col="treatment", outcome_col="outcome", c
         return Dataset(X=X, T=T, Y=Y, m=m, CF=CF, Q=Q, schema=FeatureSchema(tuple(features)))
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _fmt_reference(v):

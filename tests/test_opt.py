@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import logging
 import re
@@ -16,6 +17,7 @@ from perstrees.errors import (
     ParseError,
     SolveTimeout,
 )
+from perstrees.experiment import PRESETS
 from perstrees.opt import solver
 from perstrees.opt import (
     CutMenu,
@@ -170,7 +172,7 @@ class TestSkeleton:
             {"delta": True},
         ],
     )
-    def test_rejects_malformed_depth_and_time_limit(self, kwargs):
+    def test_rejects_malformed_depth_and_work_limit(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
             OptConfig(**kwargs)
 
@@ -837,6 +839,65 @@ class TestWarmStart:
             for p, cut in zip(sk.internal_nodes, warm.cuts):
                 assert cut in menu.for_node(p)
             assert np.isfinite(evaluate_assignment(ds, sk, warm, cfg))
+
+
+def warfarin_like(n, seed):
+    return generate_synthetic(SyntheticSpec(n=n, seed=seed, **PRESETS["warfarin-like"]))
+
+
+class TestWarmStartPruning:
+    """A subtree whose rows hold fewer than n_min_leaf of some arm per
+    leaf below it is given up at once; the depth-first order is the same,
+    so every warm start is too."""
+
+    # (n, delta, n_min_leaf, n_features, n_cuts, seed): the first 16 hex
+    # digits of the sha256 of the warm start's repr, recorded before the
+    # pruning, or None where there was no warm start. The seed draws both
+    # the warfarin-like data and the padding orders.
+    PINNED = [
+        (275, 1, 5, 3, 4, 0, "628bcb7ee31a6f63"),
+        (88, 2, 9, 5, 7, 1, None),
+        (292, 3, 7, 2, 3, 2, None),
+        (271, 3, 6, 1, 2, 3, None),
+        (310, 1, 18, 8, 4, 4, "654257b0ff2b4f6a"),
+        (365, 3, 1, 10, 7, 5, "f5e52701e3633136"),
+        (358, 3, 4, 6, 6, 6, "fc75c6c668ef702b"),
+        (122, 1, 20, 8, 7, 7, None),
+        (354, 4, 4, 9, 2, 8, "accd7dc1ca13cb5e"),
+        (94, 1, 33, 8, 3, 9, None),
+        (349, 2, 14, 9, 2, 10, "da9e845af51277ce"),
+        (280, 4, 6, 3, 3, 11, None),
+        (332, 3, 2, 3, 3, 12, "6a7ceb0ba5b40cc4"),
+        (306, 2, 3, 10, 3, 13, "268eec2cd7839bda"),
+        (375, 1, 7, 1, 4, 14, "422eaf5c0a100a83"),
+        (278, 2, 12, 2, 2, 15, "c1b9e8f5c287231d"),
+        (247, 1, 13, 9, 3, 16, "60b8af4233129d19"),
+        (135, 3, 8, 4, 3, 17, None),
+        (124, 3, 2, 6, 7, 18, "9dd362721756afde"),
+        (296, 4, 3, 7, 3, 19, None),
+    ]
+
+    @pytest.mark.parametrize("n, delta, n_min_leaf, n_features, n_cuts, seed, want", PINNED)
+    def test_equals_the_recorded_warm_start(self, n, delta, n_min_leaf, n_features, n_cuts,
+                                            seed, want):
+        cfg = OptConfig(delta=delta, n_min_leaf=n_min_leaf, n_features=n_features,
+                        n_cuts=n_cuts, seed=seed)
+        warm = warm_start_from_pt(warfarin_like(n, seed), cfg)
+        got = None if warm is None else hashlib.sha256(repr(warm).encode()).hexdigest()[:16]
+        assert got == want
+
+    @pytest.mark.parametrize("n, delta, n_min_leaf, n_cuts, draws", [
+        # the leaf-only check drew 11,247, 76,439 and 30,150 padding orders
+        (400, 3, 20, 10, 0), (400, 4, 5, 3, 1139), (600, 4, 12, 3, 0),
+    ])
+    def test_padding_orders_drawn_on_infeasible_cases(self, monkeypatch, n, delta, n_min_leaf,
+                                                      n_cuts, draws):
+        calls = []
+        make_rng = solver.make_rng
+        monkeypatch.setattr(solver, "make_rng", lambda seed: calls.append(seed) or make_rng(seed))
+        cfg = OptConfig(delta=delta, n_min_leaf=n_min_leaf, n_cuts=n_cuts)
+        assert warm_start_from_pt(warfarin_like(n, 3), cfg) is None
+        assert len(calls) == draws
 
 
 def slack_instance(seed, n=60, delta=1):

@@ -113,6 +113,30 @@ def test_a_cli_domain_fault_exits_2_with_one_line_naming_the_file(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row, named", [
+    ("0,1,oops", "not a number (row 3, column 'outcome')"),
+    ("nan,1,2", "not a finite number (row 3, column 'x1')"),
+    ("0,1.5,2", "treatment label must be an integer (row 3, column 'treatment')"),
+    ("0,1", "expected 3 cells, got 2 (row 3, column '')"),
+])
+def test_a_cli_parse_fault_exits_2_with_one_line_naming_the_file(tmp_path, capsys, row, named):
+    data, out = tmp_path / "bad.csv", tmp_path / "m.json"
+    data.write_text("x1,treatment,outcome\n0,2,1\n" + row + "\n")
+    assert main(["train", "--algo", "pt", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"perstrees: error: {data}: {named}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["negative-index", "fractional-index", "word-index"])
+def test_a_matched_subject_index_fault_names_the_file_and_its_cell(tmp_path, fault):
+    path = tmp_path / "matched.csv"
+    path.write_bytes(MATCHED_FAULTS[fault])
+    with pytest.raises(ParseError) as err:
+        load_matched_csv(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert (err.value.row, err.value.column) == (3 if fault == "word-index" else 2, "subject_index")
+
+
 @pytest.mark.parametrize("protocol", ["greedy", "optimal"])
 def test_matched_sets_load_back_as_written(tmp_path, protocol):
     ds = random_dataset(np.random.default_rng(4), 60, 2, 2, all_arms=True)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from perstrees import tree as tree_module
 from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
 from perstrees.errors import ConfigError, SchemaError
 from perstrees.experiment import PRESETS
@@ -296,7 +297,7 @@ def random_sweep_rows(rng, R, k, m):
 
 
 class TestSweepKernel:
-    """The padded, trimmed kernel against the kernel it replaced, kept in
+    """The trimmed kernel against the kernel it replaced, kept in
     tests/oracles.py: equal values at every position."""
 
     @pytest.mark.parametrize("scarce", [False, True])
@@ -313,34 +314,26 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("scarce", [False, True])
     def test_pads_and_skipped_positions_change_no_value(self, scarce):
-        # rows padded to a common width, and positions skipped at either
-        # end, score every kept position as the row does alone
+        # positions skipped at either end: every kept position scores as
+        # it does in the full sweep
         rng = np.random.default_rng(73 if scarce else 74)
         for trial in range(100):
             m, n_min_leaf = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-            k = rng.integers(2, 25, size=int(rng.integers(1, 6)))
-            K, side = int(k.max()), int(rng.integers(1, 4))
-            xs, ts, ys = np.full((k.size, K), np.inf), np.zeros((k.size, K), dtype=np.int64), np.zeros((k.size, K))
-            rows = [random_sweep_rows(rng, 1, size, m) for size in k]
-            for r, (x, t, y) in enumerate(rows):
-                xs[r, :k[r]], ts[r, :k[r]], ys[r, :k[r]] = x[0], t[0], y[0]
+            R, k, side = int(rng.integers(1, 6)), int(rng.integers(2, 25)), int(rng.integers(1, 4))
+            xs, ts, ys = random_sweep_rows(rng, R, k, m)
             got = _sweep(xs, ts, ys, k, m, n_min_leaf, scarce, side)
-            for r, (x, t, y) in enumerate(rows):
-                want = oracles.sweep(x, t, y, m, n_min_leaf, scarce)
-                real = slice(side - 1, max(side - 1, min(k[r] - 1, K - side)))  # both score these
-                at = slice(0, real.stop - real.start)
-                assert np.array_equal(got["impurity"][r, at], want["impurity"][0, real])
-                assert np.array_equal(got["feasible"][r, at], want["feasible"][0, real])
-                assert not got["feasible"][r, at.stop:].any()  # pads and past k[r]
-                if side == 1:
-                    assert np.array_equal(got["sides"][:, :, r, at], want["sides"][:, :, 0, real])
+            want = oracles.sweep(xs, ts, ys, m, n_min_leaf, scarce)
+            kept = slice(side - 1, max(side - 1, k - side))  # positions side..k-side
+            for key in ("gap", "feasible", "impurity"):
+                assert np.array_equal(got[key], want[key][:, kept]), (trial, key)
+            assert np.array_equal(got["sides"], want["sides"][..., kept]), trial
 
 
 class TestBatchedScoring:
     @pytest.mark.parametrize("scarce", [False, True])
     def test_a_batch_scores_each_node_as_best_split_alone(self, scarce):
-        # nodes of mixed sizes share padded sweeps, big ones are cut into
-        # feature chunks; duplicate columns make the tie rule matter
+        # nodes of mixed sizes in one list, big ones swept in feature
+        # chunks; duplicate columns make the tie rule matter
         rng = np.random.default_rng(75 if scarce else 76)
         for trial in range(20):
             n, m = int(rng.integers(40, 3000)), int(rng.integers(2, 4))
@@ -361,6 +354,61 @@ class TestBatchedScoring:
                 nodes.append((features, rows))
                 want.append(_best_splits(ds, [(features, rows)], config)[0])
             assert _best_splits(ds, nodes, config) == want
+
+
+class TestSweepShape:
+    """Each `_sweep` call holds the feature rows of one node: one k, no
+    +inf pads and at most max(_SWEEP_BUDGET, k) cells, one call per chunk
+    of max(1, _SWEEP_BUDGET // k) features of a node that can split."""
+
+    def check(self, monkeypatch, ds, config, run):
+        sweeps, lists = [], []
+        sweep, best_splits = tree_module._sweep, tree_module._best_splits
+
+        def wrapped_sweep(xs, ts, ys, k, *args):
+            sweeps.append((xs.shape, k, bool(np.isinf(xs).any())))
+            return sweep(xs, ts, ys, k, *args)
+
+        def wrapped_best_splits(ds, nodes, config):
+            lists.append([(len(features), rows.shape[1]) for features, rows in nodes])
+            return best_splits(ds, nodes, config)
+
+        monkeypatch.setattr(tree_module, "_sweep", wrapped_sweep)
+        monkeypatch.setattr(tree_module, "_best_splits", wrapped_best_splits)
+        result = run()
+        side = config.n_min_leaf * (1 if config.scarce_mode else ds.m)
+        for (R, K), k, padded in sweeps:
+            assert type(k) is int and k == K and not padded
+            assert R * K <= max(tree_module._SWEEP_BUDGET, k)
+        want = sum(math.ceil(F / max(1, tree_module._SWEEP_BUDGET // k))
+                   for nodes in lists for F, k in nodes if k >= 2 * side)
+        assert len(sweeps) == want
+        return lists, result
+
+    @pytest.mark.parametrize("scarce", [False, True])
+    def test_a_node_list_sweeps_node_by_node(self, monkeypatch, scarce):
+        rng = np.random.default_rng(77 if scarce else 78)
+        ds = random_dataset(rng, 6000, 6, 3, all_arms=True)
+        config = PtConfig(n_min_leaf=2, scarce_mode=scarce)
+        order = np.argsort(ds.X.T, axis=1, kind="stable")
+        nodes = []
+        for size in [3, 5000, 40, 6000, 41, 900, 2, 4100, 60]:
+            keep = np.zeros(ds.n, dtype=bool)
+            keep[rng.choice(ds.n, size, replace=False)] = True
+            features = rng.permutation(ds.d)[: int(rng.integers(1, ds.d + 1))]
+            nodes.append((features, order[keep[order]].reshape(ds.d, size)))
+        lists, _ = self.check(monkeypatch, ds, config, lambda: tree_module._best_splits(ds, nodes, config))
+        assert len(lists) == 1
+
+    def test_growth_sweeps_node_by_node(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        ds = random_dataset(rng, 5000, 4, 2, all_arms=True)
+        config = PtConfig(n_min_leaf=20)
+        lists, grown = self.check(monkeypatch, ds, config, lambda: fit_pt(ds, config))
+        assert grown.n_leaves > 20 and max(k for nodes in lists for _, k in nodes) == ds.n
+        forest_config = PfConfig(trees_count=6, base=PtConfig(n_min_leaf=5), seed=3)
+        lists, _ = self.check(monkeypatch, ds, forest_config.base, lambda: fit_pf(ds, forest_config))
+        assert max(map(len, lists)) > 1  # the trees' nodes are scored together
 
 
 def leaf_doc(treatment, counts, means):
