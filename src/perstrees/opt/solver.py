@@ -20,18 +20,32 @@ scoring each leaf on its own.
 
 The screen. A node whose children are bottom nodes (the root at depth
 two, depth delta - 2 in general) needs both child values under every
-cut of its menu. Its menu is grouped by feature, and a per-node block
-table gives each row, per feature, the number of that feature's
-thresholds it exceeds. One pass per child tallies counts and sums per
-(feature, block, arm, side, child cut); prefix sums over the blocks
-give the left child's tallies under every cut at once, and suffix sums
-the right child's. Counts are exact, so feasibility is. The sums add
-the same non-negative outcomes as `bottom` does, in another order.
+cut of its menu. It and each bottom node get a block table per solve:
+the node's menu grouped by feature, and each row's block per group, the
+number of the group's thresholds the row exceeds. For each child q of a
+screened node p, one tally counts and sums the rows per (arm, p block,
+q block), for every pair of a feature group of p and one of q: one key
+per (row, group pair), in passes of a few group pairs and rows. Running
+sums over p's blocks, ascending for the left child and descending for
+the right, give the rows q receives under every cut of p (blocks 0..j
+of the cut's group for sorted place j, or blocks j + 1 on). Running
+sums of those over q's blocks, in both directions, give q's two leaves
+under every cut of q. So each child is valued under every (p cut, q
+cut) pair at once. Counts are exact, so feasibility is. The screen only
+counts and adds, with no matrix product, so which cuts it settles, and
+so the bottom passes a limited solve runs, are the same on any host.
 
 The margin. Let k be the screened node's row count, u = eps / 2 the
 unit roundoff and gamma_j = j u / (1 - j u). A floating-point sum of at
 most k non-negative terms lies within gamma_{k-1} of the exact sum in
-any order, so the row-order and block-order arm sums both do. Each
+any order and under any grouping: in a tree of additions each term
+passes through at most k - 1 roundings, as an addition of an exact zero
+(an empty bin) rounds nothing. The screen's sum for a leaf is such a
+tree over the leaf's own rows: the bincount adds each bin's rows, and
+the running sums add whole bins that all lie inside the leaf, since a
+side of a cut is a run of blocks from one end and nothing is ever
+subtracted. So the row-order and block-order arm sums both lie within
+gamma_{k-1}, and the running sums need no term of their own. Each
 later step rounds once: the mean (sum / count), the leaf value (count
 times the least mean), the sum of a cut's two leaves and the total
 left + right; a least mean or a least cut keeps a relative bound. So
@@ -53,19 +67,25 @@ tie-break are those of scanning the whole menu. Under a work limit a
 screened scan yields an incumbent only once its first settled cut
 completes.
 
-Levels above scan their menu cut by cut. Subtree values are memoized
-on (node, row set); a row set is keyed by its packed bit mask, n/8
-bytes, and the oldest entries are dropped once the keys pass MEMO_BYTES
-in total. A left child value alone already bounds a cut's total from
-below, which allows skipping right children; a warm-start incumbent
-tightens the root scan the same way. Ties break toward the
-lexicographically first assignment in node order (lowest cut index,
-then lowest treatment). Each value carries its best subtree, nested
-(cut, left, right) tuples with the leaf treatments at the bottom level,
-and the answer is read off the root's: nothing is solved again after
-the search.
+Levels above scan their menu cut by cut, and each screened child is
+screened on its own rows. (One tally per node above, with its blocks as
+a third axis, would screen all of its children at once; it did more
+work than the screens it replaces, as the memo and the left-child bound
+below skip many of those children.) A node whose rows hold fewer than
+n_min_leaf of some arm per leaf below it has no feasible subtree and is
+given up before the memo. Subtree values are memoized on (node, row
+set); a row set is keyed by its packed bit mask, n/8 bytes, and the
+oldest entries are dropped once the keys pass MEMO_BYTES in total. A
+left child value alone already bounds a cut's total from below, which
+allows skipping right children; a warm-start incumbent tightens the
+root scan the same way. Ties break toward the lexicographically first
+assignment in node order (lowest cut index, then lowest treatment).
+Each value carries its best subtree, nested (cut, left, right) tuples
+with the leaf treatments at the bottom level, and the answer is read
+off the root's: nothing is solved again after the search.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -82,14 +102,16 @@ logger = logging.getLogger(__name__)
 # total bytes of memo keys held before the oldest entries go
 MEMO_BYTES = 1 << 25
 
-# Most key cells (rows x cuts) one pass tallies at once, and most bins a
-# screen pass holds, so each per-cell temporary (keys, weights, sums)
-# stays within 128 KB. Passes twice that size made one depth-three solve
-# at n=2000 take about 170,000 minor page faults in a fresh process
-# (25,000 at this size), and bins that stay in cache keep bincount fast.
+# Most key cells (rows x cuts, or rows x feature group pairs) one pass
+# tallies at once, and most bins a screen pass holds, so each per-cell
+# temporary (keys, weights, sums) stays within 128 KB. Passes twice that
+# size made one depth-three solve at n=2000 take about 170,000 minor
+# page faults in a fresh process (25,000 at this size), and bins that
+# stay in cache keep bincount fast.
 # A bottom node splits its menu into chunks of cuts, which keeps each
-# bin's row order; a screen splits its rows and feature groups, though a
-# pass holds at least one row and one group.
+# bin's row order; a screen splits its rows and the feature groups of
+# the screened node and its child, though a pass holds at least one row
+# and one group of each.
 _PASS_BUDGET = 1 << 14
 
 _EPS = np.finfo(np.float64).eps
@@ -154,13 +176,13 @@ def _side_table(X, arm, cuts, m):
 
 
 def _block_table(X, cuts):
-    """Block numbers of a screened node's menu, grouped by feature.
+    """Block numbers of a node's menu, grouped by feature.
 
-    Returns (blocks, k1, position): blocks[i, g] = g * k1 + the number of
-    group g's thresholds that row i exceeds; k1 is one more than the
-    largest group; a menu cut with sorted place j in group g has flat
-    position g * (k1 - 1) + j. Cut j's left rows are then group g's
-    blocks 0..j and its right rows blocks j + 1 onwards.
+    Returns (blocks, k1, position): blocks[i, g] is the number of group
+    g's thresholds that row i exceeds, in the narrowest unsigned dtype;
+    k1 is one more than the largest group; a menu cut with sorted place
+    j in group g has flat position g * (k1 - 1) + j. Cut j's left rows
+    are then group g's blocks 0..j and its right rows blocks j + 1 on.
     """
     features = np.array([f for f, _ in cuts], dtype=np.intp)
     thresholds = np.array([theta for _, theta in cuts], dtype=np.float64)
@@ -169,31 +191,44 @@ def _block_table(X, cuts):
     k1 = int(size.max()) + 1
     position = np.empty(len(cuts), dtype=np.intp)
     position[order] = np.arange(len(cuts)) + np.repeat(np.arange(len(groups)) * (k1 - 1) - start, size)
-    blocks = np.empty((len(X), len(groups)), dtype=np.intp)
+    blocks = np.empty((len(X), len(groups)), dtype=np.min_scalar_type(k1 - 1))
     for g, f in enumerate(groups):
         sorted_thresholds = thresholds[order[start[g] : start[g] + size[g]]]
-        blocks[:, g] = g * k1 + np.searchsorted(sorted_thresholds, X[:, f], side="left")
+        blocks[:, g] = np.searchsorted(sorted_thresholds, X[:, f], side="left")
     return blocks, k1, position
 
 
+def _side(a, axis, right):
+    """Tallies of each cut's left side (blocks 0..j for sorted place j)
+    or right side (blocks j + 1 on) along a block axis, as running sums
+    that only add, one whole block plane at a time."""
+    at = (slice(None),) * axis
+    out = a[at + (slice(1, None) if right else slice(None, -1),)].copy()
+    for j in range(out.shape[axis] - 2, -1, -1) if right else range(1, out.shape[axis]):
+        out[at + (j,)] += out[at + (j + 1 if right else j - 1,)]
+    return out
+
+
 def _tally(chunks, size):
-    """Counts and weight sums per bin, added up over (keys, weights)
+    """Counts and weight sums per bin, stacked as one (2, size) float
+    array (counts stay exact below 2**53), added up over (keys, weights)
     chunks; a key array's leading axis runs over rows, one weight each."""
-    counts, sums = np.zeros(size, dtype=np.int64), np.zeros(size)
+    tallies = np.zeros((2, size))
     for keys, weights in chunks:
         flat = keys.ravel()
-        counts += np.bincount(flat, minlength=size)
-        sums += np.bincount(flat, np.repeat(weights, flat.size // max(1, weights.size)), size)
+        tallies[0] += np.bincount(flat, minlength=size)
+        tallies[1] += np.bincount(flat, np.repeat(weights, flat.size // max(1, weights.size)), size)
         del keys, flat  # before the next chunk is built
-    return counts, sums
+    return tallies
 
 
-def _leaf_values(counts, sums, nm):
+def _leaf_values(tallies, nm):
     """Leaf values (size times least arm mean; inf below nm of some arm)
-    and arm means, for tallies with arms on axis -3."""
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    feasible = counts.min(axis=-3) >= nm
-    return np.where(feasible, counts.sum(axis=-3) * means.min(axis=-3), np.inf), means
+    and arm means, for stacked (counts, sums) with arms on axis 1."""
+    counts, sums = tallies
+    with np.errstate(divide="ignore", invalid="ignore"):  # an empty arm is infeasible (nm >= 1)
+        means = sums / counts
+        return np.where(counts.min(axis=0) >= nm, counts.sum(axis=0) * means.min(axis=0), np.inf), means
 
 
 def evaluate_assignment(ds, skeleton, assignment, config):
@@ -245,16 +280,16 @@ def assignment_to_tree(ds, skeleton, assignment):
 def solve_exact(ds, skeleton, menu, config, warm=None):
     """Globally optimal assignment by memoized recursive decomposition.
 
-    Builds each bottom node's side table and each screened node's block
-    table once, then searches: bottom nodes score their menu in one
-    table pass, nodes just above them screen their menu and settle the
-    close calls exactly, and higher nodes scan cut by cut (see the
-    module docstring). Every value carries its best subtree, and the
-    answer is read off the root's, so a work limit ends the solve:
-    nothing is solved again after the search. One DEBUG record on the
-    "perstrees" logger gives the scans and cuts screened, the cuts
-    settled exactly, the bottom passes, the memo's hits, misses and
-    evictions, and whether optimality was proved.
+    Builds each bottom node's side table and the block tables of the
+    bottom and screened nodes once, then searches: bottom nodes score
+    their menu in one table pass, nodes just above them screen their
+    menu and settle the close calls exactly, and higher nodes scan cut
+    by cut (see the module docstring). Every value carries its best
+    subtree, and the answer is read off the root's, so a work limit
+    ends the solve: nothing is solved again after the search. One DEBUG
+    record on the "perstrees" logger gives the scans and cuts screened,
+    the cuts settled exactly, the bottom passes, the memo's hits, misses
+    and evictions, and whether optimality was proved.
 
     Args:
         ds: dataset.
@@ -287,7 +322,8 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
     m = ds.m
     nm = config.n_min_leaf
     tables = {p: _side_table(ds.X, tvec, menu.for_node(p), m) for p in range(top // 2, top)}
-    blocks = {p: _block_table(ds.X, menu.for_node(p)) for p in range(max(1, top // 4), top // 2)}
+    # screened nodes (whose children are bottom nodes) and their children
+    blocks = {p: _block_table(ds.X, menu.for_node(p)) for p in range(top // 4, top) if top > 2}
     stats = dict.fromkeys(("scans", "screened", "settled", "passes", "hits", "misses", "evicted"), 0)
     memo = {}
     memo_cap = MEMO_BYTES // max(1, (ds.n + 7) // 8)  # entries: every key is ceil(n/8) bytes
@@ -304,8 +340,7 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         step = max(1, _PASS_BUDGET // max(1, idx.size))
         # chunks of cuts fill disjoint bins, so adding their zeros is exact
         chunks = ((keys[:, lo : lo + step], ybar[idx]) for lo in range(0, c, step))
-        counts, sums = _tally(chunks, 2 * m * c)
-        leaf, means = _leaf_values(counts.reshape(m, 2, c), sums.reshape(m, 2, c), nm)
+        leaf, means = _leaf_values(_tally(chunks, 2 * m * c).reshape(2, m, 2, c), nm)
         total = leaf[0] + leaf[1]
         ci = int(np.argmin(total))
         if total[ci] == np.inf:
@@ -313,15 +348,45 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         arm = means[:, :, ci].argmin(axis=0) + 1
         return float(total[ci]), (menu.for_node(p)[ci], int(arm[0]), int(arm[1]))
 
+    def totals(p, idx):
+        """Approximate totals of p, whose children are bottom nodes, under
+        every cut of its menu, in menu order: per child, one tally per few
+        (feature group of p, feature group of the child) pairs counts and
+        sums the rows per (arm, p block, child block)."""
+        outer, k1, position = blocks[p]
+        outer, arm, y = outer[idx].astype(np.intp), tvec[idx], ybar[idx]
+        total = 0.0
+        for q in (2 * p, 2 * p + 1):
+            inner, k1q, _ = blocks[q]
+            inner = inner[idx].astype(np.intp)
+            n_outer, n_inner = outer.shape[1], inner.shape[1]
+            value = np.full((n_outer, k1 - 1), np.inf)
+            fit = max(1, _PASS_BUDGET // (m * k1 * k1q))  # group pairs a pass holds
+            h_step = min(n_inner, fit)
+            g_step = min(n_outer, max(1, fit // h_step))
+            r_step = max(1, _PASS_BUDGET // (g_step * h_step))
+            for g0, h0 in itertools.product(range(0, n_outer, g_step), range(0, n_inner, h_step)):
+                g, h = slice(g0, g0 + g_step), slice(h0, h0 + h_step)
+                n_g, n_h = min(g_step, n_outer - g0), min(h_step, n_inner - h0)
+                shape = (m, k1, k1q, n_g, n_h)  # arm, p block, q block, p group, q group
+                key_p = (arm[:, None] * k1 + outer[:, g]) * (k1q * n_g * n_h) + np.arange(n_g) * n_h
+                key_q = inner[:, h] * (n_g * n_h) + np.arange(n_h)
+                chunks = (
+                    (key_p[rows, :, None] + key_q[rows, None, :], y[rows])
+                    for rows in (slice(lo, lo + r_step) for lo in range(0, idx.size, r_step))
+                )
+                tallies = _side(_tally(chunks, int(np.prod(shape))).reshape(2, *shape), 2, q % 2)
+                left, right = (_leaf_values(_side(tallies, 3, side), nm)[0] for side in (0, 1))
+                value[g] = np.minimum(value[g], (left + right).min(axis=(1, 3)).T)
+            total = total + value
+        return total.ravel()[position]
+
     def screen(p, idx, bound):
         """Menu indices, ascending, of the cuts at p (whose children are
         bottom nodes) that may tie or beat the least total or bound."""
         stats["scans"] += 1
         stats["screened"] += len(menu.for_node(p))
-        if not idx.size:
-            return ()
-        position = blocks[p][2]
-        approx = (child_values(p, 2 * p, idx) + child_values(p, 2 * p + 1, idx)).ravel()[position]
+        approx = totals(p, idx)
         feasible = np.flatnonzero(approx < np.inf)
         approx = approx[feasible]
         margin = (idx.size + 4) * _EPS * approx + _TINY
@@ -329,37 +394,10 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         stats["settled"] += settle.size
         return settle
 
-    def child_values(p, q, idx):
-        """Approximate value of bottom node q, a child of p, under every
-        cut of p's menu, as a (feature group, sorted place) array."""
-        block, k1, _ = blocks[p]
-        n_groups = block.shape[1]
-        table = tables[q]
-        c = table.shape[1]
-        width = 2 * m * c
-        values = np.empty((n_groups, k1 - 1))
-        g_step = max(1, _PASS_BUDGET // (k1 * width))
-        for g0 in range(0, n_groups, g_step):
-            g1 = min(n_groups, g0 + g_step)
-            r_step = max(1, _PASS_BUDGET // ((g1 - g0) * c))
-            chunks = (
-                ((block[rows, g0:g1, None] - g0 * k1) * width + table[rows][:, None, :], ybar[rows])
-                for rows in (idx[lo : lo + r_step] for lo in range(0, idx.size, r_step))
-            )
-            counts, sums = _tally(chunks, (g1 - g0) * k1 * width)
-            shape = (g1 - g0, k1, m, 2, c)
-            counts, sums = counts.reshape(shape), sums.reshape(shape)
-            # in place: prefix sums over blocks give a left child (cut j
-            # takes blocks 0..j), suffix sums a right one (blocks j + 1 on)
-            order = slice(None, None, -1) if q % 2 else slice(None)
-            np.cumsum(counts[:, order], axis=1, out=counts[:, order])
-            np.cumsum(sums[:, order], axis=1, out=sums[:, order])
-            cut = slice(1, None) if q % 2 else slice(None, -1)
-            leaf, _ = _leaf_values(counts[:, cut], sums[:, cut], nm)
-            values[g0:g1] = (leaf[..., 0, :] + leaf[..., 1, :]).min(axis=-1)
-        return values
-
     def node_value(p, idx):
+        # rows short of nm of some arm per leaf below p fill no subtree
+        if np.bincount(tvec[idx], minlength=m).min() < nm * (top >> (p.bit_length() - 1)):
+            return float("inf"), None
         member = np.zeros(ds.n, dtype=bool)
         member[idx] = True
         key = (p, np.packbits(member).tobytes())

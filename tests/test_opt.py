@@ -637,33 +637,41 @@ class TestBottomPassEquivalence:
 
     @pytest.mark.parametrize("budget", [64, 1000])
     def test_split_screen_passes(self, budget, monkeypatch):
+        # a screen pass keys rows x feature groups of the screened node x
+        # feature groups of one child (a bottom pass, rows x cuts); at
+        # budget 1000, n_cuts 16 splits both group axes and n_cuts 6 the
+        # rows and the screened node's groups
         passes = []
         tally = solver._tally
 
         def spy(chunks, size):
             chunks = list(chunks)
-            if chunks[0][0].ndim == 3:  # a screen pass: rows x groups x child cuts
-                passes.append((len(chunks), chunks[0][0].shape[1]))
+            if chunks and chunks[0][0].ndim == 3:
+                passes.append((len(chunks), *chunks[0][0].shape[1:]))
             return tally(chunks, size)
 
-        sk = TreeSkeleton(2)
-        for seed in range(3):
-            ds = random_dataset(np.random.default_rng(seed), 150, 3, 2, all_arms=True)
-            cfg = OptConfig(delta=2, n_min_leaf=2, n_cuts=6, seed=seed)
+        d = 4
+        for delta, n_cuts, duplicate in [(2, 16, False), (3, 6, False), (3, 6, True), (4, 3, False)]:
+            sk = TreeSkeleton(delta)
+            ds = random_dataset(np.random.default_rng(delta), 200, d, 2, all_arms=True)
+            if duplicate:
+                ds = Dataset(X=np.repeat(ds.X[:, :1], d, axis=1), T=ds.T, Y=ds.Y, m=ds.m)
+            cfg = OptConfig(delta=delta, n_min_leaf=2, n_cuts=n_cuts, seed=delta)
             menu = build_cut_menu(ds, sk, cfg)
             want = solve_outcome(reference_solve, ds, sk, menu, cfg)
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "_PASS_BUDGET", budget)
                 patch.setattr(solver, "_tally", spy)
                 assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
-        assert max(chunks for chunks, _ in passes) > 1  # rows split
-        assert min(groups for _, groups in passes) < 3  # feature groups split
+        chunks, outer, inner = zip(*passes)
+        assert max(chunks) > 1  # rows split
+        assert min(outer) < d  # the screened node's feature groups split
+        assert min(inner) < d  # the child's feature groups split
 
     def test_pinned_block_order_rounding(self):
         # seed 181 of a search over seeds 0-299 of this generator: root cuts
-        # (2, 2.5) and (1, 1.5) tie exactly in the row-order arithmetic, but
-        # block-order sums put (1, 1.5) strictly lower, so a screen without
-        # its margin settles only the later cut
+        # (2, 2.5) and (1, 1.5) tie exactly in the row-order arithmetic, and
+        # sums over the root's blocks round differently from row order
         rng = np.random.default_rng(181)
         ds = Dataset(
             X=rng.integers(0, 4, size=(40, 3)).astype(float),
@@ -688,6 +696,47 @@ class TestBottomPassEquivalence:
                 for j in range(thresholds.size):
                     right = (block[rows] > j).astype(np.intp)
                     differ += by_block[j] != np.bincount(right, ybar[rows], 2)[0]
+        assert differ > 0
+
+    def test_the_margin_needs_its_row_count_term(self):
+        # Columns 0 and 1 hold the same values within every (arm, outcome)
+        # class in another row order, so cuts on them tie in real
+        # arithmetic, and a rare outcome 1 among many of 0.75 ulp(1) makes
+        # each sum's rounding hang on where the 1 falls. Seed 46 of a search
+        # over seeds 0-149: the screen's block-order totals put the cut the
+        # row-order scan picks more than 8 eps above another, so a margin of
+        # 4 eps without the (k + 4) row count settles a wrong cut.
+        rng = np.random.default_rng(46)
+        n, tiny = 1200, 0.75 * 2**-52
+        T = rng.integers(1, 3, size=n)
+        Y = rng.choice([0.0, tiny, 1.0], size=n, p=[0.3, 0.69, 0.01])
+        x0 = rng.integers(0, 4, size=n).astype(float)
+        x1 = x0.copy()
+        for t in (1, 2):
+            for y in (0.0, tiny, 1.0):
+                rows = np.flatnonzero((T == t) & (Y == y))
+                x1[rows] = rng.permutation(x0[rows])
+        ds = Dataset(X=np.column_stack([x0, x1]), T=T, Y=Y, m=2)
+        sk = TreeSkeleton(2)
+        cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=n)
+        menu = build_cut_menu(ds, sk, cfg)
+        want = reference_solve(ds, sk, menu, cfg)
+        assert want[0] == ((1, 0.5), (0, 0.5), (1, 2.5))
+        assert solve_exact_outcome(ds, sk, menu, cfg) == want
+        # the screen's order: (root block, child block) bins in row order,
+        # then running sums over the root's blocks and over the child's
+        tvec, ybar = ds.T - 1, ds.Y - ds.Y.min()
+        differ = 0
+        for f, g in itertools.product(range(2), repeat=2):
+            root = np.array(sorted(theta for h, theta in menu.for_node(1) if h == f))
+            child = np.array(sorted(theta for h, theta in menu.for_node(2) if h == g))
+            outer, inner = np.searchsorted(root, ds.X[:, f]), np.searchsorted(child, ds.X[:, g])
+            bins = np.bincount((tvec * (root.size + 1) + outer) * (child.size + 1) + inner, ybar,
+                               ds.m * (root.size + 1) * (child.size + 1))
+            by_block = bins.reshape(ds.m, root.size + 1, child.size + 1).cumsum(axis=1).cumsum(axis=2)
+            for arm, j, k in itertools.product(range(ds.m), range(root.size), range(child.size)):
+                rows = (tvec == arm) & (outer <= j) & (inner <= k)
+                differ += by_block[arm, j, k] != np.bincount(np.zeros(rows.sum(), np.intp), ybar[rows], 1)[0]
         assert differ > 0
 
     def test_stats_record(self, caplog):
@@ -843,6 +892,22 @@ class TestWarmStart:
 
 def warfarin_like(n, seed):
     return generate_synthetic(SyntheticSpec(n=n, seed=seed, **PRESETS["warfarin-like"]))
+
+
+def test_rows_too_few_for_the_leaves_below_end_a_subtree_before_the_memo(caplog):
+    # every leaf below a node needs n_min_leaf of each arm; this instance has
+    # no feasible tree, and the check cut its scans from 1,962 to 1,234 and
+    # its bottom passes from 1,603 to 1,460
+    ds = warfarin_like(400, 3)
+    sk = TreeSkeleton(4)
+    cfg = OptConfig(delta=4, n_min_leaf=5, n_cuts=3)
+    menu = build_cut_menu(ds, sk, cfg)
+    assert warm_start_from_pt(ds, cfg, sk, menu) is None
+    with caplog.at_level(logging.DEBUG, logger="perstrees"), pytest.raises(InfeasibleError):
+        solve_exact(ds, sk, menu, cfg)
+    (record,) = [r.getMessage() for r in caplog.records if r.name == "perstrees.opt.solver"]
+    assert record.startswith("solve_exact: 1234 scans ")
+    assert "; 1460 bottom passes;" in record
 
 
 class TestWarmStartPruning:
