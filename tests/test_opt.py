@@ -736,6 +736,7 @@ class TestBottomPassEquivalence:
             by_block = bins.reshape(ds.m, root.size + 1, child.size + 1).cumsum(axis=1).cumsum(axis=2)
             for arm, j, k in itertools.product(range(ds.m), range(root.size), range(child.size)):
                 rows = (tvec == arm) & (outer <= j) & (inner <= k)
+                # a one-bin bincount adds in row order, as a bottom pass does
                 differ += by_block[arm, j, k] != np.bincount(np.zeros(rows.sum(), np.intp), ybar[rows], 1)[0]
         assert differ > 0
 
