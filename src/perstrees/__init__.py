@@ -1,8 +1,10 @@
 """Treatment personalization from observational data via recursive partitioning.
 
 Modules log to the "perstrees" logger, which is silent until the
-application configures logging; DEBUG records count the nearest-neighbour
-queries that the screen left to exact rescoring.
+application configures logging. DEBUG records count the nearest-neighbour
+queries that the screen left to exact rescoring (kNN prediction and
+greedy submatching), give each exact solve's search counts, and give each
+experiment cell's fit and evaluate seconds.
 """
 
 import logging

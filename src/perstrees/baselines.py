@@ -20,7 +20,7 @@ import numpy as np
 from ._nearest import row_norms, screen
 from .data import _arms
 from .errors import ConfigError, DomainError, _check_int, _check_keys
-from .risk import _BatchPolicy
+from .risk import _BatchPolicy, _matrix
 
 logger = logging.getLogger(__name__)
 
@@ -28,14 +28,6 @@ logger = logging.getLogger(__name__)
 # block, so the block's float64 temporary stays at 128 KB for any query
 # count
 _KNN_BUDGET = 1 << 14
-
-
-def _matrix(X):
-    """X as a float64 matrix of rows; DomainError for any other shape."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DomainError(f"predict needs an (n, d) matrix of rows, got shape {X.shape}")
-    return X
 
 
 class OlsRegressor:

@@ -20,6 +20,8 @@ from .data import _json_file, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, ParseError, PerstreesError
 from .experiment import (
     ALGORITHMS,
+    Protocol,
+    _matched_set,
     experiment_config_from_doc,
     fit_algorithm,
     run_experiment,
@@ -28,13 +30,7 @@ from .experiment import (
 from .model_io import load_model, save_model
 from .opt import OptConfig, TreeSkeleton, build_cut_menu, build_mip, export_mps, names_path
 from .risk import oracle_metrics, prescriptions
-from .submatch import (
-    greedy_submatch,
-    mahalanobis_metric,
-    matched_metrics,
-    optimal_submatch,
-    save_matched_csv,
-)
+from .submatch import matched_metrics, save_matched_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,13 +104,10 @@ def cmd_evaluate(args):
         score = oracle_metrics(ds, policy)
         doc = {"protocol": "oracle", "n_test": ds.n}
     else:
-        metric = mahalanobis_metric(ds)
-        if args.greedy is not None:
-            mts = greedy_submatch(ds, args.greedy, metric, args.seed)
-            doc = {"protocol": "greedy-submatch", "n_test": mts.n_test}
-        else:
-            mts = optimal_submatch(ds, args.optimal, metric)
-            doc = {"protocol": "optimal-submatch", "n_test": mts.n_test}
+        protocol = (Protocol("greedy-submatch", n_test=args.greedy) if args.greedy is not None
+                    else Protocol("optimal-submatch", n_pair=args.optimal))
+        mts = _matched_set(ds, protocol, args.seed)
+        doc = {"protocol": protocol.kind, "n_test": mts.n_test}
         score = matched_metrics(mts, policy)
     doc["risk"] = score.risk
     doc["p1"] = _metric_value(score.p1)
@@ -129,15 +122,8 @@ def cmd_evaluate(args):
 
 def cmd_submatch(args):
     ds = _load_data(args)
-    metric = mahalanobis_metric(ds)
-    if args.method == "greedy":
-        if args.n_test is None:
-            raise ConfigError("greedy submatching needs --n-test")
-        mts = greedy_submatch(ds, args.n_test, metric, args.seed)
-    else:
-        if args.n_pair is None:
-            raise ConfigError("optimal submatching needs --n-pair")
-        mts = optimal_submatch(ds, args.n_pair, metric)
+    protocol = Protocol(f"{args.method}-submatch", args.n_test, args.n_pair)
+    mts = _matched_set(ds, protocol, args.seed)
     save_matched_csv(mts, args.out)
     print(f"matched {mts.n_test} test subjects ({len(mts.removed)} removed) to {args.out}")
     return 0

@@ -29,7 +29,7 @@ children. The rows and the CSV are the same bytes either way.
 import logging
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -76,18 +76,14 @@ def _fields(cls, *skip):
 # An undeclared key or a bad value raises ConfigError before any fit.
 
 
-def _pt(params, seed):
-    _check_keys("pt", params, _fields(PtConfig, "seed"))
-    cfg = PtConfig(**params, seed=seed)
-    return lambda ds: fit_pt(ds, cfg)
+def _from_config(name, cls, fit):
+    """pt and pf: params map onto cls's fields, fit(ds, config) trains."""
+    def build(params, seed):
+        _check_keys(name, params, _fields(cls, "seed"))
+        cfg = cls(**params, seed=seed)
+        return lambda ds: fit(ds, cfg)
 
-
-def _pf(params, seed):
-    tree_keys = _fields(PtConfig, "seed")
-    _check_keys("pf", params, _fields(PfConfig, "base", "seed") + tree_keys)
-    base = replace(PfConfig().base, **{k: params.pop(k) for k in tree_keys if k in params})
-    cfg = PfConfig(**params, base=base, seed=seed)
-    return lambda ds: fit_pf(ds, cfg)
+    return build
 
 
 def _opt(params, seed):
@@ -125,8 +121,8 @@ def _relabel(base, variant=None):
 
 
 ALGORITHMS = {
-    "pt": _pt,
-    "pf": _pf,
+    "pt": _from_config("pt", PtConfig, fit_pt),
+    "pf": _from_config("pf", PfConfig, fit_pf),
     "opt": _opt,
     "rc-ols": _rc("ols"),
     "rc-knn": _rc("knn"),
@@ -280,6 +276,15 @@ def synthetic_spec_from_doc(doc):
     return SyntheticSpec(**_data_template(_check_object("synthetic spec", doc)))
 
 
+def _matched_set(ds, protocol, seed):
+    """The matched test set a submatch protocol draws from ds; seed
+    drives greedy draws."""
+    metric = mahalanobis_metric(ds)
+    if protocol.kind == "greedy-submatch":
+        return greedy_submatch(ds, protocol.n_test, metric, seed)
+    return optimal_submatch(ds, protocol.n_pair, metric)
+
+
 def _cell(config, n, rep):
     """Train/test material for one (n, replication) cell."""
     data_seed = derive_seed(config.master_seed, "data", n, rep)
@@ -290,12 +295,7 @@ def _cell(config, n, rep):
         test = split(pool, np.arange(n, pool.n))
         return train, ("oracle", test)
     pool = generate_synthetic(SyntheticSpec(**config.data, n=n, seed=data_seed))
-    metric = mahalanobis_metric(pool)
-    if proto.kind == "greedy-submatch":
-        match_seed = derive_seed(config.master_seed, "match", n, rep)
-        mts = greedy_submatch(pool, proto.n_test, metric, match_seed)
-    else:
-        mts = optimal_submatch(pool, proto.n_pair, metric)
+    mts = _matched_set(pool, proto, derive_seed(config.master_seed, "match", n, rep))
     keep = np.setdiff1d(np.arange(pool.n), np.asarray(mts.removed, dtype=np.int64))
     # removed-set audit: nothing matched may reach the training pool
     assert not set(keep.tolist()) & set(mts.removed), "matched subject leaked into training"

@@ -11,7 +11,7 @@ majority vote over trees, ties to the lowest treatment index.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,29 +20,28 @@ from .risk import _BatchPolicy
 from .seeding import derive_seed, make_rng
 # fit_pt is kept as a name here, bound to the tree module's, as the one
 # fit each forest tree equals; perfbench's tracer wraps every binding
-from .tree import PtConfig, _grow, fit_pt  # noqa: F401
+from .tree import PtConfig, _features_drawn, _grow, fit_pt  # noqa: F401
 
 MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
 class PfConfig:
-    """Forest settings: tree count, shared tree config, master seed.
-
-    The base config's seed is ignored (per-tree seeds are derived from
-    the forest seed); its n_features defaults to ceil(sqrt(d)) when left
-    unset.
-    """
+    """Forest settings: the tree count, the settings every tree is grown
+    under (`PtConfig`'s, which check them; n_features defaults to
+    ceil(sqrt(d)) when left unset), and the master seed each tree's seeds
+    derive from."""
 
     trees_count: int = 100
-    base: PtConfig = field(default_factory=lambda: PtConfig(n_min_leaf=10))
+    n_min_leaf: int = 10
+    delta_max: int = None
+    n_features: int = None
+    scarce_mode: bool = False
     seed: int = 0
 
     def __post_init__(self):
         _check_int("trees_count", self.trees_count, 1)
-        if not isinstance(self.base, PtConfig):
-            raise ConfigError(f"base must be a PtConfig, got {self.base!r}")
-        _check_int("seed", self.seed, 0)
+        PtConfig.__post_init__(self)
 
 
 def replicate_seed(forest_seed, tree_index, attempt=0):
@@ -73,9 +72,7 @@ def fit_pf(ds, config=None, resample=None):
     if ds.n == 0:
         raise ConfigError("cannot fit a forest on an empty dataset")
     resample = resample or _default_resample
-    n_features = config.base.n_features
-    if n_features is None:
-        n_features = min(ds.d, max(1, math.ceil(math.sqrt(ds.d))))
+    n_features = _features_drawn(config.n_features, ds.d, math.ceil(math.sqrt(ds.d)))
     replicates = []
     for j in range(config.trees_count):
         for attempt in range(MAX_REDRAWS + 1):
@@ -89,7 +86,7 @@ def fit_pf(ds, config=None, resample=None):
                 f"after {MAX_REDRAWS} redraws"
             )
         replicates.append((tree_fit_seed(rep_seed), idx))
-    trees = _grow(ds, config.base, n_features, replicates)
+    trees = _grow(ds, config, n_features, replicates)
     return PersonalizationForest(trees=tuple(trees), m=ds.m, d=ds.d)
 
 

@@ -215,11 +215,11 @@ def build_mip(ds, skeleton, menu, config):
     """Assemble the full model for one dataset, skeleton, and menu.
 
     Raises:
-        ConfigError: the menu does not fit the skeleton.
+        ConfigError: the menu or config.delta does not fit the skeleton.
         InfeasibleError: n < n_leaves * m * n_min_leaf, so no routing
             can satisfy the per-leaf occupancy minimums.
     """
-    skeleton._check_nodes("menu", menu.cuts)
+    skeleton._check_fit(menu, config)
     n, m, n_leaves = ds.n, ds.m, len(skeleton.leaves)
     if n < n_leaves * m * config.n_min_leaf:
         raise InfeasibleError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigError, EmptyMenuError, _check_int
 from ..seeding import make_rng
-from ..tree import _cut
+from ..tree import _cut, _features_drawn
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,13 @@ class TreeSkeleton:
         if len(seq) != n:
             raise ConfigError(f"{name} has {len(seq)} nodes, a depth-{self.delta} skeleton has {n}")
 
+    def _check_fit(self, menu, config):
+        """ConfigError unless the menu has one entry per internal node and
+        config.delta is this skeleton's depth."""
+        self._check_nodes("menu", menu.cuts)
+        if config.delta != self.delta:
+            raise ConfigError(f"config delta {config.delta} does not match the depth-{self.delta} skeleton")
+
     def route_many(self, X, cuts):
         """Leaf id (heap numbering) of every row of X under the given cuts;
         ConfigError unless each internal node has one, on a column of X."""
@@ -143,7 +150,7 @@ def build_cut_menu(ds, skeleton, config):
     Raises:
         EmptyMenuError: some node ends up with no candidate cuts.
     """
-    n_features = _check_int("n_features", config.n_features or ds.d, 1, maximum=ds.d)
+    n_features = _features_drawn(config.n_features, ds.d, ds.d)
     positions = np.array(cut_positions(ds.n, config.n_cuts), dtype=np.intp)
     thresholds = {}
     rng = make_rng(config.seed)

@@ -147,6 +147,13 @@ def _leaves(ds, skeleton, assignment, y):
     return (leaf, *_counts_and_sums(ds.T, y, ds.m, leaf, top))
 
 
+def _short(arm, m, nm, top, p):
+    """Whether rows with 0-based arms `arm` hold fewer than nm of some arm
+    per leaf below node p of a skeleton with top leaves, so that no
+    subtree at p over them is feasible."""
+    return np.bincount(arm, minlength=m).min() < nm * (top >> (p.bit_length() - 1))
+
+
 class _LimitReached(Exception):
     pass
 
@@ -309,13 +316,13 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         place.
 
     Raises:
-        ConfigError: the menu or the warm start does not fit the skeleton,
-            or the warm start does not fit the data.
+        ConfigError: the menu, config.delta or the warm start does not
+            fit the skeleton, or the warm start does not fit the data.
         InfeasibleError: no feasible assignment exists.
         SolveTimeout: the work limit was reached with no incumbent
             available.
     """
-    skeleton._check_nodes("menu", menu.cuts)
+    skeleton._check_fit(menu, config)
     top = 2**skeleton.delta
     ybar = ds.Y - ds.Y.min()
     tvec = ds.T - 1
@@ -395,8 +402,7 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         return settle
 
     def node_value(p, idx):
-        # rows short of nm of some arm per leaf below p fill no subtree
-        if np.bincount(tvec[idx], minlength=m).min() < nm * (top >> (p.bit_length() - 1)):
+        if _short(tvec[idx], m, nm, top, p):
             return float("inf"), None
         member = np.zeros(ds.n, dtype=bool)
         member[idx] = True
@@ -478,13 +484,13 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
     inherit the greedy leaf's prescription. Returns None when no
     feasible completion exists along the attempted padding orders.
     Builds the skeleton and menu from config when not supplied;
-    ConfigError when a supplied menu does not fit the skeleton.
+    ConfigError when the menu or config.delta does not fit the skeleton.
     """
     if skeleton is None:
         skeleton = TreeSkeleton(config.delta)
     if menu is None:
         menu = build_cut_menu(ds, skeleton, config)
-    skeleton._check_nodes("menu", menu.cuts)
+    skeleton._check_fit(menu, config)
     pt = fit_pt(
         ds,
         PtConfig(
@@ -507,11 +513,8 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
 
     def place(p, idx, node):
         """Subtree of skeleton node p over rows idx after greedy node
-        `node` (a leaf once p is: the greedy tree is no deeper), or None.
-        Each leaf below p needs n_min_leaf of every arm, so rows short of
-        that many times the leaves cannot fill any subtree."""
-        leaves = top >> (p.bit_length() - 1)
-        if np.bincount(ds.T[idx], minlength=ds.m + 1)[1:].min() < config.n_min_leaf * leaves:
+        `node` (a leaf once p is: the greedy tree is no deeper), or None."""
+        if _short(ds.T[idx] - 1, ds.m, config.n_min_leaf, top, p):
             return None
         if p >= top:
             return int(pt.treatment[node])

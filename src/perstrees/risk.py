@@ -40,11 +40,19 @@ class FunctionPolicy(_BatchPolicy):
         return np.fromiter((int(self.fn(x)) for x in X), dtype=np.int64, count=len(X))
 
 
-def prescriptions(policy, X):
-    """`policy.predict_many(X)` as an int array; DomainError when X's
-    column count differs from the policy's `d` or a prescription lies
-    outside 1..`policy.m`."""
+def _matrix(X):
+    """X as a float64 matrix of rows; DomainError for any other shape."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DomainError(f"X must be an (n, d) matrix of rows, got shape {X.shape}")
+    return X
+
+
+def prescriptions(policy, X):
+    """`policy.predict_many(X)` as an int array; DomainError when X is
+    not an (n, d) matrix, its column count differs from the policy's `d`
+    or a prescription lies outside 1..`policy.m`."""
+    X = _matrix(X)
     d = getattr(policy, "d", None)
     if d is not None and X.shape[1] != d:
         raise DomainError(f"policy expects {d} features, the data has {X.shape[1]}")

@@ -479,11 +479,18 @@ def _grower(ds, config, n_features):
     return expand
 
 
+def _features_drawn(n_features, d, unset):
+    """Features drawn per node from d: n_features, or unset where that is
+    None; ConfigError unless it lies in 1..d (0 only when d is)."""
+    return _check_int("n_features", unset if n_features is None else n_features, min(1, d), maximum=d)
+
+
 def _grow(ds, config, n_features, replicates):
     """Greedy trees grown in lockstep, one per (seed, replicate) pair: the
-    seed of the tree's feature draws (config's own is not read) and the
-    dataset rows it is fit on, in order, repeats allowed. Each tree is
-    the one fit_pt(split(ds, replicate), config with that seed) grows.
+    seed of the tree's feature draws and the dataset rows it is fit on,
+    in order, repeats allowed. config, a PtConfig or PfConfig, gives the
+    tree settings (its seed is not read). Each tree is the one fit_pt
+    grows on split(ds, replicate) under those settings and that seed.
     Trees are grown together in groups of at most _LOCKSTEP_BUDGET row
     ids (one tree at least)."""
     # a replicate's rows in stable order of a column are its positions in
@@ -517,6 +524,6 @@ def fit_pt(ds, config=None):
     config = config or PtConfig()
     if ds.n == 0:
         raise ConfigError("cannot fit a tree on an empty dataset")
-    n_features = _check_int("n_features", config.n_features or ds.d, 1, maximum=ds.d)
+    n_features = _features_drawn(config.n_features, ds.d, ds.d)
     return _grow(ds, config, n_features, [(config.seed, np.arange(ds.n))])[0]
 

@@ -400,6 +400,18 @@ class TestSubmatchCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("method, flags, named", [
+        ("greedy", ("--n-test", "10", "--n-pair", "5"), "n_pair is not a setting"),
+        ("optimal", ("--n-pair", "5", "--n-test", "10"), "n_test is not a setting"),
+    ])
+    def test_a_flag_the_method_ignores_exits_1(self, quad_csv, tmp_path, method, flags, named,
+                                               capsys):
+        out = tmp_path / "m.csv"
+        assert run("submatch", "--data", str(quad_csv), "--method", method, *flags,
+                   "--out", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExportMip:
     def test_writes_mps_and_names(self, tmp_path, quad_csv, capsys):
@@ -522,6 +534,18 @@ class TestExperiment:
         cfg.write_text(json.dumps(doc))
         assert run("experiment", "--config", str(cfg)) == 1
         assert f"{next(iter(params))} must be" in capsys.readouterr().err
+
+    def test_forest_drawing_more_features_than_the_data_has_exits_1(self, tmp_path, capsys):
+        # the quadratic preset has two features; the cell's fit refuses three
+        out = tmp_path / "curve.csv"
+        cfg = tmp_path / "config.json"
+        doc = self.config_doc(tmp_path, out)
+        doc["algorithms"] = [{"name": "pf", "params": {"trees_count": 2, "n_features": 3}}]
+        cfg.write_text(json.dumps(doc))
+        assert run("experiment", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err == "perstrees: error: n_features must be an integer in 1..2, got 3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, named", [
         ("n_grid", [60.7], "n_grid entry must be"),
@@ -870,6 +894,30 @@ class TestExitCodes:
             *extra, "--out", str(tmp_path / "m.json"),
         )
         assert code == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["pt", "pf"])
+    def test_drawing_more_features_than_the_data_has_exits_1(self, tmp_path, quad_csv, algo,
+                                                              capsys):
+        # y1, y2 and q load as features too, five in all
+        model = tmp_path / "m.json"
+        assert run("train", "--algo", algo, "--data", str(quad_csv),
+                   "--params", '{"n_features": 6}', "--out", str(model)) == 1
+        assert capsys.readouterr().err == (
+            "perstrees: error: n_features must be an integer in 1..5, got 6\n")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("protocol, named", [
+        (("--greedy", "0"), "n_test must be"),
+        (("--optimal", "0"), "n_pair must be"),
+    ])
+    def test_an_empty_matched_set_exits_1(self, tmp_path, quad_csv, protocol, named, capsys):
+        model = tmp_path / "model.json"
+        assert run("train", "--algo", "pt", "--data", str(quad_csv), "--cf-cols", "y1,y2",
+                   "--q-col", "q", "--out", str(model)) == 0
+        capsys.readouterr()
+        cols = ("--data", str(quad_csv), "--cf-cols", "y1,y2", "--q-col", "q")
+        assert run("evaluate", "--model", str(model), *cols, *protocol) == 1
         assert named in capsys.readouterr().err
 
     def test_bad_params_json_exits_2(self, tmp_path, quad_csv):

@@ -2,6 +2,7 @@
 of accepted params keys and of generator-model parameters against the
 ones the code declares."""
 
+import dataclasses
 import fnmatch
 import json
 import pathlib
@@ -12,19 +13,21 @@ import pytest
 
 from perstrees import data
 from perstrees.baselines import KnnRegressor
-from perstrees.data import SyntheticSpec
-from perstrees.errors import ConfigError
+from perstrees.data import SyntheticSpec, generate_synthetic
+from perstrees.errors import ConfigError, PerstreesError
 from perstrees.experiment import (
     ALGORITHMS,
+    PRESETS,
     AlgoSpec,
     ExperimentConfig,
     Protocol,
     fit_algorithm,
     run_experiment,
 )
-from perstrees.forest import PfConfig
-from perstrees.opt import OptConfig, TreeSkeleton
-from perstrees.tree import PtConfig
+from perstrees.forest import PfConfig, fit_pf
+from perstrees.model_io import model_to_doc
+from perstrees.opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact
+from perstrees.tree import PtConfig, fit_pt
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -48,6 +51,9 @@ INTEGER_FIELDS = [
     (PtConfig, "n_features", 1),
     (PtConfig, "seed", 0),
     (PfConfig, "trees_count", 1),
+    (PfConfig, "n_min_leaf", 1),
+    (PfConfig, "delta_max", 0),
+    (PfConfig, "n_features", 1),
     (PfConfig, "seed", 0),
     (OptConfig, "delta", 1),
     (OptConfig, "n_min_leaf", 1),
@@ -78,15 +84,52 @@ def test_integer_field_takes_its_minimum(cls, name, minimum):
     cls(**{**VALID[cls], name: np.int64(minimum)})
 
 
-def test_pf_base_must_be_a_pt_config():
-    with pytest.raises(ConfigError, match="base must be a PtConfig"):
-        PfConfig(base={"n_min_leaf": 5})
+def test_pf_config_takes_no_base():
+    # a forest's tree settings are its own fields
+    with pytest.raises(TypeError, match="base"):
+        PfConfig(base=PtConfig(n_min_leaf=5))
 
 
 @pytest.mark.parametrize("value", ["no", 1, None])
 def test_scarce_mode_must_be_bool(value):
-    with pytest.raises(ConfigError, match="scarce_mode must be"):
-        PtConfig(scarce_mode=value)
+    for cls in (PtConfig, PfConfig):
+        with pytest.raises(ConfigError, match="scarce_mode must be"):
+            cls(scarce_mode=value)
+
+
+def fit_opt(ds, config):
+    skeleton = TreeSkeleton(config.delta)
+    return solve_exact(ds, skeleton, build_cut_menu(ds, skeleton, config), config).tree
+
+
+# Per config class: its fit, the settings each case starts from, and one
+# other value of every field. Each value must move the fitted document
+# or be refused by the fit, so no setting goes unread.
+SETTINGS = {
+    PtConfig: (fit_pt, {}, {
+        "n_min_leaf": 5, "delta_max": 1, "n_features": 1, "scarce_mode": True, "seed": 1}),
+    PfConfig: (fit_pf, {"trees_count": 3}, {
+        "trees_count": 4, "n_min_leaf": 5, "delta_max": 1, "n_features": 10,
+        "scarce_mode": True, "seed": 1}),
+    OptConfig: (fit_opt, {"n_min_leaf": 5, "n_features": 3, "n_cuts": 4}, {
+        "delta": 1, "n_min_leaf": 7, "n_features": 10, "n_cuts": 6, "work_limit": 0, "seed": 1}),
+}
+SETTING_CASES = [(cls, f.name) for cls in SETTINGS for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls, name", SETTING_CASES,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in SETTING_CASES])
+def test_every_setting_changes_the_fit(cls, name):
+    fit, start, other = SETTINGS[cls]
+    ds = generate_synthetic(SyntheticSpec(n=200, seed=0, **PRESETS["warfarin-like"]))
+    changed = cls(**{**start, name: other[name]})
+    assert changed != cls(**start)
+    before = model_to_doc(fit(ds, cls(**start)))
+    try:
+        after = model_to_doc(fit(ds, changed))
+    except PerstreesError:
+        return
+    assert after != before
 
 
 @pytest.mark.parametrize("algo, params, named", [

@@ -39,16 +39,15 @@ class TestSeeds:
         # growing the forest must not disturb the earlier trees
         rng = np.random.default_rng(1)
         ds = random_dataset(rng, 120, 3, 2, all_arms=True)
-        base = PtConfig(n_min_leaf=5)
-        small = fit_pf(ds, PfConfig(trees_count=3, base=base, seed=9))
-        large = fit_pf(ds, PfConfig(trees_count=6, base=base, seed=9))
+        small = fit_pf(ds, PfConfig(trees_count=3, n_min_leaf=5, seed=9))
+        large = fit_pf(ds, PfConfig(trees_count=6, n_min_leaf=5, seed=9))
         for a, b in zip(small.trees, large.trees):
             assert model_to_doc(a) == model_to_doc(b)
 
     def test_determinism(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, 100, 3, 2, all_arms=True)
-        cfg = PfConfig(trees_count=4, base=PtConfig(n_min_leaf=5), seed=3)
+        cfg = PfConfig(trees_count=4, n_min_leaf=5, seed=3)
         assert model_to_doc(fit_pf(ds, cfg)) == model_to_doc(fit_pf(ds, cfg))
 
 
@@ -65,7 +64,7 @@ class TestFit:
                 return np.flatnonzero(ds.T == 1)
             return np.arange(n)
 
-        forest = fit_pf(ds, PfConfig(trees_count=1, base=PtConfig(), seed=0), resample)
+        forest = fit_pf(ds, PfConfig(trees_count=1, n_min_leaf=1, seed=0), resample)
         assert len(seen) == 2
         assert seen[0] == replicate_seed(0, 0, 0)
         assert seen[1] == replicate_seed(0, 0, 1)
@@ -84,7 +83,7 @@ class TestFit:
     def test_identity_resample_reduces_to_base_trees(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng, 150, 4, 2, all_arms=True)
-        cfg = PfConfig(trees_count=3, base=PtConfig(n_min_leaf=5, n_features=2), seed=7)
+        cfg = PfConfig(trees_count=3, n_min_leaf=5, n_features=2, seed=7)
         forest = fit_pf(ds, cfg, resample=lambda seed, n: np.arange(n))
         for j, tree in enumerate(forest.trees):
             seed = tree_fit_seed(replicate_seed(7, j))
@@ -95,12 +94,17 @@ class TestFit:
         # leaving n_features unset on d=9 must behave like n_features=3
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, 60, 9, 2, all_arms=True)
-        cfg = PfConfig(trees_count=2, base=PtConfig(n_min_leaf=5))
+        cfg = PfConfig(trees_count=2, n_min_leaf=5)
         forest = fit_pf(ds, cfg)
         assert len(forest.trees) == 2
         # indirect check: same data refit with n_features=3 matches
-        twin = PfConfig(trees_count=2, base=PtConfig(n_min_leaf=5, n_features=3))
+        twin = PfConfig(trees_count=2, n_min_leaf=5, n_features=3)
         assert model_to_doc(fit_pf(ds, twin)) == model_to_doc(forest)
+
+    def test_more_features_than_the_data_has_rejected(self):
+        ds = random_dataset(np.random.default_rng(8), 60, 2, 2, all_arms=True)
+        with pytest.raises(ConfigError, match=r"n_features must be an integer in 1\.\.2, got 3"):
+            fit_pf(ds, PfConfig(trees_count=2, n_features=3))
 
     def test_empty_dataset_rejected(self):
         from perstrees.data import Dataset
@@ -132,7 +136,7 @@ class TestVoting:
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, 80, 3, 3, all_arms=True)
         forest = fit_pf(
-            ds, PfConfig(trees_count=7, base=PtConfig(n_min_leaf=3, scarce_mode=True))
+            ds, PfConfig(trees_count=7, n_min_leaf=3, scarce_mode=True)
         )
         many = forest.predict_many(ds.X)
         assert many.tolist() == [forest.prescribe(x) for x in ds.X]
@@ -142,7 +146,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         ds = random_dataset(rng, 90, 3, 2, all_arms=True)
-        forest = fit_pf(ds, PfConfig(trees_count=3, base=PtConfig(n_min_leaf=4)))
+        forest = fit_pf(ds, PfConfig(trees_count=3, n_min_leaf=4))
         path = tmp_path / "forest.json"
         save_model(forest, path)
         back = load_model(path)
@@ -190,19 +194,19 @@ class TestTreesAsSingleFits:
         # a forest past the lockstep budget grows its trees a group at a time
         rng = np.random.default_rng(51)
         ds = lumpy_dataset(rng, 60, 3)
-        config = PfConfig(trees_count=7, base=PtConfig(n_min_leaf=2), seed=4)
+        config = PfConfig(trees_count=7, n_min_leaf=2, seed=4)
         together = model_to_doc(fit_pf(ds, config))
         monkeypatch.setattr(tree, "_LOCKSTEP_BUDGET", per_group * ds.n * (ds.d + 1))
         assert model_to_doc(fit_pf(ds, config)) == together
 
 
-    @pytest.mark.parametrize("base", [
-        PtConfig(n_min_leaf=2),
-        PtConfig(n_min_leaf=3, scarce_mode=True),
-        PtConfig(n_min_leaf=1, delta_max=3, n_features=4),
-        PtConfig(n_min_leaf=2, n_features=1),
+    @pytest.mark.parametrize("settings", [
+        {"n_min_leaf": 2},
+        {"n_min_leaf": 3, "scarce_mode": True},
+        {"n_min_leaf": 1, "delta_max": 3, "n_features": 4},
+        {"n_min_leaf": 2, "n_features": 1},
     ], ids=["strict", "scarce", "delta_max", "one_feature"])
-    def test_every_tree_is_fit_pt_on_its_replicate(self, base):
+    def test_every_tree_is_fit_pt_on_its_replicate(self, settings):
         # a forest tree is fit_pt on split(ds, replicate) with its derived
         # seed, whatever order the forest grows its trees in
         rng = np.random.default_rng(50)
@@ -210,13 +214,13 @@ class TestTreesAsSingleFits:
             m = 2 + trial % 2
             ds = lumpy_dataset(rng, int(rng.integers(30, 90)), m)
             seed = int(rng.integers(0, 1000))
-            forest = fit_pf(ds, PfConfig(trees_count=6, base=base, seed=seed))
-            n_features = base.n_features or 2  # ceil(sqrt(4))
+            forest = fit_pf(ds, PfConfig(trees_count=6, **settings, seed=seed))
+            base = PtConfig(**{"n_features": 2, **settings})  # unset means ceil(sqrt(4))
             for j, tree in enumerate(forest.trees):
                 for attempt in range(MAX_REDRAWS + 1):
                     rep_seed = replicate_seed(seed, j, attempt)
                     idx = make_rng(rep_seed).integers(0, ds.n, size=ds.n)
                     if np.unique(ds.T[idx]).size == m:
                         break
-                config = replace(base, seed=tree_fit_seed(rep_seed), n_features=n_features)
+                config = replace(base, seed=tree_fit_seed(rep_seed))
                 assert model_to_doc(tree) == model_to_doc(fit_pt(split(ds, idx), config))

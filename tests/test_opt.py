@@ -544,6 +544,18 @@ class TestSolveExact:
             with pytest.raises(ConfigError, match="menu"):
                 warm_start_from_pt(ds, cfg, sk, menu)
 
+    def test_config_depth_must_be_the_skeletons(self):
+        ds = random_dataset(np.random.default_rng(31), 40, 2, 2, all_arms=True)
+        cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=3)
+        sk = TreeSkeleton(1)
+        menu = build_cut_menu(ds, sk, cfg)
+        named = "config delta 2 does not match the depth-1 skeleton"
+        for call in (solve_exact, build_mip):
+            with pytest.raises(ConfigError, match=named):
+                call(ds, sk, menu, cfg)
+        with pytest.raises(ConfigError, match=named):
+            warm_start_from_pt(ds, cfg, sk, menu)
+
 
 def solve_outcome(solve, *args):
     try:

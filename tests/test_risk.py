@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from perstrees.risk import (
     partition_risk_estimate,
     prescriptions,
 )
+from perstrees.tree import fit_pt
 
 from helpers import random_dataset
 
@@ -204,6 +206,13 @@ def test_prescriptions_row_loop_matches_vectorized():
     pol = FunctionPolicy(fn=lambda x: 1 + int(x[0] > 0), m=2)
     got = prescriptions(pol, X)
     assert got.tolist() == [1 + int(v > 0) for v in X[:, 0]]
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2, 3)])
+def test_prescriptions_need_a_matrix_of_rows(shape):
+    policy = fit_pt(random_dataset(np.random.default_rng(3), 30, 2, 2, all_arms=True))
+    with pytest.raises(DomainError, match=re.escape(f"(n, d) matrix of rows, got shape {shape}")):
+        prescriptions(policy, np.zeros(shape))
 
 
 @pytest.mark.parametrize("t", [0, -1, 4])

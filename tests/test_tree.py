@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -406,8 +407,8 @@ class TestSweepShape:
         config = PtConfig(n_min_leaf=20)
         lists, grown = self.check(monkeypatch, ds, config, lambda: fit_pt(ds, config))
         assert grown.n_leaves > 20 and max(k for nodes in lists for _, k in nodes) == ds.n
-        forest_config = PfConfig(trees_count=6, base=PtConfig(n_min_leaf=5), seed=3)
-        lists, _ = self.check(monkeypatch, ds, forest_config.base, lambda: fit_pf(ds, forest_config))
+        forest_config = PfConfig(trees_count=6, n_min_leaf=5, seed=3)
+        lists, _ = self.check(monkeypatch, ds, forest_config, lambda: fit_pf(ds, forest_config))
         assert max(map(len, lists)) > 1  # the trees' nodes are scored together
 
 
@@ -505,7 +506,7 @@ class TestRoutingAgreement:
         result = solve_exact(ds, sk, build_cut_menu(ds, sk, cfg), cfg)
         trees = {
             "pt": fit_pt(ds, PtConfig(n_min_leaf=5)),
-            "pf": fit_pf(ds, PfConfig(trees_count=2, base=PtConfig(n_min_leaf=5))).trees[1],
+            "pf": fit_pf(ds, PfConfig(trees_count=2, n_min_leaf=5)).trees[1],
             "opt": result.tree,
         }
         return ds, trees, sk, result
@@ -772,8 +773,8 @@ PINNED_FORESTS = {
     "grid": "b929fd504f5f6f9d1d17b1330b1d47a0c975bb4d1cbdfa5cf7cd7b911254800c",
 }
 
-# the same for 10-tree forests (seed 6) on the named base configs, whose
-# own seeds a forest ignores; "signed" fits the "normal" data with an
+# the same for 10-tree forests (seed 6) with the tree settings of the
+# named configs; "signed" fits the "normal" data with an
 # outcome column of negatives, positives and -0.0
 PINNED_FOREST_BASES = {
     ("normal", "scarce"):
@@ -823,6 +824,6 @@ class TestPinnedTrees:
 
     @pytest.mark.parametrize("covariates, name", sorted(PINNED_FOREST_BASES))
     def test_fit_pf_digest_on_base(self, covariates, name):
-        config = PfConfig(trees_count=10, base=PINNED_CONFIGS[name], seed=6)
+        config = PfConfig(trees_count=10, **{**asdict(PINNED_CONFIGS[name]), "seed": 6})
         forest = fit_pf(pinned_data(covariates), config)
         assert doc_digest(model_to_doc(forest)) == PINNED_FOREST_BASES[covariates, name]
