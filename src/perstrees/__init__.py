@@ -48,7 +48,6 @@ from .opt import (
     OptConfig,
     OptResult,
     TreeAssignment,
-    TreeSkeleton,
     build_cut_menu,
     build_mip,
     check_solution,
@@ -111,7 +110,6 @@ __all__ = [
     "RcPolicy",
     "SyntheticSpec",
     "TreeAssignment",
-    "TreeSkeleton",
     "best_split",
     "bootstrap",
     "build_cut_menu",

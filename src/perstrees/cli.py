@@ -28,7 +28,7 @@ from .experiment import (
     synthetic_spec_from_doc,
 )
 from .model_io import load_model, save_model
-from .opt import OptConfig, TreeSkeleton, build_cut_menu, build_mip, export_mps, names_path
+from .opt import OptConfig, build_cut_menu, build_mip, export_mps, names_path
 from .risk import oracle_metrics, prescriptions
 from .submatch import matched_metrics, save_matched_csv
 
@@ -98,6 +98,8 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
+    if args.seed is not None and args.greedy is None:
+        raise ConfigError("--seed applies to --greedy alone: no other mode draws at random")
     policy = load_model(args.model)
     ds = _load_data(args)
     if args.oracle:
@@ -106,7 +108,7 @@ def cmd_evaluate(args):
     else:
         protocol = (Protocol("greedy-submatch", n_test=args.greedy) if args.greedy is not None
                     else Protocol("optimal-submatch", n_pair=args.optimal))
-        mts = _matched_set(ds, protocol, args.seed)
+        mts = _matched_set(ds, protocol, args.seed or 0)
         doc = {"protocol": protocol.kind, "n_test": mts.n_test}
         score = matched_metrics(mts, policy)
     doc["risk"] = score.risk
@@ -123,7 +125,9 @@ def cmd_evaluate(args):
 def cmd_submatch(args):
     ds = _load_data(args)
     protocol = Protocol(f"{args.method}-submatch", args.n_test, args.n_pair)
-    mts = _matched_set(ds, protocol, args.seed)
+    if args.seed is not None and args.method == "optimal":
+        raise ConfigError("--seed applies to --method greedy alone: optimal matching draws nothing at random")
+    mts = _matched_set(ds, protocol, args.seed or 0)
     save_matched_csv(mts, args.out)
     print(f"matched {mts.n_test} test subjects ({len(mts.removed)} removed) to {args.out}")
     return 0
@@ -133,9 +137,7 @@ def cmd_export_mip(args):
     ds = _load_data(args)
     flags = ("delta", "n_min_leaf", "n_features", "n_cuts", "seed")
     cfg = OptConfig(**{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
-    skeleton = TreeSkeleton(cfg.delta)
-    menu = build_cut_menu(ds, skeleton, cfg)
-    model = build_mip(ds, skeleton, menu, cfg)
+    model = build_mip(ds, build_cut_menu(ds, cfg), cfg)
     export_mps(model, args.out)
     n_rows, n_cols = model.A.shape
     print(
@@ -187,7 +189,7 @@ def build_parser():
     mode.add_argument("--oracle", action="store_true", help="use counterfactual columns")
     mode.add_argument("--greedy", type=int, metavar="N_TEST", help="greedy submatched test set")
     mode.add_argument("--optimal", type=int, metavar="N_PAIR", help="optimal submatched pairs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of --greedy draws (default 0)")
     p.add_argument("--out", default=None, help="also write the metrics JSON here")
     p.set_defaults(fn=cmd_evaluate)
 
@@ -196,7 +198,7 @@ def build_parser():
     p.add_argument("--method", required=True, choices=["greedy", "optimal"])
     p.add_argument("--n-test", type=int, default=None)
     p.add_argument("--n-pair", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of greedy draws (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_submatch)
 

@@ -38,7 +38,7 @@ from .baselines import fit_1v1, fit_1va, fit_rc, make_cate, make_regressor
 from .data import SyntheticSpec, generate_synthetic, split
 from .errors import ConfigError, _check_int, _check_keys, _check_object
 from .forest import PfConfig, fit_pf
-from .opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact, warm_start_from_pt
+from .opt import OptConfig, build_cut_menu, solve_exact, warm_start_from_pt
 from .risk import oracle_metrics
 from .seeding import derive_seed
 from .submatch import greedy_submatch, mahalanobis_metric, matched_metrics, optimal_submatch
@@ -92,12 +92,11 @@ def _opt(params, seed):
     if not isinstance(warm, bool):
         raise ConfigError(f"warm must be true or false, got {warm!r}")
     cfg = OptConfig(**params, seed=seed)
-    skeleton = TreeSkeleton(cfg.delta)
 
     def fit(ds):
-        menu = build_cut_menu(ds, skeleton, cfg)
-        start = warm_start_from_pt(ds, cfg, skeleton, menu) if warm else None
-        return solve_exact(ds, skeleton, menu, cfg, warm=start).tree
+        menu = build_cut_menu(ds, cfg)
+        start = warm_start_from_pt(ds, cfg, menu) if warm else None
+        return solve_exact(ds, menu, cfg, warm=start).tree
 
     return fit
 

@@ -9,7 +9,7 @@ from .mip import (
     solution_from_assignment,
 )
 from .mps import export_mps, names_path
-from .skeleton import CutMenu, OptConfig, TreeSkeleton, build_cut_menu, cut_positions
+from .skeleton import CutMenu, OptConfig, build_cut_menu, cut_positions
 from .solver import (
     OptResult,
     TreeAssignment,
@@ -25,7 +25,6 @@ __all__ = [
     "OptConfig",
     "OptResult",
     "TreeAssignment",
-    "TreeSkeleton",
     "assignment_to_tree",
     "build_cut_menu",
     "build_mip",

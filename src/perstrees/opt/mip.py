@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import _json_file
-from ..errors import ConfigError, InfeasibleError, ParseError
+from ..errors import ConfigError, ParseError
+from .skeleton import _check_depth, _check_fill, _internal_nodes, _leaf_nodes, _path_to
 from .solver import _leaves
 
 
@@ -179,13 +180,14 @@ def _starts(blocks):
     return np.concatenate([[0], np.cumsum(sizes)])
 
 
-def _column_blocks(n, m, skeleton, menu):
+def _column_blocks(n, m, menu):
     blocks = []
-    for p in skeleton.internal_nodes:
+    delta = len(menu.cuts).bit_length()
+    for p in _internal_nodes(delta):
         n_cut = len(menu.for_node(p))
         blocks.append(((f"gamma({p},{{0}})",), (range(1, n_cut + 1),)))
         blocks.append(((f"delta({p},{{0}})",), (range(1, (n_cut - 1).bit_length() + 1),)))
-    subjects, leaves, arms = range(1, n + 1), skeleton.leaves, range(1, m + 1)
+    subjects, leaves, arms = range(1, n + 1), _leaf_nodes(delta), range(1, m + 1)
     blocks.append((("w({0},{1})",), (subjects, leaves)))
     blocks.append((("lambda({0},{1})",), (leaves, arms)))
     blocks.append((("mu({0})",), (leaves,)))
@@ -193,15 +195,16 @@ def _column_blocks(n, m, skeleton, menu):
     return tuple(blocks)
 
 
-def _row_blocks(n, m, skeleton, menu):
+def _row_blocks(n, m, menu):
     blocks = []
-    for p in skeleton.internal_nodes:
+    delta = len(menu.cuts).bit_length()
+    for p in _internal_nodes(delta):
         blocks.append(((f"onecut({p})",), ()))
         n_cut = len(menu.for_node(p))
         blocks.append(((f"code({p},{{0}})",), (range(1, (n_cut - 1).bit_length() + 1),)))
-    subjects, leaves, arms = range(1, n + 1), skeleton.leaves, range(1, m + 1)
+    subjects, leaves, arms = range(1, n + 1), _leaf_nodes(delta), range(1, m + 1)
     for p in leaves:
-        route = tuple(f"routeub({{0}},{p},{q})" for q, _ in skeleton.path_to(p))
+        route = tuple(f"routeub({{0}},{p},{q})" for q, _ in _path_to(p))
         blocks.append((route + (f"routelb({{0}},{p})",), (subjects,)))
     blocks.append((("leafmin({0},{1})",), (leaves, arms)))
     blocks.append((("costw({0},{1})", "costmu({0},{1})", "costlb({0},{1})"), (subjects, leaves)))
@@ -211,30 +214,27 @@ def _row_blocks(n, m, skeleton, menu):
     return tuple(blocks)
 
 
-def build_mip(ds, skeleton, menu, config):
-    """Assemble the full model for one dataset, skeleton, and menu.
+def build_mip(ds, menu, config):
+    """Assemble the full model for one dataset and a menu, for the tree
+    of depth config.delta with n_min_leaf of every treatment per leaf.
 
     Raises:
-        ConfigError: the menu or config.delta does not fit the skeleton.
+        ConfigError: the menu is not of depth config.delta.
         InfeasibleError: n < n_leaves * m * n_min_leaf, so no routing
-            can satisfy the per-leaf occupancy minimums.
+            can satisfy the per-leaf occupancy minimums (checked first).
     """
-    skeleton._check_fit(menu, config)
-    n, m, n_leaves = ds.n, ds.m, len(skeleton.leaves)
-    if n < n_leaves * m * config.n_min_leaf:
-        raise InfeasibleError(
-            f"{n} subjects cannot fill {n_leaves} leaves with "
-            f"{config.n_min_leaf} of each of {m} treatments"
-        )
+    _check_depth("menu", menu.cuts, config.delta)
+    _check_fill(ds, config)
+    n, m, n_leaves = ds.n, ds.m, 2**config.delta
     ybar = ds.Y - ds.Y.min()
     ymax = float(ybar.max())
     counts = np.bincount(ds.T - 1, minlength=m)
     big_m = ymax * (int(counts.max()) - n_leaves * config.n_min_leaf)
     arm = ds.T - 1
-    depth, n_split = skeleton.delta, n_leaves - 1
+    depth, n_split = config.delta, n_leaves - 1
 
-    col_blocks = _column_blocks(n, m, skeleton, menu)
-    row_blocks = _row_blocks(n, m, skeleton, menu)
+    col_blocks = _column_blocks(n, m, menu)
+    row_blocks = _row_blocks(n, m, menu)
     col, row = _starts(col_blocks), _starts(row_blocks)
     # first column of gamma(p,.) and of delta(p,.) at index p - 1
     gamma, code = col[0 : 2 * n_split : 2], col[1 : 2 * n_split : 2]
@@ -258,7 +258,7 @@ def build_mip(ds, skeleton, menu, config):
 
     # cut choice: simplex row plus binary code rows
     fires = {}
-    for p in skeleton.internal_nodes:
+    for p in _internal_nodes(depth):
         cuts = menu.for_node(p)
         j = np.arange(len(cuts))
         one, bits = row[2 * p - 2], row[2 * p - 1] + np.arange((len(cuts) - 1).bit_length())
@@ -272,10 +272,10 @@ def build_mip(ds, skeleton, menu, config):
         fires[p] = np.nonzero(ds.X[:, features] <= np.array([t for _, t in cuts]))
 
     # routing: w(i,p) is the product of per-ancestor branch indicators
-    for leaf, p in enumerate(skeleton.leaves):
+    for leaf, p in enumerate(_leaf_nodes(depth)):
         base = row[2 * n_split + leaf] + np.arange(n) * (depth + 1)
         n_left = 0
-        for k, (q, sign) in enumerate(skeleton.path_to(p)):
+        for k, (q, sign) in enumerate(_path_to(p)):
             i, j = fires[q]
             add(base[i] + k, gamma[q - 1] + j, float(sign))
             add(base[i] + depth, gamma[q - 1] + j, float(sign))
@@ -323,7 +323,7 @@ def build_mip(ds, skeleton, menu, config):
     upper[mu0:] = np.inf
     binary = np.zeros(col[-1], dtype=bool)
     binary[lam0:mu0] = True
-    for p in skeleton.internal_nodes:
+    for p in _internal_nodes(depth):
         binary[code[p - 1] : col[2 * p]] = True
     return MipModel(
         c=objective,
@@ -338,23 +338,23 @@ def build_mip(ds, skeleton, menu, config):
     )
 
 
-def solution_from_assignment(ds, skeleton, menu, assignment):
+def solution_from_assignment(ds, menu, assignment):
     """Column values induced by a concrete tree assignment.
 
     Returns a complete name-to-value map: one-hot gamma with its code
     bits, memberships from routing, one-hot lambda, mu as the leaf mean
     of the chosen treatment's shifted outcome, and nu = mu * w.
-    ConfigError when the menu or the assignment does not fit the
-    skeleton, the assignment does not fit the data, or a cut is not on
-    its node's menu.
+    ConfigError when the assignment is not a complete tree or does not
+    fit the data, the menu is not of the assignment's depth, or a cut
+    is not on its node's menu.
     """
-    skeleton._check_nodes("menu", menu.cuts)
-    leaf, counts, sums = _leaves(ds, skeleton, assignment, ds.Y - ds.Y.min())
+    leaf, counts, sums = _leaves(ds, assignment, ds.Y - ds.Y.min())
     top = len(counts)
-    blocks = _column_blocks(ds.n, ds.m, skeleton, menu)
+    _check_depth("menu", menu.cuts, top.bit_length() - 1)
+    blocks = _column_blocks(ds.n, ds.m, menu)
     col = _starts(blocks)
     x = np.zeros(col[-1])
-    for p in skeleton.internal_nodes:
+    for p in range(1, top):
         cut, options = assignment.cuts[p - 1], menu.for_node(p)
         if cut not in options:
             raise ConfigError(f"cut {cut!r} of node {p} is not on that node's menu")

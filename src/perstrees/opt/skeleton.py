@@ -1,11 +1,13 @@
-"""Complete-tree skeletons and candidate cut menus for exact search.
+"""The complete-tree layout and candidate cut menus of exact search.
 
-The skeleton of depth delta is a complete binary tree in heap order:
-internal nodes 1..2^delta - 1, leaves 2^delta..2^(delta+1) - 1, node p's
-children 2p and 2p + 1. Rows are routed by heap arithmetic, one gather
-per level from feature and threshold arrays holding node p's cut at
-index p - 1: a row at p moves to 2p when x[feature] <= threshold and to
-2p + 1 otherwise (so NaN goes right), as in fitted trees.
+An exact tree of depth delta (OptConfig.delta, or for an assignment its
+own cut count) is complete and numbered in heap order: internal nodes
+1..2^delta - 1, leaves 2^delta..2^(delta+1) - 1, node p's children 2p
+and 2p + 1. Menus and assignments list one cut per internal node, node p
+at index p - 1. As the parallel node arrays of a fitted tree, node p
+sits at index p - 1 and its children at 2p - 1 and 2p, so rows are
+routed by `tree._route`: x[feature] <= threshold goes left (NaN goes
+right).
 
 Each internal node gets a finite menu of candidate cuts: for each of
 n_features randomly drawn features, the cuts between consecutive
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyMenuError, _check_int
+from ..errors import ConfigError, EmptyMenuError, InfeasibleError, _check_int
 from ..seeding import make_rng
 from ..tree import _cut, _features_drawn
 
@@ -53,63 +55,35 @@ class OptConfig:
         _check_int("seed", self.seed, 0)
 
 
-@dataclass(frozen=True)
-class TreeSkeleton:
-    """Node layout of a complete binary tree of the given depth."""
+def _internal_nodes(delta):
+    return range(1, 2**delta)
 
-    delta: int
 
-    def __post_init__(self):
-        _check_int("delta", self.delta, 1)
+def _leaf_nodes(delta):
+    return range(2**delta, 2 ** (delta + 1))
 
-    @property
-    def internal_nodes(self):
-        return tuple(range(1, 2**self.delta))
 
-    @property
-    def leaves(self):
-        return tuple(range(2**self.delta, 2 ** (self.delta + 1)))
+def _path_to(leaf):
+    """Ancestors of a leaf, root first, as (node, direction) pairs.
 
-    def path_to(self, leaf):
-        """Ancestors of a leaf, root first, as (node, direction) pairs.
+    direction is +1 when the path takes the right child at that
+    ancestor, -1 when it takes the left child.
+    """
+    return [(leaf >> j, 1 if leaf >> (j - 1) & 1 else -1) for j in range(leaf.bit_length() - 1, 0, -1)]
 
-        direction is +1 when the path takes the right child at that
-        ancestor, -1 when it takes the left child.
-        """
-        path = []
-        for j in range(self.delta, 0, -1):
-            q = leaf >> j
-            step = leaf >> (j - 1)
-            path.append((q, +1 if step == 2 * q + 1 else -1))
-        return path
 
-    def _check_nodes(self, name, seq):
-        """ConfigError unless seq holds one entry per internal node."""
-        n = 2**self.delta - 1
-        if len(seq) != n:
-            raise ConfigError(f"{name} has {len(seq)} nodes, a depth-{self.delta} skeleton has {n}")
+def _check_depth(name, nodes, delta):
+    """ConfigError unless nodes (a menu's or an assignment's cuts) holds
+    one entry per internal node of the depth-delta tree."""
+    if len(nodes) != 2**delta - 1:
+        raise ConfigError(f"{name} has {len(nodes)} nodes, a depth-{delta} tree has {2**delta - 1}")
 
-    def _check_fit(self, menu, config):
-        """ConfigError unless the menu has one entry per internal node and
-        config.delta is this skeleton's depth."""
-        self._check_nodes("menu", menu.cuts)
-        if config.delta != self.delta:
-            raise ConfigError(f"config delta {config.delta} does not match the depth-{self.delta} skeleton")
 
-    def route_many(self, X, cuts):
-        """Leaf id (heap numbering) of every row of X under the given cuts;
-        ConfigError unless each internal node has one, on a column of X."""
-        self._check_nodes("the cut list", cuts)
-        X = np.asarray(X, dtype=np.float64)
-        last = X.shape[1] - 1
-        feature = np.array([_check_int("cut feature", f, 0, maximum=last) for f, _ in cuts], dtype=np.intp)
-        threshold = np.array([theta for _, theta in cuts], dtype=np.float64)
-        rows = np.arange(len(X))
-        p = 2 + ~(X[:, feature[0]] <= threshold[0])  # the root's children
-        for _ in range(self.delta - 1):
-            q = p - 1
-            p += p + ~(X[rows, feature[q]] <= threshold[q])
-        return p
+def _check_fill(ds, config):
+    """InfeasibleError unless n >= 2^delta * m * n_min_leaf: fewer rows cannot fill the leaves."""
+    if ds.n < 2**config.delta * ds.m * config.n_min_leaf:
+        raise InfeasibleError(f"{ds.n} subjects cannot fill {2**config.delta} leaves with "
+                              f"{config.n_min_leaf} of each of {ds.m} treatments")
 
 
 @dataclass(frozen=True)
@@ -139,8 +113,9 @@ def cut_positions(n, n_cuts):
     return sorted(grid)
 
 
-def build_cut_menu(ds, skeleton, config):
-    """Draw per-node features and build each node's cut menu.
+def build_cut_menu(ds, config):
+    """Draw per-node features and build each node's cut menu for the
+    depth config.delta tree.
 
     Features are drawn node by node in ascending node order from one
     generator seeded by config.seed. At each grid position the straddling
@@ -148,14 +123,16 @@ def build_cut_menu(ds, skeleton, config):
     and equal ones none; f's thresholds ascend strictly, so none repeats.
 
     Raises:
+        InfeasibleError: the rows cannot fill the leaves (`_check_fill`).
         EmptyMenuError: some node ends up with no candidate cuts.
     """
     n_features = _features_drawn(config.n_features, ds.d, ds.d)
+    _check_fill(ds, config)
     positions = np.array(cut_positions(ds.n, config.n_cuts), dtype=np.intp)
     thresholds = {}
     rng = make_rng(config.seed)
     menus = []
-    for p in skeleton.internal_nodes:
+    for p in _internal_nodes(config.delta):
         feats = rng.choice(ds.d, size=n_features, replace=False)
         cuts = []
         for f in feats.tolist():

@@ -94,8 +94,8 @@ import numpy as np
 from ..errors import ConfigError, InfeasibleError, SolveTimeout, _check_int, _check_number
 from ..seeding import derive_seed, make_rng
 from ..risk import _counts_and_sums, _means
-from ..tree import PersonalizationTree, PtConfig, _build, fit_pt
-from .skeleton import TreeSkeleton, build_cut_menu
+from ..tree import PersonalizationTree, PtConfig, _build, _route, fit_pt
+from .skeleton import _check_depth, _check_fill, build_cut_menu
 
 logger = logging.getLogger(__name__)
 
@@ -127,29 +127,28 @@ class TreeAssignment:
     treatments: tuple
 
 
-def _leaves(ds, skeleton, assignment, y):
+def _leaves(ds, assignment, y):
     """Each row's 0-based leaf under the assignment, and per-(leaf, arm)
-    counts and sums of y; ConfigError unless its cut and treatment counts
-    fit the skeleton, its thresholds are finite, its treatments lie in
-    1..m and (checked by the routing) its cut features lie in 0..d-1."""
-    top = 2**skeleton.delta
+    counts and sums of y; ConfigError unless it has 2^k - 1 cuts and 2^k
+    treatments for some k >= 1, its thresholds are finite, its treatments
+    lie in 1..m and its cut features lie in 0..d-1. Rows are routed by
+    `tree._route` on the complete tree's heap arrays, leaves padded."""
     cuts, treatments = assignment.cuts, assignment.treatments
-    if len(cuts) != top - 1 or len(treatments) != top:
-        raise ConfigError(
-            f"assignment has {len(cuts)} cuts and {len(treatments)} treatments, "
-            f"a depth-{skeleton.delta} skeleton has {top - 1} and {top}"
-        )
-    for _, theta in cuts:
-        _check_number("cut threshold", theta)
+    top = len(treatments)
+    if len(cuts) != top - 1 or top < 2 or top & (top - 1):
+        raise ConfigError(f"assignment has {len(cuts)} cuts and {top} treatments, not 2^k - 1 and 2^k")
+    threshold = [_check_number("cut threshold", theta) for _, theta in cuts] + [0.0] * top
     for t in treatments:
         _check_int("treatment", t, 1, maximum=ds.m)
-    leaf = skeleton.route_many(ds.X, cuts) - top
+    feature = [_check_int("cut feature", f, 0, maximum=ds.d - 1) for f, _ in cuts] + [0] * top
+    left = np.append(np.arange(1, 2 * top - 2, 2), np.full(top, -1))
+    leaf = _route(ds.X, np.array(feature, np.intp), np.array(threshold, np.float64), left, left + 1) - (top - 1)
     return (leaf, *_counts_and_sums(ds.T, y, ds.m, leaf, top))
 
 
 def _short(arm, m, nm, top, p):
     """Whether rows with 0-based arms `arm` hold fewer than nm of some arm
-    per leaf below node p of a skeleton with top leaves, so that no
+    per leaf below heap node p of a tree with top leaves, so that no
     subtree at p over them is feasible."""
     return np.bincount(arm, minlength=m).min() < nm * (top >> (p.bit_length() - 1))
 
@@ -238,7 +237,7 @@ def _leaf_values(tallies, nm):
         return np.where(counts.min(axis=0) >= nm, counts.sum(axis=0) * means.min(axis=0), np.inf), means
 
 
-def evaluate_assignment(ds, skeleton, assignment, config):
+def evaluate_assignment(ds, assignment, config):
     """Objective of one assignment, or +inf when it is infeasible.
 
     The objective is the sum over leaves of leaf size times the mean
@@ -247,9 +246,11 @@ def evaluate_assignment(ds, skeleton, assignment, config):
     subjects of some treatment.
 
     Raises:
-        ConfigError: the assignment does not fit the skeleton or the data.
+        ConfigError: the assignment is not of depth config.delta or does
+            not fit the data.
     """
-    _, counts, sums = _leaves(ds, skeleton, assignment, ds.Y - ds.Y.min())
+    _check_depth("assignment", assignment.cuts, config.delta)
+    _, counts, sums = _leaves(ds, assignment, ds.Y - ds.Y.min())
     if counts.min() < config.n_min_leaf:
         return float("inf")
     chosen = (np.arange(len(counts)), np.asarray(assignment.treatments) - 1)
@@ -269,11 +270,12 @@ class OptResult:
     tree: PersonalizationTree
 
 
-def assignment_to_tree(ds, skeleton, assignment):
-    """Materialize an assignment as a tree policy, skeleton node p as item p
+def assignment_to_tree(ds, assignment):
+    """Materialize an assignment as a tree policy, heap node p as item p
     of `_build`, with leaf statistics recomputed by routing the dataset;
-    ConfigError when the assignment does not fit the skeleton or the data."""
-    _, counts, sums = _leaves(ds, skeleton, assignment, ds.Y)
+    the depth is the assignment's own. ConfigError when the assignment
+    is not a complete tree or does not fit the data."""
+    _, counts, sums = _leaves(ds, assignment, ds.Y)
     means, top = _means(counts, sums), len(counts)
 
     def expand(p):
@@ -284,7 +286,7 @@ def assignment_to_tree(ds, skeleton, assignment):
     return _build(1, expand, ds.m, ds.d)
 
 
-def solve_exact(ds, skeleton, menu, config, warm=None):
+def solve_exact(ds, menu, config, warm=None):
     """Globally optimal assignment by memoized recursive decomposition.
 
     Builds each bottom node's side table and the block tables of the
@@ -300,11 +302,10 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
 
     Args:
         ds: dataset.
-        skeleton: TreeSkeleton of depth config.delta.
-        menu: CutMenu for the skeleton.
-        config: OptConfig; work_limit bounds the bottom passes. A
-            solve with work_limit k runs min(k, P) of them, P the count
-            of the unlimited solve, on any host and under any load.
+        menu: CutMenu of depth config.delta.
+        config: OptConfig: delta is the depth; work_limit bounds the
+            bottom passes, a solve with work_limit k running min(k, P) of
+            them, P the count of the unlimited solve, on any host and load.
         warm: optional feasible TreeAssignment used as the incumbent.
 
     Returns:
@@ -316,14 +317,16 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         place.
 
     Raises:
-        ConfigError: the menu, config.delta or the warm start does not
-            fit the skeleton, or the warm start does not fit the data.
-        InfeasibleError: no feasible assignment exists.
+        ConfigError: the menu or the warm start is not of depth
+            config.delta, or the warm start does not fit the data.
+        InfeasibleError: no feasible assignment exists (before any
+            per-node work when the rows cannot fill the leaves).
         SolveTimeout: the work limit was reached with no incumbent
             available.
     """
-    skeleton._check_fit(menu, config)
-    top = 2**skeleton.delta
+    _check_depth("menu", menu.cuts, config.delta)
+    _check_fill(ds, config)
+    top = 2**config.delta
     ybar = ds.Y - ds.Y.min()
     tvec = ds.T - 1
     m = ds.m
@@ -439,7 +442,7 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
 
     warm_value = float("inf")
     if warm is not None:
-        warm_value = evaluate_assignment(ds, skeleton, warm, config)
+        warm_value = evaluate_assignment(ds, warm, config)
 
     all_rows = np.arange(ds.n)
     proved = True
@@ -471,39 +474,40 @@ def solve_exact(ds, skeleton, menu, config, warm=None):
         assignment=assignment,
         objective=objective,
         proved=proved,
-        tree=assignment_to_tree(ds, skeleton, assignment),
+        tree=assignment_to_tree(ds, assignment),
     )
 
 
-def warm_start_from_pt(ds, config, skeleton=None, menu=None):
+def warm_start_from_pt(ds, config, menu=None):
     """Greedy-tree warm start snapped onto the cut menu.
 
-    Fits a depth-bounded greedy tree, maps its cuts to the nearest
-    same-feature menu thresholds, and pads shallower leaves to full
-    depth with menu cuts tried in seeded random order; padded leaves
-    inherit the greedy leaf's prescription. Returns None when no
-    feasible completion exists along the attempted padding orders.
-    Builds the skeleton and menu from config when not supplied;
-    ConfigError when the menu or config.delta does not fit the skeleton.
+    Fits a greedy tree of depth at most config.delta, maps its cuts to
+    the nearest same-feature menu thresholds, and pads shallower leaves
+    to full depth with menu cuts tried in seeded random order; padded
+    leaves inherit the greedy leaf's prescription. Returns None when no
+    feasible completion exists along the attempted padding orders, and
+    before any fit when the rows hold fewer than n_min_leaf of some
+    treatment per leaf. Builds the menu from config when it is None;
+    ConfigError when a given menu is not of depth config.delta.
     """
-    if skeleton is None:
-        skeleton = TreeSkeleton(config.delta)
-    if menu is None:
-        menu = build_cut_menu(ds, skeleton, config)
-    skeleton._check_fit(menu, config)
+    if menu is not None:
+        _check_depth("menu", menu.cuts, config.delta)
+    top = 2**config.delta
+    if _short(ds.T - 1, ds.m, config.n_min_leaf, top, 1):
+        return None
+    menu = build_cut_menu(ds, config) if menu is None else menu
     pt = fit_pt(
         ds,
         PtConfig(
             n_min_leaf=config.n_min_leaf,
-            delta_max=skeleton.delta,
+            delta_max=config.delta,
             n_features=config.n_features,
             seed=config.seed,
         ),
     )
-    top = 2**skeleton.delta
 
     def candidates(p, node):
-        """Cut candidates at skeleton node p, preferred first."""
+        """Cut candidates at heap node p, preferred first."""
         options = menu.for_node(p)
         same = [c for c in options if pt.left[node] >= 0 and c[0] == pt.feature[node]]
         snapped = [min(same, key=lambda c: abs(c[1] - pt.threshold[node]))] if same else []
@@ -512,7 +516,7 @@ def warm_start_from_pt(ds, config, skeleton=None, menu=None):
         return snapped + [rest[i] for i in order]
 
     def place(p, idx, node):
-        """Subtree of skeleton node p over rows idx after greedy node
+        """Subtree of heap node p over rows idx after greedy node
         `node` (a leaf once p is: the greedy tree is no deeper), or None."""
         if _short(ds.T[idx] - 1, ds.m, config.n_min_leaf, top, p):
             return None

@@ -298,14 +298,15 @@ def dumps_reference(doc):
     return json.dumps(doc, indent=2)
 
 
-def reference_solve(ds, skeleton, menu, config):
-    """The per-leaf recursion that the bottom-node pass replaced: each cut
-    scores its two children with one bincount over each child's rows.
+def reference_solve(ds, menu, config):
+    """The per-leaf recursion that the bottom-node pass replaced, over the
+    complete tree of depth config.delta: each cut scores its two
+    children with one bincount over each child's rows.
     Returns (cuts, treatments, objective, proved); a work limit is
     honoured only as 0, where no cut completes."""
     ybar = ds.Y - ds.Y.min()
     tvec = ds.T - 1
-    top = 2**skeleton.delta
+    top = 2**config.delta
     memo = {}
 
     def leaf_value(idx):
@@ -354,8 +355,8 @@ def reference_solve(ds, skeleton, menu, config):
         raise InfeasibleError("no feasible assignment")
     reconstruct(1, rows, choice)
     return (
-        tuple(cuts[p] for p in skeleton.internal_nodes),
-        tuple(treats[p] for p in skeleton.leaves),
+        tuple(cuts[p] for p in range(1, top)),
+        tuple(treats[p] for p in range(top, 2 * top)),
         objective.hex(),
         True,
     )

@@ -24,7 +24,6 @@ from perstrees.errors import InfeasibleError
 from perstrees.experiment import fit_algorithm
 from perstrees.opt import (
     OptConfig,
-    TreeSkeleton,
     build_cut_menu,
     build_mip,
     check_solution,
@@ -155,14 +154,12 @@ def _c3_instance(seed):
     m = int(rng.integers(2, 4))
     ds = random_dataset(rng, n, 1, m, all_arms=True)
     cfg = OptConfig(delta=2, n_min_leaf=2, n_cuts=4, seed=seed)
-    sk = TreeSkeleton(2)
-    return ds, sk, build_cut_menu(ds, sk, cfg), cfg
+    return ds, build_cut_menu(ds, cfg), cfg
 
 
-def _all_assignments(skeleton, menu, m):
-    cut_lists = [menu.for_node(p) for p in skeleton.internal_nodes]
-    n_leaves = len(skeleton.leaves)
-    for cuts in itertools.product(*cut_lists):
+def _all_assignments(menu, m):
+    n_leaves = len(menu.cuts) + 1
+    for cuts in itertools.product(*menu.cuts):
         for treats in itertools.product(range(1, m + 1), repeat=n_leaves):
             yield TreeAssignment(cuts=tuple(cuts), treatments=tuple(treats))
 
@@ -174,18 +171,18 @@ def test_c03_exact_solver_oracle():
     while done < 25:
         seed += 1
         assert seed < 200, "instance generator starved"
-        ds, sk, menu, cfg = _c3_instance(seed)
-        assert all(len(menu.for_node(p)) <= 5 for p in sk.internal_nodes)
-        best = min(evaluate_assignment(ds, sk, a, cfg) for a in _all_assignments(sk, menu, ds.m))
+        ds, menu, cfg = _c3_instance(seed)
+        assert all(len(cuts) <= 5 for cuts in menu.cuts)
+        best = min(evaluate_assignment(ds, a, cfg) for a in _all_assignments(menu, ds.m))
         try:
-            res = solve_exact(ds, sk, menu, cfg)
+            res = solve_exact(ds, menu, cfg)
         except InfeasibleError:
             assert best == np.inf
             continue
         assert res.proved
         assert abs(res.objective - best) < 1e-9
-        model = build_mip(ds, sk, menu, cfg)
-        values = solution_from_assignment(ds, sk, menu, res.assignment)
+        model = build_mip(ds, menu, cfg)
+        values = solution_from_assignment(ds, menu, res.assignment)
         assert check_solution(model, values) == []
         assert abs(objective_value(model, values) - res.objective) < 1e-9
         done += 1
@@ -197,18 +194,17 @@ def test_c04_solver_dominance():
         rng = make_rng(seed * 104729)
         ds = random_dataset(rng, 40, 2, 2, all_arms=True)
         cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=3, seed=seed)
-        sk = TreeSkeleton(2)
-        menu = build_cut_menu(ds, sk, cfg)
-        res = solve_exact(ds, sk, menu, cfg)
-        cut_lists = [menu.for_node(p) for p in sk.internal_nodes]
+        menu = build_cut_menu(ds, cfg)
+        res = solve_exact(ds, menu, cfg)
+        cut_lists = menu.cuts
         feasible = 0
         attempts = 0
         while feasible < 1000:
             attempts += 1
             assert attempts < 200000, "feasible assignments too rare"
             cuts = tuple(c[rng.integers(len(c))] for c in cut_lists)
-            treats = tuple(int(t) for t in rng.integers(1, ds.m + 1, size=len(sk.leaves)))
-            val = evaluate_assignment(ds, sk, TreeAssignment(cuts, treats), cfg)
+            treats = tuple(int(t) for t in rng.integers(1, ds.m + 1, size=len(cut_lists) + 1))
+            val = evaluate_assignment(ds, TreeAssignment(cuts, treats), cfg)
             if np.isfinite(val):
                 feasible += 1
                 assert val >= res.objective - 1e-12

@@ -308,14 +308,13 @@ class TestColdStart:
 import sys
 import numpy as np
 from perstrees.data import Dataset
-from perstrees.opt import (OptConfig, TreeAssignment, TreeSkeleton, build_cut_menu, build_mip,
+from perstrees.opt import (OptConfig, TreeAssignment, build_cut_menu, build_mip,
                            check_solution, objective_value, solution_from_assignment)
 ds = Dataset(X=np.arange(8.0)[:, None], T=np.array([1, 2] * 4), Y=np.arange(8.0) % 3, m=2)
 cfg = OptConfig(delta=1, n_min_leaf=1, n_cuts=3)
-sk = TreeSkeleton(1)
-menu = build_cut_menu(ds, sk, cfg)
-model = build_mip(ds, sk, menu, cfg)
-values = solution_from_assignment(ds, sk, menu, TreeAssignment(menu.for_node(1)[:1], (1, 2)))
+menu = build_cut_menu(ds, cfg)
+model = build_mip(ds, menu, cfg)
+values = solution_from_assignment(ds, menu, TreeAssignment(menu.for_node(1)[:1], (1, 2)))
 assert isinstance(check_solution(model, values), list)
 objective_value(model, values)"""
         assert self.scipy_modules_after(script) == "[]"
@@ -440,6 +439,58 @@ class TestExportMip:
             "--n-min-leaf", "40", "--out", str(tmp_path / "m.mps"),
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("command", [
+        ("train", "--algo", "opt", "--params", '{"delta": 40}'),
+        ("export-mip", "--delta", "40"),
+    ], ids=["train", "export-mip"])
+    def test_a_depth_the_rows_cannot_fill_exits_2_at_once(self, tmp_path, quad_csv, command):
+        # 2**40 leaves: refused before any per-node work, in a fresh
+        # process so that a run building every node is cut by the timeout
+        argv = [*command, "--data", str(quad_csv), "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-m", "perstrees.cli", *argv],
+                              env=TestColdStart().env(), capture_output=True, text=True, timeout=20)
+        assert done.returncode == 2
+        assert done.stderr == (
+            "perstrees: error: 120 subjects cannot fill 1099511627776 leaves with 20 of each of 2 treatments\n")
+        assert not (tmp_path / "out").exists()
+
+
+class TestSeedFlag:
+    """Only greedy matching draws at random, so only it takes --seed."""
+
+    @pytest.fixture
+    def model(self, tmp_path, quad_csv):
+        model = tmp_path / "model.json"
+        assert run("train", "--algo", "pt", "--data", str(quad_csv),
+                   "--params", '{"n_min_leaf": 10}', "--out", str(model)) == 0
+        return model
+
+    @pytest.mark.parametrize("command", [
+        ("evaluate", "--oracle", "--cf-cols", "y1,y2"),
+        ("evaluate", "--optimal", "10"),
+        ("submatch", "--method", "optimal", "--n-pair", "10"),
+    ], ids=["evaluate-oracle", "evaluate-optimal", "submatch-optimal"])
+    def test_seed_where_nothing_is_drawn_exits_1(self, tmp_path, quad_csv, model, command, capsys):
+        out = tmp_path / "out"
+        if command[0] == "evaluate":
+            command += ("--model", str(model))
+        capsys.readouterr()
+        assert run(*command, "--data", str(quad_csv), "--seed", "0", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("perstrees: error: --seed applies to ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_greedy_draws_use_seed_0_when_unset(self, tmp_path, quad_csv, model):
+        for command in (("evaluate", "--model", str(model), "--greedy", "25"),
+                        ("submatch", "--method", "greedy", "--n-test", "25")):
+            unset, zero = tmp_path / "unset", tmp_path / "zero"
+            assert run(*command, "--data", str(quad_csv), "--out", str(unset)) == 0
+            assert run(*command, "--data", str(quad_csv), "--seed", "0", "--out", str(zero)) == 0
+            assert unset.read_bytes() == zero.read_bytes()
+            assert run(*command, "--data", str(quad_csv), "--seed", "3", "--out", str(zero)) == 0
+            assert unset.read_bytes() != zero.read_bytes()
 
 
 class TestExperiment:

@@ -26,7 +26,7 @@ from perstrees.experiment import (
 )
 from perstrees.forest import PfConfig, fit_pf
 from perstrees.model_io import model_to_doc
-from perstrees.opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact
+from perstrees.opt import OptConfig, build_cut_menu, solve_exact
 from perstrees.tree import PtConfig, fit_pt
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -36,7 +36,6 @@ VALID = {
     PtConfig: {},
     PfConfig: {},
     OptConfig: {},
-    TreeSkeleton: {"delta": 2},
     SyntheticSpec: {
         "n": 5, "d": 1, "m": 1,
         "outcome_model": {"name": "quadratic", "centers": [0.0]},
@@ -60,7 +59,6 @@ INTEGER_FIELDS = [
     (OptConfig, "n_features", 1),
     (OptConfig, "n_cuts", 1),
     (OptConfig, "seed", 0),
-    (TreeSkeleton, "delta", 1),
     (SyntheticSpec, "n", 1),
     (SyntheticSpec, "d", 1),
     (SyntheticSpec, "m", 1),
@@ -98,8 +96,7 @@ def test_scarce_mode_must_be_bool(value):
 
 
 def fit_opt(ds, config):
-    skeleton = TreeSkeleton(config.delta)
-    return solve_exact(ds, skeleton, build_cut_menu(ds, skeleton, config), config).tree
+    return solve_exact(ds, build_cut_menu(ds, config), config).tree
 
 
 # Per config class: its fit, the settings each case starts from, and one

@@ -11,7 +11,6 @@ from perstrees.data import Dataset
 from perstrees.opt import (
     OptConfig,
     TreeAssignment,
-    TreeSkeleton,
     build_cut_menu,
     build_mip,
     export_mps,
@@ -67,9 +66,8 @@ def six_subject_model():
         m=2,
     )
     cfg = OptConfig(delta=1, n_min_leaf=1, n_cuts=2)
-    sk = TreeSkeleton(1)
-    menu = build_cut_menu(ds, sk, cfg)
-    return build_mip(ds, sk, menu, cfg)
+    menu = build_cut_menu(ds, cfg)
+    return build_mip(ds, menu, cfg)
 
 
 def parse_fixed_mps(text):
@@ -259,17 +257,16 @@ HAND_MODELS = {
 
 
 def mip_parts(delta, seed, n_cuts):
-    """Dataset, skeleton, menu and config of a small random instance."""
+    """Dataset, menu and config of a small random instance."""
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng, 12 * 2**delta, 3, 2 + seed % 2, all_arms=True)
     cfg = OptConfig(delta=delta, n_min_leaf=1, n_cuts=n_cuts, seed=seed)
-    sk = TreeSkeleton(delta)
-    return ds, sk, build_cut_menu(ds, sk, cfg), cfg
+    return ds, build_cut_menu(ds, cfg), cfg
 
 
 def mip_instance(delta, seed, n_cuts):
-    ds, sk, menu, cfg = mip_parts(delta, seed, n_cuts)
-    return build_mip(ds, sk, menu, cfg)
+    ds, menu, cfg = mip_parts(delta, seed, n_cuts)
+    return build_mip(ds, menu, cfg)
 
 
 MODELS = {
@@ -309,8 +306,7 @@ class TestAgainstReference:
         ds = generate_synthetic(synthetic_spec_from_doc(
             {"preset": "warfarin-like", "n": 300, "seed": 2}))
         cfg = OptConfig(delta=2)
-        sk = TreeSkeleton(2)
-        model = build_mip(ds, sk, build_cut_menu(ds, sk, cfg), cfg)
+        model = build_mip(ds, build_cut_menu(ds, cfg), cfg)
         assert model.A.data.size > 3 * mps._CHUNK
         self.assert_same_bytes(model, tmp_path)
 
@@ -391,14 +387,14 @@ class TestCscArrays:
 
     @pytest.mark.parametrize("delta, seed, n_cuts", INSTANCES[:4])
     def test_product_equals_scipy(self, delta, seed, n_cuts):
-        ds, sk, menu, cfg = mip_parts(delta, seed, n_cuts)
-        model = build_mip(ds, sk, menu, cfg)
+        ds, menu, cfg = mip_parts(delta, seed, n_cuts)
+        model = build_mip(ds, menu, cfg)
         ref = to_scipy(model.A)
         vectors = []
         for k in range(3):
-            cuts = tuple(menu.for_node(p)[k % len(menu.for_node(p))] for p in sk.internal_nodes)
-            treatments = tuple(1 + (k + leaf) % ds.m for leaf in range(len(sk.leaves)))
-            values = solution_from_assignment(ds, sk, menu, TreeAssignment(cuts, treatments))
+            cuts = tuple(options[k % len(options)] for options in menu.cuts)
+            treatments = tuple(1 + (k + leaf) % ds.m for leaf in range(len(menu.cuts) + 1))
+            values = solution_from_assignment(ds, menu, TreeAssignment(cuts, treatments))
             vectors.append(mip._vector(model, values)[0])
         rng = np.random.default_rng(seed)
         n_cols = model.A.shape[1]

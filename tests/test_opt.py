@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from perstrees.data import Dataset, SyntheticSpec, generate_synthetic
@@ -18,12 +20,11 @@ from perstrees.errors import (
     SolveTimeout,
 )
 from perstrees.experiment import PRESETS
-from perstrees.opt import solver
+from perstrees.opt import skeleton, solver
 from perstrees.opt import (
     CutMenu,
     OptConfig,
     TreeAssignment,
-    TreeSkeleton,
     assignment_to_tree,
     build_cut_menu,
     build_mip,
@@ -52,10 +53,9 @@ def toy_1d():
     )
 
 
-def all_assignments(skeleton, menu, m):
-    cut_lists = [menu.for_node(p) for p in skeleton.internal_nodes]
-    n_leaves = len(skeleton.leaves)
-    for cuts in itertools.product(*cut_lists):
+def all_assignments(menu, m):
+    n_leaves = len(menu.cuts) + 1
+    for cuts in itertools.product(*menu.cuts):
         for treats in itertools.product(range(1, m + 1), repeat=n_leaves):
             yield TreeAssignment(cuts=tuple(cuts), treatments=tuple(treats))
 
@@ -76,33 +76,42 @@ class TestCutPositions:
             assert cut_positions(n, n) == list(range(1, n))
 
 
+def heap_leaves(X, cuts):
+    """Heap leaf number of every row of X under the cuts, from the exact
+    solver's one tally, `solver._leaves`."""
+    X = np.asarray(X, dtype=np.float64)
+    top = len(cuts) + 1
+    ds = Dataset(X=X, T=np.ones(len(X), dtype=np.int64), Y=np.zeros(len(X)), m=1)
+    return solver._leaves(ds, TreeAssignment(tuple(cuts), (1,) * top), ds.Y)[0] + top
+
+
 class TestSkeleton:
+    """The complete tree's heap layout and the routing of rows down it."""
+
     def test_node_layout(self):
-        sk = TreeSkeleton(2)
-        assert sk.internal_nodes == (1, 2, 3)
-        assert sk.leaves == (4, 5, 6, 7)
-        assert 3 not in sk.leaves and 4 in sk.leaves
+        assert tuple(skeleton._internal_nodes(2)) == (1, 2, 3)
+        assert tuple(skeleton._leaf_nodes(2)) == (4, 5, 6, 7)
+        assert 3 not in skeleton._leaf_nodes(2) and 4 in skeleton._leaf_nodes(2)
 
     def test_path_to(self):
-        assert TreeSkeleton(2).path_to(5) == [(1, -1), (2, +1)]
-        assert TreeSkeleton(3).path_to(12) == [(1, +1), (3, -1), (6, -1)]
+        assert skeleton._path_to(5) == [(1, -1), (2, +1)]
+        assert skeleton._path_to(12) == [(1, +1), (3, -1), (6, -1)]
+        assert skeleton._path_to(2**40) == [(2**j, -1) for j in range(40)]
 
     def test_route_boundary_goes_left(self):
-        sk = TreeSkeleton(1)
         cuts = ((0, 0.5),)
-        assert sk.route_many([[0.5], [0.50001]], cuts).tolist() == [2, 3]
+        assert heap_leaves([[0.5], [0.50001]], cuts).tolist() == [2, 3]
 
     def test_route_many_heap_leaves(self):
         # a search tree on feature 0: node p cuts at the midpoint of its
         # interval, so leaf 8 + j holds (j - 4, j - 3]
-        sk = TreeSkeleton(3)
         cuts = ((0, 0.0), (0, -2.0), (0, 2.0), (0, -3.0), (0, -1.0), (0, 1.0), (0, 3.0))
         X = [[x, 9.0] for x in (-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5, -3.0, 0.0, 3.0)]
-        assert sk.route_many(X, cuts).tolist() == [8, 9, 10, 11, 12, 13, 14, 15, 8, 11, 14]
+        assert heap_leaves(X, cuts).tolist() == [8, 9, 10, 11, 12, 13, 14, 15, 8, 11, 14]
         # the second feature decides at nodes 2 and 7 only
         cuts = ((0, 0.0), (1, 0.0), (0, 1.0), (0, -1.0), (0, -1.0), (0, 0.5), (1, 5.0))
         X = [[-2.0, -1.0], [-2.0, 1.0], [-0.5, 1.0], [0.7, 9.0], [2.0, 5.0], [2.0, 6.0]]
-        assert sk.route_many(X, cuts).tolist() == [8, 10, 11, 13, 14, 15]
+        assert heap_leaves(X, cuts).tolist() == [8, 10, 11, 13, 14, 15]
 
     @pytest.mark.parametrize("delta", [1, 2, 3, 4])
     def test_route_many_matches_the_tree_and_a_heap_walk(self, delta):
@@ -127,28 +136,30 @@ class TestSkeleton:
                 p = 2 * p if x[f] <= theta else 2 * p + 1
             return p
 
-        leaf = TreeSkeleton(delta).route_many(X, cuts) - top
-        tree = assignment_to_tree(ds, TreeSkeleton(delta), TreeAssignment(cuts, treatments))
-        assert leaf.tolist() == (tree.leaf_ids(X) - 1).tolist()
-        assert leaf.tolist() == [heap_walk(x) - top for x in X]
+        tree = assignment_to_tree(ds, TreeAssignment(cuts, treatments))
+        walked = [heap_walk(x) - top for x in X]
+        assert (tree.leaf_ids(X) - 1).tolist() == walked
+        finite = np.isfinite(X).all(axis=1)
+        assert (heap_leaves(X[finite], cuts) - top).tolist() == np.array(walked)[finite].tolist()
 
     @pytest.mark.parametrize("delta", [1, 2, 3])
     def test_route_many_refuses_a_wrong_cut_count(self, delta):
-        sk = TreeSkeleton(delta)
+        ds = random_dataset(np.random.default_rng(3), 20, 1, 2, all_arms=True)
         for n_cuts in (2**delta - 2, 2**delta):
+            a = TreeAssignment(((0, 0.0),) * n_cuts, (1,) * 2**delta)
             with pytest.raises(ConfigError, match="cut"):
-                sk.route_many(np.zeros((3, 1)), ((0, 0.0),) * n_cuts)
+                assignment_to_tree(ds, a)
+            with pytest.raises(ConfigError, match="cut"):
+                solver._leaves(ds, a, ds.Y)
 
     @pytest.mark.parametrize("feature", [-1, 2])
     def test_route_many_refuses_a_feature_outside_the_columns(self, feature):
         # -1 once routed on the last column and 2 died in an IndexError
         X = np.array([[0.0, 1.0], [1.0, -1.0], [2.0, 0.5]])
         with pytest.raises(ConfigError, match="cut feature"):
-            TreeSkeleton(1).route_many(X, ((feature, 0.0),))
+            heap_leaves(X, ((feature, 0.0),))
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            TreeSkeleton(0)
         with pytest.raises(ConfigError):
             OptConfig(delta=0)
         with pytest.raises(ConfigError):
@@ -203,7 +214,7 @@ class TestBuildMenu:
             Y=np.zeros(5),
             m=2,
         )
-        menu = build_cut_menu(ds, TreeSkeleton(1), OptConfig(delta=1, n_min_leaf=1))
+        menu = build_cut_menu(ds, OptConfig(delta=1, n_min_leaf=1))
         assert menu.for_node(1) == ((0, 1.5), (0, 2.5), (0, 3.5), (0, 4.5))
 
     def test_coincident_values_contribute_nothing(self):
@@ -213,11 +224,11 @@ class TestBuildMenu:
             Y=np.zeros(4),
             m=2,
         )
-        menu = build_cut_menu(ds, TreeSkeleton(1), OptConfig(delta=1, n_min_leaf=1))
+        menu = build_cut_menu(ds, OptConfig(delta=1, n_min_leaf=1))
         assert menu.for_node(1) == ((0, 1.5),)
 
     def test_adjacent_values_cut_at_the_lower(self):
-        menu = build_cut_menu(adjacent_floats(), TreeSkeleton(1), OptConfig(delta=1, n_min_leaf=1))
+        menu = build_cut_menu(adjacent_floats(), OptConfig(delta=1, n_min_leaf=1))
         assert menu.for_node(1) == ((0, ADJACENT[0]),)
 
     def test_thresholds_near_the_float_range_ends_stay_finite(self):
@@ -225,7 +236,7 @@ class TestBuildMenu:
         ds = Dataset(X=X, T=np.array([1, 2, 1, 2]), Y=np.zeros(4), m=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            menu = build_cut_menu(ds, TreeSkeleton(1), OptConfig(delta=1, n_min_leaf=1))
+            menu = build_cut_menu(ds, OptConfig(delta=1, n_min_leaf=1))
         thresholds = [theta for _, theta in menu.for_node(1)]
         assert len(thresholds) == 3
         assert all(lo < theta < hi for lo, theta, hi in zip(X[:-1, 0], thresholds, X[1:, 0]))
@@ -235,25 +246,23 @@ class TestBuildMenu:
             X=np.zeros((6, 1)), T=np.array([1, 2] * 3), Y=np.zeros(6), m=2
         )
         with pytest.raises(EmptyMenuError, match="node 1"):
-            build_cut_menu(ds, TreeSkeleton(1), OptConfig(delta=1, n_min_leaf=1))
+            build_cut_menu(ds, OptConfig(delta=1, n_min_leaf=1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, 40, 5, 2)
         cfg = OptConfig(delta=2, n_min_leaf=1, n_features=2, seed=11)
-        sk = TreeSkeleton(2)
-        assert build_cut_menu(ds, sk, cfg) == build_cut_menu(ds, sk, cfg)
+        assert build_cut_menu(ds, cfg) == build_cut_menu(ds, cfg)
 
     def test_n_features_validated(self):
         ds = random_dataset(np.random.default_rng(3), 20, 2, 2)
         with pytest.raises(ConfigError):
-            build_cut_menu(ds, TreeSkeleton(1), OptConfig(delta=1, n_features=3))
+            build_cut_menu(ds, OptConfig(delta=1, n_features=3))
 
 
 class TestEvaluateAssignment:
     def test_hand_values(self):
         ds = toy_1d()
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=1)
         cut = ((0, 0.5),)
         vals = {
@@ -264,22 +273,21 @@ class TestEvaluateAssignment:
         }
         for treats, want in vals.items():
             a = TreeAssignment(cuts=cut, treatments=treats)
-            assert evaluate_assignment(ds, sk, a, cfg) == want
+            assert evaluate_assignment(ds, a, cfg) == want
 
     def test_occupancy_shortfall_is_inf(self):
         ds = toy_1d()
         a = TreeAssignment(cuts=((0, 0.5),), treatments=(1, 1))
         cfg = OptConfig(delta=1, n_min_leaf=2)
-        assert evaluate_assignment(ds, TreeSkeleton(1), a, cfg) == np.inf
+        assert evaluate_assignment(ds, a, cfg) == np.inf
 
     def test_shift_invariance(self):
         ds = toy_1d()
         shifted = Dataset(X=ds.X, T=ds.T, Y=ds.Y + 100.0, m=ds.m)
         a = TreeAssignment(cuts=((0, 0.5),), treatments=(1, 2))
         cfg = OptConfig(delta=1, n_min_leaf=1)
-        sk = TreeSkeleton(1)
-        assert evaluate_assignment(ds, sk, a, cfg) == evaluate_assignment(
-            shifted, sk, a, cfg
+        assert evaluate_assignment(ds, a, cfg) == evaluate_assignment(
+            shifted, a, cfg
         )
 
     @pytest.mark.parametrize("delta,n,n_cuts", [(2, 60, 3), (3, 80, 4)])
@@ -288,22 +296,20 @@ class TestEvaluateAssignment:
         for seed in range(20):
             ds = random_dataset(np.random.default_rng(seed), n, 2, 2)
             cfg = OptConfig(delta=delta, n_min_leaf=1, n_cuts=n_cuts, seed=seed)
-            sk = TreeSkeleton(delta)
-            menu = build_cut_menu(ds, sk, cfg)
+            menu = build_cut_menu(ds, cfg)
             try:
-                res = solve_exact(ds, sk, menu, cfg)
+                res = solve_exact(ds, menu, cfg)
             except InfeasibleError:
                 continue
-            assert evaluate_assignment(ds, sk, res.assignment, cfg).hex() == res.objective.hex()
+            assert evaluate_assignment(ds, res.assignment, cfg).hex() == res.objective.hex()
             checked += 1
         assert checked >= 10
 
 
-# the three readers of an assignment, each as (ds, skeleton, menu, assignment)
+# the three readers of a depth-one assignment, each as (ds, menu, assignment)
 READERS = {
-    "evaluate_assignment": lambda ds, sk, menu, a: evaluate_assignment(
-        ds, sk, a, OptConfig(delta=sk.delta, n_min_leaf=1)),
-    "assignment_to_tree": lambda ds, sk, menu, a: assignment_to_tree(ds, sk, a),
+    "evaluate_assignment": lambda ds, menu, a: evaluate_assignment(ds, a, OptConfig(delta=1, n_min_leaf=1)),
+    "assignment_to_tree": lambda ds, menu, a: assignment_to_tree(ds, a),
     "solution_from_assignment": solution_from_assignment,
 }
 
@@ -322,39 +328,35 @@ class TestAssignmentChecks:
             "feature-negative", "threshold-nan", "threshold-inf"])
     def test_readers_refuse_what_the_data_cannot_hold(self, reader, cut, treatments, named):
         ds = random_dataset(np.random.default_rng(17), 40, 2, 2, all_arms=True)
-        sk = TreeSkeleton(1)
-        menu = build_cut_menu(ds, sk, OptConfig(delta=1, n_min_leaf=1, n_cuts=3))
+        menu = build_cut_menu(ds, OptConfig(delta=1, n_min_leaf=1, n_cuts=3))
         a = TreeAssignment((cut or menu.for_node(1)[0],), treatments)
         with pytest.raises(ConfigError, match=named):
-            READERS[reader](ds, sk, menu, a)
+            READERS[reader](ds, menu, a)
 
     def test_solution_refuses_a_cut_off_the_menu(self):
         # once a raw ValueError from tuple.index
         ds = random_dataset(np.random.default_rng(17), 40, 2, 2, all_arms=True)
-        sk = TreeSkeleton(1)
-        menu = build_cut_menu(ds, sk, OptConfig(delta=1, n_min_leaf=1, n_cuts=3))
+        menu = build_cut_menu(ds, OptConfig(delta=1, n_min_leaf=1, n_cuts=3))
         assert (0, 0.123) not in menu.for_node(1)
         with pytest.raises(ConfigError, match="node 1"):
-            solution_from_assignment(ds, sk, menu, TreeAssignment(((0, 0.123),), (1, 2)))
+            solution_from_assignment(ds, menu, TreeAssignment(((0, 0.123),), (1, 2)))
 
     def test_solve_exact_refuses_a_warm_start_that_prescribes_0(self):
         ds = random_dataset(np.random.default_rng(17), 40, 2, 2, all_arms=True)
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=1, n_cuts=3)
-        menu = build_cut_menu(ds, sk, cfg)
+        menu = build_cut_menu(ds, cfg)
         warm = TreeAssignment(menu.for_node(1)[:1], (0, 2))
         with pytest.raises(ConfigError, match="treatment"):
-            solve_exact(ds, sk, menu, cfg, warm=warm)
+            solve_exact(ds, menu, cfg, warm=warm)
 
 
 class TestSolveExact:
     def test_toy_optimum(self):
         ds = toy_1d()
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=1)
-        menu = build_cut_menu(ds, sk, cfg)
+        menu = build_cut_menu(ds, cfg)
         assert menu.for_node(1) == ((0, 0.5),)
-        result = solve_exact(ds, sk, menu, cfg)
+        result = solve_exact(ds, menu, cfg)
         assert result.proved
         assert result.objective == 0.0
         assert result.assignment == TreeAssignment(cuts=((0, 0.5),), treatments=(1, 2))
@@ -368,48 +370,43 @@ class TestSolveExact:
             Y=np.zeros(8),
             m=2,
         )
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=1)
-        menu = build_cut_menu(ds, sk, cfg)
+        menu = build_cut_menu(ds, cfg)
         assert menu.for_node(1)[0] == (0, 1.5)  # infeasible: left side lacks arm 2
-        result = solve_exact(ds, sk, menu, cfg)
+        result = solve_exact(ds, menu, cfg)
         assert result.assignment == TreeAssignment(cuts=((0, 2.5),), treatments=(1, 1))
 
     @pytest.mark.parametrize("delta,n,n_cuts,trials", [(1, 24, 3, 15), (2, 48, 2, 6)])
     def test_matches_enumeration(self, delta, n, n_cuts, trials):
         rng = np.random.default_rng(100 + delta)
-        sk = TreeSkeleton(delta)
         for trial in range(trials):
             ds = random_dataset(rng, n, 2, 2, all_arms=True)
             cfg = OptConfig(
                 delta=delta, n_min_leaf=2, n_cuts=n_cuts, seed=int(rng.integers(1000))
             )
-            menu = build_cut_menu(ds, sk, cfg)
+            menu = build_cut_menu(ds, cfg)
             best = min(
-                evaluate_assignment(ds, sk, a, cfg)
-                for a in all_assignments(sk, menu, ds.m)
+                evaluate_assignment(ds, a, cfg)
+                for a in all_assignments(menu, ds.m)
             )
             if best == np.inf:
                 with pytest.raises(InfeasibleError):
-                    solve_exact(ds, sk, menu, cfg)
+                    solve_exact(ds, menu, cfg)
                 continue
-            result = solve_exact(ds, sk, menu, cfg)
+            result = solve_exact(ds, menu, cfg)
             assert result.proved
             assert np.isclose(result.objective, best)
-            got = evaluate_assignment(ds, sk, result.assignment, cfg)
+            got = evaluate_assignment(ds, result.assignment, cfg)
             assert np.isclose(got, result.objective)
 
     def test_result_tree_matches_assignment(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, 60, 2, 2, all_arms=True)
-        sk = TreeSkeleton(2)
         cfg = OptConfig(delta=2, n_min_leaf=2, n_cuts=3)
-        menu = build_cut_menu(ds, sk, cfg)
-        result = solve_exact(ds, sk, menu, cfg)
-        leaf_ids = sk.route_many(ds.X, result.assignment.cuts)
-        want = [
-            result.assignment.treatments[p - 2**sk.delta] for p in leaf_ids
-        ]
+        menu = build_cut_menu(ds, cfg)
+        result = solve_exact(ds, menu, cfg)
+        leaf = solver._leaves(ds, result.assignment, ds.Y)[0]
+        want = [result.assignment.treatments[j] for j in leaf]
         assert result.tree.predict_many(ds.X).tolist() == want
 
     def test_tree_leaves_use_raw_outcomes(self):
@@ -419,9 +416,8 @@ class TestSolveExact:
             Y=np.array([3.0, 3.0, 13.0, 3.0]),
             m=2,
         )
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=1)
-        result = solve_exact(ds, sk, build_cut_menu(ds, sk, cfg), cfg)
+        result = solve_exact(ds, build_cut_menu(ds, cfg), cfg)
         tree = result.tree
         assert tree.means[tree.left[0]].tolist() == [3.0, 3.0]
         assert tree.means[tree.right[0]].tolist() == [13.0, 3.0]
@@ -431,60 +427,55 @@ class TestSolveExact:
         rng = np.random.default_rng(13)
         ds = random_dataset(rng, 40, 2, 2, all_arms=True)
         shifted = Dataset(X=ds.X, T=ds.T, Y=ds.Y - 50.0, m=ds.m)
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=2, n_cuts=5)
-        menu = build_cut_menu(ds, sk, cfg)
-        a = solve_exact(ds, sk, menu, cfg)
-        b = solve_exact(shifted, sk, menu, cfg)
+        menu = build_cut_menu(ds, cfg)
+        a = solve_exact(ds, menu, cfg)
+        b = solve_exact(shifted, menu, cfg)
         assert a.assignment == b.assignment
         assert np.isclose(a.objective, b.objective)
 
     def test_infeasible_raises(self):
         ds = toy_1d()
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=10)
         with pytest.raises(InfeasibleError):
-            solve_exact(ds, sk, build_cut_menu(ds, sk, cfg), cfg)
+            solve_exact(ds, build_cut_menu(ds, cfg), cfg)
 
     def test_timeout_without_incumbent(self):
         ds = toy_1d()
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=1, work_limit=0)
         with pytest.raises(SolveTimeout, match="work limit"):
-            solve_exact(ds, sk, build_cut_menu(ds, sk, cfg), cfg)
+            solve_exact(ds, build_cut_menu(ds, cfg), cfg)
 
     def test_timeout_returns_warm_incumbent(self):
         ds = toy_1d()
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=1, work_limit=0)
-        menu = build_cut_menu(ds, sk, cfg)
+        menu = build_cut_menu(ds, cfg)
         warm = TreeAssignment(cuts=((0, 0.5),), treatments=(1, 1))
-        result = solve_exact(ds, sk, menu, cfg, warm=warm)
+        result = solve_exact(ds, menu, cfg, warm=warm)
         assert not result.proved
         assert result.assignment == warm
         assert result.objective == 20.0
 
     def test_warm_start_never_hurts(self):
         rng = np.random.default_rng(17)
-        sk = TreeSkeleton(2)
         for trial in range(5):
             ds = random_dataset(rng, 80, 3, 2, all_arms=True)
             cfg = OptConfig(
                 delta=2, n_min_leaf=2, n_cuts=2, seed=int(rng.integers(1000))
             )
-            menu = build_cut_menu(ds, sk, cfg)
-            warm = warm_start_from_pt(ds, cfg, sk, menu)
+            menu = build_cut_menu(ds, cfg)
+            warm = warm_start_from_pt(ds, cfg, menu)
             try:
-                cold = solve_exact(ds, sk, menu, cfg)
+                cold = solve_exact(ds, menu, cfg)
             except InfeasibleError:
                 assert warm is None or not np.isfinite(
-                    evaluate_assignment(ds, sk, warm, cfg)
+                    evaluate_assignment(ds, warm, cfg)
                 )
                 continue
             if warm is not None:
-                warm_val = evaluate_assignment(ds, sk, warm, cfg)
+                warm_val = evaluate_assignment(ds, warm, cfg)
                 assert cold.objective <= warm_val + 1e-9
-                hot = solve_exact(ds, sk, menu, cfg, warm=warm)
+                hot = solve_exact(ds, menu, cfg, warm=warm)
                 assert np.isclose(hot.objective, cold.objective)
 
     def test_warm_start_kept_when_better_than_every_menu_tree(self):
@@ -497,13 +488,12 @@ class TestSolveExact:
             Y=np.array([0.0, 0.0, 0.0, 20.0, 20.0, 0.0, 20.0, 0.0]),
             m=2,
         )
-        sk = TreeSkeleton(1)
         cfg = OptConfig(delta=1, n_min_leaf=1)
         menu = CutMenu(cuts=(((0, 1.5), (0, 5.5)),))
         warm = TreeAssignment(cuts=((0, 3.5),), treatments=(1, 2))
-        assert evaluate_assignment(ds, sk, warm, cfg) == 0.0
-        assert solve_exact(ds, sk, menu, cfg).objective == 40.0
-        result = solve_exact(ds, sk, menu, cfg, warm=warm)
+        assert evaluate_assignment(ds, warm, cfg) == 0.0
+        assert solve_exact(ds, menu, cfg).objective == 40.0
+        result = solve_exact(ds, menu, cfg, warm=warm)
         assert result.assignment == warm
         assert result.objective == 0.0
         assert result.proved
@@ -511,13 +501,12 @@ class TestSolveExact:
     def test_warm_start_equal_to_the_optimum_moves_nothing(self):
         # evaluate_assignment sums leaves in another order, and on seed 6
         # scores the optimum one ulp below the search's own sum
-        sk = TreeSkeleton(2)
         cfg = OptConfig(delta=2, n_min_leaf=2, n_cuts=3)
         for seed in range(8):
             ds = random_dataset(np.random.default_rng(seed), 60, 2, 2, all_arms=True)
-            menu = build_cut_menu(ds, sk, cfg)
-            cold = solve_exact(ds, sk, menu, cfg)
-            hot = solve_exact(ds, sk, menu, cfg, warm=cold.assignment)
+            menu = build_cut_menu(ds, cfg)
+            cold = solve_exact(ds, menu, cfg)
+            hot = solve_exact(ds, menu, cfg, warm=cold.assignment)
             assert hot.assignment == cold.assignment
             assert hot.objective.hex() == cold.objective.hex()
 
@@ -525,36 +514,31 @@ class TestSolveExact:
         rng = np.random.default_rng(31)
         ds = random_dataset(rng, 40, 2, 2, all_arms=True)
         cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=3)
-        menu2 = build_cut_menu(ds, TreeSkeleton(2), cfg)
-        menu3 = build_cut_menu(ds, TreeSkeleton(3), cfg)
+        menu2, menu3 = (build_cut_menu(ds, dataclasses.replace(cfg, delta=d)) for d in (2, 3))
+        for call in (solve_exact, build_mip):
+            with pytest.raises(ConfigError, match="menu"):
+                call(ds, menu3, cfg)
         with pytest.raises(ConfigError, match="menu"):
-            solve_exact(ds, TreeSkeleton(3), menu2, cfg)
-        with pytest.raises(ConfigError, match="menu"):
-            solve_exact(ds, TreeSkeleton(2), menu3, cfg)
-        sk = TreeSkeleton(2)
+            warm_start_from_pt(ds, cfg, menu3)
         short = TreeAssignment(cuts=menu2.cuts[0][:1], treatments=(1, 1))
         with pytest.raises(ConfigError, match="assignment"):
-            evaluate_assignment(ds, sk, short, cfg)
+            evaluate_assignment(ds, short, cfg)
         with pytest.raises(ConfigError, match="assignment"):
-            solve_exact(ds, sk, menu2, cfg, warm=short)
-        menu1 = build_cut_menu(ds, TreeSkeleton(1), cfg)
-        for menu in (menu1, menu3):
-            with pytest.raises(ConfigError, match="menu"):
-                build_mip(ds, sk, menu, cfg)
-            with pytest.raises(ConfigError, match="menu"):
-                warm_start_from_pt(ds, cfg, sk, menu)
+            solve_exact(ds, menu2, cfg, warm=short)
+        with pytest.raises(ConfigError, match="menu has 3 nodes, a depth-1 tree has 1"):
+            solution_from_assignment(ds, menu2, short)
 
-    def test_config_depth_must_be_the_skeletons(self):
+    def test_config_depth_must_be_the_menus(self):
+        # a menu built for delta=1, passed with OptConfig(delta=2)
         ds = random_dataset(np.random.default_rng(31), 40, 2, 2, all_arms=True)
         cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=3)
-        sk = TreeSkeleton(1)
-        menu = build_cut_menu(ds, sk, cfg)
-        named = "config delta 2 does not match the depth-1 skeleton"
+        menu = build_cut_menu(ds, dataclasses.replace(cfg, delta=1))
+        named = "menu has 1 nodes, a depth-2 tree has 3"
         for call in (solve_exact, build_mip):
             with pytest.raises(ConfigError, match=named):
-                call(ds, sk, menu, cfg)
+                call(ds, menu, cfg)
         with pytest.raises(ConfigError, match=named):
-            warm_start_from_pt(ds, cfg, sk, menu)
+            warm_start_from_pt(ds, cfg, menu)
 
 
 def solve_outcome(solve, *args):
@@ -564,8 +548,8 @@ def solve_outcome(solve, *args):
         return type(exc)
 
 
-def solve_exact_outcome(ds, skeleton, menu, config):
-    r = solve_exact(ds, skeleton, menu, config)
+def solve_exact_outcome(ds, menu, config):
+    r = solve_exact(ds, menu, config)
     return r.assignment.cuts, r.assignment.treatments, r.objective.hex(), r.proved
 
 
@@ -577,7 +561,6 @@ class TestBottomPassEquivalence:
         # n_min_leaf 4 leaves some arm empty under many cuts, and 40
         # makes every instance infeasible
         rng = np.random.default_rng(40 + 2 * delta + grid)
-        sk = TreeSkeleton(delta)
         outcomes = set()
         for trial, (n_min_leaf, work_limit) in enumerate(
             [(1, None), (2, None), (4, None), (40, None), (1, 0)]
@@ -608,15 +591,17 @@ class TestBottomPassEquivalence:
                 work_limit=work_limit,
                 seed=trial,
             )
-            menu = build_cut_menu(ds, sk, cfg)
-            want = solve_outcome(reference_solve, ds, sk, menu, cfg)
-            assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
+            # the menu reads no n_min_leaf, and build_cut_menu refuses
+            # rows that cannot fill the leaves, as solve_exact then does
+            menu = build_cut_menu(ds, dataclasses.replace(cfg, n_min_leaf=1))
+            want = solve_outcome(reference_solve, ds, menu, cfg)
+            assert solve_outcome(solve_exact_outcome, ds, menu, cfg) == want
             with monkeypatch.context() as patch:
                 # passes chunked down to one cut at a bottom root and to a
                 # few rows at a screened node, and a memo that keeps nothing
                 patch.setattr(solver, "_PASS_BUDGET", ds.n)
                 patch.setattr(solver, "MEMO_BYTES", 0)
-                assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
+                assert solve_outcome(solve_exact_outcome, ds, menu, cfg) == want
             outcomes.add(want if isinstance(want, type) else "solved")
         assert outcomes == {"solved", InfeasibleError, SolveTimeout}
 
@@ -635,7 +620,6 @@ class TestBottomPassEquivalence:
     ):
         # normal outcomes, so sums in block order and in row order round
         # differently; copies of one column tie cuts on different features
-        sk = TreeSkeleton(delta)
         for seed in range(4):
             ds = random_dataset(np.random.default_rng(seed), n, d, 2, all_arms=True)
             if duplicate:
@@ -643,9 +627,9 @@ class TestBottomPassEquivalence:
             cfg = OptConfig(
                 delta=delta, n_min_leaf=2, n_features=n_features, n_cuts=n_cuts, seed=seed
             )
-            menu = build_cut_menu(ds, sk, cfg)
-            want = solve_outcome(reference_solve, ds, sk, menu, cfg)
-            assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
+            menu = build_cut_menu(ds, cfg)
+            want = solve_outcome(reference_solve, ds, menu, cfg)
+            assert solve_outcome(solve_exact_outcome, ds, menu, cfg) == want
 
     @pytest.mark.parametrize("budget", [64, 1000])
     def test_split_screen_passes(self, budget, monkeypatch):
@@ -664,17 +648,16 @@ class TestBottomPassEquivalence:
 
         d = 4
         for delta, n_cuts, duplicate in [(2, 16, False), (3, 6, False), (3, 6, True), (4, 3, False)]:
-            sk = TreeSkeleton(delta)
             ds = random_dataset(np.random.default_rng(delta), 200, d, 2, all_arms=True)
             if duplicate:
                 ds = Dataset(X=np.repeat(ds.X[:, :1], d, axis=1), T=ds.T, Y=ds.Y, m=ds.m)
             cfg = OptConfig(delta=delta, n_min_leaf=2, n_cuts=n_cuts, seed=delta)
-            menu = build_cut_menu(ds, sk, cfg)
-            want = solve_outcome(reference_solve, ds, sk, menu, cfg)
+            menu = build_cut_menu(ds, cfg)
+            want = solve_outcome(reference_solve, ds, menu, cfg)
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "_PASS_BUDGET", budget)
                 patch.setattr(solver, "_tally", spy)
-                assert solve_outcome(solve_exact_outcome, ds, sk, menu, cfg) == want
+                assert solve_outcome(solve_exact_outcome, ds, menu, cfg) == want
         chunks, outer, inner = zip(*passes)
         assert max(chunks) > 1  # rows split
         assert min(outer) < d  # the screened node's feature groups split
@@ -691,12 +674,11 @@ class TestBottomPassEquivalence:
             Y=rng.choice([0.1, 0.2, 0.3], size=40),
             m=2,
         )
-        sk = TreeSkeleton(2)
         cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=40)
-        menu = build_cut_menu(ds, sk, cfg)
-        want = reference_solve(ds, sk, menu, cfg)
+        menu = build_cut_menu(ds, cfg)
+        want = reference_solve(ds, menu, cfg)
         assert want[0][0] == (2, 2.5)
-        assert solve_exact_outcome(ds, sk, menu, cfg) == want
+        assert solve_exact_outcome(ds, menu, cfg) == want
         ybar = ds.Y - ds.Y.min()
         differ = 0
         for f in range(ds.d):
@@ -729,12 +711,11 @@ class TestBottomPassEquivalence:
                 rows = np.flatnonzero((T == t) & (Y == y))
                 x1[rows] = rng.permutation(x0[rows])
         ds = Dataset(X=np.column_stack([x0, x1]), T=T, Y=Y, m=2)
-        sk = TreeSkeleton(2)
         cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=n)
-        menu = build_cut_menu(ds, sk, cfg)
-        want = reference_solve(ds, sk, menu, cfg)
+        menu = build_cut_menu(ds, cfg)
+        want = reference_solve(ds, menu, cfg)
         assert want[0] == ((1, 0.5), (0, 0.5), (1, 2.5))
-        assert solve_exact_outcome(ds, sk, menu, cfg) == want
+        assert solve_exact_outcome(ds, menu, cfg) == want
         # the screen's order: (root block, child block) bins in row order,
         # then running sums over the root's blocks and over the child's
         tvec, ybar = ds.T - 1, ds.Y - ds.Y.min()
@@ -754,11 +735,10 @@ class TestBottomPassEquivalence:
 
     def test_stats_record(self, caplog):
         ds = random_dataset(np.random.default_rng(5), 120, 2, 2, all_arms=True)
-        sk = TreeSkeleton(2)
         cfg = OptConfig(delta=2, n_min_leaf=2, n_cuts=5)
-        menu = build_cut_menu(ds, sk, cfg)
+        menu = build_cut_menu(ds, cfg)
         with caplog.at_level(logging.DEBUG, logger="perstrees"):
-            solve_exact(ds, sk, menu, cfg)
+            solve_exact(ds, menu, cfg)
         (record,) = [r.getMessage() for r in caplog.records if r.name == "perstrees.opt.solver"]
         got = re.fullmatch(
             r"solve_exact: 1 scans screened (\d+) cuts, (\d+) settled exactly; (\d+) bottom "
@@ -771,16 +751,81 @@ class TestBottomPassEquivalence:
         assert passes == misses  # at depth two only bottom nodes reach the memo
 
 
+@st.composite
+def margin_instances(draw):
+    """A dataset of at most 40 rows and an OptConfig of depth 2 or 3, aimed
+    at the screen's margin: grid, duplicate and one-ulp-apart columns, and
+    copies shuffled within each (arm, outcome) class, whose cuts tie in
+    real arithmetic but may round apart; outcomes tied, one ulp apart,
+    decimal, rare or on a large common offset; and an n_min_leaf at the edge
+    where the smallest arm can just fill the leaves (or cannot)."""
+    delta, m = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2**delta * m, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(kind):
+        if kind == "grid":
+            return rng.integers(-1, 3, size=n).astype(float)
+        if kind == "ulp":  # a few neighbours of one value
+            base = rng.normal()
+            return base + rng.integers(0, 3, size=n) * np.spacing(base)
+        if kind == "binary":
+            return rng.integers(0, 2, size=n).astype(float)
+        if kind == "decimal":
+            return rng.choice([0.1, 0.2, 0.3], size=n)
+        if kind == "rare":  # sums whose rounding hangs on where the rare 1s fall
+            return rng.choice([0.0, 0.75 * 2**-52, 1.0], size=n, p=[0.3, 0.6, 0.1])
+        return rng.normal(size=n)
+
+    T = rng.integers(1, m + 1, size=n)
+    T[rng.permutation(n)[:m]] = np.arange(1, m + 1)
+    Y = values(draw(st.sampled_from(["normal", "binary", "ulp", "decimal", "rare"])))
+    columns = []
+    for j in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["normal", "grid", "ulp"] + ["duplicate", "shuffled"] * (j > 0)))
+        if kind in ("duplicate", "shuffled"):
+            column = columns[draw(st.integers(0, j - 1))].copy()
+            for t, y in set(zip(T.tolist(), Y.tolist())) if kind == "shuffled" else ():
+                rows = np.flatnonzero((T == t) & (Y == y))
+                column[rows] = rng.permutation(column[rows])
+        else:
+            column = values(kind)
+        columns.append(column)
+    edge = max(1, int(np.bincount(T).min()) // 2**delta)
+    config = OptConfig(
+        delta=delta,
+        n_min_leaf=draw(st.sampled_from([edge, edge + 1, max(1, edge - 1)])),
+        n_features=draw(st.sampled_from([None, 1])),
+        n_cuts=draw(st.sampled_from([3, 6, n])),
+        seed=draw(st.integers(0, 3)),
+    )
+    Y = Y + draw(st.sampled_from([0.0, 1e6, 1e12]))
+    return Dataset(X=np.column_stack(columns), T=T, Y=Y, m=m), config
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(instance=margin_instances())
+def test_solve_exact_is_the_per_leaf_recursion_bit_for_bit(instance):
+    # objective .hex(), cuts and treatments, or the same refusal; the menu
+    # reads no n_min_leaf, and build_cut_menu refuses unfillable leaves
+    ds, cfg = instance
+    try:
+        menu = build_cut_menu(ds, dataclasses.replace(cfg, n_min_leaf=1))
+    except EmptyMenuError:  # a grid too coarse for the cut positions
+        reject()
+    want = solve_outcome(reference_solve, ds, menu, cfg)
+    assert solve_outcome(solve_exact_outcome, ds, menu, cfg) == want
+
+
 def test_a_capped_memo_evicts_and_finds_the_same_tree(monkeypatch, caplog):
     # every memo key holds ceil(n/8) bytes, so this MEMO_BYTES keeps three entries
     ds = random_dataset(np.random.default_rng(4), 150, 2, 2, all_arms=True)
-    sk = TreeSkeleton(4)
     cfg = OptConfig(delta=4, n_min_leaf=1, n_cuts=4)
-    menu = build_cut_menu(ds, sk, cfg)
-    want = solve_exact(ds, sk, menu, cfg)
+    menu = build_cut_menu(ds, cfg)
+    want = solve_exact(ds, menu, cfg)
     monkeypatch.setattr(solver, "MEMO_BYTES", 3 * -(-ds.n // 8))
     with caplog.at_level(logging.DEBUG, logger="perstrees"):
-        got = solve_exact(ds, sk, menu, cfg)
+        got = solve_exact(ds, menu, cfg)
     assert (got.assignment, got.objective, got.proved) == (want.assignment, want.objective, True)
     for name in ("feature", "threshold", "left", "right", "treatment", "counts", "means"):
         np.testing.assert_array_equal(getattr(got.tree, name), getattr(want.tree, name))
@@ -808,13 +853,12 @@ class TestSearchEnd:
     @pytest.mark.parametrize("delta,n_cuts", [(2, 6), (3, 4), (4, 4)])
     def test_no_pass_runs_after_the_search(self, delta, n_cuts, monkeypatch, caplog):
         ds = random_dataset(np.random.default_rng(delta), 150, 2, 2, all_arms=True)
-        sk = TreeSkeleton(delta)
         cfg = OptConfig(delta=delta, n_min_leaf=1, n_cuts=n_cuts)
-        menu = build_cut_menu(ds, sk, cfg)
+        menu = build_cut_menu(ds, cfg)
         monkeypatch.setattr(solver, "MEMO_BYTES", 0)
         late = spy_on_passes(monkeypatch, caplog)
         with caplog.at_level(logging.DEBUG, logger="perstrees"):
-            result = solve_exact(ds, sk, menu, cfg)
+            result = solve_exact(ds, menu, cfg)
         assert result.proved
         assert late and not any(late)
 
@@ -823,15 +867,14 @@ class TestSearchEnd:
         # a limited run is a prefix of the unlimited one, so its incumbent
         # only improves with k, and at k >= P it is the unlimited answer
         ds = random_dataset(np.random.default_rng(4), 150, 2, 2, all_arms=True)
-        sk = TreeSkeleton(delta)
         cfg = OptConfig(delta=delta, n_min_leaf=1, n_cuts=4)
-        menu = build_cut_menu(ds, sk, cfg)
-        warm = warm_start_from_pt(ds, cfg, sk, menu)
+        menu = build_cut_menu(ds, cfg)
+        warm = warm_start_from_pt(ds, cfg, menu)
 
         def solve(limit):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="perstrees"):
-                result = solve_exact(ds, sk, menu, dataclasses.replace(cfg, work_limit=limit), warm)
+                result = solve_exact(ds, menu, dataclasses.replace(cfg, work_limit=limit), warm)
             (record,) = [r.getMessage() for r in caplog.records if r.name == "perstrees.opt.solver"]
             return result, int(re.search(r"(\d+) bottom passes", record).group(1)), record
 
@@ -843,7 +886,7 @@ class TestSearchEnd:
             assert ran == min(k, passes)
             if k < passes:
                 assert not got.proved and record.endswith("work limit reached")
-                assert got.objective == evaluate_assignment(ds, sk, got.assignment, cfg)
+                assert got.objective == evaluate_assignment(ds, got.assignment, cfg)
             else:
                 assert (got.assignment, got.objective.hex(), got.proved) == (
                     want.assignment, want.objective.hex(), True)
@@ -857,11 +900,10 @@ class TestWarmStart:
         rng = np.random.default_rng(23)
         ds = random_dataset(rng, 100, 1, 2, all_arms=True)
         cfg = OptConfig(delta=1, n_min_leaf=5, n_cuts=4, seed=3)
-        sk = TreeSkeleton(1)
-        menu = build_cut_menu(ds, sk, cfg)
+        menu = build_cut_menu(ds, cfg)
         pt = fit_pt(ds, PtConfig(n_min_leaf=5, delta_max=1, seed=3))
         assert pt.left[0] >= 0
-        warm = warm_start_from_pt(ds, cfg, sk, menu)
+        warm = warm_start_from_pt(ds, cfg, menu)
         assert warm is not None
         nearest = min(menu.for_node(1), key=lambda c: abs(c[1] - pt.threshold[0]))
         assert warm.cuts[0] == nearest
@@ -881,7 +923,7 @@ class TestWarmStart:
         pt = fit_pt(ds, PtConfig(n_min_leaf=1, delta_max=1, n_features=1, seed=1))
         assert pt.left[0] < 0 and pt.treatment[0] == 2
         menu = CutMenu(cuts=(((1, 0.0),),))
-        warm = warm_start_from_pt(ds, cfg, TreeSkeleton(1), menu)
+        warm = warm_start_from_pt(ds, cfg, menu)
         assert warm == TreeAssignment(cuts=((1, 0.0),), treatments=(2, 2))
 
     def test_returns_none_when_nothing_feasible(self):
@@ -889,18 +931,17 @@ class TestWarmStart:
         cfg = OptConfig(delta=1, n_min_leaf=10)
         assert warm_start_from_pt(ds, cfg) is None
 
-    def test_builds_own_skeleton_and_menu(self):
+    def test_builds_own_menu(self):
         rng = np.random.default_rng(29)
         ds = random_dataset(rng, 80, 2, 2, all_arms=True)
         cfg = OptConfig(delta=2, n_min_leaf=2, n_cuts=3, seed=5)
         warm = warm_start_from_pt(ds, cfg)
         if warm is not None:
-            sk = TreeSkeleton(2)
-            menu = build_cut_menu(ds, sk, cfg)
+            menu = build_cut_menu(ds, cfg)
             assert len(warm.cuts) == 3 and len(warm.treatments) == 4
-            for p, cut in zip(sk.internal_nodes, warm.cuts):
-                assert cut in menu.for_node(p)
-            assert np.isfinite(evaluate_assignment(ds, sk, warm, cfg))
+            for cuts, cut in zip(menu.cuts, warm.cuts):
+                assert cut in cuts
+            assert np.isfinite(evaluate_assignment(ds, warm, cfg))
 
 
 def warfarin_like(n, seed):
@@ -912,12 +953,11 @@ def test_rows_too_few_for_the_leaves_below_end_a_subtree_before_the_memo(caplog)
     # no feasible tree, and the check cut its scans from 1,962 to 1,234 and
     # its bottom passes from 1,603 to 1,460
     ds = warfarin_like(400, 3)
-    sk = TreeSkeleton(4)
     cfg = OptConfig(delta=4, n_min_leaf=5, n_cuts=3)
-    menu = build_cut_menu(ds, sk, cfg)
-    assert warm_start_from_pt(ds, cfg, sk, menu) is None
+    menu = build_cut_menu(ds, cfg)
+    assert warm_start_from_pt(ds, cfg, menu) is None
     with caplog.at_level(logging.DEBUG, logger="perstrees"), pytest.raises(InfeasibleError):
-        solve_exact(ds, sk, menu, cfg)
+        solve_exact(ds, menu, cfg)
     (record,) = [r.getMessage() for r in caplog.records if r.name == "perstrees.opt.solver"]
     assert record.startswith("solve_exact: 1234 scans ")
     assert "; 1460 bottom passes;" in record
@@ -984,9 +1024,7 @@ def slack_instance(seed, n=60, delta=1):
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng, n, 2, 2, all_arms=True)
     cfg = OptConfig(delta=delta, n_min_leaf=3, n_cuts=3, seed=seed)
-    sk = TreeSkeleton(delta)
-    menu = build_cut_menu(ds, sk, cfg)
-    return ds, sk, menu, cfg
+    return ds, build_cut_menu(ds, cfg), cfg
 
 
 class TestMip:
@@ -1000,27 +1038,25 @@ class TestMip:
             m=3,
         )
         cfg = OptConfig(delta=2, n_min_leaf=1, n_cuts=4)
-        sk = TreeSkeleton(2)
-        menu = build_cut_menu(ds, sk, cfg)
-        assert all(len(menu.for_node(p)) == 5 for p in sk.internal_nodes)
-        model = build_mip(ds, sk, menu, cfg)
+        menu = build_cut_menu(ds, cfg)
+        assert [len(cuts) for cuts in menu.cuts] == [5, 5, 5]
+        model = build_mip(ds, menu, cfg)
         assert model.n_binary == 21
 
     def test_small_sample_precheck(self):
         ds = toy_1d()
         cfg = OptConfig(delta=1, n_min_leaf=2)  # needs 2*2*2 = 8 > 4 subjects
-        sk = TreeSkeleton(1)
         with pytest.raises(InfeasibleError):
-            build_mip(ds, sk, CutMenu(cuts=(((0, 0.5),),)), cfg)
+            build_mip(ds, CutMenu(cuts=(((0, 0.5),),)), cfg)
 
     def test_variable_inventory(self):
-        ds, sk, menu, cfg = slack_instance(1)
-        model = build_mip(ds, sk, menu, cfg)
+        ds, menu, cfg = slack_instance(1)
+        model = build_mip(ds, menu, cfg)
         roles = {}
         for name in model.variables:
             role = name.split("(")[0]
             roles[role] = roles.get(role, 0) + 1
-        n_cuts = sum(len(menu.for_node(p)) for p in sk.internal_nodes)
+        n_cuts = sum(len(cuts) for cuts in menu.cuts)
         assert roles["gamma"] == n_cuts
         assert roles["w"] == ds.n * 2
         assert roles["nu"] == ds.n * 2
@@ -1032,12 +1068,12 @@ class TestMip:
         assert model.binary[model.variables.index("lambda(2,1)")]
 
     def test_every_feasible_assignment_satisfies_the_model(self):
-        ds, sk, menu, cfg = slack_instance(2)
-        model = build_mip(ds, sk, menu, cfg)
+        ds, menu, cfg = slack_instance(2)
+        model = build_mip(ds, menu, cfg)
         checked = 0
-        for a in all_assignments(sk, menu, ds.m):
-            value = evaluate_assignment(ds, sk, a, cfg)
-            sol = solution_from_assignment(ds, sk, menu, a)
+        for a in all_assignments(menu, ds.m):
+            value = evaluate_assignment(ds, a, cfg)
+            sol = solution_from_assignment(ds, menu, a)
             problems = check_solution(model, sol)
             if np.isfinite(value):
                 assert problems == []
@@ -1049,26 +1085,26 @@ class TestMip:
 
     def test_solver_optimum_satisfies_the_model(self):
         for seed in (3, 4, 5):
-            ds, sk, menu, cfg = slack_instance(seed)
-            model = build_mip(ds, sk, menu, cfg)
-            result = solve_exact(ds, sk, menu, cfg)
-            sol = solution_from_assignment(ds, sk, menu, result.assignment)
+            ds, menu, cfg = slack_instance(seed)
+            model = build_mip(ds, menu, cfg)
+            result = solve_exact(ds, menu, cfg)
+            sol = solution_from_assignment(ds, menu, result.assignment)
             assert check_solution(model, sol) == []
             assert abs(objective_value(model, sol) - result.objective) < 1e-9
 
     def test_depth_two_agreement(self):
-        ds, sk, menu, cfg = slack_instance(6, n=120, delta=2)
-        model = build_mip(ds, sk, menu, cfg)
-        result = solve_exact(ds, sk, menu, cfg)
-        sol = solution_from_assignment(ds, sk, menu, result.assignment)
+        ds, menu, cfg = slack_instance(6, n=120, delta=2)
+        model = build_mip(ds, menu, cfg)
+        result = solve_exact(ds, menu, cfg)
+        sol = solution_from_assignment(ds, menu, result.assignment)
         assert check_solution(model, sol) == []
         assert abs(objective_value(model, sol) - result.objective) < 1e-9
 
     def test_corruption_is_detected(self):
-        ds, sk, menu, cfg = slack_instance(7)
-        model = build_mip(ds, sk, menu, cfg)
-        result = solve_exact(ds, sk, menu, cfg)
-        clean = solution_from_assignment(ds, sk, menu, result.assignment)
+        ds, menu, cfg = slack_instance(7)
+        model = build_mip(ds, menu, cfg)
+        result = solve_exact(ds, menu, cfg)
+        clean = solution_from_assignment(ds, menu, result.assignment)
 
         moved = dict(clean)
         # move one subject to the other leaf without rerouting
@@ -1104,19 +1140,18 @@ class TestMip:
             m=2,
         )
         cfg = OptConfig(delta=1, n_min_leaf=2, n_cuts=3)
-        sk = TreeSkeleton(1)
-        menu = build_cut_menu(ds, sk, cfg)
-        model = build_mip(ds, sk, menu, cfg)
+        menu = build_cut_menu(ds, cfg)
+        model = build_mip(ds, menu, cfg)
         a = TreeAssignment(cuts=(menu.for_node(1)[1],), treatments=(1, 2))
-        sol = solution_from_assignment(ds, sk, menu, a)
+        sol = solution_from_assignment(ds, menu, a)
         assert check_solution(model, sol) == []
         assert objective_value(model, sol) == 0.0
 
     def test_non_finite_values_are_bound_problems(self):
-        ds, sk, menu, cfg = slack_instance(7)
-        model = build_mip(ds, sk, menu, cfg)
-        result = solve_exact(ds, sk, menu, cfg)
-        clean = solution_from_assignment(ds, sk, menu, result.assignment)
+        ds, menu, cfg = slack_instance(7)
+        model = build_mip(ds, menu, cfg)
+        result = solve_exact(ds, menu, cfg)
+        clean = solution_from_assignment(ds, menu, result.assignment)
         means = {name for name in clean if name.startswith(("mu(", "nu("))}
         nan = {name: float("nan") if name in means else v for name, v in clean.items()}
         assert {p["name"] for p in check_solution(model, nan) if p["kind"] == "bound"} == means
@@ -1153,9 +1188,9 @@ class TestHighsOracle:
 
     @staticmethod
     def instance(seed, n, delta, n_cuts):
-        ds, sk, _, cfg = slack_instance(seed, n=n, delta=delta)
+        ds, _, cfg = slack_instance(seed, n=n, delta=delta)
         cfg = dataclasses.replace(cfg, n_cuts=n_cuts)
-        return ds, sk, build_cut_menu(ds, sk, cfg), cfg
+        return ds, build_cut_menu(ds, cfg), cfg
 
     @staticmethod
     def highs(model):
@@ -1172,14 +1207,14 @@ class TestHighsOracle:
         [(1, 30, 1, 3), (2, 30, 1, 3), (3, 30, 1, 3), (2, 40, 2, 2), (6, 40, 2, 2), (7, 40, 2, 2)],
     )
     def test_optimum_matches_solve_exact(self, seed, n, delta, n_cuts):
-        ds, sk, menu, cfg = self.instance(seed, n, delta, n_cuts)
-        found = self.highs(build_mip(ds, sk, menu, cfg))
-        objective = solve_exact(ds, sk, menu, cfg).objective
+        ds, menu, cfg = self.instance(seed, n, delta, n_cuts)
+        found = self.highs(build_mip(ds, menu, cfg))
+        objective = solve_exact(ds, menu, cfg).objective
         assert found.status == 0
         assert abs(found.fun - objective) <= 1e-9 * max(1.0, abs(objective))
 
     def test_infeasibility_matches_solve_exact(self):
-        ds, sk, menu, cfg = self.instance(8, 40, 2, 2)
-        assert self.highs(build_mip(ds, sk, menu, cfg)).status == 2
+        ds, menu, cfg = self.instance(8, 40, 2, 2)
+        assert self.highs(build_mip(ds, menu, cfg)).status == 2
         with pytest.raises(InfeasibleError):
-            solve_exact(ds, sk, menu, cfg)
+            solve_exact(ds, menu, cfg)

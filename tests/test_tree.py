@@ -14,7 +14,7 @@ from perstrees.errors import ConfigError, SchemaError
 from perstrees.experiment import PRESETS
 from perstrees.forest import PfConfig, fit_pf
 from perstrees.model_io import load_model, model_from_doc, model_to_doc, save_model
-from perstrees.opt import OptConfig, TreeSkeleton, build_cut_menu, solve_exact
+from perstrees.opt import OptConfig, build_cut_menu, solve_exact, solver
 from perstrees.tree import (
     PtConfig,
     Split,
@@ -501,19 +501,18 @@ class TestRoutingAgreement:
     @pytest.fixture(scope="class")
     def fits(self):
         ds = random_dataset(np.random.default_rng(50), 200, 3, 2, all_arms=True)
-        sk = TreeSkeleton(2)
         cfg = OptConfig(delta=2, n_min_leaf=5, n_cuts=4)
-        result = solve_exact(ds, sk, build_cut_menu(ds, sk, cfg), cfg)
+        result = solve_exact(ds, build_cut_menu(ds, cfg), cfg)
         trees = {
             "pt": fit_pt(ds, PtConfig(n_min_leaf=5)),
             "pf": fit_pf(ds, PfConfig(trees_count=2, n_min_leaf=5)).trees[1],
             "opt": result.tree,
         }
-        return ds, trees, sk, result
+        return ds, trees, result
 
     @pytest.mark.parametrize("source", ["pt", "pf", "opt"])
     def test_batch_row_and_leaf_routes_agree(self, fits, source):
-        ds, trees, _, _ = fits
+        ds, trees, _ = fits
         tree = trees[source]
         assert tree.n_leaves > 1
         # data rows, plus copies of them sitting exactly on every threshold
@@ -532,7 +531,7 @@ class TestRoutingAgreement:
 
     @pytest.mark.parametrize("source", ["pt", "pf", "opt"])
     def test_threshold_goes_left(self, fits, source):
-        ds, trees, _, _ = fits
+        ds, trees, _ = fits
         tree = trees[source]
         X = ds.X.copy()
         X[:, tree.feature[0]] = tree.threshold[0]
@@ -549,15 +548,16 @@ class TestRoutingAgreement:
         assert pre_order(tree) == list(range(tree.left.size))
 
     def test_exact_tree_prescribes_as_the_skeleton_routes(self, fits):
-        ds, trees, sk, result = fits
-        leaf = sk.route_many(ds.X, result.assignment.cuts) - 2**sk.delta
+        # the complete tree's heap arrays against the pre-order tree
+        ds, trees, result = fits
+        leaf = solver._leaves(ds, result.assignment, ds.Y)[0]
         want = np.asarray(result.assignment.treatments)[leaf]
         assert trees["opt"].predict_many(ds.X).tolist() == want.tolist()
 
     def test_skeleton_routes_like_the_exact_tree(self, fits):
-        ds, _, sk, result = fits
-        want = result.tree.leaf_ids(ds.X) + 2**sk.delta - 1
-        assert sk.route_many(ds.X, result.assignment.cuts).tolist() == want.tolist()
+        ds, _, result = fits
+        want = result.tree.leaf_ids(ds.X) - 1
+        assert solver._leaves(ds, result.assignment, ds.Y)[0].tolist() == want.tolist()
 
 
 class TestFitPt:
