@@ -76,7 +76,8 @@ def _masked_means(y, near):
 class KnnRegressor:
     """k-nearest-neighbor mean outcome on standardized features.
 
-    k defaults to floor(sqrt(n)) of the fitted sample. All points tied
+    k defaults to floor(sqrt(n)) of the fitted sample, and each fit
+    caps the k it was built with at its sample size. All points tied
     with the k-th smallest distance are included in the average, so the
     prediction does not depend on sort order among co-distant points.
 
@@ -89,7 +90,8 @@ class KnnRegressor:
     """
 
     def __init__(self, k=None):
-        self.k = _check_int("k", k, 1, none_ok=True)
+        self._k_asked = _check_int("k", k, 1, none_ok=True)
+        self.k = None  # set by each fit
         self.x = None
         self.y = None
         self.center = None
@@ -105,9 +107,7 @@ class KnnRegressor:
         self.scale = np.where(sd > 0, sd, 1.0)
         self.x = (X - self.center) / self.scale
         self.y = y
-        if self.k is None:
-            self.k = max(1, int(np.sqrt(len(X))))
-        self.k = min(self.k, len(X))
+        self.k = min(self._k_asked or max(1, int(np.sqrt(len(X)))), len(X))
         return self
 
     def predict(self, X):
@@ -162,7 +162,6 @@ class RcPolicy(_BatchPolicy):
     regressors: tuple
     m: int
     d: int
-    base: str = "ols"
 
     def predictions(self, X):
         """(n, m) predicted outcome of every arm for each row of X."""
@@ -172,14 +171,13 @@ class RcPolicy(_BatchPolicy):
         return np.argmin(self.predictions(X), axis=1) + 1
 
 
-def fit_rc(ds, regressor_factory=None, base="ols"):
+def fit_rc(ds, regressor_factory=OlsRegressor):
     """Fit regress-and-compare; every arm needs at least one subject.
 
-    regressor_factory: optional hook () -> regressor whose `fit(X, y)`
-    returns itself and whose `predict(X)` gives one value per row."""
-    factory = regressor_factory or make_regressor(base)
-    regs = [factory().fit(ds.X[rows], ds.Y[rows]) for rows in _arms(ds)]
-    return RcPolicy(regressors=tuple(regs), m=ds.m, d=ds.d, base=base)
+    regressor_factory: () -> regressor whose `fit(X, y)` returns itself
+    and whose `predict(X)` gives one value per row, as `make_regressor` builds."""
+    regs = [regressor_factory().fit(ds.X[rows], ds.Y[rows]) for rows in _arms(ds)]
+    return RcPolicy(regressors=tuple(regs), m=ds.m, d=ds.d)
 
 
 class RegressionCate:
@@ -220,7 +218,6 @@ class OneVsAllPolicy(_BatchPolicy):
     estimators: tuple  # index t-1 -> estimator of arm t vs pooled rest
     m: int
     d: int
-    base: str = "ols"
 
     def contrasts(self, X):
         """(n, m) contrast of every arm against the rest for each row of X."""
@@ -230,22 +227,22 @@ class OneVsAllPolicy(_BatchPolicy):
         return np.argmin(self.contrasts(X), axis=1) + 1
 
 
-def fit_1va(ds, cate_factory=None, base="ols"):
+def fit_1va(ds, cate_factory=None):
     """Fit the one-vs-all policy.
 
     Args:
         ds: dataset; every treatment needs at least one subject.
-        cate_factory: optional hook (t, s=None) -> estimator whose
-            `fit(X, labels, y)` returns itself and whose `predict(X)`
-            gives one contrast per row, as RegressionCate; tests inject
-            oracles.
+        cate_factory: (t, s=None) -> estimator whose `fit(X, labels, y)`
+            returns itself and whose `predict(X)` gives one contrast per
+            row, as RegressionCate (default `make_cate()`, over OLS);
+            tests inject oracles.
     """
-    factory = cate_factory or make_cate(base)
+    factory = cate_factory or make_cate()
     ests = []
     for t in range(1, ds.m + 1):
         labels = 1 + (ds.T == t).astype(np.int64)
         ests.append(factory(t).fit(ds.X, labels, ds.Y))
-    return OneVsAllPolicy(estimators=tuple(ests), m=ds.m, d=ds.d, base=base)
+    return OneVsAllPolicy(estimators=tuple(ests), m=ds.m, d=ds.d)
 
 
 @dataclass(frozen=True)
@@ -260,7 +257,6 @@ class OneVsOnePolicy(_BatchPolicy):
     m: int
     d: int
     variant: str = "A"
-    base: str = "ols"
 
     def contrast(self, t, s, X):
         """Contrast of arm t against arm s for each row of X."""
@@ -276,14 +272,14 @@ class OneVsOnePolicy(_BatchPolicy):
         return np.argmin(-(pair < 0.0).sum(axis=1), axis=0) + 1
 
 
-def fit_1v1(ds, cate_factory=None, base="ols", variant="A"):
+def fit_1v1(ds, cate_factory=None, variant="A"):
     """Fit a one-vs-one policy over every ordered treatment pair.
 
-    cate_factory: optional hook (t, s) -> estimator of arm t vs arm s,
-    with the contract described in `fit_1va`."""
+    cate_factory: (t, s) -> estimator of arm t vs arm s, with the
+    contract and the default described in `fit_1va`."""
     if variant not in ("A", "B"):
         raise ConfigError("variant must be 'A' or 'B'")
-    factory = cate_factory or make_cate(base)
+    factory = cate_factory or make_cate()
     _arms(ds)  # every arm has subjects, even where m = 1 leaves no pair to fit
     ests = {}
     for t in range(1, ds.m + 1):
@@ -293,5 +289,5 @@ def fit_1v1(ds, cate_factory=None, base="ols", variant="A"):
             rows = np.flatnonzero((ds.T == t) | (ds.T == s))
             labels = 1 + (ds.T[rows] == t).astype(np.int64)
             ests[(t, s)] = factory(t, s).fit(ds.X[rows], labels, ds.Y[rows])
-    return OneVsOnePolicy(estimators=ests, m=ds.m, d=ds.d, variant=variant, base=base)
+    return OneVsOnePolicy(estimators=ests, m=ds.m, d=ds.d, variant=variant)
 

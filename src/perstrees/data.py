@@ -433,7 +433,7 @@ def save_csv(ds, path):
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def confounded_propensity(z, m=3):
+def confounded_propensity(z):
     """Assignment probabilities proportional to exp((t - 2) * z), t = 1..3.
 
     Subjects with large z are steered toward treatment 3, small z toward
@@ -445,8 +445,6 @@ def confounded_propensity(z, m=3):
     Returns:
         Array with a trailing axis of length 3 summing to 1.
     """
-    if m != 3:
-        raise ConfigError("confounded_propensity is defined for m = 3 only")
     z = np.asarray(z, dtype=np.float64)
     logits = np.stack([-z, np.zeros_like(z), z], axis=-1)
     logits = logits - logits.max(axis=-1, keepdims=True)

@@ -87,16 +87,12 @@ def _from_config(name, cls, fit):
 
 
 def _opt(params, seed):
-    _check_keys("opt", params, _fields(OptConfig, "seed") + ("warm",))
-    warm = params.pop("warm", True)
-    if not isinstance(warm, bool):
-        raise ConfigError(f"warm must be true or false, got {warm!r}")
+    _check_keys("opt", params, _fields(OptConfig, "seed"))
     cfg = OptConfig(**params, seed=seed)
 
     def fit(ds):
         menu = build_cut_menu(ds, cfg)
-        start = warm_start_from_pt(ds, cfg, menu) if warm else None
-        return solve_exact(ds, menu, cfg, warm=start).tree
+        return solve_exact(ds, menu, cfg, warm=warm_start_from_pt(ds, cfg, menu)).tree
 
     return fit
 
@@ -104,7 +100,7 @@ def _opt(params, seed):
 def _rc(base):
     def build(params, seed):
         factory = make_regressor(base, params)
-        return lambda ds: fit_rc(ds, regressor_factory=factory, base=base)
+        return lambda ds: fit_rc(ds, regressor_factory=factory)
 
     return build
 
@@ -113,8 +109,8 @@ def _relabel(base, variant=None):
     def build(params, seed):
         factory = make_cate(base, params)
         if variant is None:
-            return lambda ds: fit_1va(ds, cate_factory=factory, base=base)
-        return lambda ds: fit_1v1(ds, cate_factory=factory, base=base, variant=variant)
+            return lambda ds: fit_1va(ds, cate_factory=factory)
+        return lambda ds: fit_1v1(ds, cate_factory=factory, variant=variant)
 
     return build
 

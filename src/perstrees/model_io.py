@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .baselines import (
-    KnnRegressor, OlsRegressor, OneVsAllPolicy, OneVsOnePolicy, RcPolicy, RegressionCate,
+    _REGRESSORS, OlsRegressor, OneVsAllPolicy, OneVsOnePolicy, RcPolicy, RegressionCate,
 )
 from .data import _json_file
 from .errors import ConfigError, SchemaError, _check_floats, _check_int, _check_number, _check_shape
@@ -23,18 +23,23 @@ from .forest import PersonalizationForest
 from .tree import PersonalizationTree, _build
 
 
-def _regressor_doc(r, base):
-    """A regressor's document; SchemaError unless its type is base, as `_regressor` reads."""
-    if base == "ols" and isinstance(r, OlsRegressor):
+def _base(regressors):
+    """The one type, by `make_regressor`'s table, of a policy's regressors
+    ("ols" for none); SchemaError for mixed or unknown types."""
+    types = {type(r) for r in regressors} or {OlsRegressor}
+    for base, cls in _REGRESSORS.items():
+        if types == {cls}:
+            return base
+    names = ", ".join(sorted(t.__name__ for t in types))
+    raise SchemaError(f"a model file holds regressors of one known type, got {names}")
+
+
+def _regressor_doc(r):
+    """A regressor's document, as `_regressor` reads it."""
+    if isinstance(r, OlsRegressor):
         return {"type": "ols", "weights": [float(w) for w in r.weights]}
-    if base == "knn" and isinstance(r, KnnRegressor):
-        return {"type": "knn", "k": int(r.k), "center": r.center.tolist(),
-                "scale": r.scale.tolist(), "x": r.x.tolist(), "y": r.y.tolist()}
-    raise SchemaError(f"regressor type must be {base!r}, got a {type(r).__name__}")
-
-
-def _cate_doc(est, base):
-    return {"pos": _regressor_doc(est.hi, base), "neg": _regressor_doc(est.lo, base)}
+    return {"type": "knn", "k": int(r.k), "center": r.center.tolist(),
+            "scale": r.scale.tolist(), "x": r.x.tolist(), "y": r.y.tolist()}
 
 
 def model_to_doc(policy):
@@ -44,18 +49,18 @@ def model_to_doc(policy):
     if isinstance(policy, PersonalizationForest):
         return {"kind": "pf", "trees": [_tree_doc(t) for t in policy.trees]}
     if isinstance(policy, RcPolicy):
-        return {"kind": f"rc-{policy.base}", "m": int(policy.m), "d": int(policy.d),
-                "arms": [_regressor_doc(r, policy.base) for r in policy.regressors]}
+        return {"kind": f"rc-{_base(policy.regressors)}", "m": int(policy.m), "d": int(policy.d),
+                "arms": [_regressor_doc(r) for r in policy.regressors]}
     if isinstance(policy, OneVsAllPolicy):
-        kind, ests = "1va", [_cate_doc(e, policy.base) for e in policy.estimators]
+        kind, ests = "1va", [({}, e) for e in policy.estimators]
     elif isinstance(policy, OneVsOnePolicy):
         kind = f"1v1{policy.variant.lower()}"
-        pairs = sorted(policy.estimators.items())
-        ests = [{"t": t, "s": s, **_cate_doc(e, policy.base)} for (t, s), e in pairs]
+        ests = [({"t": t, "s": s}, e) for (t, s), e in sorted(policy.estimators.items())]
     else:
         raise SchemaError(f"cannot serialize a {type(policy).__name__}")
-    return {"kind": kind, "base": policy.base, "m": int(policy.m), "d": int(policy.d),
-            "estimators": ests}
+    base = _base([r for _, e in ests for r in (e.hi, e.lo)])
+    return {"kind": kind, "base": base, "m": int(policy.m), "d": int(policy.d), "estimators": [
+        {**pair, "pos": _regressor_doc(e.hi), "neg": _regressor_doc(e.lo)} for pair, e in ests]}
 
 
 def _tree(doc):
@@ -98,11 +103,10 @@ def _regressor(doc, base, d):
     base: the rc kind's suffix, or the 1va or 1v1 document's base."""
     if doc.get("type") != base:
         raise SchemaError(f"regressor type must be {base!r}, got {doc.get('type')!r}")
+    r = _REGRESSORS[base]()
     if base == "ols":
-        r = OlsRegressor()
         r.weights = _check_floats("weights", doc["weights"], (d + 1,))
         return r
-    r = KnnRegressor()
     r.center = _check_floats("center", doc["center"], (d,))
     r.scale = _check_floats("scale", doc["scale"], (d,))
     if (r.scale <= 0.0).any():
@@ -119,7 +123,7 @@ def _rc(doc):
     regs = tuple(_regressor(arm, base, d) for arm in doc["arms"])
     if len(regs) != m:
         raise SchemaError(f"rc document must hold one regressor per treatment, got {len(regs)}")
-    return RcPolicy(regressors=regs, m=m, d=d, base=base)
+    return RcPolicy(regressors=regs, m=m, d=d)
 
 
 def _cate(doc, base, d):
@@ -138,13 +142,13 @@ def _relabeling(doc):
         ests = tuple(_cate(e, base, d) for e in doc["estimators"])
         if len(ests) != m:
             raise SchemaError("1va document must hold one estimator per treatment")
-        return OneVsAllPolicy(estimators=ests, m=m, d=d, base=base)
+        return OneVsAllPolicy(estimators=ests, m=m, d=d)
     ests = {(_check_int("t", e["t"], 1), _check_int("s", e["s"], 1)): _cate(e, base, d)
             for e in doc["estimators"]}
     pairs = {(t, s) for t in range(1, m + 1) for s in range(1, m + 1) if s != t}
     if len(doc["estimators"]) != len(pairs) or ests.keys() != pairs:
         raise SchemaError(f"{kind} document must hold one estimator per ordered pair of arms")
-    return OneVsOnePolicy(estimators=ests, m=m, d=d, variant=kind[-1].upper(), base=base)
+    return OneVsOnePolicy(estimators=ests, m=m, d=d, variant=kind[-1].upper())
 
 
 _LOADERS = {

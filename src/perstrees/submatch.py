@@ -62,6 +62,8 @@ def mahalanobis_metric(ds):
     """
     if ds.n < 2:
         raise DomainError("the covariance metric needs at least two subjects")
+    if ds.d == 0:
+        raise DomainError("the covariance metric needs at least one covariate")
     cov = np.cov(ds.X, rowvar=False)
     cov = np.atleast_2d(cov)
     eps = 1e-8 * float(np.trace(cov)) / ds.d

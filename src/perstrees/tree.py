@@ -219,40 +219,34 @@ def _least_side(config, m):
     return config.n_min_leaf * (1 if config.scarce_mode else m)
 
 
-def _best_splits(ds, nodes, config):
-    """`best_split` for many nodes: a Split or None per node.
+def _best_split(ds, features, rows, config):
+    """`best_split` of one presorted node that passes `_may_split`.
 
-    A node is (features, rows): its feature ids in draw order and a
-    d x k array whose row f holds its rows in stable ascending order of
-    feature f (only the drawn rows are read). Each node is swept on its
-    own, one sweep per chunk of as many features as fit in _SWEEP_BUDGET
-    cells (at least one), over the positions a feasible cut can take. A
-    node keeps the first minimum over (feature, position), as
-    `best_split` does: its chunks come in draw order, and a later one
-    replaces the best only when strictly lower.
+    features are its feature ids in draw order, and rows a d x k array
+    whose row f holds its rows in stable ascending order of feature f
+    (only the drawn rows are read). It is swept one chunk of as many
+    features as fit in _SWEEP_BUDGET cells (at least one) at a time, over
+    the positions a feasible cut can take. It keeps the first minimum
+    over (feature, position), as `best_split` does: the chunks come in
+    draw order, and a later one replaces the best only when strictly
+    lower. Returns a Split or None.
     """
-    best = []
     side = _least_side(config, ds.m)
-    for features, rows in nodes:
-        k, split = rows.shape[1], None
-        if k < 2 * side:  # no cut leaves `side` points on both sides
-            best.append(None)
-            continue
-        step = max(1, _SWEEP_BUDGET // k)
-        for lo in range(0, len(features), step):
-            chunk = features[lo:lo + step]
-            # int32 row ids gather fastest once widened
-            block = rows[chunk].astype(np.intp, copy=False)
-            xs, ts, ys = ds.X[block, chunk[:, None]], ds.T[block], ds.Y[block]
-            sweep = _sweep(xs, ts, ys, k, ds.m, config.n_min_leaf, config.scarce_mode, side)
-            score = np.where(sweep["feasible"], sweep["impurity"], np.inf)
-            f, pos = divmod(int(score.argmin()), score.shape[1])
-            value = score[f, pos]
-            if math.isfinite(value) and (split is None or value < split.impurity):
-                theta = _cut(*xs[f, side - 1 + pos:side + 1 + pos].tolist())
-                split = Split(int(chunk[f]), theta, float(value))
-        best.append(split)
-    return best
+    k, split = rows.shape[1], None
+    step = max(1, _SWEEP_BUDGET // k)
+    for lo in range(0, len(features), step):
+        chunk = features[lo:lo + step]
+        # int32 row ids gather fastest once widened
+        block = rows[chunk].astype(np.intp, copy=False)
+        xs, ts, ys = ds.X[block, chunk[:, None]], ds.T[block], ds.Y[block]
+        sweep = _sweep(xs, ts, ys, k, ds.m, config.n_min_leaf, config.scarce_mode, side)
+        score = np.where(sweep["feasible"], sweep["impurity"], np.inf)
+        f, pos = divmod(int(score.argmin()), score.shape[1])
+        value = score[f, pos]
+        if math.isfinite(value) and (split is None or value < split.impurity):
+            theta = _cut(*xs[f, side - 1 + pos:side + 1 + pos].tolist())
+            split = Split(int(chunk[f]), theta, float(value))
+    return split
 
 
 def best_split(ds, indices, features, config):
@@ -277,7 +271,7 @@ def best_split(ds, indices, features, config):
         return None
     rows = np.empty((ds.d, idx.size), dtype=np.int64)
     rows[features] = idx[np.argsort(ds.X[idx][:, features].T, axis=-1, kind="stable")]
-    return _best_splits(ds, [(features, rows)], config)[0]
+    return _best_split(ds, features, rows, config)
 
 
 def _route(X, feature, threshold, left, right):
@@ -412,17 +406,17 @@ def _build(root, expand, m, d):
 def _grower(ds, config, n_features):
     """`_lockstep`'s expand step for greedy growth. An item is (rng, idx,
     rows, depth): the tree's feature-draw generator, the node's dataset
-    rows in the order of its replicate, the d x k presort `best_split`
+    rows in the order of its replicate, the d x k presort `_best_split`
     takes (int32 row ids where they fit), and the node's depth. Rows may
     repeat; the copies of a row share its values, so every cut sends
     them the same way.
 
-    A round draws each node's features in turn, finds every node's
-    treatment counts and outcome sums with one bincount each, scores the
-    nodes that may split in one `_best_splits` call, and hands each child
-    the rows of the presort on its side, a stable order of its own rows.
-    A child that will never be swept, too small for two sides or at the
-    depth bound, gets no presort (None).
+    A round finds every node's treatment counts and outcome sums with one
+    bincount each, draws each node's features in turn, and scores each
+    node that may split with `_best_split`. It hands each child the rows
+    of the presort on its side, a stable order of its own rows. A child
+    that will never be swept, too small for two sides or at the depth
+    bound, gets no presort (None).
     """
     need = 2 * _least_side(config, ds.m)
 
@@ -435,17 +429,13 @@ def _grower(ds, config, n_features):
         counts, sums = _counts_and_sums(ds.T[idx], ds.Y[idx], ds.m, slot, len(items))
         del idx, slot
         may = _may_split(counts, config)
-        scored, nodes = [], []
+        splits = [None] * len(items)
         for i, (rng, _, rows, depth) in enumerate(items):
             if config.delta_max is None or depth < config.delta_max:
+                # drawn even where the node cannot split, as its tree's later draws assume
                 features = rng.choice(ds.d, size=n_features, replace=False)
                 if may[i]:
-                    scored.append(i)
-                    nodes.append((features, rows))
-        splits = [None] * len(items)
-        for i, split in zip(scored, _best_splits(ds, nodes, config) if nodes else ()):
-            splits[i] = split
-        del nodes
+                    splits[i] = _best_split(ds, features, rows, config)
         leaves = [i for i, split in enumerate(splits) if split is None]
         if leaves:
             counts = counts[leaves]

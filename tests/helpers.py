@@ -42,6 +42,27 @@ def adjacent_floats():
     )
 
 
+def margin_rows(draw, st, rng, n, d):
+    """n x d rows aimed at the nearest-neighbour screens' margins: normal
+    or grid values, scaled by 1 or 1e-3 and put on a common offset of 0,
+    1e6 or 1e12, where some rows copy an earlier row and some lie one ulp
+    above one. draw and st are hypothesis's, so the shape of the rows
+    shrinks with the example."""
+    if draw(st.booleans()):
+        X = rng.normal(size=(n, d))
+    else:
+        X = rng.integers(-1, 3, size=(n, d)).astype(float)
+    X = X * draw(st.sampled_from([1.0, 1e-3])) + draw(st.sampled_from([0.0, 1e6, 1e12]))
+    copies, ulps = draw(st.sampled_from([0.0, 0.3])), draw(st.sampled_from([0.0, 0.3]))
+    for i in range(1, n):
+        u = rng.random()
+        if u < copies + ulps:
+            X[i] = X[rng.integers(0, i)]
+            if u >= copies:
+                X[i] = np.nextafter(X[i], np.inf)
+    return X
+
+
 def leaf_argmin_policy(ds, leaf_of):
     """Per-leaf argmin-mean prescriptions for a fixed leaf labeling."""
     n_leaves = int(leaf_of.max())

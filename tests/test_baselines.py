@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perstrees import _nearest, baselines
 from perstrees.baselines import (
@@ -21,13 +23,13 @@ from perstrees.errors import ConfigError, DomainError, SchemaError
 from perstrees.model_io import model_from_doc, model_to_doc
 from perstrees.risk import prescriptions
 
-from helpers import random_dataset
+from helpers import margin_rows, random_dataset
 from oracles import knn_row
 
 
-def round_trip(reg, base, d):
+def round_trip(reg, d):
     """reg read back from the rc document of a one-arm policy on d features."""
-    policy = RcPolicy(regressors=(reg,), m=1, d=d, base=base)
+    policy = RcPolicy(regressors=(reg,), m=1, d=d)
     return model_from_doc(model_to_doc(policy)).regressors[0]
 
 
@@ -56,7 +58,7 @@ class TestOls:
 
     def test_round_trip(self):
         reg = OlsRegressor().fit(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
-        back = round_trip(reg, "ols", 1)
+        back = round_trip(reg, 1)
         assert np.isclose(back.predict([[0.5]])[0], reg.predict([[0.5]])[0])
 
     @pytest.mark.parametrize("make", [OlsRegressor, lambda: KnnRegressor(k=1)])
@@ -112,9 +114,19 @@ class TestKnn:
         rng = np.random.default_rng(2)
         X, y = rng.normal(size=(12, 2)), rng.normal(size=12)
         reg = KnnRegressor(k=3).fit(X, y)
-        back = round_trip(reg, "knn", 2)
+        back = round_trip(reg, 2)
         for q in rng.normal(size=(4, 2)):
             assert np.isclose(back.predict([q])[0], reg.predict([q])[0])
+
+    def test_each_fit_takes_k_from_the_constructor(self):
+        # a fit on fewer rows than k caps k for that fit alone
+        fixed, rooted = KnnRegressor(k=10), KnnRegressor()
+        fixed.fit(np.arange(5.0)[:, None], np.zeros(5))
+        rooted.fit(np.arange(4.0)[:, None], np.zeros(4))
+        assert (fixed.k, rooted.k) == (5, 2)
+        fixed.fit(np.arange(100.0)[:, None], np.zeros(100))
+        rooted.fit(np.arange(100.0)[:, None], np.zeros(100))
+        assert (fixed.k, rooted.k) == (10, 10)
 
     def test_factory_passes_k(self):
         factory = make_regressor("knn", {"k": 3})
@@ -165,7 +177,7 @@ class TestRegressAndCompare:
     def test_round_trip(self, base):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, 40, 2, 3, all_arms=True)
-        pol = fit_rc(ds, base=base)
+        pol = fit_rc(ds, regressor_factory=make_regressor(base))
         doc = model_to_doc(pol)
         assert doc["kind"] == f"rc-{base}"
         back = model_from_doc(doc)
@@ -178,7 +190,7 @@ class TestRegressAndCompare:
             model_from_doc({"kind": "rc-forest", "m": 1, "d": 1, "arms": []})
 
     def test_rejects_knn_k_past_the_stored_points(self):
-        doc = model_to_doc(fit_rc(linear_arms_dataset(), base="knn"))
+        doc = model_to_doc(fit_rc(linear_arms_dataset(), make_regressor("knn")))
         doc["arms"][1]["k"] = 21  # each arm stores 20 points
         with pytest.raises(SchemaError, match="k must be an integer in 1..20"):
             model_from_doc(doc)
@@ -329,9 +341,9 @@ class TestRelabelSerialization:
     def test_1va_round_trip(self, base):
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, 45, 2, 3, all_arms=True)
-        pol = fit_1va(ds, base=base)
+        pol = fit_1va(ds, cate_factory=make_cate(base))
         doc = model_to_doc(pol)
-        assert doc["kind"] == "1va"
+        assert (doc["kind"], doc["base"]) == ("1va", base)
         back = model_from_doc(doc)
         for x in ds.X[:8]:
             assert back.prescribe(x) == pol.prescribe(x)
@@ -441,6 +453,35 @@ class TestKnnScreen:
             assert rescored == 0  # every point is a neighbour, ties or not
 
 
+@st.composite
+def knn_instances(draw):
+    """A kNN regressor fit on 1 to 40 rows of margin_rows, held as fit or
+    as given (as a model document may hold them, so ulp pairs stay one
+    ulp apart where the distances are taken), and queries that copy a
+    training row, lie one ulp above one, or are drawn afresh."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = margin_rows(draw, st, rng, n + 20, d)
+    reg = KnnRegressor(k=draw(st.one_of(st.none(), st.integers(1, n + 2))))
+    reg.fit(X[:n], rng.normal(size=n))
+    if draw(st.booleans()):
+        reg.center, reg.scale, reg.x = np.zeros(d), np.ones(d), X[:n]
+    queries = X[n:]
+    picks = rng.integers(0, n, size=len(queries))
+    near = rng.integers(0, 3, size=len(queries))
+    queries[near == 1] = X[picks[near == 1]]
+    queries[near == 2] = np.nextafter(X[picks[near == 2]], -np.inf)
+    return reg, queries
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(instance=knn_instances())
+def test_knn_predict_is_the_row_reference_bit_for_bit(instance):
+    reg, queries = instance
+    want = np.array([knn_row(reg, q) for q in queries])
+    assert reg.predict(queries).tobytes() == want.tobytes()
+
+
 def row_value(reg, x):
     if isinstance(reg, OlsRegressor):
         return reg.weights[0] + sum(w * v for w, v in zip(reg.weights[1:], x))
@@ -478,7 +519,7 @@ def regressors_of(pol):
 
 FITTERS = {
     "rc-ols": lambda ds: fit_rc(ds),
-    "rc-knn": lambda ds: fit_rc(ds, base="knn"),
+    "rc-knn": lambda ds: fit_rc(ds, make_regressor("knn")),
     "1va-ols": lambda ds: fit_1va(ds),
     "1v1a-ols": lambda ds: fit_1v1(ds, variant="A"),
     "1v1b-ols": lambda ds: fit_1v1(ds, variant="B"),

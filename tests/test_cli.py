@@ -574,7 +574,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize(
         "params", [{"work_limit": float("nan")}, {"work_limit": "10"}, {"work_limit": 2.5},
-                   {"delta": 1.0}, {"n_features": 1.5}, {"warm": "no"}]
+                   {"delta": 1.0}, {"n_features": 1.5}]
     )
     def test_malformed_opt_params_exit_1(self, tmp_path, params, capsys):
         cfg = tmp_path / "config.json"
@@ -635,7 +635,7 @@ class TestExperiment:
          "n_test is not a setting of the optimal-submatch protocol"),
         ("algorithms", ["pt", {"name": "opt", "params": {"time_limit": 1}}],
          "unknown opt parameter 'time_limit'; valid keys: delta, n_min_leaf, n_features, n_cuts, "
-         "work_limit, warm"),
+         "work_limit\n"),
     ])
     def test_malformed_config_exits_1_before_any_cell(
         self, tmp_path, monkeypatch, capsys, key, value, named
@@ -837,6 +837,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == "perstrees: error: treatment 1 has no subjects\n"
         assert not model.exists()
 
+    @pytest.mark.parametrize("command", [
+        ("submatch", "--method", "greedy", "--n-test", "2"),
+        ("submatch", "--method", "optimal", "--n-pair", "2"),
+        ("evaluate", "--greedy", "2"),
+    ], ids=["submatch-greedy", "submatch-optimal", "evaluate-greedy"])
+    def test_matching_data_without_covariates_exits_2(self, tmp_path, capsys, command):
+        data, model, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "out"
+        data.write_text("treatment,outcome\n1,0.5\n2,1.0\n1,0.2\n2,0.7\n1,0.1\n2,0.9\n")
+        assert run("train", "--algo", "pt", "--data", str(data), "--out", str(model)) == 0
+        name, *flags = command
+        if name == "evaluate":
+            flags += ["--model", str(model)]
+        assert run(name, "--data", str(data), *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "perstrees: error: the covariance metric needs at least one covariate\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         (("gen-data", "--out", "d.csv"), "--spec"),
         (("experiment",), "--config"),
@@ -915,7 +932,7 @@ class TestExitCodes:
         ("opt", {"n_min_lef": 5}, (), "unknown opt parameter 'n_min_lef'; valid keys: delta"),
         ("pt", {"scarce_mode": "no"}, (), "scarce_mode must be"),
         ("pf", {"scarce_mode": "no"}, (), "scarce_mode must be"),
-        ("opt", {"warm": "no"}, (), "warm must be"),
+        ("opt", {"warm": True}, (), "unknown opt parameter 'warm'"),
         ("pt", {"n_min_leaf": 2.5}, (), "n_min_leaf must be"),
         ("pf", {"n_min_leaf": 2.5}, (), "n_min_leaf must be"),
         ("pt", {"n_min_leaf": float("nan")}, (), "n_min_leaf must be"),
@@ -937,7 +954,7 @@ class TestExitCodes:
         ("1v1a-ols", {"k": 5}, (), "unknown ols parameter 'k'"),
         ("opt", {"work_limit": -1}, (), "work_limit must be"),
         ("opt", {"time_limit": 1}, (), "unknown opt parameter 'time_limit'; valid keys: delta, "
-         "n_min_leaf, n_features, n_cuts, work_limit, warm"),
+         "n_min_leaf, n_features, n_cuts, work_limit\n"),
     ])
     def test_malformed_params_exit_1(self, tmp_path, quad_csv, algo, params, extra, named, capsys):
         code = run(

@@ -130,7 +130,7 @@ def test_every_setting_changes_the_fit(cls, name):
 
 
 @pytest.mark.parametrize("algo, params, named", [
-    ("opt", {"warm": 1}, "warm must be"),
+    ("opt", {"warm": True}, "unknown opt parameter 'warm'"),
     ("pf", {"base": {}}, "unknown pf parameter 'base'"),
 ])
 def test_bad_params_refused_before_fitting(algo, params, named):

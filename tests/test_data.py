@@ -194,10 +194,6 @@ class TestConfoundedPropensity:
         p = confounded_propensity(50.0)
         assert p[2] > 1 - 1e-12
 
-    def test_m_not_three_rejected(self):
-        with pytest.raises(ConfigError):
-            confounded_propensity(0.0, m=4)
-
     def test_simplex_and_ordering(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

@@ -817,6 +817,39 @@ def test_solve_exact_is_the_per_leaf_recursion_bit_for_bit(instance):
     assert solve_outcome(solve_exact_outcome, ds, menu, cfg) == want
 
 
+@st.composite
+def margin_zero_instances(draw):
+    """16 to 40 rows at depth 2, two arms and a cut at every position: a
+    grid column and a copy of it shuffled within each (arm, outcome)
+    class, so the two columns' cuts tie in real arithmetic, with decimal
+    or rare-1 outcomes. The screen's block sums and a bottom pass's row
+    order then round apart, and a screen without its margin settles a
+    wrong cut on about 1 in 110 such instances."""
+    n = draw(st.integers(16, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = rng.integers(1, 3, size=n)
+    T[rng.permutation(n)[:2]] = (1, 2)
+    if draw(st.booleans()):
+        Y = rng.choice([0.1, 0.2, 0.3], size=n)
+    else:
+        Y = rng.choice([0.0, 0.75 * 2**-52, 1.0], size=n, p=[0.3, 0.6, 0.1])
+    x0 = rng.integers(draw(st.sampled_from([-1, 0])), 4, size=n).astype(float)
+    x1 = x0.copy()
+    for t, y in set(zip(T.tolist(), Y.tolist())):
+        rows = np.flatnonzero((T == t) & (Y == y))
+        x1[rows] = rng.permutation(x0[rows])
+    return Dataset(X=np.column_stack([x0, x1]), T=T, Y=Y, m=2), OptConfig(2, n_min_leaf=1, n_cuts=n)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(instance=margin_zero_instances())
+def test_solve_exact_is_the_per_leaf_recursion_on_tied_grid_columns(instance):
+    ds, cfg = instance
+    menu = build_cut_menu(ds, cfg)
+    want = solve_outcome(reference_solve, ds, menu, cfg)
+    assert solve_outcome(solve_exact_outcome, ds, menu, cfg) == want
+
+
 def test_a_capped_memo_evicts_and_finds_the_same_tree(monkeypatch, caplog):
     # every memo key holds ceil(n/8) bytes, so this MEMO_BYTES keeps three entries
     ds = random_dataset(np.random.default_rng(4), 150, 2, 2, all_arms=True)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perstrees import _nearest
 from perstrees.data import Dataset
@@ -23,7 +25,7 @@ from perstrees.submatch import (
     save_matched_csv,
 )
 
-from helpers import random_dataset
+from helpers import margin_rows, random_dataset
 from oracles import greedy_reference
 
 IDENTITY_1D = Metric(inverse=np.eye(1))
@@ -214,6 +216,30 @@ class TestScreenedGreedy:
         metric = Metric(inverse=np.array([[1.0, 0.3], [-0.1, 2.0]]))
         mts = greedy_submatch(ds, 40, metric, seed=1)
         assert mts.yhat.tobytes() == greedy_reference(ds, 40, metric, seed=1)[1].tobytes()
+
+
+@st.composite
+def matching_instances(draw):
+    """A dataset of 4 to 40 rows on margin_rows, a test-set size and a
+    seed, matched under the sample's metric or the identity."""
+    n, d, m = draw(st.integers(4, 40)), draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = rng.integers(1, m + 1, size=n)
+    T[rng.permutation(n)[:m]] = np.arange(1, m + 1)
+    ds = Dataset(X=margin_rows(draw, st, rng, n, d), T=T, Y=rng.normal(size=n), m=m)
+    metric = mahalanobis_metric(ds) if draw(st.booleans()) else Metric(inverse=np.eye(d))
+    return ds, metric, draw(st.integers(1, n)), draw(st.integers(0, 3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(instance=matching_instances())
+def test_greedy_submatch_is_the_row_reference_bit_for_bit(instance):
+    ds, metric, n_test, seed = instance
+    mts = greedy_submatch(ds, n_test, metric, seed)
+    drawn, yhat, removed = greedy_reference(ds, n_test, metric, seed)
+    assert mts.drawn.tobytes() == drawn.tobytes()
+    assert mts.yhat.tobytes() == yhat.tobytes()
+    assert mts.removed.tobytes() == removed.tobytes()
 
 
 class TestOptimal:

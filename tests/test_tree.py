@@ -18,7 +18,7 @@ from perstrees.opt import OptConfig, build_cut_menu, solve_exact, solver
 from perstrees.tree import (
     PtConfig,
     Split,
-    _best_splits,
+    _best_split,
     _by_key,
     _cut,
     _may_split,
@@ -186,7 +186,7 @@ class TestBestSplit:
             config = PtConfig(n_min_leaf=int(rng.integers(1, 3)), scarce_mode=scarce)
             want = best_split(ds, subset, features, config)
             if may_split(ds, subset, config):
-                assert _best_splits(ds, [(features, rows)], config)[0] == want
+                assert _best_split(ds, features, rows, config) == want
             found += want is not None
         assert found >= 20
 
@@ -330,61 +330,34 @@ class TestSweepKernel:
             assert np.array_equal(got["sides"], want["sides"][..., kept]), trial
 
 
-class TestBatchedScoring:
-    @pytest.mark.parametrize("scarce", [False, True])
-    def test_a_batch_scores_each_node_as_best_split_alone(self, scarce):
-        # nodes of mixed sizes in one list, big ones swept in feature
-        # chunks; duplicate columns make the tie rule matter
-        rng = np.random.default_rng(75 if scarce else 76)
-        for trial in range(20):
-            n, m = int(rng.integers(40, 3000)), int(rng.integers(2, 4))
-            ds = random_dataset(rng, n, 3, m, all_arms=True)
-            X = np.column_stack([ds.X, ds.X[:, 0], np.round(ds.X[:, 1]), np.round(ds.X[:, 1])])
-            ds = Dataset(X=X, T=ds.T, Y=ds.Y, m=m)
-            config = PtConfig(n_min_leaf=int(rng.integers(1, 4)), scarce_mode=scarce)
-            order = np.argsort(ds.X.T, axis=1, kind="stable")
-            nodes, want = [], []
-            for _ in range(int(rng.integers(1, 12))):
-                keep = np.zeros(n, dtype=bool)
-                keep[rng.choice(n, int(rng.integers(2, n + 1)), replace=False)] = True
-                idx = np.flatnonzero(keep)
-                rows = order[keep[order]].reshape(ds.d, idx.size)
-                features = rng.permutation(ds.d)[: int(rng.integers(1, ds.d + 1))]
-                if not may_split(ds, idx, config):
-                    continue
-                nodes.append((features, rows))
-                want.append(_best_splits(ds, [(features, rows)], config)[0])
-            assert _best_splits(ds, nodes, config) == want
-
-
 class TestSweepShape:
     """Each `_sweep` call holds the feature rows of one node: one k, no
     +inf pads and at most max(_SWEEP_BUDGET, k) cells, one call per chunk
     of max(1, _SWEEP_BUDGET // k) features of a node that can split."""
 
     def check(self, monkeypatch, ds, config, run):
-        sweeps, lists = [], []
-        sweep, best_splits = tree_module._sweep, tree_module._best_splits
+        sweeps, nodes = [], []
+        sweep, best_split_of = tree_module._sweep, tree_module._best_split
 
         def wrapped_sweep(xs, ts, ys, k, *args):
             sweeps.append((xs.shape, k, bool(np.isinf(xs).any())))
             return sweep(xs, ts, ys, k, *args)
 
-        def wrapped_best_splits(ds, nodes, config):
-            lists.append([(len(features), rows.shape[1]) for features, rows in nodes])
-            return best_splits(ds, nodes, config)
+        def wrapped_best_split(ds, features, rows, config):
+            nodes.append((len(features), rows.shape[1]))
+            return best_split_of(ds, features, rows, config)
 
         monkeypatch.setattr(tree_module, "_sweep", wrapped_sweep)
-        monkeypatch.setattr(tree_module, "_best_splits", wrapped_best_splits)
+        monkeypatch.setattr(tree_module, "_best_split", wrapped_best_split)
         result = run()
         side = config.n_min_leaf * (1 if config.scarce_mode else ds.m)
         for (R, K), k, padded in sweeps:
             assert type(k) is int and k == K and not padded
             assert R * K <= max(tree_module._SWEEP_BUDGET, k)
-        want = sum(math.ceil(F / max(1, tree_module._SWEEP_BUDGET // k))
-                   for nodes in lists for F, k in nodes if k >= 2 * side)
+        assert all(k >= 2 * side for _, k in nodes)  # only nodes that may split are scored
+        want = sum(math.ceil(F / max(1, tree_module._SWEEP_BUDGET // k)) for F, k in nodes)
         assert len(sweeps) == want
-        return lists, result
+        return nodes, result
 
     @pytest.mark.parametrize("scarce", [False, True])
     def test_a_node_list_sweeps_node_by_node(self, monkeypatch, scarce):
@@ -397,19 +370,22 @@ class TestSweepShape:
             keep = np.zeros(ds.n, dtype=bool)
             keep[rng.choice(ds.n, size, replace=False)] = True
             features = rng.permutation(ds.d)[: int(rng.integers(1, ds.d + 1))]
-            nodes.append((features, order[keep[order]].reshape(ds.d, size)))
-        lists, _ = self.check(monkeypatch, ds, config, lambda: tree_module._best_splits(ds, nodes, config))
-        assert len(lists) == 1
+            if may_split(ds, np.flatnonzero(keep), config):
+                nodes.append((features, order[keep[order]].reshape(ds.d, size)))
+        scored, _ = self.check(monkeypatch, ds, config, lambda: [
+            tree_module._best_split(ds, features, rows, config) for features, rows in nodes])
+        assert scored == [(len(features), rows.shape[1]) for features, rows in nodes]
+        assert max(k for _, k in scored) == ds.n
 
     def test_growth_sweeps_node_by_node(self, monkeypatch):
         rng = np.random.default_rng(79)
         ds = random_dataset(rng, 5000, 4, 2, all_arms=True)
         config = PtConfig(n_min_leaf=20)
-        lists, grown = self.check(monkeypatch, ds, config, lambda: fit_pt(ds, config))
-        assert grown.n_leaves > 20 and max(k for nodes in lists for _, k in nodes) == ds.n
+        nodes, grown = self.check(monkeypatch, ds, config, lambda: fit_pt(ds, config))
+        assert grown.n_leaves > 20 and max(k for _, k in nodes) == ds.n
         forest_config = PfConfig(trees_count=6, n_min_leaf=5, seed=3)
-        lists, _ = self.check(monkeypatch, ds, forest_config, lambda: fit_pf(ds, forest_config))
-        assert max(map(len, lists)) > 1  # the trees' nodes are scored together
+        nodes, forest = self.check(monkeypatch, ds, forest_config, lambda: fit_pf(ds, forest_config))
+        assert sum(tree.n_leaves - 1 for tree in forest.trees) <= len(nodes)
 
 
 def leaf_doc(treatment, counts, means):
