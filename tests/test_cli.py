@@ -932,7 +932,7 @@ class TestExitCodes:
         ("opt", {"n_min_lef": 5}, (), "unknown opt parameter 'n_min_lef'; valid keys: delta"),
         ("pt", {"scarce_mode": "no"}, (), "scarce_mode must be"),
         ("pf", {"scarce_mode": "no"}, (), "scarce_mode must be"),
-        ("opt", {"warm": True}, (), "unknown opt parameter 'warm'"),
+        ("opt", {"warm": True}, (), "parameter 'warm'"),
         ("pt", {"n_min_leaf": 2.5}, (), "n_min_leaf must be"),
         ("pf", {"n_min_leaf": 2.5}, (), "n_min_leaf must be"),
         ("pt", {"n_min_leaf": float("nan")}, (), "n_min_leaf must be"),
